@@ -5,13 +5,16 @@
 //    incremental, checkpointable ingestion;
 //  * chunk-size sweep: small chunks mean more ticks (more scheduler and
 //    directory-scan overhead) for identical results;
-//  * checkpoint serialize/parse and a full atomic store write, as the open
-//    coalescer state and emitted-error set grow.
+//  * frontier serialize/parse as the open coalescer state grows, and one
+//    store generation (segment append + frontier write) as the history a
+//    daemon has already emitted grows — the write must stay O(delta).
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "analysis/dataset.h"
 #include "analysis/pipeline.h"
@@ -148,23 +151,11 @@ void BM_BatchLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchLoad)->Arg(0)->Arg(4)->Unit(benchmark::kMillisecond);
 
-serve::CheckpointData synthetic_checkpoint(std::int64_t n_errors) {
-  serve::CheckpointData d;
-  d.config_hash = 0xfeedface;
-  d.seq = 3;
-  d.tick = 1000;
-  common::Rng rng(7);
-  for (int day = 0; day < kDays; ++day) {
-    serve::SourceSnapshot s;
-    s.name = "syslog-2023-06-0" + std::to_string(day + 1) + ".log";
-    s.date = kDay0 + day * common::kDay;
-    s.offset = 1 << 20;
-    s.lines_seen = kLinesPerDay;
-    s.existed = true;
-    s.sealed = day + 1 < kDays;
-    d.sources.push_back(std::move(s));
-  }
-  for (std::int64_t i = 0; i < n_errors; ++i) {
+std::vector<analysis::CoalescedError> synthetic_errors(std::int64_t n,
+                                                       std::int64_t first) {
+  common::Rng rng(static_cast<std::uint64_t>(7 + first));
+  std::vector<analysis::CoalescedError> out;
+  for (std::int64_t i = first; i < first + n; ++i) {
     analysis::CoalescedError e;
     e.time = kDay0 + i;
     e.last = e.time + 5;
@@ -173,49 +164,84 @@ serve::CheckpointData synthetic_checkpoint(std::int64_t n_errors) {
     e.code = xid::Code::kGspRpcTimeout;
     e.raw_xid = 119;
     e.raw_lines = 3;
-    d.errors.push_back(e);
-    if (i % 16 == 0) d.coalescer.open.push_back(e);
+    out.push_back(e);
   }
-  d.coalescer.records_in = static_cast<std::uint64_t>(n_errors) * 3;
-  d.coalescer.errors_out = static_cast<std::uint64_t>(n_errors);
-  return d;
+  return out;
+}
+
+serve::CheckpointFrontier synthetic_frontier(std::int64_t n_open) {
+  serve::CheckpointFrontier f;
+  f.config_hash = 0xfeedface;
+  f.seq = 3;
+  f.tick = 1000;
+  for (int day = 0; day < kDays; ++day) {
+    serve::SourceSnapshot s;
+    s.name = "syslog-2023-06-0" + std::to_string(day + 1) + ".log";
+    s.date = kDay0 + day * common::kDay;
+    s.offset = 1 << 20;
+    s.lines_seen = kLinesPerDay;
+    s.existed = true;
+    s.sealed = day + 1 < kDays;
+    f.sources.push_back(std::move(s));
+  }
+  f.coalescer.open = synthetic_errors(n_open, 0);
+  f.coalescer.records_in = static_cast<std::uint64_t>(n_open) * 3;
+  return f;
 }
 
 void BM_CheckpointSerialize(benchmark::State& state) {
-  const auto d = synthetic_checkpoint(state.range(0));
+  const auto f = synthetic_frontier(state.range(0));
   std::size_t bytes = 0;
   for (auto _ : state) {
-    const std::string s = serve::serialize_checkpoint(d);
+    const std::string s = serve::serialize_generation(f, {});
     bytes = s.size();
     benchmark::DoNotOptimize(s.data());
   }
   state.counters["bytes"] = static_cast<double>(bytes);
 }
-BENCHMARK(BM_CheckpointSerialize)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_CheckpointSerialize)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_CheckpointParse(benchmark::State& state) {
   const std::string bytes =
-      serve::serialize_checkpoint(synthetic_checkpoint(state.range(0)));
+      serve::serialize_generation(synthetic_frontier(state.range(0)), {});
   for (auto _ : state) {
-    auto parsed = serve::parse_checkpoint(bytes);
+    auto parsed = serve::parse_generation(bytes);
     if (!parsed.ok()) std::abort();
-    benchmark::DoNotOptimize(parsed.value().errors.size());
+    benchmark::DoNotOptimize(parsed.value().frontier.coalescer.open.size());
   }
 }
-BENCHMARK(BM_CheckpointParse)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_CheckpointParse)->Arg(100)->Arg(1000)->Arg(10000);
 
+/// One generation over a history of range(0) already-committed errors plus
+/// 100 new ones: time and bytes should not grow with the history.
 void BM_CheckpointStoreWrite(benchmark::State& state) {
-  const auto dir = fs::temp_directory_path() / "gpures_bench_serve_ckpt";
+  const auto dir = fs::temp_directory_path() /
+                   ("gpures_bench_serve_ckpt_" + std::to_string(::getpid()));
   fs::remove_all(dir);
+  fs::create_directories(dir);
   serve::CheckpointStore store(dir, 2);
-  auto d = synthetic_checkpoint(state.range(0));
-  for (auto _ : state) {
-    ++d.seq;
-    if (!store.write(d).ok()) std::abort();
+  auto f = synthetic_frontier(16);
+  if (!store.reset(f.config_hash).ok()) std::abort();
+  auto errors = synthetic_errors(state.range(0), 0);
+  ++f.seq;
+  if (!store.write(f, serve::ResultStreams{errors, {}, {}, {}}).ok()) {
+    std::abort();
   }
+  std::uint64_t bytes = 0;
+  for (auto _ : state) {
+    const auto more = synthetic_errors(100, static_cast<std::int64_t>(
+                                                errors.size()));
+    errors.insert(errors.end(), more.begin(), more.end());
+    ++f.seq;
+    const auto written =
+        store.write(f, serve::ResultStreams{errors, {}, {}, {}});
+    if (!written.ok()) std::abort();
+    bytes = written.value();
+  }
+  state.counters["bytes_per_generation"] = static_cast<double>(bytes);
   fs::remove_all(dir);
 }
-BENCHMARK(BM_CheckpointStoreWrite)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_CheckpointStoreWrite)->Arg(1000)->Arg(100000);
 
 }  // namespace
 

@@ -245,17 +245,13 @@ Result<std::string> read_file_range(const std::string& path,
   return out;
 }
 
-Status write_text_file(const std::string& path, std::string_view text) {
-  const std::filesystem::path parent = std::filesystem::path(path).parent_path();
-  if (!parent.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(parent, ec);
-    if (ec) {
-      return Error::make("cannot create directory " + parent.string() +
-                         " for file: " + path);
-    }
-  }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
+namespace {
+
+/// fopen(path, mode), write every byte, close; any failure is an Error
+/// naming the path.
+Status write_with_mode(const std::string& path, std::string_view text,
+                       const char* mode) {
+  std::FILE* f = std::fopen(path.c_str(), mode);
   if (f == nullptr) {
     return Error::make("cannot open file for writing: " + path);
   }
@@ -267,6 +263,25 @@ Status write_text_file(const std::string& path, std::string_view text) {
     return Error::make("write error on file: " + path);
   }
   return Status{};
+}
+
+}  // namespace
+
+Status write_text_file(const std::string& path, std::string_view text) {
+  const std::filesystem::path parent = std::filesystem::path(path).parent_path();
+  if (!parent.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(parent, ec);
+    if (ec) {
+      return Error::make("cannot create directory " + parent.string() +
+                         " for file: " + path);
+    }
+  }
+  return write_with_mode(path, text, "wb");
+}
+
+Status append_file(const std::string& path, std::string_view bytes) {
+  return write_with_mode(path, bytes, "ab");
 }
 
 Status write_file_atomic(const std::string& path, std::string_view bytes) {

@@ -85,6 +85,11 @@ Result<std::string> read_file_range(const std::string& path,
 /// the path — instead of the silent bad() streams the CLIs used to mix.
 Status write_text_file(const std::string& path, std::string_view text);
 
+/// Append `bytes` to `path`, creating the file when absent.  Checkpoint
+/// segments grow through here; failures surface as an Error naming the
+/// path.
+Status append_file(const std::string& path, std::string_view bytes);
+
 /// Atomically replace `path` with `bytes`: write to `path + ".tmp"`, flush,
 /// then rename over the target, so a crash at any point leaves either the
 /// old file or the new one — never a torn mix.  Creates parent directories

@@ -10,6 +10,8 @@
 
 namespace gpures::serve {
 
+namespace fs = std::filesystem;
+
 namespace {
 
 using index::load_le16;
@@ -18,6 +20,17 @@ using index::load_le64;
 using index::store_le16;
 using index::store_le32;
 using index::store_le64;
+
+constexpr char kSegmentMagic[8] = {'G', 'P', 'U', 'R', 'E', 'S', 'S', 'G'};
+
+/// Segment file names, indexed by Segment.
+constexpr std::array<const char*, kSegmentCount> kSegmentNames = {
+    "seg-errors.bin", "seg-lifecycle.bin", "seg-jobs.bin", "seg-spill.bin"};
+
+/// Block framing: u64 payload length + u64 record count before the payload,
+/// u64 XXH64 of all of it after.
+constexpr std::size_t kBlockPrefix = 16;
+constexpr std::size_t kBlockOverhead = kBlockPrefix + 8;
 
 void append_le16(std::string& s, std::uint16_t v) {
   unsigned char b[2];
@@ -48,7 +61,9 @@ void append_str(std::string& s, std::string_view v) {
   s.append(v);
 }
 
-void append_error(std::string& s, const analysis::CoalescedError& e) {
+// ---- one encoder per result stream -------------------------------------
+
+void encode(std::string& s, const analysis::CoalescedError& e) {
   append_i64(s, e.time);
   append_i64(s, e.last);
   append_i32(s, e.gpu.node);
@@ -56,6 +71,26 @@ void append_error(std::string& s, const analysis::CoalescedError& e) {
   append_le16(s, xid::to_number(e.code));
   append_le16(s, e.raw_xid);
   append_le32(s, e.raw_lines);
+}
+void encode(std::string& s, const analysis::LifecycleRecord& l) {
+  append_i64(s, l.time);
+  append_u8(s, static_cast<std::uint8_t>(l.kind));
+  append_str(s, l.host);
+}
+void encode(std::string& s, const analysis::JobView& j) {
+  append_le64(s, j.id);
+  append_i64(s, j.start);
+  append_i64(s, j.end);
+  append_i32(s, j.gpus);
+  append_u8(s, static_cast<std::uint8_t>(j.state));
+  append_u8(s, j.is_ml ? 1 : 0);
+  append_u8(s, j.inline_count);
+  for (const auto g : j.gpus_inline) append_i32(s, g);
+  append_i32(s, j.spill_index);
+}
+void encode(std::string& s, const std::vector<analysis::PackedGpu>& spill) {
+  append_le32(s, static_cast<std::uint32_t>(spill.size()));
+  for (const auto g : spill) append_i32(s, g);
 }
 
 /// first_category is one of three static strings (or null); a small enum
@@ -79,7 +114,7 @@ const char* category_from_code(std::uint8_t code) {
   }
 }
 
-/// Bounds-checked little-endian reader over the payload.
+/// Bounds-checked little-endian reader.
 class Cursor {
  public:
   explicit Cursor(std::string_view data) : data_(data) {}
@@ -120,6 +155,32 @@ class Cursor {
     e.raw_lines = u32();
     return e;
   }
+  analysis::LifecycleRecord lifecycle() {
+    analysis::LifecycleRecord l;
+    l.time = i64();
+    l.kind = static_cast<analysis::LifecycleRecord::Kind>(u8());
+    l.host = str();
+    return l;
+  }
+  analysis::JobView job() {
+    analysis::JobView j;
+    j.id = u64();
+    j.start = i64();
+    j.end = i64();
+    j.gpus = i32();
+    j.state = static_cast<slurm::JobState>(u8());
+    j.is_ml = u8() != 0;
+    j.inline_count = u8();
+    for (auto& g : j.gpus_inline) g = i32();
+    j.spill_index = i32();
+    return j;
+  }
+  std::vector<analysis::PackedGpu> spill() {
+    const std::uint32_t n = u32();
+    std::vector<analysis::PackedGpu> gpus;
+    for (std::uint32_t g = 0; g < n && !failed_; ++g) gpus.push_back(i32());
+    return gpus;
+  }
   bool done() const { return pos_ == data_.size(); }
 
  private:
@@ -140,17 +201,192 @@ class Cursor {
   bool failed_ = false;
 };
 
+// ---- segment framing ----------------------------------------------------
+
+std::string segment_header(Segment s, std::uint64_t config_hash) {
+  std::string h(kSegmentMagic, sizeof(kSegmentMagic));
+  append_le32(h, kCheckpointVersion);
+  append_le32(h, static_cast<std::uint32_t>(s));
+  append_le64(h, config_hash);
+  append_le64(h, common::xxhash64(h));
+  return h;
+}
+
+/// Next value of a segment's hash chain after a block whose stored XXH64
+/// is the 8 bytes at `block_hash`.
+std::uint64_t fold_chain(std::uint64_t chain, const char* block_hash) {
+  return common::xxhash64(block_hash, 8, chain);
+}
+
+template <typename T>
+std::string make_block(std::span<const T> records) {
+  std::string b;
+  append_le64(b, 0);  // payload length, patched below
+  append_le64(b, records.size());
+  for (const auto& r : records) encode(b, r);
+  store_le64(reinterpret_cast<unsigned char*>(b.data()),
+             b.size() - kBlockPrefix);
+  append_le64(b, common::xxhash64(b));
+  return b;
+}
+
+/// The block holding records [from, size()) of stream `s`.
+std::string make_block(Segment s, const ResultStreams& r, std::uint64_t from) {
+  switch (s) {
+    case Segment::kErrors:
+      return make_block(r.errors.subspan(from));
+    case Segment::kLifecycle:
+      return make_block(r.lifecycle.subspan(from));
+    case Segment::kJobs:
+      return make_block(r.jobs.subspan(from));
+    case Segment::kSpill:
+      return make_block(r.spill.subspan(from));
+  }
+  return {};
+}
+
+std::uint64_t stream_size(Segment s, const ResultStreams& r) {
+  switch (s) {
+    case Segment::kErrors:
+      return r.errors.size();
+    case Segment::kLifecycle:
+      return r.lifecycle.size();
+    case Segment::kJobs:
+      return r.jobs.size();
+    case Segment::kSpill:
+      return r.spill.size();
+  }
+  return 0;
+}
+
+/// Decode `count` records of stream `s` from a verified block payload.
+bool decode_block(Segment s, std::string_view payload, std::uint64_t count,
+                  CheckpointData& out) {
+  Cursor c(payload);
+  for (std::uint64_t i = 0; i < count && !c.failed(); ++i) {
+    switch (s) {
+      case Segment::kErrors:
+        out.errors.push_back(c.error());
+        break;
+      case Segment::kLifecycle:
+        out.lifecycle.push_back(c.lifecycle());
+        break;
+      case Segment::kJobs:
+        out.jobs.jobs.push_back(c.job());
+        break;
+      case Segment::kSpill:
+        out.jobs.spill.push_back(c.spill());
+        break;
+    }
+  }
+  return !c.failed() && c.done();
+}
+
+/// Verify the committed prefix `extent` of segment file `file` — header,
+/// every block checksum, record count and hash chain — and decode its
+/// records into `out`.
+common::Status read_segment(Segment s, std::string_view file,
+                            std::uint64_t config_hash,
+                            const SegmentExtent& extent, CheckpointData& out) {
+  const std::string name = kSegmentNames[static_cast<std::size_t>(s)];
+  auto fail = [&](const std::string& what) {
+    return common::Error::make("segment " + name + ": " + what);
+  };
+  if (extent.bytes < kSegmentHeaderSize || file.size() < extent.bytes) {
+    return fail("shorter than its committed length (" +
+                std::to_string(file.size()) + " < " +
+                std::to_string(extent.bytes) + " bytes)");
+  }
+  const auto* bytes = reinterpret_cast<const unsigned char*>(file.data());
+  if (std::memcmp(bytes, kSegmentMagic, sizeof(kSegmentMagic)) != 0 ||
+      load_le32(bytes + 8) != kCheckpointVersion ||
+      load_le32(bytes + 12) != static_cast<std::uint32_t>(s) ||
+      common::xxhash64(bytes, 24) != load_le64(bytes + 24)) {
+    return fail("bad header");
+  }
+  if (load_le64(bytes + 16) != config_hash) {
+    return fail("config_hash mismatch (written by another run)");
+  }
+  std::uint64_t pos = kSegmentHeaderSize;
+  std::uint64_t records = 0;
+  std::uint64_t chain = 0;
+  while (pos < extent.bytes) {
+    if (extent.bytes - pos < kBlockOverhead) return fail("torn block header");
+    const std::uint64_t len = load_le64(bytes + pos);
+    const std::uint64_t count = load_le64(bytes + pos + 8);
+    if (len > extent.bytes - pos - kBlockOverhead) {
+      return fail("block at byte " + std::to_string(pos) +
+                  " overruns the committed length");
+    }
+    const std::uint64_t hash_at = pos + kBlockPrefix + len;
+    if (common::xxhash64(file.data() + pos, kBlockPrefix + len) !=
+        load_le64(bytes + hash_at)) {
+      return fail("block checksum mismatch at byte " + std::to_string(pos));
+    }
+    if (!decode_block(s, file.substr(pos + kBlockPrefix, len), count, out)) {
+      return fail("block at byte " + std::to_string(pos) +
+                  " does not hold its record count");
+    }
+    chain = fold_chain(chain, file.data() + hash_at);
+    records += count;
+    pos = hash_at + 8;
+  }
+  if (records != extent.records || chain != extent.chain) {
+    return fail("blocks do not match the generation's record count and chain");
+  }
+  return common::Status{};
+}
+
+/// Cut `path` back to `bytes` when a torn or abandoned append left more.
+common::Status truncate_to(const fs::path& path, std::uint64_t bytes) {
+  std::error_code ec;
+  const auto size = fs::file_size(path, ec);
+  if (ec) {
+    return common::Error::make("cannot stat segment " + path.string() + ": " +
+                               ec.message());
+  }
+  if (size < bytes) {
+    return common::Error::make("segment " + path.string() +
+                               " is shorter than its committed length");
+  }
+  if (size > bytes) {
+    fs::resize_file(path, bytes, ec);
+    if (ec) {
+      return common::Error::make("cannot truncate segment " + path.string() +
+                                 ": " + ec.message());
+    }
+  }
+  return common::Status{};
+}
+
+/// The generation number of `name` when it looks like ckpt-<seq>.bin.
+std::optional<std::uint64_t> checkpoint_seq(std::string_view name) {
+  if (name.size() < 10 || name.substr(0, 5) != "ckpt-" ||
+      name.substr(name.size() - 4) != ".bin") {
+    return std::nullopt;
+  }
+  const auto digits = name.substr(5, name.size() - 9);
+  if (digits.empty()) return std::nullopt;
+  std::uint64_t seq = 0;
+  for (const char ch : digits) {
+    if (ch < '0' || ch > '9') return std::nullopt;
+    seq = seq * 10 + static_cast<std::uint64_t>(ch - '0');
+  }
+  return seq;
+}
+
 }  // namespace
 
-std::string serialize_checkpoint(const CheckpointData& data) {
+std::string serialize_generation(const CheckpointFrontier& frontier,
+                                 const SegmentExtents& segments) {
   std::string p;
-  append_le64(p, data.config_hash);
-  append_le64(p, data.seq);
-  append_le64(p, data.tick);
-  append_i64(p, data.watermark);
+  append_le64(p, frontier.config_hash);
+  append_le64(p, frontier.seq);
+  append_le64(p, frontier.tick);
+  append_i64(p, frontier.watermark);
 
-  append_le32(p, static_cast<std::uint32_t>(data.sources.size()));
-  for (const auto& src : data.sources) {
+  append_le32(p, static_cast<std::uint32_t>(frontier.sources.size()));
+  for (const auto& src : frontier.sources) {
     append_str(p, src.name);
     append_i64(p, src.date);
     append_le64(p, src.offset);
@@ -180,7 +416,7 @@ std::string serialize_checkpoint(const CheckpointData& data) {
   }
 
   {
-    const auto& a = data.accounting;
+    const auto& a = frontier.accounting;
     std::uint8_t flags = 0;
     if (a.seen) flags |= 1;
     if (a.degraded) flags |= 2;
@@ -193,41 +429,19 @@ std::string serialize_checkpoint(const CheckpointData& data) {
     append_le64(p, a.bytes_rejected);
   }
 
-  append_le32(p, static_cast<std::uint32_t>(data.stray_files.size()));
-  for (const auto& f : data.stray_files) append_str(p, f);
+  append_le32(p, static_cast<std::uint32_t>(frontier.stray_files.size()));
+  for (const auto& f : frontier.stray_files) append_str(p, f);
 
-  append_le64(p, data.coalescer.records_in);
-  append_le64(p, data.coalescer.errors_out);
-  append_le64(p, data.coalescer.out_of_order);
-  append_le32(p, static_cast<std::uint32_t>(data.coalescer.open.size()));
-  for (const auto& e : data.coalescer.open) append_error(p, e);
+  append_le64(p, frontier.coalescer.records_in);
+  append_le64(p, frontier.coalescer.errors_out);
+  append_le64(p, frontier.coalescer.out_of_order);
+  append_le32(p, static_cast<std::uint32_t>(frontier.coalescer.open.size()));
+  for (const auto& e : frontier.coalescer.open) encode(p, e);
 
-  append_le64(p, data.errors.size());
-  for (const auto& e : data.errors) append_error(p, e);
-
-  append_le64(p, data.lifecycle.size());
-  for (const auto& l : data.lifecycle) {
-    append_i64(p, l.time);
-    append_u8(p, static_cast<std::uint8_t>(l.kind));
-    append_str(p, l.host);
-  }
-
-  append_le64(p, data.jobs.jobs.size());
-  for (const auto& j : data.jobs.jobs) {
-    append_le64(p, j.id);
-    append_i64(p, j.start);
-    append_i64(p, j.end);
-    append_i32(p, j.gpus);
-    append_u8(p, static_cast<std::uint8_t>(j.state));
-    append_u8(p, j.is_ml ? 1 : 0);
-    append_u8(p, j.inline_count);
-    for (const auto g : j.gpus_inline) append_i32(p, g);
-    append_i32(p, j.spill_index);
-  }
-  append_le64(p, data.jobs.spill.size());
-  for (const auto& s : data.jobs.spill) {
-    append_le32(p, static_cast<std::uint32_t>(s.size()));
-    for (const auto g : s) append_i32(p, g);
+  for (const auto& seg : segments) {
+    append_le64(p, seg.bytes);
+    append_le64(p, seg.records);
+    append_le64(p, seg.chain);
   }
 
   std::string out;
@@ -242,7 +456,7 @@ std::string serialize_checkpoint(const CheckpointData& data) {
   return out;
 }
 
-common::Result<CheckpointData> parse_checkpoint(std::string_view bytes) {
+common::Result<Generation> parse_generation(std::string_view bytes) {
   if (bytes.size() < kCheckpointHeaderSize) {
     return common::Error::make("checkpoint: file shorter than header (" +
                                std::to_string(bytes.size()) + " bytes)");
@@ -278,7 +492,8 @@ common::Result<CheckpointData> parse_checkpoint(std::string_view bytes) {
   }
 
   Cursor c(payload);
-  CheckpointData data;
+  Generation gen;
+  CheckpointFrontier& data = gen.frontier;
   data.config_hash = c.u64();
   data.seq = c.u64();
   data.tick = c.u64();
@@ -341,128 +556,185 @@ common::Result<CheckpointData> parse_checkpoint(std::string_view bytes) {
     data.coalescer.open.push_back(c.error());
   }
 
-  const std::uint64_t nerrors = c.u64();
-  for (std::uint64_t i = 0; i < nerrors && !c.failed(); ++i) {
-    data.errors.push_back(c.error());
-  }
-
-  const std::uint64_t nlife = c.u64();
-  for (std::uint64_t i = 0; i < nlife && !c.failed(); ++i) {
-    analysis::LifecycleRecord l;
-    l.time = c.i64();
-    l.kind = static_cast<analysis::LifecycleRecord::Kind>(c.u8());
-    l.host = c.str();
-    data.lifecycle.push_back(std::move(l));
-  }
-
-  const std::uint64_t njobs = c.u64();
-  for (std::uint64_t i = 0; i < njobs && !c.failed(); ++i) {
-    analysis::JobView j;
-    j.id = c.u64();
-    j.start = c.i64();
-    j.end = c.i64();
-    j.gpus = c.i32();
-    j.state = static_cast<slurm::JobState>(c.u8());
-    j.is_ml = c.u8() != 0;
-    j.inline_count = c.u8();
-    for (auto& g : j.gpus_inline) g = c.i32();
-    j.spill_index = c.i32();
-    data.jobs.jobs.push_back(j);
-  }
-  const std::uint64_t nspill = c.u64();
-  for (std::uint64_t i = 0; i < nspill && !c.failed(); ++i) {
-    const std::uint32_t n = c.u32();
-    std::vector<analysis::PackedGpu> gpus;
-    for (std::uint32_t g = 0; g < n && !c.failed(); ++g) {
-      gpus.push_back(c.i32());
-    }
-    data.jobs.spill.push_back(std::move(gpus));
+  for (auto& seg : gen.segments) {
+    seg.bytes = c.u64();
+    seg.records = c.u64();
+    seg.chain = c.u64();
   }
 
   if (c.failed() || !c.done()) {
     return common::Error::make(
         "checkpoint: payload truncated or trailing garbage");
   }
-  return data;
+  return gen;
 }
 
-CheckpointStore::CheckpointStore(std::filesystem::path dir, std::uint32_t keep)
+CheckpointStore::CheckpointStore(fs::path dir, std::uint32_t keep)
     : dir_(std::move(dir)), keep_(keep == 0 ? 1 : keep) {}
 
-std::filesystem::path CheckpointStore::path_for(std::uint64_t seq) const {
+fs::path CheckpointStore::path_for(std::uint64_t seq) const {
   char name[32];
   std::snprintf(name, sizeof(name), "ckpt-%08llu.bin",
                 static_cast<unsigned long long>(seq));
   return dir_ / name;
 }
 
-namespace {
-
-/// The generation number of `name` when it looks like ckpt-<seq>.bin.
-std::optional<std::uint64_t> checkpoint_seq(std::string_view name) {
-  if (name.size() < 10 || name.substr(0, 5) != "ckpt-" ||
-      name.substr(name.size() - 4) != ".bin") {
-    return std::nullopt;
-  }
-  const auto digits = name.substr(5, name.size() - 9);
-  if (digits.empty()) return std::nullopt;
-  std::uint64_t seq = 0;
-  for (const char ch : digits) {
-    if (ch < '0' || ch > '9') return std::nullopt;
-    seq = seq * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  return seq;
+fs::path CheckpointStore::segment_path(Segment s) const {
+  return dir_ / kSegmentNames[static_cast<std::size_t>(s)];
 }
 
-}  // namespace
-
-common::Status CheckpointStore::write(const CheckpointData& data) const {
-  const auto bytes = serialize_checkpoint(data);
-  const auto path = path_for(data.seq);
-  auto st = common::write_file_atomic(path.string(), bytes);
-  if (!st.ok()) return st;
-  // Prune generations older than the newest `keep_`.  A failed remove is
-  // harmless (extra generations only cost disk), so errors are ignored.
+common::Status CheckpointStore::reset(std::uint64_t config_hash) {
+  ready_ = false;
   std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    const auto seq = checkpoint_seq(entry.path().filename().string());
-    if (seq.has_value() && *seq + keep_ <= data.seq) {
+  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
+    const std::string name = entry.path().filename().string();
+    const bool segment = std::find(kSegmentNames.begin(), kSegmentNames.end(),
+                                   name) != kSegmentNames.end();
+    if (segment || checkpoint_seq(name).has_value()) {
       std::error_code rm;
-      std::filesystem::remove(entry.path(), rm);
+      fs::remove(entry.path(), rm);
+      if (rm) {
+        return common::Error::make("cannot remove old checkpoint file " +
+                                   entry.path().string() + ": " +
+                                   rm.message());
+      }
     }
   }
+  for (std::size_t s = 0; s < kSegmentCount; ++s) {
+    const auto seg = static_cast<Segment>(s);
+    auto st = common::write_file_atomic(segment_path(seg).string(),
+                                        segment_header(seg, config_hash));
+    if (!st.ok()) return st;
+  }
+  config_hash_ = config_hash;
+  committed_ = SegmentExtents{};
+  ready_ = true;
   return common::Status{};
 }
 
-common::Result<std::optional<CheckpointData>> CheckpointStore::load_latest(
-    const std::function<void(const std::string&)>& note) const {
+common::Result<std::uint64_t> CheckpointStore::write(
+    const CheckpointFrontier& frontier, const ResultStreams& results,
+    const std::function<void()>& between) {
+  if (!ready_) {
+    return common::Error::make(
+        "checkpoint store: write before reset() or load_latest()");
+  }
+  common::check(frontier.config_hash == config_hash_,
+                "CheckpointStore: frontier config_hash differs from the "
+                "segments'");
+  SegmentExtents next = committed_;
+  std::uint64_t written = 0;
+  for (std::size_t s = 0; s < kSegmentCount; ++s) {
+    const auto seg = static_cast<Segment>(s);
+    auto& ext = next[s];
+    const std::uint64_t size = stream_size(seg, results);
+    common::check(size >= ext.records,
+                  "CheckpointStore: a result stream shrank between "
+                  "generations");
+    if (size == ext.records) continue;
+    const std::string block = make_block(seg, results, ext.records);
+    const auto path = segment_path(seg);
+    // A torn append or an uncommitted earlier attempt may have left bytes
+    // past the committed length; the new block replaces them.
+    auto st = truncate_to(path, ext.bytes);
+    if (!st.ok()) return st.error();
+    st = common::append_file(path.string(), block);
+    if (!st.ok()) return st.error();
+    ext.bytes += block.size();
+    ext.records = size;
+    ext.chain = fold_chain(ext.chain, block.data() + block.size() - 8);
+    written += block.size();
+  }
+  if (between) between();
+  const std::string bytes = serialize_generation(frontier, next);
+  auto st = common::write_file_atomic(path_for(frontier.seq).string(), bytes);
+  if (!st.ok()) return st.error();
+  committed_ = next;
+  written += bytes.size();
+  // Prune generations older than the newest `keep_`.  A failed remove is
+  // harmless (extra generations only cost disk), so errors are ignored.
   std::error_code ec;
-  if (!std::filesystem::is_directory(dir_, ec)) return std::optional<CheckpointData>{};
-  std::vector<std::pair<std::uint64_t, std::filesystem::path>> found;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
+  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
+    const auto seq = checkpoint_seq(entry.path().filename().string());
+    if (seq.has_value() && *seq + keep_ <= frontier.seq) {
+      std::error_code rm;
+      fs::remove(entry.path(), rm);
+    }
+  }
+  return written;
+}
+
+common::Result<std::optional<CheckpointData>> CheckpointStore::load_latest(
+    const std::function<void(const std::string&)>& note) {
+  std::error_code ec;
+  if (!fs::is_directory(dir_, ec)) return std::optional<CheckpointData>{};
+  std::vector<std::pair<std::uint64_t, fs::path>> found;
+  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
     const auto seq = checkpoint_seq(entry.path().filename().string());
     if (seq.has_value()) found.emplace_back(*seq, entry.path());
   }
   std::sort(found.begin(), found.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
-  for (const auto& [seq, path] : found) {
+  // Each segment is read once, on first use, and shared by every
+  // generation tried.
+  std::array<std::optional<common::Result<std::string>>, kSegmentCount> files;
+  for (std::size_t i = 0; i < found.size(); ++i) {
+    const auto& path = found[i].second;
+    const std::string name = path.filename().string();
     auto bytes = common::read_file(path.string());
     if (!bytes.ok()) {
       if (note) {
-        note("checkpoint " + path.filename().string() +
-             " unreadable, falling back: " + bytes.error().message);
+        note("checkpoint " + name + " unreadable, falling back: " +
+             bytes.error().message);
       }
       continue;
     }
-    auto parsed = parse_checkpoint(bytes.value());
+    auto parsed = parse_generation(bytes.value());
     if (!parsed.ok()) {
       if (note) {
-        note("checkpoint " + path.filename().string() +
-             " corrupt, falling back: " + parsed.error().message);
+        note("checkpoint " + name + " corrupt, falling back: " +
+             parsed.error().message);
       }
       continue;
     }
-    return std::optional<CheckpointData>(std::move(parsed).take());
+    Generation& gen = parsed.value();
+    CheckpointData data;
+    static_cast<CheckpointFrontier&>(data) = std::move(gen.frontier);
+    common::Status st;
+    for (std::size_t s = 0; s < kSegmentCount && st.ok(); ++s) {
+      const auto seg = static_cast<Segment>(s);
+      if (!files[s].has_value()) {
+        files[s] = common::read_file(segment_path(seg).string());
+      }
+      if (!files[s]->ok()) {
+        st = files[s]->error();
+      } else {
+        st = read_segment(seg, files[s]->value(), data.config_hash,
+                          gen.segments[s], data);
+      }
+    }
+    if (!st.ok()) {
+      if (note) {
+        note("checkpoint " + name + " does not match its segments, " +
+             "falling back: " + st.error().message);
+      }
+      continue;
+    }
+    // Resume from this generation: drop what lies past it — a torn append,
+    // or blocks of newer generations that failed verification.
+    for (std::size_t s = 0; s < kSegmentCount; ++s) {
+      auto trunc = truncate_to(segment_path(static_cast<Segment>(s)),
+                               gen.segments[s].bytes);
+      if (!trunc.ok()) return trunc.error();
+    }
+    for (std::size_t j = 0; j < i; ++j) {
+      std::error_code rm;
+      fs::remove(found[j].second, rm);
+    }
+    config_hash_ = data.config_hash;
+    committed_ = gen.segments;
+    ready_ = true;
+    return std::optional<CheckpointData>(std::move(data));
   }
   return std::optional<CheckpointData>{};
 }

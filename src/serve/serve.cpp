@@ -26,6 +26,13 @@ bool error_before(const analysis::CoalescedError& a,
   return xid::to_number(a.code) < xid::to_number(b.code);
 }
 
+/// num / den in parts per million (the registry's gauges are integers).
+std::int64_t ppm(std::uint64_t num, std::uint64_t den) {
+  if (den == 0) return 0;
+  return static_cast<std::int64_t>(static_cast<double>(num) * 1e6 /
+                                   static_cast<double>(den));
+}
+
 std::uint64_t count_newlines(std::string_view text) {
   std::uint64_t n = 0;
   for (const char c : text) {
@@ -79,6 +86,8 @@ struct ServeSession::Metrics {
   obs::Counter* ckpt_writes = nullptr;
   obs::Counter* ckpt_bytes = nullptr;
   obs::Counter* ckpt_failures = nullptr;
+  obs::Histogram* ckpt_write_us = nullptr;
+  obs::Gauge* ckpt_amplification = nullptr;
   obs::Gauge* sources_total = nullptr;
   obs::Gauge* sources_sealed = nullptr;
   obs::Gauge* sources_degraded = nullptr;
@@ -126,6 +135,19 @@ ServeSession::ServeSession(ServeConfig cfg) : cfg_(std::move(cfg)) {
   m_->ckpt_writes = &reg.counter("serve.checkpoint.writes");
   m_->ckpt_bytes = &reg.counter("serve.checkpoint.bytes");
   m_->ckpt_failures = &reg.counter("serve.checkpoint.failures");
+  if (!cfg_.checkpoint_dir.empty()) {
+    reg.describe("serve.checkpoint.write_us",
+                 "Wall time of one checkpoint generation: segment appends "
+                 "plus the frontier write",
+                 "us");
+    m_->ckpt_write_us =
+        &reg.histogram("serve.checkpoint.write_us", obs::latency_buckets_us());
+    reg.describe("serve.checkpoint.amplification_ppm",
+                 "Checkpoint bytes written per byte ingested, in parts per "
+                 "million (1000000 = every ingested byte written once)",
+                 "ppm");
+    m_->ckpt_amplification = &reg.gauge("serve.checkpoint.amplification_ppm");
+  }
   m_->sources_total = &reg.gauge("serve.sources.total");
   m_->sources_sealed = &reg.gauge("serve.sources.sealed");
   m_->sources_degraded = &reg.gauge("serve.sources.degraded");
@@ -209,22 +231,29 @@ common::Status ServeSession::open(bool resume) {
   }
 
   opened_ = true;
-  if (resume && store_ != nullptr) {
-    auto loaded = store_->load_latest(cfg_.warn);
-    if (!loaded.ok()) return loaded.error();
-    if (loaded.value().has_value()) {
-      auto& data = *loaded.value();
-      if (data.config_hash != config_hash()) {
+  if (store_ != nullptr) {
+    std::optional<CheckpointData> loaded;
+    if (resume) {
+      auto latest = store_->load_latest(cfg_.warn);
+      if (!latest.ok()) return latest.error();
+      loaded = std::move(latest).take();
+    }
+    if (loaded.has_value()) {
+      if (loaded->config_hash != config_hash()) {
         return common::Error::make(
             "serve: checkpoint was written under a different configuration; "
             "refusing to resume (delete the checkpoint dir or rerun with the "
             "original flags)");
       }
-      restore(std::move(data));
+      restore(std::move(*loaded));
       if (cfg_.warn) {
         cfg_.warn("resumed from checkpoint seq " + std::to_string(seq_) +
                   " at tick " + std::to_string(tick_));
       }
+    } else {
+      // Fresh start: segments of an earlier run must not prefix this one's.
+      auto st = store_->reset(config_hash());
+      if (!st.ok()) return st;
     }
   }
   return scan_sources();
@@ -732,6 +761,8 @@ void ServeSession::watchdog_and_gauges() {
     m_->ckpt_age_ticks->set(static_cast<std::int64_t>(
         tick_ - std::min(tick_, last_checkpoint_tick_)));
     m_->ckpt_last_seq->set(static_cast<std::int64_t>(seq_));
+    m_->ckpt_amplification->set(
+        ppm(m_->ckpt_bytes->value(), m_->bytes->value()));
   }
 }
 
@@ -792,33 +823,45 @@ common::Status ServeSession::maybe_checkpoint() {
 }
 
 common::Status ServeSession::checkpoint_now() {
-  if (store_ == nullptr) return {};
+  // After finalize() the result vectors are sorted: they are no longer the
+  // append-only streams the segments extend, so there is nothing to write.
+  if (store_ == nullptr || finished_) return {};
   if (cfg_.chaos_point) cfg_.chaos_point("ckpt-pre");
-  CheckpointData data = snapshot();
-  data.seq = seq_ + 1;
-  const auto st = store_->write(data);
-  if (!st.ok()) {
+  const auto began = std::chrono::steady_clock::now();
+  CheckpointFrontier frontier = snapshot();
+  frontier.seq = seq_ + 1;
+  const auto written = store_->write(
+      frontier, ResultStreams{errors_, lifecycle_, jobs_.jobs, jobs_.spill},
+      [this] {
+        if (cfg_.chaos_point) cfg_.chaos_point("ckpt-mid");
+      });
+  if (!written.ok()) {
     // A checkpoint that cannot be written degrades durability, not service:
     // keep ingesting, count it, and let the next cadence try again.
     m_->ckpt_failures->inc();
     if (cfg_.warn) {
-      cfg_.warn("checkpoint write failed: " + st.error().message);
+      cfg_.warn("checkpoint write failed: " + written.error().message);
     }
     return {};
   }
-  seq_ = data.seq;
+  seq_ = frontier.seq;
   last_checkpoint_tick_ = tick_;
   dirty_ = false;
   m_->ckpt_writes->inc();
-  m_->ckpt_bytes->add(serialize_checkpoint(data).size());
+  m_->ckpt_bytes->add(written.value());
+  m_->ckpt_write_us->observe(std::chrono::duration<double, std::micro>(
+                                 std::chrono::steady_clock::now() - began)
+                                 .count());
+  m_->ckpt_amplification->set(
+      ppm(m_->ckpt_bytes->value(), m_->bytes->value()));
   m_->ckpt_last_seq->set(static_cast<std::int64_t>(seq_));
   m_->ckpt_age_ticks->set(0);
   if (cfg_.chaos_point) cfg_.chaos_point("ckpt-post");
   return {};
 }
 
-CheckpointData ServeSession::snapshot() const {
-  CheckpointData data;
+CheckpointFrontier ServeSession::snapshot() const {
+  CheckpointFrontier data;
   data.config_hash = config_hash();
   data.seq = seq_;
   data.tick = tick_;
@@ -843,9 +886,6 @@ CheckpointData ServeSession::snapshot() const {
   data.accounting = acct_;
   data.stray_files = strays_;
   data.coalescer = coalescer_->state();
-  data.errors = errors_;
-  data.lifecycle = lifecycle_;
-  data.jobs = jobs_;
   return data;
 }
 

@@ -19,10 +19,12 @@
 //    the data-quality report, and re-probed on a backoff cadence; the
 //    session keeps serving every other source and still exits 0.
 //  * A stall watchdog flags sources whose watermark stops advancing.
-//  * With a checkpoint directory configured, the session persists an
-//    atomic, checksummed snapshot every N ticks (see serve/checkpoint.h);
-//    kill -9 at any point followed by open(resume=true) replays to the
-//    same final artifacts, at any thread count.
+//  * With a checkpoint directory configured, the session persists a
+//    checkpoint generation every N ticks (see serve/checkpoint.h): the
+//    results emitted since the previous generation are appended to
+//    checksummed segments, then a small frontier file is renamed into
+//    place.  kill -9 at any point followed by open(resume=true) replays to
+//    the same final artifacts, at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -88,7 +90,8 @@ struct ServeConfig {
   /// silent.
   std::function<void(const std::string&)> warn;
   /// Test hook fired at named scheduler points ("tick", "ckpt-pre",
-  /// "ckpt-post"); the CLI's --chaos-kill raises SIGKILL from here.
+  /// "ckpt-mid" between segment append and frontier rename, "ckpt-post");
+  /// the CLI's --chaos-kill raises SIGKILL from here.
   std::function<void(const char*)> chaos_point;
   /// Backoff sleep, injectable so fault tests run at full speed; null uses
   /// a real sleep.  Sleeping never affects results, only wall-clock.
@@ -105,7 +108,8 @@ class ServeSession {
 
   /// Read the manifest, discover sources, and (when `resume` and a usable
   /// checkpoint exists) restore the persisted ingestion state.  A checkpoint
-  /// written under a different analysis configuration is rejected.
+  /// written under a different analysis configuration is rejected.  Without
+  /// a usable checkpoint the checkpoint directory is reset (fresh start).
   common::Status open(bool resume);
 
   /// One scheduler tick: rescan the directory, re-probe degraded sources,
@@ -127,8 +131,9 @@ class ServeSession {
   /// the outputs equal a batch gpures-analyze run over the same bytes.
   common::Status finalize();
 
-  /// Force a checkpoint now (used at graceful shutdown).  No-op without a
-  /// checkpoint directory.
+  /// Force a checkpoint now (used at graceful shutdown, before finalize()).
+  /// No-op without a checkpoint directory, and after finalize(): the result
+  /// vectors are sorted then, no longer append-only.
   common::Status checkpoint_now();
 
   // ---- results (valid after finalize()) ----
@@ -191,7 +196,7 @@ class ServeSession {
   void advance_frontier();
   void watchdog_and_gauges();
   common::Status maybe_checkpoint();
-  CheckpointData snapshot() const;
+  CheckpointFrontier snapshot() const;
   void restore(CheckpointData&& data);
   void derive_quality();
 

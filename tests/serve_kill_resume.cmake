@@ -1,5 +1,6 @@
 # Kill-resume differential for the serve daemon: SIGKILL the process at
-# chaos points (mid-tick, just before and just after a checkpoint write),
+# chaos points (mid-tick; just before a checkpoint write; between its
+# segment appends and its frontier rename; just after it),
 # resume from the surviving checkpoint, and require the final index, JSON
 # export, quality report, and report stdout to be byte-identical to an
 # uninterrupted run — at --threads 0 and 4.  A transient-fault leg asserts
@@ -36,7 +37,7 @@ file(READ "${WORKDIR}/ref_quality.json" ref_quality HEX)
 
 # ---- kill at every chaos point, resume, compare bytes ----
 foreach(threads 0 4)
-  foreach(spec "tick:50" "ckpt-pre:2" "ckpt-post:2")
+  foreach(spec "tick:50" "ckpt-pre:2" "ckpt-mid:2" "ckpt-post:2")
     string(REPLACE ":" "_" tag "${spec}")
     set(ckpt "${WORKDIR}/ckpt_t${threads}_${tag}")
     execute_process(

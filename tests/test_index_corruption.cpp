@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "analysis/availability.h"
 #include "analysis/job_stats.h"
 #include "chaos/index_chaos.h"
@@ -81,7 +83,9 @@ class IndexCorruption : public ::testing::Test {
     ASSERT_TRUE(bytes.ok()) << bytes.error().message;
     pristine_ = bytes.value();
 
-    dir_ = fs::temp_directory_path() / "gpures_idx_corruption";
+    // Per-process: ctest -j runs each case as its own process.
+    dir_ = fs::temp_directory_path() /
+           ("gpures_idx_corruption." + std::to_string(::getpid()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }
@@ -95,6 +99,7 @@ class IndexCorruption : public ::testing::Test {
     errors_ = nullptr;
     jobs_ = nullptr;
     unavail_ = nullptr;
+    fs::remove_all(dir_);
   }
 
   /// Write `bytes` under a unique name and return the path.

@@ -15,6 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "analysis/availability.h"
 #include "analysis/campaign.h"
 #include "analysis/error_stats.h"
@@ -48,7 +50,11 @@ class QueryDifferential : public ::testing::Test {
     campaign_->run();
     avail_ = new an::AvailabilityStats(campaign_->pipeline().availability());
 
-    const auto dir = fs::temp_directory_path() / "gpures_idx_differential";
+    // Per-process: ctest -j runs each case as its own process, and one must
+    // never rewrite the index another has mapped.
+    dir_ = fs::temp_directory_path() /
+           ("gpures_idx_differential." + std::to_string(::getpid()));
+    const auto& dir = dir_;
     fs::remove_all(dir);
     fs::create_directories(dir);
     path_ = (dir / "gpures.idx").string();
@@ -80,18 +86,21 @@ class QueryDifferential : public ::testing::Test {
     avail_ = nullptr;
     delete campaign_;
     campaign_ = nullptr;
+    fs::remove_all(dir_);
   }
 
   static an::DeltaCampaign* campaign_;
   static an::AvailabilityStats* avail_;
   static ix::IndexReader* reader_;
   static std::string path_;
+  static fs::path dir_;
 };
 
 an::DeltaCampaign* QueryDifferential::campaign_ = nullptr;
 an::AvailabilityStats* QueryDifferential::avail_ = nullptr;
 ix::IndexReader* QueryDifferential::reader_ = nullptr;
 std::string QueryDifferential::path_;
+fs::path QueryDifferential::dir_;
 
 /// Seeded predicate corpus: mixes empty, narrow, and whole-study windows
 /// with optional node and XID filters (including family aliases 120/123,

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/json.h"
 #include "obs/log.h"
 
@@ -19,6 +21,12 @@ namespace ct = gpures::common;
 namespace fs = std::filesystem;
 
 namespace {
+
+/// Per-process scratch file: ctest -j runs each case as its own process.
+fs::path temp_path(const std::string& stem) {
+  return fs::temp_directory_path() /
+         (stem + "." + std::to_string(::getpid()) + ".jsonl");
+}
 
 /// Read everything written to a tmpfile() text sink so far.
 std::string drain(std::FILE* f) {
@@ -92,7 +100,7 @@ TEST(Logger, MinLevelGatesBothSinks) {
 }
 
 TEST(Logger, TextMinLevelQuietsTextButNotJsonl) {
-  const auto path = fs::temp_directory_path() / "gpures_log_quiet.jsonl";
+  const auto path = temp_path("gpures_log_quiet");
   fs::remove(path);
   std::FILE* sink = std::tmpfile();
   ASSERT_NE(sink, nullptr);
@@ -118,7 +126,7 @@ TEST(Logger, TextMinLevelQuietsTextButNotJsonl) {
 }
 
 TEST(Logger, JsonlSinkEmitsValidTypedRecords) {
-  const auto path = fs::temp_directory_path() / "gpures_log_typed.jsonl";
+  const auto path = temp_path("gpures_log_typed");
   fs::remove(path);
   {
     ob::Logger::Options opts;

@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/json.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -20,6 +22,12 @@ namespace ct = gpures::common;
 namespace fs = std::filesystem;
 
 namespace {
+
+/// Per-process scratch file: ctest -j runs each case as its own process.
+fs::path temp_path(const std::string& stem) {
+  return fs::temp_directory_path() /
+         (stem + "." + std::to_string(::getpid()) + ".jsonl");
+}
 
 std::vector<ct::JsonValue> read_samples(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
@@ -37,7 +45,7 @@ std::vector<ct::JsonValue> read_samples(const fs::path& path) {
 }  // namespace
 
 TEST(TelemetrySampler, ShortRunStillYieldsStartAndFinal) {
-  const auto path = fs::temp_directory_path() / "gpures_telemetry_short.jsonl";
+  const auto path = temp_path("gpures_telemetry_short");
   fs::remove(path);
   ob::MetricsRegistry reg;
   ob::TelemetrySampler::Options opts;
@@ -58,7 +66,7 @@ TEST(TelemetrySampler, ShortRunStillYieldsStartAndFinal) {
 }
 
 TEST(TelemetrySampler, SamplesCarryRegistryAndProcState) {
-  const auto path = fs::temp_directory_path() / "gpures_telemetry_reg.jsonl";
+  const auto path = temp_path("gpures_telemetry_reg");
   fs::remove(path);
   ob::MetricsRegistry reg;
   reg.counter("work.items").add(7);
@@ -114,7 +122,7 @@ TEST(TelemetrySampler, UnwritablePathFailsStart) {
 }
 
 TEST(TelemetrySampler, StopIsIdempotent) {
-  const auto path = fs::temp_directory_path() / "gpures_telemetry_idem.jsonl";
+  const auto path = temp_path("gpures_telemetry_idem");
   fs::remove(path);
   ob::MetricsRegistry reg;
   ob::TelemetrySampler::Options opts;

@@ -14,6 +14,7 @@
 #include "analysis/pipeline.h"
 #include "cluster/topology.h"
 #include "common/io.h"
+#include "common/rng.h"
 #include "common/time.h"
 #include "logsys/syslog.h"
 #include "serve/serve.h"
@@ -77,6 +78,67 @@ fs::path make_dataset(const std::string& name, int n_days) {
     rec.nodes = 1;
     rec.node_list = {j % 2};
     rec.gpu_list = {{j % 2, j % 4}};
+    w.write_accounting_line(sl::to_accounting_line(rec, topo));
+  }
+  const auto st = w.finalize();
+  EXPECT_TRUE(st.ok()) << (st.ok() ? "" : st.error().message);
+  return dir;
+}
+
+/// A long-window dataset: `n_days` days of XID, lifecycle and noise lines
+/// on four nodes, and an accounting dump whose job table (with spilled GPU
+/// lists) is a sizable share of the emitted results.
+fs::path make_long_dataset(const std::string& name, int n_days) {
+  const auto dir = temp_dir(name);
+  an::DatasetManifest m;
+  m.spec = cl::ClusterSpec::small(4, 0);
+  m.periods = an::StudyPeriods::make(kDay0, kDay0 + 30 * ct::kDay,
+                                     kDay0 + n_days * ct::kDay);
+  const cl::Topology topo(m.spec);
+  an::DatasetWriter w(dir, m);
+  ct::Rng rng(2025);
+  const char* hosts[] = {"gpua001", "gpua002", "gpua003", "gpua004"};
+  for (int d = 0; d < n_days; ++d) {
+    const auto day = kDay0 + d * ct::kDay;
+    std::vector<ls::RawLine> lines;
+    for (int i = 0; i < 96; ++i) {
+      const auto t = day + 900 * i;
+      const int node = (d + i) % 4;
+      lines.push_back({t, ls::render_noise_line(rng, t, hosts[node])});
+      if (i % 4 == 0) {
+        lines.push_back({t + 7, ls::render_xid_line(
+                                    t + 7, hosts[node],
+                                    topo.pci_bus({node, i % 4}),
+                                    gx::Code::kGspRpcTimeout,
+                                    "Timeout waiting for RPC from GSP!")});
+      }
+    }
+    lines.push_back({day + 9000, ls::render_drain_line(day + 9000, hosts[d % 4])});
+    lines.push_back(
+        {day + 9600, ls::render_resume_line(day + 9600, hosts[d % 4])});
+    w.write_day(day, lines);
+  }
+  w.write_accounting_line(sl::accounting_header());
+  for (int j = 0; j < 10 * n_days; ++j) {
+    sl::JobRecord rec;
+    rec.id = static_cast<sl::JobId>(1000 + j);
+    rec.name = j % 3 == 0 ? "train-model" : "simulate";
+    rec.submit = kDay0 + j * 8640;
+    rec.start = rec.submit + 60;
+    rec.end = rec.start + 7200;
+    if (j % 5 == 0) {  // wide: spilled GPU list
+      rec.gpus = 8;
+      rec.nodes = 2;
+      rec.node_list = {j % 3, j % 3 + 1};
+      for (const int n : rec.node_list) {
+        for (int g = 0; g < 4; ++g) rec.gpu_list.push_back({n, g});
+      }
+    } else {
+      rec.gpus = 1;
+      rec.nodes = 1;
+      rec.node_list = {j % 4};
+      rec.gpu_list = {{j % 4, j % 4}};
+    }
     w.write_accounting_line(sl::to_accounting_line(rec, topo));
   }
   const auto st = w.finalize();
@@ -264,6 +326,104 @@ TEST(Serve, AbandonedSessionResumesToIdenticalResults) {
     out.ok = true;
     expect_matches_batch(out, batch);
   }
+  fs::remove_all(dir);
+  fs::remove_all(ckpt);
+}
+
+// Checkpoints cost O(delta): over a year-long drain at the default cadence,
+// every generation together writes fewer bytes than were ingested.  A
+// full-history checkpoint rewrites the job table every generation and
+// writes several times the ingested bytes here.
+TEST(Serve, CheckpointBytesStayBelowIngestOverAYear) {
+  const auto dir = make_long_dataset("year", 400);
+  const auto ckpt = temp_dir("year_ckpt");
+  const BatchOutcome batch = batch_load(dir);
+  ASSERT_GT(batch.jobs, 1000u);
+
+  sv::ServeConfig cfg = base_config(dir, 0);
+  cfg.checkpoint_dir = ckpt;
+  cfg.max_chunk_bytes = 64 << 10;  // the accounting tail spans many ticks
+  sv::ServeSession s(std::move(cfg));
+  ASSERT_TRUE(s.open(false).ok());
+  for (int i = 0; i < 8192 && !s.idle(); ++i) {
+    const auto st = s.tick();
+    ASSERT_TRUE(st.ok()) << st.error().message;
+  }
+  ASSERT_TRUE(s.idle());
+  ASSERT_TRUE(s.checkpoint_now().ok());
+  ASSERT_TRUE(s.finalize().ok());
+  // After finalize() the results are sorted: checkpoint_now is a no-op.
+  const auto& reg = s.metrics();
+  const std::uint64_t writes = reg.counter_value("serve.checkpoint.writes");
+  ASSERT_TRUE(s.checkpoint_now().ok());
+  EXPECT_EQ(reg.counter_value("serve.checkpoint.writes"), writes);
+
+  const std::uint64_t ckpt_bytes = reg.counter_value("serve.checkpoint.bytes");
+  const std::uint64_t ingested = reg.counter_value("serve.bytes_ingested");
+  EXPECT_GE(writes, 25u);
+  EXPECT_EQ(reg.counter_value("serve.checkpoint.failures"), 0u);
+  EXPECT_LT(ckpt_bytes, ingested)
+      << writes << " generations wrote " << ckpt_bytes << " bytes for "
+      << ingested << " ingested";
+
+  ServeOutcome out;
+  out.errors = s.errors();
+  out.lifecycle = s.lifecycle().size();
+  out.jobs = s.jobs().jobs.size();
+  out.quality = s.quality();
+  expect_matches_batch(out, batch);
+  fs::remove_all(dir);
+  fs::remove_all(ckpt);
+}
+
+// open(resume=false) starts over: the previous run's generations and
+// segments are cleared before the first write, so a later resume never
+// mixes two runs.
+TEST(Serve, FreshStartClearsThePreviousRunsCheckpoints) {
+  const auto dir = make_dataset("fresh_ckpt", 4);
+  const auto ckpt = temp_dir("fresh_ckpt_dir");
+  const BatchOutcome batch = batch_load(dir);
+  {
+    sv::ServeConfig cfg = base_config(dir, 0);
+    cfg.checkpoint_dir = ckpt;
+    cfg.checkpoint_interval = 1;
+    cfg.max_chunk_bytes = 64;
+    sv::ServeSession s(std::move(cfg));
+    ASSERT_TRUE(s.open(false).ok());
+    for (int i = 0; i < 4096 && !s.idle(); ++i) ASSERT_TRUE(s.tick().ok());
+    ASSERT_GT(s.checkpoint_seq(), 3u);
+  }
+  {
+    sv::ServeConfig cfg = base_config(dir, 0);
+    cfg.checkpoint_dir = ckpt;
+    cfg.checkpoint_interval = 1;
+    cfg.max_chunk_bytes = 64;
+    sv::ServeSession s(std::move(cfg));
+    ASSERT_TRUE(s.open(false).ok());
+    ASSERT_TRUE(s.tick().ok());
+    EXPECT_EQ(s.checkpoint_seq(), 1u);
+    EXPECT_EQ(s.metrics().counter_value("serve.checkpoint.failures"), 0u);
+  }
+  std::vector<std::string> generations;
+  for (const auto& e : fs::directory_iterator(ckpt)) {
+    const auto name = e.path().filename().string();
+    if (name.rfind("ckpt-", 0) == 0) generations.push_back(name);
+  }
+  EXPECT_EQ(generations, std::vector<std::string>{"ckpt-00000001.bin"});
+
+  sv::ServeConfig cfg = base_config(dir, 4);
+  cfg.checkpoint_dir = ckpt;
+  sv::ServeSession s(std::move(cfg));
+  ASSERT_TRUE(s.open(true).ok());
+  EXPECT_EQ(s.checkpoint_seq(), 1u);
+  for (int i = 0; i < 4096 && !s.idle(); ++i) ASSERT_TRUE(s.tick().ok());
+  ASSERT_TRUE(s.finalize().ok());
+  ServeOutcome out;
+  out.errors = s.errors();
+  out.lifecycle = s.lifecycle().size();
+  out.jobs = s.jobs().jobs.size();
+  out.quality = s.quality();
+  expect_matches_batch(out, batch);
   fs::remove_all(dir);
   fs::remove_all(ckpt);
 }

@@ -363,6 +363,10 @@ struct Report {
   double serve_ckpt_age = 0.0;
   double serve_ckpt_interval = 0.0;
   double serve_ckpt_failures = 0.0;
+  double serve_ckpt_bytes = 0.0;
+  /// Checkpoint bytes written per byte ingested (the gauge is in ppm).
+  double serve_ckpt_amplification = std::numeric_limits<double>::quiet_NaN();
+  const HistRow* serve_ckpt_write_us = nullptr;  ///< into `latency`
   double serve_watermark_lag_bytes = 0.0;
 };
 
@@ -406,6 +410,16 @@ void derive(Report& r) {
     r.serve_ckpt_interval =
         gauge_or(m, "serve.checkpoint.interval_ticks", 0.0);
     r.serve_ckpt_failures = counter_or(m, "serve.checkpoint.failures", 0.0);
+    r.serve_ckpt_bytes = counter_or(m, "serve.checkpoint.bytes", 0.0);
+    const double amplification_ppm =
+        gauge_or(m, "serve.checkpoint.amplification_ppm",
+                 std::numeric_limits<double>::quiet_NaN());
+    r.serve_ckpt_amplification = amplification_ppm / 1e6;
+    for (const auto& row : r.latency) {
+      if (row.h->family == "serve.checkpoint.write_us") {
+        r.serve_ckpt_write_us = &row;
+      }
+    }
     r.serve_watermark_lag_bytes = gauge_or(m, "serve.frontier.lag_bytes", 0.0);
     if (r.serve_degraded > 0.0) {
       r.findings.push_back(
@@ -428,6 +442,13 @@ void derive(Report& r) {
       r.findings.push_back({"warn", "serve checkpoint writes failed " +
                                         fmt_num(r.serve_ckpt_failures) +
                                         " time(s); recovery window is stale"});
+    }
+    if (r.serve_ckpt_amplification > 1.0) {
+      r.findings.push_back(
+          {"warn", "serve checkpoints wrote " +
+                       fmt_num(r.serve_ckpt_amplification) +
+                       "x the ingested bytes; checkpoint cost should track "
+                       "new results, not history"});
     }
     if (r.serve_ckpt_interval > 0.0 &&
         r.serve_ckpt_age > 3.0 * r.serve_ckpt_interval) {
@@ -528,6 +549,7 @@ std::string render_md(const Report& r) {
         "serve.retry.attempts",  "serve.retry.recovered",
         "serve.retry.exhausted", "serve.sources.degraded_total",
         "serve.checkpoint.writes", "serve.checkpoint.failures",
+        "serve.checkpoint.bytes",
     };
     for (const char* name : kServeCounters) {
       const auto it = r.metrics.counters.find(name);
@@ -545,6 +567,18 @@ std::string render_md(const Report& r) {
       const auto it = r.metrics.gauges.find(name);
       if (it == r.metrics.gauges.end()) continue;
       out += "| " + it->first + " | " + fmt_num(it->second.value) + " |\n";
+    }
+    if (std::isfinite(r.serve_ckpt_amplification)) {
+      char ratio[32];
+      std::snprintf(ratio, sizeof(ratio), "%.4f", r.serve_ckpt_amplification);
+      out += "| serve.checkpoint.amplification (checkpoint / ingested "
+             "bytes) | " +
+             std::string(ratio) + " |\n";
+    }
+    if (const HistRow* w = r.serve_ckpt_write_us; w != nullptr) {
+      out += "| serve.checkpoint.write_us (count / p50 / p99) | " +
+             std::to_string(w->count) + " / " + fmt_num(w->p50) + " / " +
+             fmt_num(w->p99) + " |\n";
     }
   }
 
@@ -681,6 +715,13 @@ std::string render_json(const Report& r) {
     w.kv("checkpoint_age_ticks", r.serve_ckpt_age);
     w.kv("checkpoint_interval_ticks", r.serve_ckpt_interval);
     w.kv("checkpoint_failures", r.serve_ckpt_failures);
+    w.kv("checkpoint_bytes", r.serve_ckpt_bytes);
+    json_number_or_null(w, "checkpoint_amplification",
+                        r.serve_ckpt_amplification);
+    if (const HistRow* h = r.serve_ckpt_write_us; h != nullptr) {
+      json_number_or_null(w, "checkpoint_write_us_p50", h->p50);
+      json_number_or_null(w, "checkpoint_write_us_p99", h->p99);
+    }
     w.kv("frontier_lag_bytes", r.serve_watermark_lag_bytes);
     w.end_object();
   }

@@ -91,7 +91,7 @@ void usage() {
       "  --chaos-io-fault SPEC  testing: SUBSTRING:BYTES[:KIND[:TIMES]]\n"
       "                         (see common/io.h)\n"
       "  --chaos-kill POINT:N   testing: raise SIGKILL at the Nth occurrence\n"
-      "                         of POINT (tick|ckpt-pre|ckpt-post)\n"
+      "                         of POINT (tick|ckpt-pre|ckpt-mid|ckpt-post)\n"
       "  --quiet                suppress warnings on stderr\n");
 }
 
@@ -326,10 +326,11 @@ int main(int argc, char** argv) {
     }
     chaos_kill.point = chaos_kill_spec.substr(0, colon);
     if (chaos_kill.point != "tick" && chaos_kill.point != "ckpt-pre" &&
-        chaos_kill.point != "ckpt-post") {
+        chaos_kill.point != "ckpt-mid" && chaos_kill.point != "ckpt-post") {
       std::fprintf(
           stderr,
-          "gpures-serve: --chaos-kill POINT must be tick|ckpt-pre|ckpt-post\n");
+          "gpures-serve: --chaos-kill POINT must be "
+          "tick|ckpt-pre|ckpt-mid|ckpt-post\n");
       return 2;
     }
     chaos_kill.nth = static_cast<std::uint64_t>(parse_count(
