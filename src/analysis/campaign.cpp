@@ -197,9 +197,10 @@ void DeltaCampaign::run() {
 
   if (scheduler_) {
     OBS_SPAN("campaign.ingest_accounting");
-    const auto header = slurm::accounting_header();
-    if (dataset_ != nullptr) dataset_->write_accounting_line(header);
-    pipeline_->ingest_accounting_line(header);
+    if (dataset_ != nullptr) {
+      dataset_->write_accounting_line(slurm::kAccountingHeader);
+    }
+    pipeline_->ingest_accounting_line(slurm::kAccountingHeader);
     std::string line;  // reused scratch: no per-record allocation
     for (const auto& rec : scheduler_->records()) {
       line.clear();

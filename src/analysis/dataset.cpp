@@ -376,7 +376,6 @@ common::Status ingest_accounting(const fs::path& dir,
     return {};
   }
   if (opt.quality != nullptr) opt.quality->accounting_present = true;
-  const std::string header = slurm::accounting_header();
   const std::string text = std::move(acc).take();
   std::size_t start = 0;
   std::uint64_t line_no = 0;
@@ -386,7 +385,6 @@ common::Status ingest_accounting(const fs::path& dir,
     const std::size_t end = nl == std::string::npos ? text.size() : nl;
     const auto line = std::string_view(text).substr(start, end - start);
     ++line_no;
-    const auto trimmed = common::trim(line);
     const bool accepted = pipeline.ingest_accounting_line(line);
     if (!accepted) {
       if (opt.policy == IngestPolicy::kStrict) {
@@ -396,7 +394,7 @@ common::Status ingest_accounting(const fs::path& dir,
       ++rejected;
       if (opt.quality != nullptr) {
         opt.quality->accounting_rows_rejected += 1;
-        opt.quality->accounting_bytes_rejected += trimmed.size();
+        opt.quality->accounting_bytes_rejected += common::trim(line).size();
       }
       if (opt.error_budget > 0 && rejected > opt.error_budget) {
         return common::Error::make(
@@ -404,9 +402,11 @@ common::Status ingest_accounting(const fs::path& dir,
             std::to_string(rejected) + " rejected rows in " + path.string() +
             " (budget " + std::to_string(opt.error_budget) + ")");
       }
-    } else if (opt.quality != nullptr && !trimmed.empty() &&
-               trimmed != header) {
-      opt.quality->accounting_rows_kept += 1;
+    } else if (opt.quality != nullptr) {
+      const auto trimmed = common::trim(line);
+      if (!trimmed.empty() && trimmed != slurm::kAccountingHeader) {
+        opt.quality->accounting_rows_kept += 1;
+      }
     }
     if (nl == std::string::npos) break;
     start = nl + 1;

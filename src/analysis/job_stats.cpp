@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "common/strings.h"
-
 namespace gpures::analysis {
 
 std::span<const PackedGpu> JobTable::gpus_of(const JobView& j) const {
@@ -33,13 +31,17 @@ void JobTable::add(const slurm::JobRecord& rec) {
   v.gpus = rec.gpus;
   v.state = rec.state;
   v.is_ml = is_ml_name(rec.name);
-  std::vector<PackedGpu> packed;
-  packed.reserve(rec.gpu_list.size());
-  for (const auto& g : rec.gpu_list) packed.push_back(pack_gpu(g.node, g.slot));
-  if (packed.size() <= v.gpus_inline.size()) {
-    v.inline_count = static_cast<std::uint8_t>(packed.size());
-    for (std::size_t i = 0; i < packed.size(); ++i) v.gpus_inline[i] = packed[i];
+  // Jobs with <= 4 GPUs (nearly all of them) pack straight into the inline
+  // slots; only wide jobs build a spill vector.
+  if (rec.gpu_list.size() <= v.gpus_inline.size()) {
+    v.inline_count = static_cast<std::uint8_t>(rec.gpu_list.size());
+    for (std::size_t i = 0; i < rec.gpu_list.size(); ++i) {
+      v.gpus_inline[i] = pack_gpu(rec.gpu_list[i].node, rec.gpu_list[i].slot);
+    }
   } else {
+    std::vector<PackedGpu> packed;
+    packed.reserve(rec.gpu_list.size());
+    for (const auto& g : rec.gpu_list) packed.push_back(pack_gpu(g.node, g.slot));
     v.spill_index = static_cast<std::int32_t>(spill.size());
     spill.push_back(std::move(packed));
   }
@@ -51,8 +53,24 @@ bool is_ml_name(std::string_view name) {
       "train", "model", "bert",  "gpt",   "llm",        "torch",
       "tensorflow", "resnet", "diffusion", "gnn",  "vit_", "unet",
       "finetune", "pretrain", "keras", "rl_"};
+  // Lower-case the name once (ASCII A-Z only: exactly std::tolower in the
+  // "C" locale, which is the only locale the tools run in), then one plain
+  // find per keyword.  Names longer than the stack buffer are rare.
+  constexpr std::size_t kStackBytes = 256;
+  char stack_buf[kStackBytes];
+  std::string heap_buf;
+  char* lower = stack_buf;
+  if (name.size() > kStackBytes) {
+    heap_buf.resize(name.size());
+    lower = heap_buf.data();
+  }
+  for (std::size_t i = 0; i < name.size(); ++i) {
+    const char c = name[i];
+    lower[i] = (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
+  }
+  const std::string_view lowered(lower, name.size());
   for (const auto kw : kKeywords) {
-    if (common::icontains(name, kw)) return true;
+    if (lowered.find(kw) != std::string_view::npos) return true;
   }
   return false;
 }

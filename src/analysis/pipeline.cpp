@@ -240,13 +240,12 @@ bool AnalysisPipeline::ingest_accounting_line(std::string_view line) {
   const auto trimmed = common::trim(line);
   if (trimmed.empty()) return true;
   m_.accounting_lines->inc();
-  if (trimmed == slurm::accounting_header()) return true;
-  auto rec = slurm::parse_accounting_line(trimmed, topo_);
-  if (!rec.ok()) {
+  if (trimmed == slurm::kAccountingHeader) return true;
+  if (!slurm::parse_accounting_line(trimmed, topo_, acct_record_).ok()) {
     m_.accounting_errors->inc();
     return false;
   }
-  jobs_.add(rec.value());
+  jobs_.add(acct_record_);
   return true;
 }
 

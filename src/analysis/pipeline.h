@@ -212,6 +212,9 @@ class AnalysisPipeline {
   std::vector<CoalescedError> errors_;
   std::vector<LifecycleRecord> lifecycle_;
   JobTable jobs_;
+  /// Reused by every accounting row, so parsing one allocates nothing once
+  /// its name and lists have grown.
+  slurm::JobRecord acct_record_;
 
   obs::MetricsRegistry* metrics_ = nullptr;  ///< effective registry
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;

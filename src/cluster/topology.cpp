@@ -9,11 +9,13 @@ namespace gpures::cluster {
 
 namespace {
 
-// Slot -> PCI bus number mapping resembling HGX A100 4-GPU / 8-GPU baseboard
+// Slot -> PCI bus id mapping resembling HGX A100 4-GPU / 8-GPU baseboard
 // layouts.  The exact values are cosmetic; what matters is that the mapping
-// is injective per node so logs can be attributed back to slots.
-constexpr std::array<int, 8> kPciBusBySlot = {0x07, 0x27, 0x47, 0x67,
-                                              0x87, 0xA7, 0xC7, 0xE7};
+// is injective per node so logs can be attributed back to slots.  Stored
+// rendered, so the per-XID-line inverse lookup only compares bytes.
+constexpr std::array<std::string_view, 8> kPciBusIdBySlot = {
+    "0000:07:00", "0000:27:00", "0000:47:00", "0000:67:00",
+    "0000:87:00", "0000:A7:00", "0000:C7:00", "0000:E7:00"};
 
 std::string node_name(const char* prefix, int i) {
   char buf[32];
@@ -60,20 +62,22 @@ std::int32_t ClusterSpec::total_gpus() const {
 
 Topology::Topology(ClusterSpec spec) : spec_(std::move(spec)) {
   flat_base_.reserve(spec_.nodes.size());
+  index_by_name_.reserve(spec_.nodes.size());
   for (const auto& n : spec_.nodes) {
     if (n.gpu_count < 1 || n.gpu_count > 8) {
       throw std::invalid_argument("Topology: node GPU count must be 1..8");
     }
+    // emplace keeps the first index of a repeated name.
+    index_by_name_.emplace(n.name, static_cast<std::int32_t>(flat_base_.size()));
     flat_base_.push_back(total_gpus_);
     total_gpus_ += n.gpu_count;
   }
 }
 
 std::optional<std::int32_t> Topology::node_index(std::string_view hostname) const {
-  for (std::size_t i = 0; i < spec_.nodes.size(); ++i) {
-    if (spec_.nodes[i].name == hostname) return static_cast<std::int32_t>(i);
-  }
-  return std::nullopt;
+  const auto it = index_by_name_.find(hostname);
+  if (it == index_by_name_.end()) return std::nullopt;
+  return it->second;
 }
 
 std::string Topology::pci_bus(xid::GpuId gpu) const {
@@ -81,17 +85,14 @@ std::string Topology::pci_bus(xid::GpuId gpu) const {
       gpu.slot >= gpus_on_node(gpu.node)) {
     throw std::out_of_range("Topology::pci_bus: bad GpuId");
   }
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "0000:%02X:00",
-                kPciBusBySlot[static_cast<std::size_t>(gpu.slot)]);
-  return buf;
+  return std::string(kPciBusIdBySlot[static_cast<std::size_t>(gpu.slot)]);
 }
 
 std::optional<std::int32_t> Topology::slot_for_pci(std::int32_t node_idx,
                                                    std::string_view pci) const {
   if (node_idx < 0 || node_idx >= node_count()) return std::nullopt;
   for (std::int32_t s = 0; s < gpus_on_node(node_idx); ++s) {
-    if (pci_bus({node_idx, s}) == pci) return s;
+    if (kPciBusIdBySlot[static_cast<std::size_t>(s)] == pci) return s;
   }
   return std::nullopt;
 }

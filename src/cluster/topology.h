@@ -7,8 +7,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "des/shard.h"
@@ -59,14 +62,18 @@ class Topology {
   const NodeSpec& node(std::int32_t idx) const { return spec_.nodes.at(static_cast<std::size_t>(idx)); }
   std::int32_t gpus_on_node(std::int32_t idx) const { return node(idx).gpu_count; }
 
-  /// Node index by hostname; nullopt if unknown.
+  /// Node index by hostname; nullopt if unknown.  One hash
+  /// lookup against a map built in the constructor, so it is O(1) per call
+  /// and safe to call from several threads at once.  If the spec repeats a
+  /// name, the first node carrying it wins.
   std::optional<std::int32_t> node_index(std::string_view hostname) const;
 
   /// PCI bus id string for a GPU slot, e.g. "0000:27:00".  Slot -> bus
   /// mapping is fixed per node type (mirrors typical HGX board layouts).
   std::string pci_bus(xid::GpuId gpu) const;
 
-  /// Inverse of pci_bus: slot for a PCI bus string on the given node.
+  /// Inverse of pci_bus: slot for a PCI bus string on the given node
+  /// (exact, case-sensitive match against the node's slots).
   std::optional<std::int32_t> slot_for_pci(std::int32_t node_idx,
                                            std::string_view pci) const;
 
@@ -90,9 +97,22 @@ class Topology {
                                          std::int32_t slot) const;
 
  private:
+  /// Transparent hash, so node_index looks up a string_view without
+  /// building a std::string key.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   ClusterSpec spec_;
   std::int32_t total_gpus_ = 0;
   std::vector<std::int32_t> flat_base_;  ///< per node: first flat index
+  /// Hostname -> node index, filled once by the constructor and read-only
+  /// afterwards (never built lazily: lookups run on several workers).
+  std::unordered_map<std::string, std::int32_t, NameHash, std::equal_to<>>
+      index_by_name_;
 };
 
 }  // namespace gpures::cluster

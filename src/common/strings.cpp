@@ -36,25 +36,6 @@ bool contains(std::string_view s, std::string_view needle) {
   return s.find(needle) != std::string_view::npos;
 }
 
-bool icontains(std::string_view s, std::string_view needle) {
-  if (needle.empty()) return true;
-  if (s.size() < needle.size()) return false;
-  const auto lower = [](char c) {
-    return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  };
-  for (std::size_t i = 0; i + needle.size() <= s.size(); ++i) {
-    bool match = true;
-    for (std::size_t j = 0; j < needle.size(); ++j) {
-      if (lower(s[i + j]) != lower(needle[j])) {
-        match = false;
-        break;
-      }
-    }
-    if (match) return true;
-  }
-  return false;
-}
-
 std::string to_lower(std::string_view s) {
   std::string out(s);
   std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {

@@ -16,9 +16,6 @@ std::string_view trim(std::string_view s);
 bool starts_with(std::string_view s, std::string_view prefix);
 bool contains(std::string_view s, std::string_view needle);
 
-/// Case-insensitive substring search (ASCII only).
-bool icontains(std::string_view s, std::string_view needle);
-
 /// Lower-case copy (ASCII only).
 std::string to_lower(std::string_view s);
 

@@ -693,14 +693,13 @@ common::Status ServeSession::consume_accounting_text(std::string&& text) {
 common::Status ServeSession::accounting_line(std::string_view line,
                                              std::uint64_t line_no,
                                              std::uint64_t byte_start) {
-  const auto path = (cfg_.data_dir / "slurm_accounting.txt").string();
   const auto trimmed = common::trim(line);
   if (trimmed.empty()) return {};
   m_->accounting_lines->inc();
-  if (trimmed == slurm::accounting_header()) return {};
-  auto rec = slurm::parse_accounting_line(trimmed, *topo_);
-  if (!rec.ok()) {
+  if (trimmed == slurm::kAccountingHeader) return {};
+  if (!slurm::parse_accounting_line(trimmed, *topo_, acct_record_).ok()) {
     m_->accounting_errors->inc();
+    const auto path = (cfg_.data_dir / "slurm_accounting.txt").string();
     if (cfg_.policy == analysis::IngestPolicy::kStrict) {
       return common::Error::at("dataset: malformed accounting row", path,
                                line_no, byte_start);
@@ -715,7 +714,7 @@ common::Status ServeSession::accounting_line(std::string_view line,
     }
     return {};
   }
-  jobs_.add(rec.value());
+  jobs_.add(acct_record_);
   acct_.rows_kept += 1;
   return {};
 }

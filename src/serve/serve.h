@@ -218,6 +218,7 @@ class ServeSession {
   std::vector<analysis::CoalescedError> errors_;
   std::vector<analysis::LifecycleRecord> lifecycle_;
   analysis::JobTable jobs_;
+  slurm::JobRecord acct_record_;  ///< reused by every accounting row
   analysis::DataQualityReport quality_;
 
   std::uint64_t tick_ = 0;

@@ -23,7 +23,13 @@
 
 namespace gpures::slurm {
 
-/// The dump header line.
+/// The dump header line.  Ingest compares every trimmed row against this
+/// constant to skip the header without building a string per row.
+inline constexpr std::string_view kAccountingHeader =
+    "JobID|JobName|Submit|Start|End|State|ExitCode|NNodes|NGPUs|NodeList"
+    "|AllocGPUS";
+
+/// kAccountingHeader as a string.
 std::string accounting_header();
 
 /// Append one record to `out` (no trailing newline); `topo` translates node
@@ -36,8 +42,16 @@ void append_accounting_line(std::string& out, const JobRecord& rec,
 std::string to_accounting_line(const JobRecord& rec,
                                const cluster::Topology& topo);
 
-/// Parse one record line (not the header). Node names are translated back to
-/// indices via `topo`; unknown hostnames fail the parse.
+/// Parse one record line (not the header) into `out`, reusing the capacity
+/// of its name and lists: once those have grown, a row costs no heap
+/// allocation.  Node names are translated back to indices via `topo`;
+/// unknown hostnames fail the parse.  On failure `out` holds a partial
+/// record and must not be used.
+common::Status parse_accounting_line(std::string_view line,
+                                     const cluster::Topology& topo,
+                                     JobRecord& out);
+
+/// Parse one record line into a fresh record.
 common::Result<JobRecord> parse_accounting_line(std::string_view line,
                                                 const cluster::Topology& topo);
 

@@ -26,11 +26,13 @@
 #include "logsys/day_buffer.h"
 #include "logsys/log_store.h"
 #include "logsys/syslog.h"
+#include "slurm/accounting.h"
 
 namespace an = gpures::analysis;
 namespace cl = gpures::cluster;
 namespace ct = gpures::common;
 namespace ls = gpures::logsys;
+namespace sl = gpures::slurm;
 namespace gx = gpures::xid;
 namespace fs = std::filesystem;
 
@@ -421,4 +423,118 @@ TEST(ArenaAllocation, ParseHotPathDoesNotAllocate) {
   const auto after = heap_allocs();
   EXPECT_EQ(after - before, 0u) << "parse hot path allocated";
   EXPECT_EQ(matched2, matched);
+}
+
+namespace {
+
+/// Accounting rows of 1-8 GPUs over 1-2 nodes, with job names of varied
+/// length, rendered through the writer the campaign uses.
+std::vector<std::string> make_accounting_rows(const cl::Topology& topo,
+                                              std::size_t n,
+                                              std::uint64_t seed) {
+  ct::Rng rng(seed);
+  constexpr const char* kNames[] = {"train_resnet50", "namd_md", "BERT_ft",
+                                    "cfd_sweep_long_parameter_scan_17", "x"};
+  std::vector<std::string> rows;
+  rows.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    sl::JobRecord r;
+    r.id = 1000 + i;
+    r.name = kNames[rng.uniform_u64(std::size(kNames))];
+    r.submit = ct::make_date(2023, 8, 1) + static_cast<ct::Duration>(i);
+    r.start = r.submit + 30;
+    r.end = r.start + 600 + static_cast<ct::Duration>(rng.uniform_u64(7200));
+    r.state = rng.uniform_u64(4) == 0 ? sl::JobState::kFailed
+                                      : sl::JobState::kCompleted;
+    r.exit_code = r.state == sl::JobState::kFailed ? 1 : 0;
+    const auto node = static_cast<std::int32_t>(
+        rng.uniform_u64(static_cast<std::uint64_t>(topo.node_count() - 1)));
+    const auto gpus = static_cast<std::int32_t>(1 + rng.uniform_u64(8));
+    for (std::int32_t g = 0; g < gpus; ++g) {
+      const std::int32_t nd = node + g / 4;
+      if (r.node_list.empty() || r.node_list.back() != nd) {
+        r.node_list.push_back(nd);
+      }
+      r.gpu_list.push_back({nd, g % 4});
+    }
+    r.nodes = static_cast<std::int32_t>(r.node_list.size());
+    r.gpus = gpus;
+    rows.push_back(sl::to_accounting_line(r, topo));
+  }
+  return rows;
+}
+
+}  // namespace
+
+TEST(ArenaAllocation, AccountingRowParseDoesNotAllocateAfterWarmUp) {
+  // The reusing parse cuts fields in place and refills one caller-owned
+  // record: once its name and lists have grown, no row touches the heap.
+  const cl::Topology topo(cl::ClusterSpec::small(8, 2));
+  const auto rows = make_accounting_rows(topo, 2000, 17);
+  sl::JobRecord rec;
+  for (const auto& row : rows) {
+    ASSERT_TRUE(sl::parse_accounting_line(row, topo, rec).ok()) << row;
+  }
+
+  const auto before = heap_allocs();
+  std::size_t ok = 0;
+  std::size_t gpus = 0;
+  for (const auto& row : rows) {
+    ok += sl::parse_accounting_line(row, topo, rec).ok();
+    gpus += rec.gpu_list.size();
+  }
+  const auto after = heap_allocs();
+  EXPECT_EQ(after - before, 0u) << "accounting row parse allocated";
+  EXPECT_EQ(ok, rows.size());
+  EXPECT_GT(gpus, rows.size());
+
+  // The reused record parses each row to exactly what a fresh one does,
+  // even right after a row that failed halfway through.
+  for (const auto& row : rows) {
+    const auto torn = std::string_view(row).substr(0, row.size() - 3);
+    EXPECT_FALSE(sl::parse_accounting_line(torn, topo, rec).ok());
+    ASSERT_TRUE(sl::parse_accounting_line(row, topo, rec).ok());
+    const auto fresh = sl::parse_accounting_line(row, topo);
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_EQ(sl::to_accounting_line(rec, topo), row);
+    EXPECT_EQ(sl::to_accounting_line(fresh.value(), topo), row);
+    EXPECT_EQ(rec.is_ml, fresh.value().is_ml);
+  }
+}
+
+TEST(ArenaAllocation, JobTableAddOfNarrowJobDoesNotAllocate) {
+  // Jobs with <= 4 GPUs pack straight into the inline slots; with `jobs`
+  // pre-sized, adding one makes no allocation.  Wide jobs still spill.
+  const cl::Topology topo(cl::ClusterSpec::small(8, 2));
+  const auto rows = make_accounting_rows(topo, 2000, 19);
+  std::vector<sl::JobRecord> narrow;
+  std::size_t wide = 0;
+  for (const auto& row : rows) {
+    auto rec = sl::parse_accounting_line(row, topo);
+    ASSERT_TRUE(rec.ok());
+    if (rec.value().gpu_list.size() <= 4) {
+      narrow.push_back(std::move(rec).take());
+    } else {
+      ++wide;
+    }
+  }
+  ASSERT_GT(narrow.size(), 100u);
+  ASSERT_GT(wide, 100u);
+
+  an::JobTable table;
+  table.jobs.reserve(narrow.size());
+  const auto before = heap_allocs();
+  for (const auto& rec : narrow) table.add(rec);
+  const auto after = heap_allocs();
+  EXPECT_EQ(after - before, 0u) << "JobTable::add of a narrow job allocated";
+  ASSERT_EQ(table.jobs.size(), narrow.size());
+  EXPECT_TRUE(table.spill.empty());
+  for (std::size_t i = 0; i < narrow.size(); ++i) {
+    const auto got = table.gpus_of(table.jobs[i]);
+    ASSERT_EQ(got.size(), narrow[i].gpu_list.size());
+    for (std::size_t g = 0; g < got.size(); ++g) {
+      EXPECT_EQ(got[g], an::pack_gpu(narrow[i].gpu_list[g].node,
+                                     narrow[i].gpu_list[g].slot));
+    }
+  }
 }

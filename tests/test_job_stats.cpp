@@ -1,7 +1,13 @@
 // Stage III job population statistics (Table III machinery).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cctype>
+#include <string>
+#include <string_view>
+
 #include "analysis/job_stats.h"
+#include "common/rng.h"
 
 namespace an = gpures::analysis;
 namespace sl = gpures::slurm;
@@ -31,7 +37,91 @@ sl::JobRecord rec(std::uint64_t id, const std::string& name,
   return r;
 }
 
+/// The per-keyword case-insensitive scan is_ml_name used to run, kept as
+/// the differential oracle for the lower-once matcher.
+bool icontains(std::string_view s, std::string_view needle) {
+  if (needle.empty()) return true;
+  if (s.size() < needle.size()) return false;
+  const auto lower = [](char c) {
+    return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  };
+  for (std::size_t i = 0; i + needle.size() <= s.size(); ++i) {
+    bool match = true;
+    for (std::size_t j = 0; j < needle.size(); ++j) {
+      if (lower(s[i + j]) != lower(needle[j])) {
+        match = false;
+        break;
+      }
+    }
+    if (match) return true;
+  }
+  return false;
+}
+
+constexpr std::array<std::string_view, 16> kMlKeywords = {
+    "train", "model", "bert",  "gpt",   "llm",        "torch",
+    "tensorflow", "resnet", "diffusion", "gnn",  "vit_", "unet",
+    "finetune", "pretrain", "keras", "rl_"};
+
+bool oracle_is_ml_name(std::string_view name) {
+  for (const auto kw : kMlKeywords) {
+    if (icontains(name, kw)) return true;
+  }
+  return false;
+}
+
 }  // namespace
+
+TEST(MlClassifier, IcontainsOracleSanity) {
+  EXPECT_TRUE(icontains("Train_ResNet", "resnet"));
+  EXPECT_FALSE(icontains("vasp_relax", "train"));
+  EXPECT_TRUE(icontains("anything", ""));
+}
+
+TEST(MlClassifier, MatchesPerKeywordOracle) {
+  // Seeded random names over an alphabet dense in keyword letters, both
+  // cases, '_' and bytes >= 0x80, with keywords spliced in at random case;
+  // lengths straddle the matcher's 256-byte stack buffer.
+  constexpr std::string_view kAlphabet =
+      "trainmodelbetgpumchsfwvkyTRAINMODELBERTGPUSFKY_-0123";
+  gpures::common::Rng rng(20250614);
+  std::size_t positives = 0;
+  std::size_t long_names = 0;
+  constexpr int kNames = 120000;
+  for (int i = 0; i < kNames; ++i) {
+    const std::size_t len = rng.uniform_u64(8) == 0
+                                ? 200 + rng.uniform_u64(120)
+                                : rng.uniform_u64(24);
+    std::string name;
+    name.reserve(len);
+    while (name.size() < len) {
+      const auto pick = rng.uniform_u64(40);
+      if (pick == 0) {
+        std::string kw(kMlKeywords[rng.uniform_u64(kMlKeywords.size())]);
+        for (auto& c : kw) {
+          if (rng.uniform_u64(2) == 0) {
+            c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+          }
+        }
+        // Sometimes drop the last letter: a near miss.
+        if (rng.uniform_u64(3) == 0) kw.pop_back();
+        name += kw;
+      } else if (pick == 1) {
+        name += static_cast<char>(0x80 + rng.uniform_u64(0x80));
+      } else {
+        name += kAlphabet[rng.uniform_u64(kAlphabet.size())];
+      }
+    }
+    const bool want = oracle_is_ml_name(name);
+    ASSERT_EQ(an::is_ml_name(name), want) << "name #" << i << ": " << name;
+    positives += want;
+    long_names += name.size() > 256;
+  }
+  // Both outcomes and the heap fallback were exercised.
+  EXPECT_GT(positives, kNames / 10);
+  EXPECT_LT(positives, kNames - kNames / 10);
+  EXPECT_GT(long_names, 1000u);
+}
 
 TEST(MlClassifier, Keywords) {
   EXPECT_TRUE(an::is_ml_name("train_resnet50_b0_001"));

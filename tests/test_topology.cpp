@@ -38,6 +38,41 @@ TEST(Topology, NodeIndexLookup) {
   EXPECT_FALSE(topo.node_index("nosuchhost").has_value());
 }
 
+TEST(Topology, NodeIndexLookupAtFleetScale) {
+  // A 2,000-node fleet: every name resolves to its own index, including the
+  // last one, and near-misses stay unknown.
+  const cl::Topology topo(cl::ClusterSpec::scaled(1900, 100));
+  ASSERT_EQ(topo.node_count(), 2000);
+  for (std::int32_t i = 0; i < topo.node_count(); ++i) {
+    ASSERT_EQ(topo.node_index(topo.node(i).name), i) << topo.node(i).name;
+  }
+  EXPECT_EQ(topo.node(1999).name, "gpub100");
+  EXPECT_EQ(topo.node_index("gpub100"), 1999);
+  EXPECT_EQ(topo.node_index("gpua010"), 9);
+  EXPECT_FALSE(topo.node_index("gpua10").has_value());   // prefix of gpua100
+  EXPECT_FALSE(topo.node_index("gpua1").has_value());    // prefix of gpua1xx
+  EXPECT_FALSE(topo.node_index("gpua0100").has_value());
+  EXPECT_FALSE(topo.node_index("gpua1901").has_value());  // one past the end
+  EXPECT_FALSE(topo.node_index("GPUA001").has_value());   // case-sensitive
+  EXPECT_FALSE(topo.node_index("gpua001 ").has_value());
+  EXPECT_FALSE(topo.node_index("nosuchhost").has_value());
+  EXPECT_FALSE(topo.node_index("").has_value());
+}
+
+TEST(Topology, NodeIndexFirstDuplicateWins) {
+  cl::ClusterSpec spec;
+  spec.nodes = {{"alpha", 4}, {"beta", 8}, {"alpha", 2}, {"gamma", 4}};
+  const cl::Topology topo(spec);
+  EXPECT_EQ(topo.node_index("alpha"), 0);
+  EXPECT_EQ(topo.node_index("beta"), 1);
+  EXPECT_EQ(topo.node_index("gamma"), 3);
+  EXPECT_FALSE(topo.node_index("alph").has_value());
+  // A copied topology answers the same.
+  const cl::Topology copy = topo;
+  EXPECT_EQ(copy.node_index("alpha"), 0);
+  EXPECT_EQ(copy.node_index("gamma"), 3);
+}
+
 TEST(Topology, PciMappingInjectivePerNode) {
   cl::Topology topo(cl::ClusterSpec::small(2, 1));
   for (std::int32_t n = 0; n < topo.node_count(); ++n) {
@@ -59,6 +94,19 @@ TEST(Topology, PciRoundTrip) {
   }
   EXPECT_FALSE(topo.slot_for_pci(0, "0000:FF:00").has_value());
   EXPECT_FALSE(topo.slot_for_pci(-1, "0000:07:00").has_value());
+}
+
+TEST(Topology, PciLookupIsExactAndBoundedBySlotCount) {
+  const cl::Topology topo(cl::ClusterSpec::delta_a100());
+  EXPECT_EQ(topo.slot_for_pci(100, "0000:E7:00"), 7);   // 8-way node
+  EXPECT_FALSE(topo.slot_for_pci(0, "0000:E7:00").has_value());  // 4-way
+  EXPECT_FALSE(topo.slot_for_pci(0, "0000:87:00").has_value());
+  EXPECT_EQ(topo.slot_for_pci(100, "0000:A7:00"), 5);
+  EXPECT_FALSE(topo.slot_for_pci(100, "0000:a7:00").has_value());
+  EXPECT_FALSE(topo.slot_for_pci(0, "0000:07:0").has_value());
+  EXPECT_FALSE(topo.slot_for_pci(0, "0000:07:00 ").has_value());
+  EXPECT_FALSE(topo.slot_for_pci(0, "").has_value());
+  EXPECT_FALSE(topo.slot_for_pci(106, "0000:07:00").has_value());
 }
 
 TEST(Topology, PciFormat) {
