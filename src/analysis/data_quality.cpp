@@ -28,6 +28,59 @@ bool DataQualityReport::clean() const {
          accounting_rows_rejected == 0;
 }
 
+void DataQualityReport::add_coverage(
+    common::TimePoint begin, common::TimePoint end,
+    const std::vector<common::TimePoint>& present) {
+  if (end <= begin) return;
+  std::size_t next = 0;
+  for (common::TimePoint t = common::start_of_day(begin); t < end;
+       t += common::kDay) {
+    days_expected += 1;
+    while (next < present.size() && present[next] < t) ++next;
+    if (next >= present.size() || present[next] != t) {
+      missing_days.push_back(common::format_date(t));
+    }
+  }
+}
+
+void LineCounts::add(const logsys::ScreenCounts& c) {
+  lines_kept += c.kept_lines;
+  bytes_kept += c.kept_bytes;
+  binary_lines += c.binary_lines;
+  binary_bytes += c.binary_bytes;
+  overlong_lines += c.overlong_lines;
+  overlong_bytes += c.overlong_bytes;
+  torn_lines += c.torn_lines;
+  torn_bytes += c.torn_bytes;
+  crlf_bytes += c.crlf_bytes;
+}
+
+void DataQualityReport::add_day(common::TimePoint date,
+                                std::uint64_t file_bytes,
+                                const logsys::ScreenCounts& c) {
+  days_present += 1;
+  add(c);
+  if (file_bytes == 0) zero_byte_days += 1;
+  if (c.quarantined_lines() > 0 || file_bytes == 0 || c.crlf_bytes > 0) {
+    DayQuality dq;
+    dq.add(c);
+    dq.date = common::format_date(date);
+    dq.file_bytes = file_bytes;
+    days.push_back(std::move(dq));
+  }
+}
+
+void DataQualityReport::publish(obs::MetricsRegistry& reg) const {
+  reg.counter("ingest.lines_kept").add(lines_kept);
+  reg.counter("ingest.lines_quarantined").add(quarantined_lines());
+  reg.counter("ingest.bytes_quarantined").add(quarantined_bytes());
+  reg.counter("ingest.days_missing").add(missing_days.size());
+  reg.counter("ingest.days_skipped").add(skipped_days.size());
+  reg.counter("ingest.days_zero_byte").add(zero_byte_days);
+  reg.counter("ingest.stray_files").add(stray_files.size());
+  reg.counter("ingest.accounting_rows_rejected").add(accounting_rows_rejected);
+}
+
 std::string DataQualityReport::to_json() const {
   common::JsonWriter w;
   w.begin_object();

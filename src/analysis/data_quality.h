@@ -23,6 +23,10 @@
 #include <string_view>
 #include <vector>
 
+#include "common/time.h"
+#include "logsys/day_buffer.h"
+#include "obs/metrics.h"
+
 namespace gpures::analysis {
 
 enum class IngestPolicy : std::uint8_t {
@@ -33,12 +37,8 @@ enum class IngestPolicy : std::uint8_t {
 std::string_view to_string(IngestPolicy policy);
 std::optional<IngestPolicy> parse_ingest_policy(std::string_view name);
 
-/// Per-day ingestion tally.  Only days with something to report (quarantined
-/// lines, zero bytes, or CRLF terminators) are kept in the report's `days`
-/// list.
-struct DayQuality {
-  std::string date;  ///< YYYY-MM-DD
-  std::uint64_t file_bytes = 0;
+/// Kept and quarantined line tallies, by category (one day or a whole run).
+struct LineCounts {
   std::uint64_t lines_kept = 0;
   std::uint64_t bytes_kept = 0;
   std::uint64_t binary_lines = 0;
@@ -47,7 +47,10 @@ struct DayQuality {
   std::uint64_t overlong_bytes = 0;
   std::uint64_t torn_lines = 0;
   std::uint64_t torn_bytes = 0;
-  std::uint64_t crlf_bytes = 0;  ///< '\r' terminator bytes stripped (lossless)
+  /// '\r' bytes stripped while normalizing CRLF line terminators.  Lossless
+  /// (line content is preserved), so it does not affect clean(); reported so
+  /// every byte difference between file and arena stays accounted for.
+  std::uint64_t crlf_bytes = 0;
 
   std::uint64_t quarantined_lines() const {
     return binary_lines + overlong_lines + torn_lines;
@@ -55,6 +58,16 @@ struct DayQuality {
   std::uint64_t quarantined_bytes() const {
     return binary_bytes + overlong_bytes + torn_bytes;
   }
+  /// Add one file's line-screen tallies.
+  void add(const logsys::ScreenCounts& c);
+};
+
+/// Per-day ingestion tally.  Only days with something to report (quarantined
+/// lines, zero bytes, or CRLF terminators) are kept in the report's `days`
+/// list.
+struct DayQuality : LineCounts {
+  std::string date;  ///< YYYY-MM-DD
+  std::uint64_t file_bytes = 0;
 };
 
 /// A day the lenient loader could not read at all (mid-read I/O failure).
@@ -73,10 +86,11 @@ struct DegradedSource {
   std::uint64_t bytes_ingested = 0;
 };
 
-/// Everything a run dropped or could not see, accounted by category.
+/// Everything a run dropped or could not see, accounted by category; the
+/// LineCounts are the line quarantine totals (the sum over `days`).
 /// Serialized as data_quality.json (machine-readable) and as a markdown
 /// section of the analysis report (human-readable).
-struct DataQualityReport {
+struct DataQualityReport : LineCounts {
   IngestPolicy policy = IngestPolicy::kStrict;
   std::uint64_t error_budget = 0;  ///< per-file quarantine cap; 0 = unlimited
 
@@ -91,19 +105,6 @@ struct DataQualityReport {
   /// (follow mode only; always empty for batch loads).
   std::vector<DegradedSource> degraded_sources;
 
-  // ---- line quarantine totals (sum over `days`) ----
-  std::uint64_t lines_kept = 0;
-  std::uint64_t bytes_kept = 0;
-  std::uint64_t binary_lines = 0;
-  std::uint64_t binary_bytes = 0;
-  std::uint64_t overlong_lines = 0;
-  std::uint64_t overlong_bytes = 0;
-  std::uint64_t torn_lines = 0;
-  std::uint64_t torn_bytes = 0;
-  /// '\r' bytes stripped while normalizing CRLF line terminators.  Lossless
-  /// (line content is preserved), so it does not affect clean(); reported so
-  /// every byte difference between file and arena stays accounted for.
-  std::uint64_t crlf_bytes = 0;
   std::vector<DayQuality> days;  ///< days with quarantines/zero bytes/CRLF
 
   // ---- accounting dump ----
@@ -113,14 +114,20 @@ struct DataQualityReport {
   std::uint64_t accounting_rows_rejected = 0;
   std::uint64_t accounting_bytes_rejected = 0;
 
-  std::uint64_t quarantined_lines() const {
-    return binary_lines + overlong_lines + torn_lines;
-  }
-  std::uint64_t quarantined_bytes() const {
-    return binary_bytes + overlong_bytes + torn_bytes;
-  }
   /// True when nothing was dropped, skipped, or missing.
   bool clean() const;
+
+  /// Coverage: count every day in [begin, end) as expected and record those
+  /// absent from `present` (ascending day starts) as missing.  An empty
+  /// range records nothing.
+  void add_coverage(common::TimePoint begin, common::TimePoint end,
+                    const std::vector<common::TimePoint>& present);
+  /// Fold one ingested day file's screen tallies into the totals; a day with
+  /// quarantined lines, zero bytes or CRLF terminators gets a `days` entry.
+  void add_day(common::TimePoint date, std::uint64_t file_bytes,
+               const logsys::ScreenCounts& counts);
+  /// Publish the headline figures as the ingest.* counters.
+  void publish(obs::MetricsRegistry& reg) const;
 
   /// Machine-readable data_quality.json document.
   std::string to_json() const;

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "analysis/data_quality.h"
+#include "analysis/ingest.h"
 #include "analysis/periods.h"
 #include "analysis/pipeline.h"
 #include "cluster/topology.h"
@@ -104,13 +105,8 @@ common::Result<DatasetManifest> read_manifest(const std::filesystem::path& dir);
 std::optional<common::TimePoint> day_file_date(std::string_view filename);
 
 /// Options controlling how load_dataset treats hostile input.
-struct IngestOptions {
-  IngestPolicy policy = IngestPolicy::kStrict;
-  /// Max quarantined lines per day file and max rejected accounting rows; a
-  /// lenient run exceeding it aborts with an error.  0 = unlimited.
-  std::uint64_t error_budget = 0;
-  /// Line screen (max line length) applied while slicing day files.
-  logsys::LineScreen screen;
+/// The policy, error budget and line screen are the IngestRules base.
+struct IngestOptions : IngestRules {
   /// Expected day range [expect_begin, expect_end) for coverage accounting
   /// (pass the manifest periods).  When expect_end <= expect_begin the
   /// range is inferred from the day files actually present.

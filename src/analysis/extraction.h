@@ -2,11 +2,13 @@
 //
 // Consumes consolidated per-day syslog text and extracts (a) NVRM XID
 // error records and (b) node drain/resume lifecycle records, rejecting all
-// other lines.  Two interchangeable matchers are provided:
+// other lines.  Two matchers with the same parse() are provided:
 //
-//  * FastLineParser — a hand-rolled scanner (the production path);
+//  * FastLineParser — a hand-rolled scanner (the only one the pipeline
+//    runs; see analysis/ingest.h);
 //  * RegexLineParser — a std::regex reference implementation mirroring the
-//    paper's "RegEX pattern-matching for filtering system logs".
+//    paper's "RegEX pattern-matching for filtering system logs", kept as
+//    the test oracle.
 //
 // Property tests assert the two agree line-for-line; the pipeline benchmark
 // compares their throughput (ablation A3 in DESIGN.md).
@@ -48,30 +50,21 @@ struct LifecycleRecord {
 
 using ParsedLine = std::variant<XidRecord, LifecycleRecord>;
 
-/// Shared interface so the pipeline can swap matchers.
-class LineParser {
- public:
-  virtual ~LineParser() = default;
-
-  /// `day_start` provides the year context that classic syslog timestamps
-  /// lack (day files are consolidated per calendar day).
-  virtual std::optional<ParsedLine> parse(std::string_view line,
-                                          common::TimePoint day_start) const = 0;
-};
-
-/// Hand-rolled scanner; no allocation on the reject path.
-class FastLineParser final : public LineParser {
+/// Hand-rolled scanner; no allocation on the reject path.  `day_start`
+/// provides the year context that classic syslog timestamps lack (day files
+/// are consolidated per calendar day).
+class FastLineParser {
  public:
   std::optional<ParsedLine> parse(std::string_view line,
-                                  common::TimePoint day_start) const override;
+                                  common::TimePoint day_start) const;
 };
 
-/// std::regex reference implementation.
-class RegexLineParser final : public LineParser {
+/// std::regex reference implementation of the same parse().
+class RegexLineParser {
  public:
   RegexLineParser();
   std::optional<ParsedLine> parse(std::string_view line,
-                                  common::TimePoint day_start) const override;
+                                  common::TimePoint day_start) const;
 
  private:
   struct Impl;

@@ -80,12 +80,9 @@ std::string render_markdown_report(const AnalysisPipeline& pipe,
                             pipe.pool()));
   }
   if (opts.include_mitigation && have_jobs) {
-    JobImpactConfig icfg;
-    icfg.window = pipe.config().attribution_window;
-    icfg.period = periods.op;
-    icfg.attribution = pipe.config().attribution;
     section(out, "Mitigation what-ifs",
-            render_mitigation(pipe.jobs(), pipe.errors(), icfg, pipe.pool()));
+            render_mitigation(pipe.jobs(), pipe.errors(), pipe.impact_config(),
+                              pipe.pool()));
   }
   if (opts.include_scorecard) {
     const auto impact = have_jobs ? pipe.job_impact() : JobImpact{};

@@ -1,63 +1,54 @@
 // The end-to-end analysis pipeline (paper Fig. 1).
 //
-// Stage I:  ingest per-day raw syslog text (regex or fast matcher) and the
-//           Slurm accounting dump; resolve hostnames/PCI ids to GPUs.
+// Stage I:  ingest per-day raw syslog text and the Slurm accounting dump;
+//           resolve hostnames/PCI ids to GPUs (analysis/ingest.h).
 // Stage II: coalesce duplicated XID records into errors; compute error
 //           counts and MTBE per family/category/period.
 // Stage III:correlate errors with job records (Table II), job population
-//           statistics (Table III), and node availability (Fig. 2, §V-C).
+//           statistics (Table III), and node availability (Fig. 2, §V-C);
+//           derived by the ResultSet view the pipeline is.
 //
 // The pipeline consumes raw artifacts only — never simulator ground truth —
 // so validating its outputs against ground truth is a genuine end-to-end
 // test of the measurement methodology.
 //
-// Parallel mode (PipelineConfig::num_threads > 0) shards Stage I by day,
-// Stage II by GPU, and Stage III by job range (the exposure join runs
-// against a read-only per-location error index) and by host for
-// availability, then merges deterministically; the output is byte-identical
-// to a serial run (see DESIGN.md "Parallel pipeline determinism").
+// Stage I runs in batches of days, Stage II in GPU shards, and Stage III by
+// job range (the exposure join runs against a read-only per-location error
+// index) and by host for availability; every batch and shard merges
+// deterministically.  PipelineConfig::num_threads > 0 runs them on that
+// many workers; 0 runs one shard and one-day batches on the calling thread.
+// The output is byte-identical either way (see DESIGN.md "Parallel pipeline
+// determinism").
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
-#include "analysis/availability.h"
 #include "analysis/coalesce.h"
-#include "analysis/error_stats.h"
-#include "analysis/extraction.h"
-#include "analysis/job_impact.h"
-#include "analysis/job_stats.h"
+#include "analysis/ingest.h"
 #include "analysis/periods.h"
+#include "analysis/result_set.h"
 #include "cluster/topology.h"
-#include "common/thread_pool.h"
 #include "logsys/day_buffer.h"
 #include "logsys/log_store.h"
 #include "obs/metrics.h"
 
 namespace gpures::analysis {
 
-struct PipelineConfig {
+struct PipelineConfig : AnalysisKnobs {
   StudyPeriods periods = StudyPeriods::delta();
-  CoalescerConfig coalescer;
-  /// Outlier handling for the aggregate MTBE (see ErrorStatsConfig).
-  double outlier_share = 0.5;
-  std::uint64_t outlier_min = 1000;
-  /// Job-failure attribution window (paper: 20 s).
-  common::Duration attribution_window = 20;
-  /// Error-to-job attribution granularity (see job_impact.h).
-  Attribution attribution = Attribution::kGpuLevel;
-  /// Use the std::regex Stage-I matcher instead of the fast scanner.
-  bool use_regex_parser = false;
   /// Worker threads for every stage.  0 (the default) runs fully serial;
   /// N > 0 runs Stage I day-sharded, Stage II GPU-sharded, and Stage III
   /// job-/host-sharded on N workers with a deterministic ordered merge —
   /// results are byte-identical to serial for any N.
   std::uint32_t num_threads = 0;
   /// Days buffered per parallel Stage-I batch (bounds memory when streaming
-  /// a long campaign).  0 picks 4 * num_threads.  Has no effect on results.
+  /// a long campaign).  0 picks 4 * num_threads (1 when serial).  Has no
+  /// effect on results.
   std::uint32_t stage1_batch_days = 0;
   /// Observability registry for the pipe.* metrics (stage counters,
   /// per-worker parse totals, day-parse latency histogram).  When null the
@@ -68,13 +59,10 @@ struct PipelineConfig {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-class AnalysisPipeline {
+class AnalysisPipeline : public ResultSet {
  public:
   AnalysisPipeline(const cluster::Topology& topo, PipelineConfig cfg);
   ~AnalysisPipeline();
-
-  AnalysisPipeline(const AnalysisPipeline&) = delete;
-  AnalysisPipeline& operator=(const AnalysisPipeline&) = delete;
 
   // ---- Stage I ingestion ----
   /// Ingest one consolidated day as an arena: the pipeline takes ownership
@@ -99,23 +87,16 @@ class AnalysisPipeline {
   /// (counted and skipped here; the loader's ingest policy decides whether
   /// that aborts the run).  Header and blank lines are accepted trivially.
   bool ingest_accounting_line(std::string_view line);
+  /// Ingest accounting text (whole lines) at `cur` under the ingest policy:
+  /// see AccountingIngest::consume.
+  common::Status ingest_accounting(std::string_view text,
+                                   const std::string& path,
+                                   const IngestRules& rules,
+                                   AccountingCursor& cur);
 
-  /// Flush the coalescer and sort results.  Call once after all ingestion.
+  /// Flush the coalescer and sort results.  Call once after all ingestion;
+  /// the ResultSet accessors are valid after it.
   void finish();
-
-  // ---- results (valid after finish()) ----
-  const std::vector<CoalescedError>& errors() const { return errors_; }
-  const std::vector<LifecycleRecord>& lifecycle() const { return lifecycle_; }
-  const JobTable& jobs() const { return jobs_; }
-
-  ErrorStats error_stats() const;
-  JobStats job_stats() const;                 ///< full characterization window
-  JobStats job_stats(const Period& w) const;  ///< custom window
-  JobImpact job_impact() const;               ///< operational period
-  AvailabilityStats availability() const;     ///< operational period
-  /// Conservative MTTF estimate: the all-error per-node MTBE in op (the
-  /// paper assumes every GPU error interrupts the node).
-  double mttf_estimate_h() const;
 
   // ---- diagnostics ----
   /// Snapshot view of the pipe.* metrics, kept as a plain struct for API
@@ -134,44 +115,12 @@ class AnalysisPipeline {
     std::uint64_t out_of_order_observations = 0;
   };
   Counters counters() const;
-  /// The registry collecting this pipeline's metrics (never null).  The
-  /// mutable overload lets collaborators that feed the pipeline (the dataset
-  /// loader, the query layer) register their own families on the same
-  /// registry, so one --metrics artifact covers the whole run.
-  const obs::MetricsRegistry& metrics() const { return *metrics_; }
-  obs::MetricsRegistry& metrics() { return *metrics_; }
   const PipelineConfig& config() const { return cfg_; }
-  /// The worker pool shared by every stage; null in serial mode.  Callers
-  /// running Stage-III renders outside the pipeline (trends, survival,
-  /// mitigation) pass this through so --threads governs them too.
-  common::ThreadPool* pool() const { return pool_.get(); }
 
  private:
-  /// Pure Stage-I output of one day: records in line order.  Counter deltas
-  /// go straight to the metrics registry (sharded per-thread cells; sums
-  /// are order-independent, so parallel parsing stays deterministic).
-  struct DayParse {
-    std::vector<XidObservation> obs;
-    std::vector<LifecycleRecord> lifecycle;
-  };
   struct PendingDay {
     common::TimePoint day_start = 0;
     logsys::DayBuffer day;
-  };
-  /// Handles into the registry, resolved once at construction.
-  struct StageMetrics {
-    obs::Counter* log_lines = nullptr;
-    obs::Counter* xid_records = nullptr;
-    obs::Counter* lifecycle_records = nullptr;
-    obs::Counter* rejected_lines = nullptr;
-    obs::Counter* unknown_hosts = nullptr;
-    obs::Counter* accounting_lines = nullptr;
-    obs::Counter* accounting_errors = nullptr;
-    obs::Counter* out_of_order = nullptr;
-    obs::Counter* errors_coalesced = nullptr;
-    obs::Histogram* day_parse_us = nullptr;
-    obs::Counter* stage3_exposures = nullptr;   ///< exposed jobs, all joins
-    obs::Histogram* stage3_join_us = nullptr;   ///< exposure-join latency
   };
   /// Per-worker-slot Stage-I totals (slot 0 in serial mode).
   struct WorkerMetrics {
@@ -179,48 +128,34 @@ class AnalysisPipeline {
     obs::Counter* lines = nullptr;
     obs::Counter* parse_time_ns = nullptr;
   };
-  /// Per-shard Stage-III exposure-join totals (shard 0 in serial mode).
-  struct Stage3ShardMetrics {
-    obs::Counter* jobs = nullptr;     ///< jobs scanned by this shard
-    obs::Counter* exposed = nullptr;  ///< of those, jobs with >= 1 error
-  };
 
-  DayParse parse_day(const LineParser& parser, std::size_t worker,
-                     common::TimePoint day_start,
-                     const logsys::DayBuffer& day) const;
+  /// Stage I of one day on worker slot `worker`: records in line order.
+  /// Counter deltas go straight to the metrics registry (sums are
+  /// order-independent, so parallel parsing stays deterministic).
+  Stage1Batch parse_day(std::size_t worker, common::TimePoint day_start,
+                        const logsys::DayBuffer& day) const;
   std::size_t shard_of(xid::GpuId gpu) const;
-  /// Parallel mode: Stage-I parse all pending days on the pool, merge the
-  /// per-day batches in day order, and drain each Stage-II shard.
+  /// Run fn(i, worker) for i in [0, n) on the pool, or inline when serial.
+  template <typename Fn>
+  void for_each(std::size_t n, Fn&& fn);
+  /// Stage-I parse all pending days, merge the per-day batches in day
+  /// order, and drain each Stage-II shard.
   void flush_pending_days();
 
-  const cluster::Topology& topo_;
   PipelineConfig cfg_;
 
-  // Serial mode.
-  std::unique_ptr<LineParser> parser_;
-  std::unique_ptr<Coalescer> coalescer_;
-
-  // Parallel mode (num_threads > 0).
-  std::unique_ptr<common::ThreadPool> pool_;
-  std::vector<std::unique_ptr<LineParser>> worker_parsers_;
   std::vector<std::unique_ptr<Coalescer>> shard_coalescers_;
   std::vector<std::vector<CoalescedError>> shard_errors_;
-  std::vector<std::vector<XidObservation>> shard_feed_;
   std::vector<PendingDay> pending_days_;
   std::size_t batch_days_ = 0;
 
-  std::vector<CoalescedError> errors_;
-  std::vector<LifecycleRecord> lifecycle_;
-  JobTable jobs_;
-  /// Reused by every accounting row, so parsing one allocates nothing once
-  /// its name and lists have grown.
-  slurm::JobRecord acct_record_;
+  AccountingIngest accounting_;
 
-  obs::MetricsRegistry* metrics_ = nullptr;  ///< effective registry
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  StageMetrics m_;
+  Stage1Counters stage1_;
+  obs::Counter* out_of_order_ = nullptr;
+  obs::Counter* errors_coalesced_ = nullptr;
+  obs::Histogram* day_parse_us_ = nullptr;
   std::vector<WorkerMetrics> worker_metrics_;
-  std::vector<Stage3ShardMetrics> stage3_shard_metrics_;
 
   bool finished_ = false;
 };

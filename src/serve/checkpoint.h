@@ -48,6 +48,7 @@
 
 #include "analysis/coalesce.h"
 #include "analysis/extraction.h"
+#include "analysis/ingest.h"
 #include "analysis/job_stats.h"
 #include "common/error.h"
 #include "common/time.h"
@@ -88,16 +89,12 @@ struct SourceSnapshot {
   logsys::ScreenCounts counts;       ///< cumulative across chunks
 };
 
-/// Persistent accounting-tail state.
-struct AccountingSnapshot {
+/// Persistent accounting-tail state: the ingest cursor plus the daemon's
+/// source state.
+struct AccountingSnapshot : analysis::AccountingCursor {
   bool seen = false;  ///< the dump existed at least once
   bool degraded = false;
   std::string degrade_reason;
-  std::uint64_t offset = 0;   ///< consumed bytes (line boundary)
-  std::uint64_t line_no = 0;  ///< physical lines consumed
-  std::uint64_t rows_kept = 0;
-  std::uint64_t rows_rejected = 0;
-  std::uint64_t bytes_rejected = 0;
 };
 
 /// Everything a resumed daemon needs besides the emitted results.

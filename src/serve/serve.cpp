@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
-#include <variant>
 
 #include "common/hash.h"
 #include "common/io.h"
-#include "common/strings.h"
-#include "slurm/accounting.h"
-#include "xid/xid.h"
 
 namespace gpures::serve {
 
@@ -17,13 +13,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// Same total order the batch pipeline sorts by: two distinct errors can
-// never tie (same (gpu, code) errors are > window apart by construction).
-bool error_before(const analysis::CoalescedError& a,
-                  const analysis::CoalescedError& b) {
-  if (a.time != b.time) return a.time < b.time;
-  if (a.gpu != b.gpu) return a.gpu < b.gpu;
-  return xid::to_number(a.code) < xid::to_number(b.code);
+analysis::IngestRules rules_of(const ServeConfig& cfg) {
+  return analysis::IngestRules{cfg.policy, cfg.error_budget, cfg.screen};
 }
 
 /// num / den in parts per million (the registry's gauges are integers).
@@ -43,23 +34,11 @@ std::uint64_t count_newlines(std::string_view text) {
 
 }  // namespace
 
-/// One tailed day file.  The persistent slice is mirrored in
-/// SourceSnapshot; `at_eof` is transient (re-derived by the next read).
-struct ServeSession::Source {
-  std::string name;
+/// One tailed day file: the persistent SourceSnapshot plus transient state
+/// (re-derived after a resume).
+struct ServeSession::Source : SourceSnapshot {
   std::string path;
-  common::TimePoint date = 0;
-  std::uint64_t offset = 0;
-  std::uint64_t lines_seen = 0;
-  bool existed = false;
-  bool sealed = false;
-  bool degraded = false;
-  bool recovered = false;
-  std::string degrade_reason;
-  std::uint64_t last_progress_tick = 0;
-  common::TimePoint last_event = 0;
-  logsys::ScreenCounts counts;
-  bool at_eof = false;  ///< last read saw EOF (not checkpointed)
+  bool at_eof = false;  ///< last read saw EOF
   bool stalled = false; ///< watchdog latch, to warn once per stall
 };
 
@@ -67,16 +46,6 @@ struct ServeSession::Metrics {
   obs::Counter* ticks = nullptr;
   obs::Counter* chunks = nullptr;
   obs::Counter* bytes = nullptr;
-  obs::Counter* log_lines = nullptr;
-  obs::Counter* xid_records = nullptr;
-  obs::Counter* lifecycle_records = nullptr;
-  obs::Counter* rejected_lines = nullptr;
-  obs::Counter* unknown_hosts = nullptr;
-  obs::Counter* dropped_torn = nullptr;
-  obs::Counter* dropped_binary = nullptr;
-  obs::Counter* dropped_overlong = nullptr;
-  obs::Counter* accounting_lines = nullptr;
-  obs::Counter* accounting_errors = nullptr;
   obs::Counter* out_of_order = nullptr;
   obs::Counter* errors_coalesced = nullptr;
   obs::Counter* retry_attempts = nullptr;
@@ -99,33 +68,17 @@ struct ServeSession::Metrics {
   obs::Gauge* lag_bytes = nullptr;
 };
 
-ServeSession::ServeSession(ServeConfig cfg) : cfg_(std::move(cfg)) {
-  if (cfg_.metrics != nullptr) {
-    metrics_ = cfg_.metrics;
-  } else {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
+ServeSession::ServeSession(ServeConfig cfg)
+    : ResultSet(nullptr, analysis::StudyPeriods{}, cfg, cfg.threads,
+                cfg.metrics),
+      cfg_(std::move(cfg)),
+      screen_(metrics(), rules_of(cfg_)),
+      stage1_(metrics(), "serve") {
   m_ = std::make_unique<Metrics>();
-  auto& reg = *metrics_;
+  auto& reg = metrics();
   m_->ticks = &reg.counter("serve.ticks");
   m_->chunks = &reg.counter("serve.chunks");
   m_->bytes = &reg.counter("serve.bytes_ingested");
-  m_->log_lines = &reg.counter("serve.log_lines");
-  m_->xid_records = &reg.counter("serve.xid_records");
-  m_->lifecycle_records = &reg.counter("serve.lifecycle_records");
-  m_->rejected_lines = &reg.counter("serve.rejected_lines");
-  m_->unknown_hosts = &reg.counter("serve.unknown_hosts");
-  reg.describe("ingest.lines_dropped",
-               "Raw log lines quarantined by the ingest screen, by reason",
-               "lines");
-  m_->dropped_torn = &reg.counter("ingest.lines_dropped", {{"reason", "torn"}});
-  m_->dropped_binary =
-      &reg.counter("ingest.lines_dropped", {{"reason", "binary"}});
-  m_->dropped_overlong =
-      &reg.counter("ingest.lines_dropped", {{"reason", "overlong"}});
-  m_->accounting_lines = &reg.counter("serve.accounting_lines");
-  m_->accounting_errors = &reg.counter("serve.accounting_errors");
   m_->out_of_order = &reg.counter("serve.out_of_order_observations");
   m_->errors_coalesced = &reg.counter("serve.errors_coalesced");
   m_->retry_attempts = &reg.counter("serve.retry.attempts");
@@ -158,14 +111,6 @@ ServeSession::ServeSession(ServeConfig cfg) : cfg_(std::move(cfg)) {
   m_->ckpt_interval_ticks = &reg.gauge("serve.checkpoint.interval_ticks");
   m_->lag_bytes = &reg.gauge("serve.frontier.lag_bytes");
 
-  if (cfg_.threads > 0) {
-    pool_ = std::make_unique<common::ThreadPool>(cfg_.threads);
-    for (std::uint32_t w = 0; w < cfg_.threads; ++w) {
-      parsers_.push_back(std::make_unique<analysis::FastLineParser>());
-    }
-  } else {
-    parsers_.push_back(std::make_unique<analysis::FastLineParser>());
-  }
   coalescer_ = std::make_unique<analysis::Coalescer>(
       cfg_.coalescer, [this](const analysis::CoalescedError& e) {
         errors_.push_back(e);
@@ -211,7 +156,9 @@ common::Status ServeSession::open(bool resume) {
   const auto manifest = analysis::read_manifest(cfg_.data_dir);
   if (!manifest.ok()) return manifest.error();
   periods_ = manifest.value().periods;
-  topo_ = std::make_unique<cluster::Topology>(manifest.value().spec);
+  topology_ = std::make_unique<cluster::Topology>(manifest.value().spec);
+  topo_ = topology_.get();
+  accounting_.emplace(*topo_, jobs_, metrics(), "serve");
 
   if (!fs::is_directory(cfg_.data_dir / "syslog")) {
     return common::Error::make("dataset: missing syslog/ in " +
@@ -306,35 +253,24 @@ common::Status ServeSession::scan_sources() {
     }
     if (slot_passed) {
       if (idx < frontier_) ++frontier_;
-      degrade(sources_[idx],
+      degrade(sources_[idx], sources_[idx].name,
               "day file appeared after its ingest slot had passed");
     }
   }
   return {};
 }
 
-void ServeSession::degrade(Source& src, const std::string& reason) {
-  if (src.degraded) return;
-  src.degraded = true;
-  src.degrade_reason = reason;
+template <typename State>
+void ServeSession::degrade(State& state, const std::string& name,
+                           const std::string& reason) {
+  if (state.degraded) return;
+  state.degraded = true;
+  state.degrade_reason = reason;
   dirty_ = true;
   m_->degraded_total->inc();
   if (cfg_.warn) {
-    cfg_.warn("degrading source " + src.name + ": " + reason +
-              " (keeping " + std::to_string(src.offset) +
-              " ingested bytes; will re-probe)");
-  }
-}
-
-void ServeSession::degrade_accounting(const std::string& reason) {
-  if (acct_.degraded) return;
-  acct_.degraded = true;
-  acct_.degrade_reason = reason;
-  dirty_ = true;
-  m_->degraded_total->inc();
-  if (cfg_.warn) {
-    cfg_.warn("degrading source slurm_accounting.txt: " + reason +
-              " (keeping " + std::to_string(acct_.offset) +
+    cfg_.warn("degrading source " + name + ": " + reason + " (keeping " +
+              std::to_string(state.offset) +
               " ingested bytes; will re-probe)");
   }
 }
@@ -401,6 +337,29 @@ common::Result<std::string> ServeSession::read_with_retry(
   }
 }
 
+common::Result<std::string> ServeSession::read_chunk(const std::string& path,
+                                                     std::uint64_t offset,
+                                                     bool& at_end) {
+  // Grow the read until it holds a newline or reaches EOF: a single line
+  // longer than max_chunk_bytes (quarantined as overlong later) must not
+  // wedge the source.
+  for (std::uint64_t max = cfg_.max_chunk_bytes;; max *= 2) {
+    auto r = read_with_retry(path, offset, max);
+    if (!r.ok()) return r;
+    at_end = r.value().size() < max;
+    if (at_end || r.value().find('\n') != std::string::npos) {
+      m_->chunks->inc();
+      return r;
+    }
+  }
+}
+
+std::size_t ServeSession::settled_sources() const {
+  return static_cast<std::size_t>(
+      std::count_if(sources_.begin(), sources_.end(),
+                    [](const Source& s) { return s.sealed || s.degraded; }));
+}
+
 void ServeSession::advance_frontier() {
   while (frontier_ < sources_.size() &&
          (sources_[frontier_].sealed || sources_[frontier_].degraded)) {
@@ -412,47 +371,24 @@ void ServeSession::seal(Source& src) {
   src.sealed = true;
   dirty_ = true;
   watermark_ = std::max(watermark_, src.date + common::kDay);
-  if (cfg_.warn) {
-    if (src.counts.quarantined_lines() > 0) {
-      cfg_.warn("quarantined " +
-                std::to_string(src.counts.quarantined_lines()) +
-                " corrupt lines (" +
-                std::to_string(src.counts.quarantined_bytes()) + " bytes) in " +
-                src.path);
-    }
-    if (src.counts.crlf_bytes > 0) {
-      cfg_.warn("normalized " + std::to_string(src.counts.crlf_bytes) +
-                " CRLF line terminators in " + src.path);
-    }
-  }
+  analysis::warn_screened(src.counts, src.path, cfg_.warn);
 }
 
 common::Status ServeSession::pump_frontier(bool drain) {
   advance_frontier();
   if (frontier_ >= sources_.size()) return {};
   Source& src = sources_[frontier_];
-  // Grow the read until it holds a newline or reaches EOF: a single line
-  // longer than max_chunk_bytes (quarantined as overlong later) must not
-  // wedge the frontier.
-  std::uint64_t max = cfg_.max_chunk_bytes;
-  std::string chunk;
   bool at_end = false;
-  while (true) {
-    auto r = read_with_retry(src.path, src.offset, max);
-    if (!r.ok()) {
-      if (cfg_.policy == analysis::IngestPolicy::kStrict) {
-        return common::Error::make("dataset: cannot read " + src.path + ": " +
-                                   r.error().message);
-      }
-      degrade(src, r.error().message);
-      return {};
+  auto r = read_chunk(src.path, src.offset, at_end);
+  if (!r.ok()) {
+    if (cfg_.policy == analysis::IngestPolicy::kStrict) {
+      return common::Error::make("dataset: cannot read " + src.path + ": " +
+                                 r.error().message);
     }
-    chunk = std::move(r).take();
-    at_end = chunk.size() < max;
-    if (at_end || chunk.find('\n') != std::string::npos) break;
-    max *= 2;
+    degrade(src, src.name, r.error().message);
+    return {};
   }
-  m_->chunks->inc();
+  std::string chunk = std::move(r).take();
   const bool later_exists = frontier_ + 1 < sources_.size();
   if (chunk.empty()) {
     src.at_eof = true;
@@ -498,47 +434,14 @@ common::Status ServeSession::pump_frontier(bool drain) {
 
 common::Status ServeSession::consume_day_text(Source& src, std::string&& text,
                                               bool torn_tail) {
-  const std::uint64_t base_offset = src.offset;
-  const std::uint64_t base_lines = src.lines_seen;
   const std::uint64_t n_bytes = text.size();
   const std::uint64_t n_lines = count_newlines(text) + (torn_tail ? 1 : 0);
-  logsys::ScreenCounts sc;
-  auto day =
-      logsys::DayBuffer::from_text(src.date, std::move(text), cfg_.screen, sc);
-  if (sc.torn_lines > 0) m_->dropped_torn->add(sc.torn_lines);
-  if (sc.binary_lines > 0) m_->dropped_binary->add(sc.binary_lines);
-  if (sc.overlong_lines > 0) m_->dropped_overlong->add(sc.overlong_lines);
-  if (sc.quarantined_lines() > 0 &&
-      cfg_.policy == analysis::IngestPolicy::kStrict) {
-    // Chunk-relative offense location + the bytes/lines already consumed =
-    // the same absolute location batch strict ingest reports.
-    return common::Error::at(
-        "dataset: " + std::string(sc.first_category) +
-            " line rejected by strict ingest",
-        src.path, base_lines + sc.first_line, base_offset + sc.first_offset);
-  }
-  // Fold the chunk tallies into the source's cumulative counts.
-  auto& c = src.counts;
-  c.kept_lines += sc.kept_lines;
-  c.kept_bytes += sc.kept_bytes;
-  c.binary_lines += sc.binary_lines;
-  c.binary_bytes += sc.binary_bytes;
-  c.overlong_lines += sc.overlong_lines;
-  c.overlong_bytes += sc.overlong_bytes;
-  c.torn_lines += sc.torn_lines;
-  c.torn_bytes += sc.torn_bytes;
-  c.crlf_bytes += sc.crlf_bytes;
-  if (c.first_category == nullptr && sc.first_category != nullptr) {
-    c.first_category = sc.first_category;
-    c.first_line = base_lines + sc.first_line;
-    c.first_offset = base_offset + sc.first_offset;
-  }
-  if (cfg_.error_budget > 0 && c.quarantined_lines() > cfg_.error_budget) {
-    return common::Error::make(
-        "dataset: per-day error budget exceeded: " +
-        std::to_string(c.quarantined_lines()) + " quarantined lines in " +
-        src.path + " (budget " + std::to_string(cfg_.error_budget) + ")");
-  }
+  // The lines and bytes already consumed from the file are the base, so an
+  // offense names the same absolute spot batch strict ingest reports.
+  auto screened = screen_.screen(src.path, src.date, std::move(text),
+                                 src.lines_seen, src.offset, src.counts);
+  if (!screened.ok()) return screened.error();
+  const logsys::DayBuffer day = std::move(screened).take();
   src.offset += n_bytes;
   src.lines_seen += n_lines;
   dirty_ = true;
@@ -548,67 +451,19 @@ common::Status ServeSession::consume_day_text(Source& src, std::string&& text,
   // contiguous range per worker and merges range-ordered — the observation
   // sequence is the line sequence either way, so results are byte-identical
   // at any thread count.
-  struct Parsed {
-    std::vector<analysis::XidObservation> obs;
-    std::vector<analysis::LifecycleRecord> lifecycle;
-  };
-  const auto parse_range = [&](const analysis::LineParser& parser,
-                               std::size_t lo, std::size_t hi, Parsed& out) {
-    std::uint64_t lines = 0, rejected = 0, unknown = 0, xids = 0, lifes = 0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      ++lines;
-      auto parsed = parser.parse(day.line(i), src.date);
-      if (!parsed) {
-        ++rejected;
-        continue;
-      }
-      if (auto* xrec = std::get_if<analysis::XidRecord>(&*parsed)) {
-        const auto node = topo_->node_index(xrec->host);
-        if (!node) {
-          ++unknown;
-          continue;
-        }
-        const auto slot = topo_->slot_for_pci(*node, xrec->pci);
-        if (!slot) {
-          ++unknown;
-          continue;
-        }
-        ++xids;
-        analysis::XidObservation obs;
-        obs.time = xrec->time;
-        obs.gpu = {*node, *slot};
-        obs.xid = xrec->xid;
-        out.obs.push_back(obs);
-      } else if (auto* lrec =
-                     std::get_if<analysis::LifecycleRecord>(&*parsed)) {
-        if (!topo_->node_index(lrec->host)) {
-          ++unknown;
-          continue;
-        }
-        ++lifes;
-        out.lifecycle.push_back(std::move(*lrec));
-      }
-    }
-    m_->log_lines->add(lines);
-    m_->rejected_lines->add(rejected);
-    m_->unknown_hosts->add(unknown);
-    m_->xid_records->add(xids);
-    m_->lifecycle_records->add(lifes);
-  };
-
   const std::size_t n = day.size();
-  std::vector<Parsed> parts;
-  if (pool_ != nullptr && n >= 2 * pool_->size()) {
-    const std::size_t workers = pool_->size();
-    parts.resize(workers);
-    pool_->parallel_for(workers, [&](std::size_t i, std::size_t w) {
-      const std::size_t lo = i * n / workers;
-      const std::size_t hi = (i + 1) * n / workers;
-      parse_range(*parsers_[w % parsers_.size()], lo, hi, parts[i]);
-    });
+  const std::size_t ranges =
+      pool() != nullptr && n >= 2 * pool()->size() ? pool()->size() : 1;
+  std::vector<analysis::Stage1Batch> parts(ranges);
+  const auto classify = [&](std::size_t i, std::size_t) {
+    stage1_.add(analysis::classify_lines(topo(), day, i * n / ranges,
+                                         (i + 1) * n / ranges, src.date,
+                                         parts[i]));
+  };
+  if (ranges > 1) {
+    pool()->parallel_for(ranges, classify);
   } else {
-    parts.resize(1);
-    parse_range(*parsers_[0], 0, n, parts[0]);
+    classify(0, 0);
   }
   for (auto& part : parts) {
     for (auto& l : part.lifecycle) lifecycle_.push_back(std::move(l));
@@ -634,24 +489,16 @@ common::Status ServeSession::pump_accounting(bool drain) {
     acct_.seen = true;
     dirty_ = true;
   }
-  std::uint64_t max = cfg_.max_chunk_bytes;
-  std::string chunk;
   bool at_end = false;
-  while (true) {
-    auto r = read_with_retry(path, acct_.offset, max);
-    if (!r.ok()) {
-      if (cfg_.policy == analysis::IngestPolicy::kStrict) {
-        return common::Error::make("dataset: " + r.error().message);
-      }
-      degrade_accounting(r.error().message);
-      return {};
+  auto r = read_chunk(path, acct_.offset, at_end);
+  if (!r.ok()) {
+    if (cfg_.policy == analysis::IngestPolicy::kStrict) {
+      return common::Error::make("dataset: " + r.error().message);
     }
-    chunk = std::move(r).take();
-    at_end = chunk.size() < max;
-    if (at_end || chunk.find('\n') != std::string::npos) break;
-    max *= 2;
+    degrade(acct_, "slurm_accounting.txt", r.error().message);
+    return {};
   }
-  m_->chunks->inc();
+  std::string chunk = std::move(r).take();
   if (chunk.empty()) {
     acct_at_eof_ = true;
     return {};
@@ -672,50 +519,11 @@ common::Status ServeSession::pump_accounting(bool drain) {
 }
 
 common::Status ServeSession::consume_accounting_text(std::string&& text) {
-  const std::uint64_t base = acct_.offset;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t nlpos = text.find('\n', start);
-    const std::size_t end = nlpos == std::string::npos ? text.size() : nlpos;
-    const auto line = std::string_view(text).substr(start, end - start);
-    auto st = accounting_line(line, acct_.line_no + 1, base + start);
-    if (!st.ok()) return st;
-    acct_.line_no += 1;
-    if (nlpos == std::string::npos) break;
-    start = nlpos + 1;
-  }
-  acct_.offset += text.size();
+  const auto path = (cfg_.data_dir / "slurm_accounting.txt").string();
+  auto st = accounting_->consume(text, path, rules_of(cfg_), acct_);
+  if (!st.ok()) return st;
   dirty_ = true;
   m_->bytes->add(text.size());
-  return {};
-}
-
-common::Status ServeSession::accounting_line(std::string_view line,
-                                             std::uint64_t line_no,
-                                             std::uint64_t byte_start) {
-  const auto trimmed = common::trim(line);
-  if (trimmed.empty()) return {};
-  m_->accounting_lines->inc();
-  if (trimmed == slurm::kAccountingHeader) return {};
-  if (!slurm::parse_accounting_line(trimmed, *topo_, acct_record_).ok()) {
-    m_->accounting_errors->inc();
-    const auto path = (cfg_.data_dir / "slurm_accounting.txt").string();
-    if (cfg_.policy == analysis::IngestPolicy::kStrict) {
-      return common::Error::at("dataset: malformed accounting row", path,
-                               line_no, byte_start);
-    }
-    acct_.rows_rejected += 1;
-    acct_.bytes_rejected += trimmed.size();
-    if (cfg_.error_budget > 0 && acct_.rows_rejected > cfg_.error_budget) {
-      return common::Error::make(
-          "dataset: accounting error budget exceeded: " +
-          std::to_string(acct_.rows_rejected) + " rejected rows in " + path +
-          " (budget " + std::to_string(cfg_.error_budget) + ")");
-    }
-    return {};
-  }
-  jobs_.add(acct_record_);
-  acct_.rows_kept += 1;
   return {};
 }
 
@@ -773,13 +581,7 @@ common::Status ServeSession::tick() {
   if (cfg_.chaos_point) cfg_.chaos_point("tick");
   const std::uint64_t bytes_before = m_->bytes->value();
   const std::size_t sources_before = sources_.size();
-  const std::uint64_t sealed_degraded_before = [&] {
-    std::uint64_t n = 0;
-    for (const auto& s : sources_) {
-      if (s.sealed || s.degraded) ++n;
-    }
-    return n;
-  }();
+  const std::size_t settled_before = settled_sources();
 
   auto st = scan_sources();
   if (!st.ok()) return st;
@@ -791,16 +593,9 @@ common::Status ServeSession::tick() {
   st = pump_accounting(false);
   if (!st.ok()) return st;
 
-  const std::uint64_t sealed_degraded_after = [&] {
-    std::uint64_t n = 0;
-    for (const auto& s : sources_) {
-      if (s.sealed || s.degraded) ++n;
-    }
-    return n;
-  }();
   const bool progressed = m_->bytes->value() != bytes_before ||
                           sources_.size() != sources_before ||
-                          sealed_degraded_after != sealed_degraded_before;
+                          settled_sources() != settled_before;
   advance_frontier();
   bool days_drained = frontier_ >= sources_.size();
   if (!days_drained && frontier_ + 1 >= sources_.size() &&
@@ -865,23 +660,7 @@ CheckpointFrontier ServeSession::snapshot() const {
   data.seq = seq_;
   data.tick = tick_;
   data.watermark = watermark_;
-  data.sources.reserve(sources_.size());
-  for (const auto& src : sources_) {
-    SourceSnapshot s;
-    s.name = src.name;
-    s.date = src.date;
-    s.offset = src.offset;
-    s.lines_seen = src.lines_seen;
-    s.existed = src.existed;
-    s.sealed = src.sealed;
-    s.degraded = src.degraded;
-    s.recovered = src.recovered;
-    s.degrade_reason = src.degrade_reason;
-    s.last_progress_tick = src.last_progress_tick;
-    s.last_event = src.last_event;
-    s.counts = src.counts;
-    data.sources.push_back(std::move(s));
-  }
+  data.sources.assign(sources_.begin(), sources_.end());
   data.accounting = acct_;
   data.stray_files = strays_;
   data.coalescer = coalescer_->state();
@@ -896,19 +675,8 @@ void ServeSession::restore(CheckpointData&& data) {
   sources_.clear();
   for (auto& s : data.sources) {
     Source src;
-    src.name = s.name;
-    src.path = (cfg_.data_dir / "syslog" / s.name).string();
-    src.date = s.date;
-    src.offset = s.offset;
-    src.lines_seen = s.lines_seen;
-    src.existed = s.existed;
-    src.sealed = s.sealed;
-    src.degraded = s.degraded;
-    src.recovered = s.recovered;
-    src.degrade_reason = std::move(s.degrade_reason);
-    src.last_progress_tick = s.last_progress_tick;
-    src.last_event = s.last_event;
-    src.counts = s.counts;
+    static_cast<SourceSnapshot&>(src) = std::move(s);
+    src.path = (cfg_.data_dir / "syslog" / src.name).string();
     sources_.push_back(std::move(src));
   }
   frontier_ = 0;
@@ -943,12 +711,7 @@ common::Status ServeSession::finalize() {
   }
   coalescer_->flush();
   m_->out_of_order->add(coalescer_->out_of_order());
-  std::sort(errors_.begin(), errors_.end(), error_before);
-  std::stable_sort(lifecycle_.begin(), lifecycle_.end(),
-                   [](const analysis::LifecycleRecord& a,
-                      const analysis::LifecycleRecord& b) {
-                     return a.time < b.time;
-                   });
+  sort_results();
   derive_quality();
   watchdog_and_gauges();
   finished_ = true;
@@ -961,19 +724,10 @@ void ServeSession::derive_quality() {
   q.policy = cfg_.policy;
   q.error_budget = cfg_.error_budget;
   // Coverage over the manifest period, exactly like the batch loader.
-  const common::TimePoint begin = periods_.pre.begin;
-  const common::TimePoint end = periods_.op.end;
-  if (end > begin) {
-    std::size_t next = 0;
-    for (common::TimePoint t = common::start_of_day(begin); t < end;
-         t += common::kDay) {
-      q.days_expected += 1;
-      while (next < sources_.size() && sources_[next].date < t) ++next;
-      if (next >= sources_.size() || sources_[next].date != t) {
-        q.missing_days.push_back(common::format_date(t));
-      }
-    }
-  }
+  std::vector<common::TimePoint> present;
+  present.reserve(sources_.size());
+  for (const auto& src : sources_) present.push_back(src.date);
+  q.add_coverage(periods_.pre.begin, periods_.op.end, present);
   for (const auto& src : sources_) {
     if (src.degraded && src.offset == 0) {
       // Nothing of this day made it in: the batch-lenient equivalent of an
@@ -981,34 +735,7 @@ void ServeSession::derive_quality() {
       q.skipped_days.push_back(analysis::SkippedDay{
           common::format_date(src.date), src.degrade_reason});
     } else {
-      q.days_present += 1;
-      const auto& c = src.counts;
-      q.lines_kept += c.kept_lines;
-      q.bytes_kept += c.kept_bytes;
-      q.binary_lines += c.binary_lines;
-      q.binary_bytes += c.binary_bytes;
-      q.overlong_lines += c.overlong_lines;
-      q.overlong_bytes += c.overlong_bytes;
-      q.torn_lines += c.torn_lines;
-      q.torn_bytes += c.torn_bytes;
-      q.crlf_bytes += c.crlf_bytes;
-      const std::uint64_t file_bytes = src.offset;
-      if (file_bytes == 0) q.zero_byte_days += 1;
-      if (c.quarantined_lines() > 0 || file_bytes == 0 || c.crlf_bytes > 0) {
-        analysis::DayQuality dq;
-        dq.date = common::format_date(src.date);
-        dq.file_bytes = file_bytes;
-        dq.lines_kept = c.kept_lines;
-        dq.bytes_kept = c.kept_bytes;
-        dq.binary_lines = c.binary_lines;
-        dq.binary_bytes = c.binary_bytes;
-        dq.overlong_lines = c.overlong_lines;
-        dq.overlong_bytes = c.overlong_bytes;
-        dq.torn_lines = c.torn_lines;
-        dq.torn_bytes = c.torn_bytes;
-        dq.crlf_bytes = c.crlf_bytes;
-        q.days.push_back(std::move(dq));
-      }
+      q.add_day(src.date, src.offset, src.counts);
     }
     if (src.degraded) {
       q.degraded_sources.push_back(analysis::DegradedSource{
@@ -1026,41 +753,11 @@ void ServeSession::derive_quality() {
     cfg_.warn("no slurm_accounting.txt in " + cfg_.data_dir.string() +
               ", job analyses will be empty");
   }
+  analysis::warn_rejected_rows(
+      acct_, (cfg_.data_dir / "slurm_accounting.txt").string(), cfg_.warn);
   q.accounting_rows_kept = acct_.rows_kept;
   q.accounting_rows_rejected = acct_.rows_rejected;
   q.accounting_bytes_rejected = acct_.bytes_rejected;
-}
-
-analysis::ErrorStats ServeSession::error_stats() const {
-  analysis::ErrorStatsConfig cfg;
-  cfg.node_count = topo_->node_count();
-  cfg.outlier_share = cfg_.outlier_share;
-  cfg.outlier_min = cfg_.outlier_min;
-  return analysis::compute_error_stats(errors_, periods_, cfg);
-}
-
-analysis::JobStats ServeSession::job_stats() const {
-  return analysis::compute_job_stats(jobs_, periods_.whole());
-}
-
-analysis::JobImpact ServeSession::job_impact() const {
-  analysis::JobImpactConfig cfg;
-  cfg.window = cfg_.attribution_window;
-  cfg.period = periods_.op;
-  cfg.attribution = cfg_.attribution;
-  return analysis::compute_job_impact(jobs_, errors_, cfg, pool_.get(),
-                                      nullptr);
-}
-
-analysis::AvailabilityStats ServeSession::availability() const {
-  analysis::AvailabilityConfig cfg;
-  cfg.period = periods_.op;
-  cfg.node_count = topo_->node_count();
-  return analysis::compute_availability(lifecycle_, cfg, pool_.get());
-}
-
-double ServeSession::mttf_estimate_h() const {
-  return error_stats().total.op.mtbe_per_node_h;
 }
 
 }  // namespace gpures::serve

@@ -35,18 +35,13 @@
 #include <string>
 #include <vector>
 
-#include "analysis/availability.h"
 #include "analysis/coalesce.h"
 #include "analysis/data_quality.h"
 #include "analysis/dataset.h"
-#include "analysis/error_stats.h"
-#include "analysis/extraction.h"
-#include "analysis/job_impact.h"
-#include "analysis/job_stats.h"
-#include "analysis/periods.h"
+#include "analysis/ingest.h"
+#include "analysis/result_set.h"
 #include "cluster/topology.h"
 #include "common/error.h"
-#include "common/thread_pool.h"
 #include "logsys/day_buffer.h"
 #include "obs/metrics.h"
 #include "serve/checkpoint.h"
@@ -61,7 +56,7 @@ struct RetryPolicy {
   std::uint64_t deadline_ms = 0;      ///< total backoff budget; 0 = none
 };
 
-struct ServeConfig {
+struct ServeConfig : analysis::AnalysisKnobs {
   std::filesystem::path data_dir;
   /// Empty disables checkpointing (still crash-safe, just resumes from
   /// scratch).
@@ -78,11 +73,6 @@ struct ServeConfig {
   analysis::IngestPolicy policy = analysis::IngestPolicy::kLenient;
   std::uint64_t error_budget = 0;
   logsys::LineScreen screen;
-  analysis::CoalescerConfig coalescer;
-  common::Duration attribution_window = 20;
-  analysis::Attribution attribution = analysis::Attribution::kGpuLevel;
-  double outlier_share = 0.5;
-  std::uint64_t outlier_min = 1000;
   /// Registry for the serve.* metrics; the session owns a private one when
   /// null.  Metrics never feed back into analysis results.
   obs::MetricsRegistry* metrics = nullptr;
@@ -98,13 +88,13 @@ struct ServeConfig {
   std::function<void(std::uint64_t)> sleep_ms;
 };
 
-class ServeSession {
+/// The result accessors (errors, jobs, Stage-III analyses, topology,
+/// periods, pool, metrics) come from analysis::ResultSet and are valid
+/// after finalize(); the topology and periods after open().
+class ServeSession : public analysis::ResultSet {
  public:
   explicit ServeSession(ServeConfig cfg);
   ~ServeSession();
-
-  ServeSession(const ServeSession&) = delete;
-  ServeSession& operator=(const ServeSession&) = delete;
 
   /// Read the manifest, discover sources, and (when `resume` and a usable
   /// checkpoint exists) restore the persisted ingestion state.  A checkpoint
@@ -136,28 +126,10 @@ class ServeSession {
   /// vectors are sorted then, no longer append-only.
   common::Status checkpoint_now();
 
-  // ---- results (valid after finalize()) ----
-  const std::vector<analysis::CoalescedError>& errors() const {
-    return errors_;
-  }
-  const std::vector<analysis::LifecycleRecord>& lifecycle() const {
-    return lifecycle_;
-  }
-  const analysis::JobTable& jobs() const { return jobs_; }
+  /// The data-quality report (valid after finalize()).
   const analysis::DataQualityReport& quality() const { return quality_; }
 
-  analysis::ErrorStats error_stats() const;
-  analysis::JobStats job_stats() const;
-  analysis::JobImpact job_impact() const;
-  analysis::AvailabilityStats availability() const;
-  double mttf_estimate_h() const;
-
   // ---- introspection ----
-  const cluster::Topology& topo() const { return *topo_; }
-  const analysis::StudyPeriods& periods() const { return periods_; }
-  common::ThreadPool* pool() const { return pool_.get(); }
-  const obs::MetricsRegistry& metrics() const { return *metrics_; }
-  obs::MetricsRegistry& metrics() { return *metrics_; }
   std::uint64_t ticks() const { return tick_; }
   std::uint64_t checkpoint_seq() const { return seq_; }
   common::TimePoint watermark() const { return watermark_; }
@@ -179,8 +151,14 @@ class ServeSession {
   common::Result<std::string> read_with_retry(const std::string& path,
                                               std::uint64_t offset,
                                               std::uint64_t max_bytes);
-  void degrade(Source& src, const std::string& reason);
-  void degrade_accounting(const std::string& reason);
+  /// One chunk of `path` from `offset` under the retry policy, grown until
+  /// it holds a newline or reaches EOF (`at_end`).
+  common::Result<std::string> read_chunk(const std::string& path,
+                                         std::uint64_t offset, bool& at_end);
+  /// Quarantine a day source or the accounting tail after retry exhaustion.
+  template <typename State>
+  void degrade(State& state, const std::string& name,
+               const std::string& reason);
   /// Pump one chunk of the frontier source.  `drain` (finalize) consumes
   /// torn fragments immediately instead of waiting out stall_ticks.
   common::Status pump_frontier(bool drain);
@@ -190,10 +168,10 @@ class ServeSession {
   common::Status consume_day_text(Source& src, std::string&& text,
                                   bool torn_tail);
   common::Status consume_accounting_text(std::string&& text);
-  common::Status accounting_line(std::string_view line, std::uint64_t line_no,
-                                 std::uint64_t byte_start);
   void seal(Source& src);
   void advance_frontier();
+  /// Sources sealed or degraded (no longer ingesting).
+  std::size_t settled_sources() const;
   void watchdog_and_gauges();
   common::Status maybe_checkpoint();
   CheckpointFrontier snapshot() const;
@@ -201,10 +179,10 @@ class ServeSession {
   void derive_quality();
 
   ServeConfig cfg_;
-  analysis::StudyPeriods periods_;
-  std::unique_ptr<cluster::Topology> topo_;
-  std::unique_ptr<common::ThreadPool> pool_;
-  std::vector<std::unique_ptr<analysis::LineParser>> parsers_;
+  std::unique_ptr<cluster::Topology> topology_;  ///< read at open()
+  analysis::DayScreen screen_;
+  analysis::Stage1Counters stage1_;
+  std::optional<analysis::AccountingIngest> accounting_;  ///< from open()
   std::unique_ptr<analysis::Coalescer> coalescer_;
   std::unique_ptr<CheckpointStore> store_;
 
@@ -215,10 +193,6 @@ class ServeSession {
   bool acct_at_eof_ = false;
   std::vector<std::string> strays_;  ///< sorted, deduplicated
 
-  std::vector<analysis::CoalescedError> errors_;
-  std::vector<analysis::LifecycleRecord> lifecycle_;
-  analysis::JobTable jobs_;
-  slurm::JobRecord acct_record_;  ///< reused by every accounting row
   analysis::DataQualityReport quality_;
 
   std::uint64_t tick_ = 0;
@@ -230,8 +204,6 @@ class ServeSession {
   bool opened_ = false;
   bool finished_ = false;
 
-  obs::MetricsRegistry* metrics_ = nullptr;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   std::unique_ptr<Metrics> m_;
 };
 

@@ -4,13 +4,24 @@
 // the bench harnesses.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <memory>
+#include <string>
+#include <variant>
 
 #include "analysis/campaign.h"
+#include "analysis/dataset.h"
+#include "analysis/extraction.h"
 #include "analysis/reports.h"
+#include "common/io.h"
+#include "common/strings.h"
 
 namespace an = gpures::analysis;
+namespace ct = gpures::common;
 namespace gx = gpures::xid;
+namespace fs = std::filesystem;
 
 namespace {
 
@@ -186,32 +197,66 @@ TEST(CampaignDeterminism, SameSeedSameResults) {
   }
 }
 
-TEST(CampaignRegexParser, MatchesFastParserAtCampaignScale) {
-  // The std::regex Stage-I reference and the fast scanner must recover the
-  // identical error population from a whole campaign's raw logs.
-  an::CampaignConfig base = an::CampaignConfig::quick();
-  base.with_jobs = false;
-  base.seed = 77;
-  an::CampaignConfig regex_cfg = base;
-  regex_cfg.pipeline.use_regex_parser = true;
-
-  an::DeltaCampaign fast(base);
-  an::DeltaCampaign ref(regex_cfg);
-  fast.run();
-  ref.run();
-  ASSERT_EQ(fast.pipeline().errors().size(), ref.pipeline().errors().size());
-  for (std::size_t i = 0; i < fast.pipeline().errors().size(); ++i) {
-    const auto& a = fast.pipeline().errors()[i];
-    const auto& b = ref.pipeline().errors()[i];
-    ASSERT_EQ(a.time, b.time);
-    ASSERT_EQ(a.gpu, b.gpu);
-    ASSERT_EQ(a.code, b.code);
-    ASSERT_EQ(a.raw_lines, b.raw_lines);
+TEST(CampaignRegexParser, AgreesWithFastParserOnEveryCampaignLine) {
+  // The std::regex Stage-I reference and the fast scanner must classify
+  // every syslog line a whole campaign emits identically, field for field.
+  // Stage I is per line, so this covers every error, lifecycle record and
+  // rejection the pipeline derives from them.
+  an::CampaignConfig cfg = an::CampaignConfig::quick();
+  cfg.with_jobs = false;
+  cfg.seed = 77;
+  const auto dir = fs::temp_directory_path() /
+                   ("gpures_regex_diff_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  an::DeltaCampaign campaign(cfg);
+  {
+    an::DatasetManifest m;
+    m.spec = cfg.spec;
+    m.periods = campaign.periods();
+    an::DatasetWriter writer(dir, m);
+    campaign.set_dataset_writer(&writer);
+    campaign.run();
+    ASSERT_TRUE(writer.finalize().ok());
   }
-  EXPECT_EQ(fast.pipeline().counters().rejected_lines,
-            ref.pipeline().counters().rejected_lines);
-  EXPECT_EQ(fast.pipeline().lifecycle().size(),
-            ref.pipeline().lifecycle().size());
+
+  const an::FastLineParser fast;
+  const an::RegexLineParser ref;
+  std::uint64_t lines = 0, records = 0, mismatches = 0;
+  std::string first_mismatch;
+  for (const auto& entry : fs::directory_iterator(dir / "syslog")) {
+    const auto day = an::day_file_date(entry.path().filename().string());
+    ASSERT_TRUE(day.has_value()) << entry.path();
+    const auto text = ct::read_file(entry.path().string());
+    ASSERT_TRUE(text.ok());
+    for (const auto line : ct::split(text.value(), '\n')) {
+      if (line.empty()) continue;
+      ++lines;
+      const auto a = fast.parse(line, *day);
+      const auto b = ref.parse(line, *day);
+      bool same = a.has_value() == b.has_value();
+      if (same && a) {
+        same = a->index() == b->index();
+        if (same && a->index() == 0) {
+          const auto& xa = std::get<an::XidRecord>(*a);
+          const auto& xb = std::get<an::XidRecord>(*b);
+          same = xa.time == xb.time && xa.host == xb.host &&
+                 xa.pci == xb.pci && xa.xid == xb.xid &&
+                 xa.detail == xb.detail;
+        } else if (same) {
+          const auto& la = std::get<an::LifecycleRecord>(*a);
+          const auto& lb = std::get<an::LifecycleRecord>(*b);
+          same = la.time == lb.time && la.host == lb.host && la.kind == lb.kind;
+        }
+      }
+      if (a) ++records;
+      if (!same && mismatches++ == 0) first_mismatch = std::string(line);
+    }
+  }
+  fs::remove_all(dir);
+  EXPECT_EQ(mismatches, 0u) << "first: \"" << first_mismatch << '"';
+  // The differential saw exactly the lines the pipeline ingested.
+  EXPECT_EQ(lines, campaign.pipeline().counters().log_lines);
+  EXPECT_GT(records, 1000u);
 }
 
 TEST(CampaignNoJobs, ClusterOnlyCampaignWorks) {

@@ -169,19 +169,6 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.threads);
     });
 
-TEST(ParallelDeterminism, RegexParserPathAlsoMatches) {
-  cl::Topology topo(cl::ClusterSpec::delta_a100());
-  an::PipelineConfig serial_cfg;
-  serial_cfg.use_regex_parser = true;
-  an::PipelineConfig par_cfg = serial_cfg;
-  par_cfg.num_threads = 3;
-  an::AnalysisPipeline serial(topo, serial_cfg);
-  an::AnalysisPipeline parallel(topo, par_cfg);
-  ingest_synthetic(serial, topo, 5, 6);
-  ingest_synthetic(parallel, topo, 5, 6);
-  expect_identical(serial, parallel);
-}
-
 TEST(ParallelDeterminism, ParallelRunsAgreeWithEachOther) {
   // Transitivity check at odd worker counts (shard partition differs).
   cl::Topology topo(cl::ClusterSpec::delta_a100());

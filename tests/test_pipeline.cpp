@@ -160,36 +160,6 @@ TEST(Pipeline, AccountingIngestEdgeCases) {
   EXPECT_NE(rendered.find("success rate 100.00%"), std::string::npos);
 }
 
-TEST(Pipeline, RegexAndFastParsersGiveSameResults) {
-  Fixture f;
-  auto cfg_regex = f.cfg;
-  cfg_regex.use_regex_parser = true;
-  an::AnalysisPipeline fast(f.topo, f.cfg);
-  an::AnalysisPipeline ref(f.topo, cfg_regex);
-
-  const auto day = ct::make_date(2023, 2, 1);
-  std::string text;
-  for (int i = 0; i < 50; ++i) {
-    text += ls::render_xid_line(day + i * 100, "gpua010", "0000:47:00",
-                                i % 2 ? gx::Code::kGspRpcTimeout
-                                      : gx::Code::kNvlinkError,
-                                "detail");
-    text += '\n';
-  }
-  text += ls::render_drain_line(day + 9000, "gpua010") + "\n";
-  fast.ingest_log_text(day, text);
-  ref.ingest_log_text(day, text);
-  fast.finish();
-  ref.finish();
-
-  ASSERT_EQ(fast.errors().size(), ref.errors().size());
-  for (std::size_t i = 0; i < fast.errors().size(); ++i) {
-    EXPECT_EQ(fast.errors()[i].time, ref.errors()[i].time);
-    EXPECT_EQ(fast.errors()[i].code, ref.errors()[i].code);
-  }
-  EXPECT_EQ(fast.lifecycle().size(), ref.lifecycle().size());
-}
-
 TEST(Pipeline, ErrorStatsFlowThrough) {
   Fixture f;
   an::AnalysisPipeline pipe(f.topo, f.cfg);

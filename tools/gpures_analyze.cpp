@@ -4,7 +4,7 @@
 //                              findings|trends|survival]
 //                  [--export-csv DIR] [--export-json FILE]
 //                  [--coalesce-window SECONDS] [--window SECONDS]
-//                  [--node-level] [--regex] [--threads N]
+//                  [--node-level] [--threads N]
 //                  [--metrics FILE[.prom]] [--trace FILE]
 //                  [--telemetry FILE [--telemetry-interval-ms N]]
 //                  [--log-json FILE] [--log-level L] [--quiet]
@@ -28,14 +28,9 @@
 #include "analysis/data_quality.h"
 #include "analysis/dataset.h"
 #include "analysis/export.h"
-#include "common/io.h"
-#include "common/strings.h"
 #include "analysis/markdown_report.h"
-#include "analysis/mitigation.h"
-#include "analysis/reports.h"
-#include "analysis/survival.h"
-#include "analysis/trends.h"
-#include "index/writer.h"
+#include "cli.h"
+#include "common/io.h"
 #include "obs/expfmt.h"
 #include "obs/log.h"
 #include "obs/manifest.h"
@@ -63,7 +58,6 @@ void usage() {
       "  --coalesce-window S    Stage II window (default 30)\n"
       "  --window S             job-failure attribution window (default 20)\n"
       "  --node-level           node-level attribution (default: device)\n"
-      "  --regex                use the std::regex Stage-I matcher\n"
       "  --threads N            Stage I/II worker threads (0 = serial;\n"
       "                         output is byte-identical either way)\n"
       "  --simd B               Stage-I scan backend: auto|scalar|swar|avx2\n"
@@ -98,34 +92,7 @@ void usage() {
       "  --quiet                suppress progress and summaries on stderr\n");
 }
 
-/// Strict non-negative integer for CLI values.  std::atoll would silently
-/// turn a typo like "5oo" into 0 — which for --error-budget means
-/// "unlimited", quietly disabling the protection — so reject anything that
-/// is not entirely digits.
-long long parse_count(const char* flag, std::string_view s) {
-  const long long v = common::parse_ll(s);
-  if (v < 0) {
-    std::fprintf(stderr,
-                 "gpures-analyze: %s wants a non-negative integer, got '%s'\n",
-                 flag, std::string(s).c_str());
-    std::exit(2);
-  }
-  return v;
-}
-
-/// One checked write path for every artifact (reports, exports, metrics,
-/// trace): open, short-write, and close failures all surface as an error
-/// record and a nonzero exit at the call site.
-bool write_artifact(const std::filesystem::path& path, std::string_view text) {
-  const auto st = common::write_file_atomic(path.string(), text);
-  if (!st.ok()) {
-    obs::Logger::current().error("analyze", "artifact write failed",
-                                 {{"path", path.string()},
-                                  {"error", st.error().message}});
-    return false;
-  }
-  return true;
-}
+constexpr std::string_view kTool = "gpures-analyze";
 
 /// Stable fingerprint of the effective pipeline configuration.
 std::string config_fingerprint(const analysis::PipelineConfig& cfg) {
@@ -134,7 +101,6 @@ std::string config_fingerprint(const analysis::PipelineConfig& cfg) {
   s += "attribution_window=" + std::to_string(cfg.attribution_window) + ";";
   s += "attribution=" +
        std::to_string(static_cast<int>(cfg.attribution)) + ";";
-  s += "regex=" + std::to_string(cfg.use_regex_parser ? 1 : 0) + ";";
   s += "threads=" + std::to_string(cfg.num_threads) + ";";
   s += "outlier_share=" + std::to_string(cfg.outlier_share) + ";";
   s += "outlier_min=" + std::to_string(cfg.outlier_min);
@@ -156,140 +122,71 @@ int main(int argc, char** argv) {
   std::string chaos_io_fault;
   std::string telemetry_file;
   long long telemetry_interval_ms = 1000;
-  std::string log_json_file;
-  obs::LogLevel log_level = obs::LogLevel::kInfo;
-  bool quiet = false;
+  cli::LogFlags log_flags;
   std::string simd_choice;
   bool simd_info = false;
   analysis::PipelineConfig pcfg;
   analysis::IngestPolicy policy = analysis::IngestPolicy::kStrict;
   std::uint64_t error_budget = 0;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "gpures-analyze: %s needs a value\n", what);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  cli::Args args(kTool, argc, argv);
+  while (args.next()) {
+    const std::string& arg = args.flag();
     if (arg == "--data") {
-      data_dir = next("--data");
+      data_dir = args.value();
     } else if (arg == "--report") {
-      report = next("--report");
+      report = args.value();
     } else if (arg == "--export-csv") {
-      csv_dir = next("--export-csv");
+      csv_dir = args.value();
     } else if (arg == "--export-json") {
-      json_file = next("--export-json");
+      json_file = args.value();
     } else if (arg == "--report-md") {
-      md_file = next("--report-md");
+      md_file = args.value();
     } else if (arg == "--coalesce-window") {
-      pcfg.coalescer.window =
-          parse_count("--coalesce-window", next("--coalesce-window"));
+      pcfg.coalescer.window = args.count();
     } else if (arg == "--window") {
-      pcfg.attribution_window = parse_count("--window", next("--window"));
+      pcfg.attribution_window = args.count();
     } else if (arg == "--node-level") {
       pcfg.attribution = analysis::Attribution::kNodeLevel;
-    } else if (arg == "--regex") {
-      pcfg.use_regex_parser = true;
     } else if (arg == "--threads") {
-      const long long n = parse_count("--threads", next("--threads"));
-      if (n > 256) {
-        std::fprintf(stderr, "gpures-analyze: --threads must be in [0, 256]\n");
-        return 2;
-      }
-      pcfg.num_threads = static_cast<std::uint32_t>(n);
+      pcfg.num_threads = args.threads();
     } else if (arg == "--simd") {
-      simd_choice = next("--simd");
+      simd_choice = args.value();
     } else if (arg == "--simd-info") {
       simd_info = true;
     } else if (arg == "--write-index") {
-      index_file = next("--write-index");
+      index_file = args.value();
     } else if (arg == "--metrics") {
-      metrics_file = next("--metrics");
+      metrics_file = args.value();
     } else if (arg == "--trace") {
-      trace_file = next("--trace");
+      trace_file = args.value();
     } else if (arg == "--telemetry") {
-      telemetry_file = next("--telemetry");
+      telemetry_file = args.value();
     } else if (arg == "--telemetry-interval-ms") {
-      telemetry_interval_ms = parse_count("--telemetry-interval-ms",
-                                          next("--telemetry-interval-ms"));
-      if (telemetry_interval_ms == 0) {
-        std::fprintf(stderr,
-                     "gpures-analyze: --telemetry-interval-ms must be >= 1\n");
-        return 2;
-      }
+      telemetry_interval_ms = args.count(1);
     } else if (arg == "--log-json") {
-      log_json_file = next("--log-json");
+      log_flags.json_file = args.value();
     } else if (arg == "--log-level") {
-      const auto lvl = obs::parse_log_level(next("--log-level"));
-      if (!lvl) {
-        std::fprintf(stderr,
-                     "gpures-analyze: --log-level must be debug|info|warn|"
-                     "error\n");
-        return 2;
-      }
-      log_level = *lvl;
+      log_flags.level = cli::parse_log_level(kTool, args.value());
     } else if (arg == "--ingest-policy") {
-      const auto p = analysis::parse_ingest_policy(next("--ingest-policy"));
-      if (!p) {
-        std::fprintf(stderr,
-                     "gpures-analyze: --ingest-policy must be strict or "
-                     "lenient\n");
-        return 2;
-      }
-      policy = *p;
+      policy = cli::parse_ingest_policy(kTool, args.value());
     } else if (arg == "--error-budget") {
-      error_budget = static_cast<std::uint64_t>(
-          parse_count("--error-budget", next("--error-budget")));
+      error_budget = static_cast<std::uint64_t>(args.count());
     } else if (arg == "--quality-report") {
-      quality_file = next("--quality-report");
+      quality_file = args.value();
     } else if (arg == "--chaos-io-fault") {
-      chaos_io_fault = next("--chaos-io-fault");
+      chaos_io_fault = args.value();
     } else if (arg == "--quiet") {
-      quiet = true;
+      log_flags.quiet = true;
     } else if (arg == "--progress") {
-      quiet = false;
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
+      log_flags.quiet = false;
     } else {
-      std::fprintf(stderr, "gpures-analyze: unknown argument '%s'\n",
-                   arg.c_str());
-      usage();
-      return 2;
+      args.unknown(usage);
     }
   }
-  // --simd (CLI) beats GPURES_SIMD (environment) beats auto-detection.  The
-  // library degrades a bad environment value to auto, but an explicit CLI
-  // request for an unavailable backend is a hard usage error.
-  if (!simd_choice.empty()) {
-    const auto backend = simd::parse_backend(simd_choice);
-    if (!backend) {
-      std::fprintf(stderr,
-                   "gpures-analyze: --simd must be auto|scalar|swar|avx2\n");
-      return 2;
-    }
-    if (!simd::set_active(*backend)) {
-      std::fprintf(stderr,
-                   "gpures-analyze: --simd %s: backend not available on this "
-                   "host\n",
-                   simd_choice.c_str());
-      return 2;
-    }
-  }
+  if (!cli::select_simd(kTool, simd_choice)) return 2;
   if (simd_info) {
-    // Machine-readable dispatch probe for CI matrix legs: which backend the
-    // dispatcher resolved to (after --simd / GPURES_SIMD) and which the
-    // host can run at all.
-    std::printf("active %s\n",
-                std::string(simd::to_string(simd::active())).c_str());
-    std::printf("available");
-    for (const auto b : simd::all_available()) {
-      std::printf(" %s", std::string(simd::to_string(b)).c_str());
-    }
-    std::printf("\n");
+    cli::print_simd_info();
     return 0;
   }
   if (data_dir.empty()) {
@@ -297,22 +194,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Structured logging for everything past flag parsing.  --quiet keeps the
-  // text sink but raises the bar to errors; a JSONL sink, when requested,
-  // records every level regardless.
-  obs::Logger::Options log_opts;
-  log_opts.min_level = log_level;
-  if (quiet) log_opts.text_min_level = obs::LogLevel::kError;
-  log_opts.jsonl_path = log_json_file;
-  log_opts.max_per_key = 100;
-  obs::Logger logger(log_opts);
-  obs::Logger::install(&logger);
+  // Structured logging for everything past flag parsing.
+  const auto logger = cli::start_logger(kTool, log_flags);
+  if (!logger) return 1;
   auto& log = obs::Logger::current();
-  if (!logger.sink_status().ok()) {
-    std::fprintf(stderr, "gpures-analyze: %s\n",
-                 logger.sink_status().error().message.c_str());
-    return 1;
-  }
 
   const auto manifest = analysis::read_manifest(data_dir);
   if (!manifest.ok()) {
@@ -376,18 +261,9 @@ int main(int argc, char** argv) {
   };
 
   common::IoFaultPlan fault_plan;
-  if (!chaos_io_fault.empty()) {
-    auto parsed = common::parse_io_fault_spec(chaos_io_fault);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "gpures-analyze: --chaos-io-fault: %s\n",
-                   parsed.error().message.c_str());
-      return 2;
-    }
-    fault_plan = std::move(parsed).take();
-    common::set_io_fault_plan(&fault_plan);
-  }
+  if (!cli::arm_io_fault(kTool, chaos_io_fault, fault_plan)) return 2;
 
-  obs::ProgressReporter progress("ingesting day", !quiet);
+  obs::ProgressReporter progress("ingesting day", !log_flags.quiet);
   const auto loaded = analysis::load_dataset(data_dir, pipe, iopt, &progress);
   progress.finish();
   common::set_io_fault_plan(nullptr);
@@ -399,15 +275,7 @@ int main(int argc, char** argv) {
 
   // Surface the ingest accounting on the observability plane: counters in
   // the metrics registry and headline figures in the run manifest.
-  registry.counter("ingest.lines_kept").add(quality.lines_kept);
-  registry.counter("ingest.lines_quarantined").add(quality.quarantined_lines());
-  registry.counter("ingest.bytes_quarantined").add(quality.quarantined_bytes());
-  registry.counter("ingest.days_missing").add(quality.missing_days.size());
-  registry.counter("ingest.days_skipped").add(quality.skipped_days.size());
-  registry.counter("ingest.days_zero_byte").add(quality.zero_byte_days);
-  registry.counter("ingest.stray_files").add(quality.stray_files.size());
-  registry.counter("ingest.accounting_rows_rejected")
-      .add(quality.accounting_rows_rejected);
+  quality.publish(registry);
   run.extra.emplace_back("ingest_policy",
                          std::string(analysis::to_string(policy)));
   run.extra.emplace_back("ingest_clean", quality.clean() ? "true" : "false");
@@ -422,56 +290,26 @@ int main(int argc, char** argv) {
             {"jobs", pipe.jobs().jobs.size()},
             {"accounting_errors", c.accounting_errors}});
 
-  const auto stats = pipe.error_stats();
-  const bool all = report == "all";
-  if (all || report == "table1") {
-    std::printf("%s\n", analysis::render_table1(stats).c_str());
-  }
-  if (all || report == "findings") {
-    std::printf("%s\n", analysis::render_findings(stats).c_str());
-  }
-  if ((all || report == "table2") && !pipe.jobs().jobs.empty()) {
-    std::printf("%s\n", analysis::render_table2(pipe.job_impact()).c_str());
-  }
-  if ((all || report == "table3") && !pipe.jobs().jobs.empty()) {
-    std::printf("%s\n", analysis::render_table3(pipe.job_stats()).c_str());
-  }
-  if (all || report == "fig2") {
-    std::printf("%s\n",
-                analysis::render_fig2(pipe.availability(), pipe.mttf_estimate_h())
-                    .c_str());
-  }
-  if (all || report == "trends") {
-    std::printf("%s\n",
-                analysis::render_trends(pipe.errors(), pcfg.periods,
-                                        pipe.pool())
-                    .c_str());
-  }
-  if ((all || report == "mitigation") && !pipe.jobs().jobs.empty()) {
-    analysis::JobImpactConfig icfg;
-    icfg.window = pcfg.attribution_window;
-    icfg.period = pcfg.periods.op;
-    icfg.attribution = pcfg.attribution;
-    std::printf("%s\n", analysis::render_mitigation(pipe.jobs(), pipe.errors(),
-                                                    icfg, pipe.pool())
-                            .c_str());
-  }
-  if (all || report == "survival") {
-    std::printf("%s\n",
-                analysis::render_survival(pipe.errors(), pcfg.periods,
-                                          topo.total_gpus(), pipe.pool())
-                    .c_str());
+  cli::EmitRequest emit;
+  emit.report = report;
+  emit.index_file = index_file;
+  emit.json_file = json_file;
+  std::uint64_t index_bytes = 0;
+  if (!cli::emit_results(kTool, pipe, emit, &index_bytes)) return 1;
+  if (!index_file.empty()) {
+    run.extra.emplace_back("index_bytes", std::to_string(index_bytes));
   }
 
   if (!csv_dir.empty()) {
     namespace fs = std::filesystem;
+    const auto stats = pipe.error_stats();
     const auto impact = pipe.job_impact();
     const auto jobs = pipe.job_stats();
     const auto avail = pipe.availability();
     const auto write_csv = [&](const char* name, auto&& render) {
       std::ostringstream os;
       render(os);
-      return write_artifact(fs::path(csv_dir) / name, os.str());
+      return cli::write_artifact(kTool, fs::path(csv_dir) / name, os.str());
     };
     const bool ok =
         write_csv("table1.csv",
@@ -489,53 +327,9 @@ int main(int argc, char** argv) {
   if (!md_file.empty()) {
     analysis::MarkdownReportOptions mopts;
     mopts.quality = &quality;
-    if (!write_artifact(md_file,
-                        analysis::render_markdown_report(pipe, topo, mopts))) {
-      return 1;
-    }
+    const auto md = analysis::render_markdown_report(pipe, topo, mopts);
+    if (!cli::write_artifact(kTool, md_file, md)) return 1;
     log.info("analyze", "wrote markdown report", {{"path", md_file}});
-  }
-
-  if (!index_file.empty()) {
-    const auto avail = pipe.availability();
-    index::IndexBuildInput in;
-    in.periods = pcfg.periods;
-    in.attribution_window = pcfg.attribution_window;
-    in.attribution = pcfg.attribution;
-    in.outlier_share = pcfg.outlier_share;
-    in.outlier_min = pcfg.outlier_min;
-    in.topo = &topo;
-    in.errors = &pipe.errors();
-    in.jobs = &pipe.jobs();
-    in.unavailability = &avail.intervals;
-    const auto wrote = index::write_index(in, index_file);
-    if (!wrote.ok()) {
-      log.error("analyze", wrote.error().message);
-      return 1;
-    }
-    const auto& ws = wrote.value();
-    log.info("analyze", "wrote index",
-             {{"path", index_file},
-              {"bytes", ws.bytes},
-              {"errors", ws.errors},
-              {"jobs", ws.jobs},
-              {"unavailability", ws.unavailability}});
-    run.extra.emplace_back("index_bytes",
-                           std::to_string(wrote.value().bytes));
-  }
-
-  if (!json_file.empty()) {
-    const auto impact = pipe.job_impact();
-    const auto jobs = pipe.job_stats();
-    const auto avail = pipe.availability();
-    analysis::ExportBundle bundle;
-    bundle.error_stats = &stats;
-    bundle.job_stats = &jobs;
-    bundle.job_impact = &impact;
-    bundle.availability = &avail;
-    bundle.mttf_h = pipe.mttf_estimate_h();
-    if (!write_artifact(json_file, analysis::to_json(bundle) + "\n")) return 1;
-    log.info("analyze", "wrote JSON export", {{"path", json_file}});
   }
 
   obs::Tracer::install(nullptr);
@@ -548,24 +342,20 @@ int main(int argc, char** argv) {
   if (!csv_dir.empty()) {
     const auto run_path =
         std::filesystem::path(csv_dir) / "run_manifest.json";
-    if (!write_artifact(run_path, run.to_json(&registry))) return 1;
+    if (!cli::write_artifact(kTool, run_path, run.to_json(&registry))) {
+      return 1;
+    }
   }
-  if (!quality_file.empty() &&
-      !write_artifact(quality_file, quality.to_json() + "\n")) {
+  if (!cli::write_artifact(kTool, quality_file, quality.to_json() + "\n")) {
     return 1;
   }
   // Stop sampling before serializing the registry so the telemetry file
   // ends with a "final" sample and the --metrics artifact sees quiescent
   // writers (all snapshot views agree exactly; see obs/metrics.h).
   telemetry.stop();
-  if (!metrics_file.empty() &&
-      !write_artifact(metrics_file,
-                      obs::render_metrics_file(registry, metrics_file))) {
-    return 1;
-  }
-  if (!trace_file.empty() &&
-      !write_artifact(trace_file, tracer.to_chrome_json())) {
-    return 1;
-  }
-  return 0;
+  const bool wrote =
+      cli::write_artifact(kTool, metrics_file,
+                          obs::render_metrics_file(registry, metrics_file)) &&
+      cli::write_artifact(kTool, trace_file, tracer.to_chrome_json());
+  return wrote ? 0 : 1;
 }

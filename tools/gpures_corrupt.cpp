@@ -18,6 +18,7 @@
 #include <string>
 
 #include "chaos/chaos.h"
+#include "cli.h"
 #include "common/io.h"
 #include "common/strings.h"
 #include "obs/log.h"
@@ -60,59 +61,32 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   bool quiet = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "gpures-corrupt: %s needs a value\n", what);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  cli::Args args("gpures-corrupt", argc, argv);
+  while (args.next()) {
+    const std::string& arg = args.flag();
     if (arg == "--in") {
-      in_dir = next("--in");
+      in_dir = args.value();
     } else if (arg == "--out") {
-      out_dir = next("--out");
+      out_dir = args.value();
     } else if (arg == "--seed") {
       // Strict parse: std::atoll would fold a typo into seed 0 silently,
       // and a wrong seed corrupts "deterministically" — just not the way
       // the ledger on record says.
-      const char* s = next("--seed");
-      const long long v = common::parse_ll(s);
-      if (v < 0) {
-        std::fprintf(stderr,
-                     "gpures-corrupt: --seed wants a non-negative integer, "
-                     "got '%s'\n",
-                     s);
-        return 2;
-      }
-      seed = static_cast<std::uint64_t>(v);
+      seed = static_cast<std::uint64_t>(args.count());
     } else if (arg == "--faults") {
-      faults = next("--faults");
+      faults = args.value();
     } else if (arg == "--ledger") {
-      ledger_file = next("--ledger");
+      ledger_file = args.value();
     } else if (arg == "--chaos-io-fault") {
-      chaos_io_fault = next("--chaos-io-fault");
+      chaos_io_fault = args.value();
     } else if (arg == "--log-json") {
-      log_json_file = next("--log-json");
+      log_json_file = args.value();
     } else if (arg == "--log-level") {
-      const char* s = next("--log-level");
-      const auto parsed = obs::parse_log_level(s);
-      if (!parsed) {
-        std::fprintf(stderr, "gpures-corrupt: unknown --log-level '%s'\n", s);
-        return 2;
-      }
-      log_level = *parsed;
+      log_level = cli::parse_log_level("gpures-corrupt", args.value());
     } else if (arg == "--quiet") {
       quiet = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
     } else {
-      std::fprintf(stderr, "gpures-corrupt: unknown argument '%s'\n",
-                   arg.c_str());
-      usage();
-      return 2;
+      args.unknown(usage);
     }
   }
   if (in_dir.empty() || out_dir.empty()) {

@@ -23,6 +23,7 @@
 #include <string_view>
 #include <vector>
 
+#include "cli.h"
 #include "common/io.h"
 #include "common/json.h"
 #include "obs/metrics.h"
@@ -797,35 +798,23 @@ int main(int argc, char** argv) {
   std::string out_file;
   std::string format = "md";
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "gpures-health: %s needs a value\n", what);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  cli::Args args("gpures-health", argc, argv);
+  while (args.next()) {
+    const std::string& arg = args.flag();
     if (arg == "--metrics") {
-      metrics_file = next("--metrics");
+      metrics_file = args.value();
     } else if (arg == "--telemetry") {
-      telemetry_file = next("--telemetry");
+      telemetry_file = args.value();
     } else if (arg == "--out") {
-      out_file = next("--out");
+      out_file = args.value();
     } else if (arg == "--format") {
-      format = next("--format");
+      format = args.value();
       if (format != "md" && format != "json") {
         std::fprintf(stderr, "gpures-health: --format wants md or json\n");
         return 2;
       }
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
     } else {
-      std::fprintf(stderr, "gpures-health: unknown argument '%s'\n",
-                   arg.c_str());
-      usage();
-      return 2;
+      args.unknown(usage);
     }
   }
   if (metrics_file.empty()) {

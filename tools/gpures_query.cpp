@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <string>
 
+#include "cli.h"
 #include "common/io.h"
 #include "common/json.h"
 #include "common/strings.h"
@@ -56,17 +57,6 @@ void usage() {
       "  --log-json FILE  mirror log records to FILE as JSONL\n"
       "  --log-level L    debug|info|warn|error (default info)\n"
       "  --info           print artifact metadata and exit\n");
-}
-
-long long parse_count_arg(const char* flag, std::string_view s) {
-  const long long v = common::parse_ll(s);
-  if (v < 0) {
-    std::fprintf(stderr,
-                 "gpures-query: %s wants a non-negative integer, got '%s'\n",
-                 flag, std::string(s).c_str());
-    std::exit(2);
-  }
-  return v;
 }
 
 common::TimePoint parse_time_arg(const char* flag, std::string_view s) {
@@ -286,77 +276,55 @@ int main(int argc, char** argv) {
   std::string report = "all";
   std::string format = "md";
   std::string metrics_file;
-  std::string log_json_file;
-  obs::LogLevel log_level = obs::LogLevel::kInfo;
+  cli::LogFlags log_flags;
   bool info = false;
   bool have_from = false;
   bool have_to = false;
   index::Predicate pred;
   index::QueryOptions qopts;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "gpures-query: %s needs a value\n", what);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  cli::Args args("gpures-query", argc, argv);
+  while (args.next()) {
+    const std::string& arg = args.flag();
     if (arg == "--index") {
-      index_file = next("--index");
+      index_file = args.value();
     } else if (arg == "--node") {
-      node_name = next("--node");
+      node_name = args.value();
     } else if (arg == "--xid") {
-      const long long x = parse_count_arg("--xid", next("--xid"));
+      const long long x = args.count();
       if (x > 0xffff) {
         std::fprintf(stderr, "gpures-query: --xid must be in [0, 65535]\n");
         return 2;
       }
       pred.xid = static_cast<std::uint16_t>(x);
     } else if (arg == "--from") {
-      pred.from = parse_time_arg("--from", next("--from"));
+      pred.from = parse_time_arg("--from", args.value());
       have_from = true;
     } else if (arg == "--to") {
-      pred.to = parse_time_arg("--to", next("--to"));
+      pred.to = parse_time_arg("--to", args.value());
       have_to = true;
     } else if (arg == "--report") {
-      report = next("--report");
+      report = args.value();
     } else if (arg == "--format") {
-      format = next("--format");
+      format = args.value();
     } else if (arg == "--window") {
-      qopts.attribution_window = parse_count_arg("--window", next("--window"));
+      qopts.attribution_window = args.count();
     } else if (arg == "--node-level") {
       qopts.attribution = 1;
     } else if (arg == "--cache") {
-      qopts.cache_capacity = static_cast<std::size_t>(
-          parse_count_arg("--cache", next("--cache")));
+      qopts.cache_capacity = static_cast<std::size_t>(args.count());
     } else if (arg == "--metrics") {
-      metrics_file = next("--metrics");
+      metrics_file = args.value();
     } else if (arg == "--slow-query-us") {
-      qopts.slow_query_us = static_cast<double>(
-          parse_count_arg("--slow-query-us", next("--slow-query-us")));
+      qopts.slow_query_us = static_cast<double>(args.count());
     } else if (arg == "--log-json") {
-      log_json_file = next("--log-json");
+      log_flags.json_file = args.value();
     } else if (arg == "--log-level") {
-      const auto lvl = obs::parse_log_level(next("--log-level"));
-      if (!lvl) {
-        std::fprintf(
-            stderr,
-            "gpures-query: --log-level must be debug|info|warn|error\n");
-        return 2;
-      }
-      log_level = *lvl;
+      log_flags.level = cli::parse_log_level("gpures-query", args.value());
     } else if (arg == "--info") {
       info = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
     } else {
-      std::fprintf(stderr, "gpures-query: unknown argument '%s'\n",
-                   arg.c_str());
-      usage();
-      return 2;
+      args.unknown(usage);
     }
   }
   if (index_file.empty()) {
@@ -377,17 +345,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  obs::Logger::Options log_opts;
-  log_opts.min_level = log_level;
-  log_opts.jsonl_path = log_json_file;
-  log_opts.max_per_key = 100;
-  obs::Logger logger(log_opts);
-  obs::Logger::install(&logger);
-  if (!logger.sink_status().ok()) {
-    std::fprintf(stderr, "gpures-query: %s\n",
-                 logger.sink_status().error().message.c_str());
-    return 1;
-  }
+  const auto logger = cli::start_logger("gpures-query", log_flags);
+  if (!logger) return 1;
 
   auto opened = index::IndexReader::open(index_file);
   if (!opened.ok()) {
@@ -455,16 +414,8 @@ int main(int argc, char** argv) {
                 &count, &impact, &avail);
   }
 
-  if (!metrics_file.empty()) {
-    // Same checked atomic write path gpures-analyze uses: tmp+rename, so a
-    // crash mid-write never leaves a torn snapshot, and open/short-write/
-    // rename failures exit nonzero instead of vanishing in a bad() stream.
-    const auto st = common::write_file_atomic(
-        metrics_file, obs::render_metrics_file(registry, metrics_file));
-    if (!st.ok()) {
-      obs::Logger::current().error("query", st.error().message);
-      return 1;
-    }
-  }
-  return 0;
+  const bool wrote = cli::write_artifact(
+      "gpures-query", metrics_file,
+      obs::render_metrics_file(registry, metrics_file));
+  return wrote ? 0 : 1;
 }

@@ -24,20 +24,12 @@
 #include <string>
 #include <thread>
 
-#include "analysis/export.h"
-#include "analysis/mitigation.h"
-#include "analysis/reports.h"
-#include "analysis/survival.h"
-#include "analysis/trends.h"
+#include "cli.h"
 #include "common/io.h"
-#include "common/strings.h"
-#include "index/writer.h"
 #include "obs/expfmt.h"
 #include "obs/log.h"
-#include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "serve/serve.h"
-#include "simd/dispatch.h"
 
 using namespace gpures;
 
@@ -95,29 +87,7 @@ void usage() {
       "  --quiet                suppress warnings on stderr\n");
 }
 
-long long parse_count(const char* flag, std::string_view s) {
-  const long long v = common::parse_ll(s);
-  if (v < 0) {
-    std::fprintf(stderr,
-                 "gpures-serve: %s wants a non-negative integer, got '%s'\n",
-                 flag, std::string(s).c_str());
-    std::exit(2);
-  }
-  return v;
-}
-
-/// Every artifact goes through the same atomic tmp+rename path the index and
-/// checkpoints use: a crash mid-emit never leaves a torn file for a reader.
-bool write_artifact(const std::filesystem::path& path, std::string_view text) {
-  const auto st = common::write_file_atomic(path.string(), text);
-  if (!st.ok()) {
-    obs::Logger::current().error("serve", "artifact write failed",
-                                 {{"path", path.string()},
-                                  {"error", st.error().message}});
-    return false;
-  }
-  return true;
-}
+constexpr std::string_view kTool = "gpures-serve";
 
 struct ChaosKill {
   std::string point;
@@ -129,33 +99,23 @@ struct ChaosKill {
 
 int main(int argc, char** argv) {
   serve::ServeConfig scfg;
-  std::string report = "all";
-  std::string index_file;
-  std::string json_file;
+  cli::EmitRequest emit;
   std::string quality_file;
   std::string metrics_file;
-  std::string log_json_file;
   std::string chaos_io_fault;
   std::string chaos_kill_spec;
   std::string simd_choice;
-  obs::LogLevel log_level = obs::LogLevel::kInfo;
+  cli::LogFlags log_flags;
   bool follow = false;
   bool resume = false;
-  bool quiet = false;
   long long poll_ms = 200;
   long long max_ticks = 0;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "gpures-serve: %s needs a value\n", what);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  cli::Args args(kTool, argc, argv);
+  while (args.next()) {
+    const std::string& arg = args.flag();
     if (arg == "--data") {
-      scfg.data_dir = next("--data");
+      scfg.data_dir = args.value();
     } else if (arg == "--follow") {
       follow = true;
     } else if (arg == "--once") {
@@ -163,159 +123,77 @@ int main(int argc, char** argv) {
     } else if (arg == "--resume") {
       resume = true;
     } else if (arg == "--checkpoint-dir") {
-      scfg.checkpoint_dir = next("--checkpoint-dir");
+      scfg.checkpoint_dir = args.value();
     } else if (arg == "--checkpoint-interval") {
-      scfg.checkpoint_interval = static_cast<std::uint64_t>(parse_count(
-          "--checkpoint-interval", next("--checkpoint-interval")));
-      if (scfg.checkpoint_interval == 0) {
-        std::fprintf(stderr,
-                     "gpures-serve: --checkpoint-interval must be >= 1\n");
-        return 2;
-      }
+      scfg.checkpoint_interval = static_cast<std::uint64_t>(args.count(1));
     } else if (arg == "--poll-ms") {
-      poll_ms = parse_count("--poll-ms", next("--poll-ms"));
+      poll_ms = args.count();
     } else if (arg == "--max-ticks") {
-      max_ticks = parse_count("--max-ticks", next("--max-ticks"));
+      max_ticks = args.count();
     } else if (arg == "--threads") {
-      const long long n = parse_count("--threads", next("--threads"));
-      if (n > 256) {
-        std::fprintf(stderr, "gpures-serve: --threads must be in [0, 256]\n");
-        return 2;
-      }
-      scfg.threads = static_cast<std::uint32_t>(n);
+      scfg.threads = args.threads();
     } else if (arg == "--max-chunk-bytes") {
-      const long long n =
-          parse_count("--max-chunk-bytes", next("--max-chunk-bytes"));
-      if (n == 0) {
-        std::fprintf(stderr, "gpures-serve: --max-chunk-bytes must be >= 1\n");
-        return 2;
-      }
-      scfg.max_chunk_bytes = static_cast<std::uint64_t>(n);
+      scfg.max_chunk_bytes = static_cast<std::uint64_t>(args.count(1));
     } else if (arg == "--retry-max") {
-      const long long n = parse_count("--retry-max", next("--retry-max"));
-      if (n == 0) {
-        std::fprintf(stderr, "gpures-serve: --retry-max must be >= 1\n");
-        return 2;
-      }
-      scfg.retry.max_attempts = static_cast<std::uint32_t>(n);
+      scfg.retry.max_attempts = static_cast<std::uint32_t>(args.count(1));
     } else if (arg == "--retry-backoff-ms") {
-      scfg.retry.backoff_ms = static_cast<std::uint64_t>(
-          parse_count("--retry-backoff-ms", next("--retry-backoff-ms")));
+      scfg.retry.backoff_ms = static_cast<std::uint64_t>(args.count());
     } else if (arg == "--retry-backoff-max-ms") {
-      scfg.retry.backoff_max_ms = static_cast<std::uint64_t>(parse_count(
-          "--retry-backoff-max-ms", next("--retry-backoff-max-ms")));
+      scfg.retry.backoff_max_ms = static_cast<std::uint64_t>(args.count());
     } else if (arg == "--retry-deadline-ms") {
-      scfg.retry.deadline_ms = static_cast<std::uint64_t>(
-          parse_count("--retry-deadline-ms", next("--retry-deadline-ms")));
+      scfg.retry.deadline_ms = static_cast<std::uint64_t>(args.count());
     } else if (arg == "--stall-ticks") {
-      scfg.stall_ticks = static_cast<std::uint64_t>(
-          parse_count("--stall-ticks", next("--stall-ticks")));
+      scfg.stall_ticks = static_cast<std::uint64_t>(args.count());
     } else if (arg == "--reprobe-ticks") {
-      scfg.reprobe_ticks = static_cast<std::uint64_t>(
-          parse_count("--reprobe-ticks", next("--reprobe-ticks")));
+      scfg.reprobe_ticks = static_cast<std::uint64_t>(args.count());
     } else if (arg == "--ingest-policy") {
-      const auto p = analysis::parse_ingest_policy(next("--ingest-policy"));
-      if (!p) {
-        std::fprintf(
-            stderr,
-            "gpures-serve: --ingest-policy must be strict or lenient\n");
-        return 2;
-      }
-      scfg.policy = *p;
+      scfg.policy = cli::parse_ingest_policy(kTool, args.value());
     } else if (arg == "--error-budget") {
-      scfg.error_budget = static_cast<std::uint64_t>(
-          parse_count("--error-budget", next("--error-budget")));
+      scfg.error_budget = static_cast<std::uint64_t>(args.count());
     } else if (arg == "--coalesce-window") {
-      scfg.coalescer.window =
-          parse_count("--coalesce-window", next("--coalesce-window"));
+      scfg.coalescer.window = args.count();
     } else if (arg == "--window") {
-      scfg.attribution_window = parse_count("--window", next("--window"));
+      scfg.attribution_window = args.count();
     } else if (arg == "--node-level") {
       scfg.attribution = analysis::Attribution::kNodeLevel;
     } else if (arg == "--report") {
-      report = next("--report");
+      emit.report = args.value();
     } else if (arg == "--write-index") {
-      index_file = next("--write-index");
+      emit.index_file = args.value();
     } else if (arg == "--export-json") {
-      json_file = next("--export-json");
+      emit.json_file = args.value();
     } else if (arg == "--quality-report") {
-      quality_file = next("--quality-report");
+      quality_file = args.value();
     } else if (arg == "--metrics") {
-      metrics_file = next("--metrics");
+      metrics_file = args.value();
     } else if (arg == "--simd") {
-      simd_choice = next("--simd");
+      simd_choice = args.value();
     } else if (arg == "--log-json") {
-      log_json_file = next("--log-json");
+      log_flags.json_file = args.value();
     } else if (arg == "--log-level") {
-      const auto lvl = obs::parse_log_level(next("--log-level"));
-      if (!lvl) {
-        std::fprintf(
-            stderr,
-            "gpures-serve: --log-level must be debug|info|warn|error\n");
-        return 2;
-      }
-      log_level = *lvl;
+      log_flags.level = cli::parse_log_level(kTool, args.value());
     } else if (arg == "--chaos-io-fault") {
-      chaos_io_fault = next("--chaos-io-fault");
+      chaos_io_fault = args.value();
     } else if (arg == "--chaos-kill") {
-      chaos_kill_spec = next("--chaos-kill");
+      chaos_kill_spec = args.value();
     } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
+      log_flags.quiet = true;
     } else {
-      std::fprintf(stderr, "gpures-serve: unknown argument '%s'\n",
-                   arg.c_str());
-      usage();
-      return 2;
+      args.unknown(usage);
     }
   }
-  if (!simd_choice.empty()) {
-    const auto backend = simd::parse_backend(simd_choice);
-    if (!backend) {
-      std::fprintf(stderr,
-                   "gpures-serve: --simd must be auto|scalar|swar|avx2\n");
-      return 2;
-    }
-    if (!simd::set_active(*backend)) {
-      std::fprintf(
-          stderr,
-          "gpures-serve: --simd %s: backend not available on this host\n",
-          simd_choice.c_str());
-      return 2;
-    }
-  }
+  if (!cli::select_simd(kTool, simd_choice)) return 2;
   if (scfg.data_dir.empty()) {
     usage();
     return 2;
   }
 
-  obs::Logger::Options log_opts;
-  log_opts.min_level = log_level;
-  if (quiet) log_opts.text_min_level = obs::LogLevel::kError;
-  log_opts.jsonl_path = log_json_file;
-  log_opts.max_per_key = 100;
-  obs::Logger logger(log_opts);
-  obs::Logger::install(&logger);
+  const auto logger = cli::start_logger(kTool, log_flags);
+  if (!logger) return 1;
   auto& log = obs::Logger::current();
-  if (!logger.sink_status().ok()) {
-    std::fprintf(stderr, "gpures-serve: %s\n",
-                 logger.sink_status().error().message.c_str());
-    return 1;
-  }
 
   common::IoFaultPlan fault_plan;
-  if (!chaos_io_fault.empty()) {
-    auto parsed = common::parse_io_fault_spec(chaos_io_fault);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "gpures-serve: --chaos-io-fault: %s\n",
-                   parsed.error().message.c_str());
-      return 2;
-    }
-    fault_plan = std::move(parsed).take();
-    common::set_io_fault_plan(&fault_plan);
-  }
+  if (!cli::arm_io_fault(kTool, chaos_io_fault, fault_plan)) return 2;
 
   ChaosKill chaos_kill;
   if (!chaos_kill_spec.empty()) {
@@ -333,8 +211,9 @@ int main(int argc, char** argv) {
           "tick|ckpt-pre|ckpt-mid|ckpt-post\n");
       return 2;
     }
-    chaos_kill.nth = static_cast<std::uint64_t>(parse_count(
-        "--chaos-kill", std::string_view(chaos_kill_spec).substr(colon + 1)));
+    chaos_kill.nth = static_cast<std::uint64_t>(
+        cli::parse_count(kTool, "--chaos-kill",
+                         std::string_view(chaos_kill_spec).substr(colon + 1)));
     if (chaos_kill.nth == 0) {
       std::fprintf(stderr, "gpures-serve: --chaos-kill N must be >= 1\n");
       return 2;
@@ -358,13 +237,6 @@ int main(int argc, char** argv) {
 
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
-
-  // The session takes the config; keep the analysis knobs the emit phase
-  // still needs.
-  const common::Duration attribution_window = scfg.attribution_window;
-  const analysis::Attribution attribution = scfg.attribution;
-  const double outlier_share = scfg.outlier_share;
-  const std::uint64_t outlier_min = scfg.outlier_min;
 
   serve::ServeSession session(std::move(scfg));
   auto st = session.open(resume);
@@ -407,17 +279,7 @@ int main(int argc, char** argv) {
   common::set_io_fault_plan(nullptr);
 
   const auto& quality = session.quality();
-  registry.counter("ingest.lines_kept").add(quality.lines_kept);
-  registry.counter("ingest.lines_quarantined")
-      .add(quality.quarantined_lines());
-  registry.counter("ingest.bytes_quarantined")
-      .add(quality.quarantined_bytes());
-  registry.counter("ingest.days_missing").add(quality.missing_days.size());
-  registry.counter("ingest.days_skipped").add(quality.skipped_days.size());
-  registry.counter("ingest.days_zero_byte").add(quality.zero_byte_days);
-  registry.counter("ingest.stray_files").add(quality.stray_files.size());
-  registry.counter("ingest.accounting_rows_rejected")
-      .add(quality.accounting_rows_rejected);
+  quality.publish(registry);
 
   log.info("serve", "serve complete",
            {{"ticks", session.ticks()},
@@ -426,96 +288,11 @@ int main(int argc, char** argv) {
             {"degraded_sources", session.degraded_count()},
             {"checkpoint_seq", session.checkpoint_seq()}});
 
-  const auto& topo = session.topo();
-  const auto& periods = session.periods();
-  const bool all = report == "all";
-  if (report != "none") {
-    const auto stats = session.error_stats();
-    if (all || report == "table1") {
-      std::printf("%s\n", analysis::render_table1(stats).c_str());
-    }
-    if (all || report == "findings") {
-      std::printf("%s\n", analysis::render_findings(stats).c_str());
-    }
-    if ((all || report == "table2") && !session.jobs().jobs.empty()) {
-      std::printf("%s\n", analysis::render_table2(session.job_impact()).c_str());
-    }
-    if ((all || report == "table3") && !session.jobs().jobs.empty()) {
-      std::printf("%s\n", analysis::render_table3(session.job_stats()).c_str());
-    }
-    if (all || report == "fig2") {
-      std::printf("%s\n",
-                  analysis::render_fig2(session.availability(),
-                                        session.mttf_estimate_h())
-                      .c_str());
-    }
-    if (all || report == "trends") {
-      std::printf("%s\n",
-                  analysis::render_trends(session.errors(), periods,
-                                          session.pool())
-                      .c_str());
-    }
-    if ((all || report == "mitigation") && !session.jobs().jobs.empty()) {
-      analysis::JobImpactConfig icfg;
-      icfg.window = attribution_window;
-      icfg.period = periods.op;
-      icfg.attribution = attribution;
-      std::printf("%s\n",
-                  analysis::render_mitigation(session.jobs(), session.errors(),
-                                              icfg, session.pool())
-                      .c_str());
-    }
-    if (all || report == "survival") {
-      std::printf("%s\n",
-                  analysis::render_survival(session.errors(), periods,
-                                            topo.total_gpus(), session.pool())
-                      .c_str());
-    }
-  }
+  if (!cli::emit_results(kTool, session, emit)) return 1;
 
-  if (!index_file.empty()) {
-    const auto avail = session.availability();
-    index::IndexBuildInput in;
-    in.periods = periods;
-    in.attribution_window = attribution_window;
-    in.attribution = attribution;
-    in.outlier_share = outlier_share;
-    in.outlier_min = outlier_min;
-    in.topo = &topo;
-    in.errors = &session.errors();
-    in.jobs = &session.jobs();
-    in.unavailability = &avail.intervals;
-    const auto wrote = index::write_index(in, index_file);
-    if (!wrote.ok()) {
-      log.error("serve", wrote.error().message);
-      return 1;
-    }
-    log.info("serve", "wrote index",
-             {{"path", index_file}, {"bytes", wrote.value().bytes}});
-  }
-
-  if (!json_file.empty()) {
-    const auto stats = session.error_stats();
-    const auto impact = session.job_impact();
-    const auto jobs = session.job_stats();
-    const auto avail = session.availability();
-    analysis::ExportBundle bundle;
-    bundle.error_stats = &stats;
-    bundle.job_stats = &jobs;
-    bundle.job_impact = &impact;
-    bundle.availability = &avail;
-    bundle.mttf_h = session.mttf_estimate_h();
-    if (!write_artifact(json_file, analysis::to_json(bundle) + "\n")) return 1;
-  }
-
-  if (!quality_file.empty() &&
-      !write_artifact(quality_file, quality.to_json() + "\n")) {
-    return 1;
-  }
-  if (!metrics_file.empty() &&
-      !write_artifact(metrics_file,
-                      obs::render_metrics_file(registry, metrics_file))) {
-    return 1;
-  }
-  return 0;
+  const bool wrote =
+      cli::write_artifact(kTool, quality_file, quality.to_json() + "\n") &&
+      cli::write_artifact(kTool, metrics_file,
+                          obs::render_metrics_file(registry, metrics_file));
+  return wrote ? 0 : 1;
 }

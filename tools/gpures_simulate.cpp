@@ -22,6 +22,7 @@
 #include "analysis/campaign.h"
 #include "analysis/config_file.h"
 #include "analysis/dataset.h"
+#include "cli.h"
 #include "common/io.h"
 #include "common/strings.h"
 #include "obs/expfmt.h"
@@ -69,19 +70,7 @@ void usage() {
                "  --list-config-keys\n");
 }
 
-/// Checked artifact write: failures surface as an error record + exit 1 at
-/// the call site (atomic tmp+rename via common::write_file_atomic, so a
-/// crash mid-write never leaves a torn artifact).
-bool write_artifact(const std::filesystem::path& path, std::string_view text) {
-  const auto st = common::write_file_atomic(path.string(), text);
-  if (!st.ok()) {
-    obs::Logger::current().error("simulate", "artifact write failed",
-                                 {{"path", path.string()},
-                                  {"error", st.error().message}});
-    return false;
-  }
-  return true;
-}
+constexpr std::string_view kTool = "gpures-simulate";
 
 /// Stable fingerprint of the effective campaign configuration.
 std::string config_fingerprint(const analysis::CampaignConfig& cfg,
@@ -114,60 +103,36 @@ int main(int argc, char** argv) {
   bool quick = false;
   long long fleet_nodes = -1;  // -1 = keep the configured (106-node) spec
 
-  // Shared by --threads/--shards/--nodes: non-negative integer or exit 2.
-  auto parse_count = [](const char* what, const char* value) -> long long {
-    const long long v = common::parse_ll(value);
-    if (v < 0) {
-      std::fprintf(stderr,
-                   "gpures-simulate: %s needs a non-negative integer, got "
-                   "'%s'\n",
-                   what, value);
-      std::exit(2);
-    }
-    return v;
-  };
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "gpures-simulate: %s needs a value\n", what);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  cli::Args args(kTool, argc, argv);
+  while (args.next()) {
+    const std::string& arg = args.flag();
     if (arg == "--out") {
-      out_dir = next("--out");
+      out_dir = args.value();
     } else if (arg == "--seed") {
-      cfg.seed = static_cast<std::uint64_t>(std::strtoull(next("--seed"), nullptr, 10));
+      cfg.seed =
+          static_cast<std::uint64_t>(std::strtoull(args.value(), nullptr, 10));
     } else if (arg == "--quick") {
       quick = true;
     } else if (arg == "--no-jobs") {
       cfg.with_jobs = false;
     } else if (arg == "--nodes") {
-      fleet_nodes = parse_count("--nodes", next("--nodes"));
-      if (fleet_nodes < 1) {
-        std::fprintf(stderr, "gpures-simulate: --nodes must be >= 1\n");
-        return 2;
-      }
+      fleet_nodes = args.count(1);
     } else if (arg == "--threads") {
-      cfg.pipeline.num_threads =
-          static_cast<std::uint32_t>(parse_count("--threads", next("--threads")));
+      cfg.pipeline.num_threads = static_cast<std::uint32_t>(args.count());
     } else if (arg == "--shards") {
-      cfg.sim_shards =
-          static_cast<std::int32_t>(parse_count("--shards", next("--shards")));
+      cfg.sim_shards = static_cast<std::int32_t>(args.count());
     } else if (arg == "--noise") {
-      cfg.noise_lines_per_day = std::strtod(next("--noise"), nullptr);
+      cfg.noise_lines_per_day = std::strtod(args.value(), nullptr);
     } else if (arg == "--scale") {
-      cfg.workload_scale = std::strtod(next("--scale"), nullptr);
+      cfg.workload_scale = std::strtod(args.value(), nullptr);
     } else if (arg == "--config") {
-      config_file = next("--config");
+      config_file = args.value();
     } else if (arg == "--metrics") {
-      metrics_file = next("--metrics");
+      metrics_file = args.value();
     } else if (arg == "--trace") {
-      trace_file = next("--trace");
+      trace_file = args.value();
     } else if (arg == "--simd") {
-      simd_choice = next("--simd");
+      simd_choice = args.value();
     } else if (arg == "--simd-info") {
       simd_info = true;
     } else if (arg == "--quiet") {
@@ -179,41 +144,13 @@ int main(int argc, char** argv) {
         std::printf("%s\n", k.c_str());
       }
       return 0;
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
     } else {
-      std::fprintf(stderr, "gpures-simulate: unknown argument '%s'\n",
-                   arg.c_str());
-      usage();
-      return 2;
+      args.unknown(usage);
     }
   }
-  // Same selection contract as gpures-analyze: explicit --simd beats
-  // GPURES_SIMD beats auto, and an unavailable explicit request is an error.
-  if (!simd_choice.empty()) {
-    const auto backend = simd::parse_backend(simd_choice);
-    if (!backend) {
-      std::fprintf(stderr,
-                   "gpures-simulate: --simd must be auto|scalar|swar|avx2\n");
-      return 2;
-    }
-    if (!simd::set_active(*backend)) {
-      std::fprintf(stderr,
-                   "gpures-simulate: --simd %s: backend not available on this "
-                   "host\n",
-                   simd_choice.c_str());
-      return 2;
-    }
-  }
+  if (!cli::select_simd(kTool, simd_choice)) return 2;
   if (simd_info) {
-    std::printf("active %s\n",
-                std::string(simd::to_string(simd::active())).c_str());
-    std::printf("available");
-    for (const auto b : simd::all_available()) {
-      std::printf(" %s", std::string(simd::to_string(b)).c_str());
-    }
-    std::printf("\n");
+    cli::print_simd_info();
     return 0;
   }
   if (out_dir.empty()) {
@@ -329,15 +266,10 @@ int main(int argc, char** argv) {
   // Provenance manifest rides along with the dataset (per-stage totals come
   // from the embedded metrics snapshot).
   const auto run_path = std::filesystem::path(out_dir) / "run_manifest.json";
-  if (!write_artifact(run_path, run.to_json(&registry))) return 1;
-  if (!metrics_file.empty() &&
-      !write_artifact(metrics_file,
-                      obs::render_metrics_file(registry, metrics_file))) {
-    return 1;
-  }
-  if (!trace_file.empty() &&
-      !write_artifact(trace_file, tracer.to_chrome_json())) {
-    return 1;
-  }
-  return 0;
+  const bool wrote =
+      cli::write_artifact(kTool, run_path, run.to_json(&registry)) &&
+      cli::write_artifact(kTool, metrics_file,
+                          obs::render_metrics_file(registry, metrics_file)) &&
+      cli::write_artifact(kTool, trace_file, tracer.to_chrome_json());
+  return wrote ? 0 : 1;
 }
