@@ -27,7 +27,7 @@
 #include "logsys/day_buffer.h"
 #include "logsys/log_store.h"
 #include "logsys/syslog.h"
-#include "simd/dispatch.h"
+#include "simd/scan.h"
 
 namespace {
 
@@ -398,7 +398,8 @@ const std::string& noisy_day_text() {
 
 /// The full screened Stage-I path — quarantine scan, line slicing, parse —
 /// pinned to one scan backend.  CI reads items_per_second off these legs and
-/// enforces that the best backend clears 1.5x the scalar leg.
+/// enforces that the avx2 leg, where the host has one, clears 1.5x the
+/// scalar leg.
 void BM_ParseDay_Simd(benchmark::State& state, simd::Backend backend) {
   const auto saved = simd::active();
   if (!simd::set_active(backend)) {

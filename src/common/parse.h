@@ -9,8 +9,8 @@
 // chain.  The formatters' tests round-trip through these parsers, so the
 // two directions cannot drift apart.
 //
-// All helpers are backend-independent scalar code (SWAR-style, no
-// intrinsics): the SIMD dispatch in src/simd never changes their results,
+// All helpers are backend-independent scalar code (branchless, no
+// intrinsics): the scan dispatch in src/simd never changes their results,
 // which keeps timestamp parsing trivially byte-identical across backends.
 #pragma once
 

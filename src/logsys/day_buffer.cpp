@@ -10,7 +10,7 @@ namespace gpures::logsys {
 DayBuffer DayBuffer::from_text(common::TimePoint default_time,
                                std::string&& text) {
   // One kernel table fetch per file; every scan below goes through the
-  // active SIMD backend (scalar/SWAR/AVX2), all of which return identical
+  // active scan backend (scalar or AVX2), both of which return identical
   // slices (see simd/scan.h and tests/test_simd.cpp).
   const auto& k = simd::active_ops();
   DayBuffer buf;

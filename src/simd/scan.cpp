@@ -1,10 +1,11 @@
 #include "simd/scan.h"
 
+#include <atomic>
 #include <cstring>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
-#define GPURES_SIMD_X86 1
+#define GPURES_X86 1
 #endif
 
 namespace gpures::simd {
@@ -24,8 +25,8 @@ inline bool is_binary_byte(unsigned char c) {
 //
 // Exactly the code the pre-SIMD parser ran: libc memchr for byte search
 // (itself vectorized by the platform) and plain byte loops for
-// classification.  The differential suites hold the other backends to these
-// functions bit for bit.
+// classification.  The differential suites hold AVX2 to these functions bit
+// for bit.
 
 std::size_t scalar_find_byte(const char* p, std::size_t n, char c) {
   if (n == 0) return 0;  // empty views may carry a null pointer; memchr is
@@ -79,144 +80,13 @@ std::size_t scalar_find_substr(const char* p, std::size_t n, const char* q,
   return n;
 }
 
-// --- SWAR: portable 8-byte word tricks ------------------------------------
-//
-// Exact per-byte masks only: the folklore (x - kOnes) & ~x & kHigh zero test
-// can misreport bytes above the first zero (cross-byte borrow), which is
-// fine for find-first but wrong for counting and classification — so every
-// mask below uses borrow-free formulations.
-
-constexpr std::uint64_t kOnes = 0x0101010101010101ull;
-constexpr std::uint64_t kHigh = 0x8080808080808080ull;
-
-inline std::uint64_t load8(const char* p) {
-  std::uint64_t w;
-  std::memcpy(&w, p, 8);
-  return w;
-}
-
-/// High bit set in every byte of `x` that is zero.  Exact: (b | 0x80) - 1
-/// is computed per byte with no cross-byte borrow (every byte is >= 0x80
-/// before the subtraction).
-inline std::uint64_t zero_mask(std::uint64_t x) {
-  return ~(x | ((x | kHigh) - kOnes)) & kHigh;
-}
-
-/// High bit set in every byte equal to `c`.
-inline std::uint64_t eq_mask(std::uint64_t x, char c) {
-  return zero_mask(x ^ (kOnes * static_cast<unsigned char>(c)));
-}
-
-/// High bit set in every byte with unsigned value < 0x20.  (b & 0x7f) +
-/// 0x60 stays within the byte, so the add is carry-free; the high bit of
-/// the sum is set iff (b & 0x7f) >= 0x20, and ~x clears bytes >= 0x80.
-inline std::uint64_t lt32_mask(std::uint64_t x) {
-  const std::uint64_t t = (x & ~kHigh) + (kOnes * 0x60);
-  return ~t & ~x & kHigh;
-}
-
-/// High bit set in every binary byte (see is_binary_byte).  '\n' bytes are
-/// reported too — next_line masks everything at or after the terminator.
-inline std::uint64_t binary_mask(std::uint64_t x) {
-  return (lt32_mask(x) & ~eq_mask(x, '\t')) | eq_mask(x, 0x7f);
-}
-
-inline std::size_t first_byte_index(std::uint64_t high_bit_mask) {
-  // Lowest set bit is the high bit of the first matching byte: bit 8*i+7.
-  return static_cast<std::size_t>(__builtin_ctzll(high_bit_mask)) >> 3;
-}
-
-std::size_t swar_find_byte(const char* p, std::size_t n, char c) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const std::uint64_t m = eq_mask(load8(p + i), c);
-    if (m != 0) return i + first_byte_index(m);
-  }
-  for (; i < n; ++i) {
-    if (p[i] == c) return i;
-  }
-  return n;
-}
-
-std::size_t swar_find_terminator(const char* p, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const std::uint64_t w = load8(p + i);
-    const std::uint64_t m = eq_mask(w, '\n') | eq_mask(w, '\r');
-    if (m != 0) return i + first_byte_index(m);
-  }
-  for (; i < n; ++i) {
-    if (p[i] == '\n' || p[i] == '\r') return i;
-  }
-  return n;
-}
-
-LineScan swar_next_line(const char* p, std::size_t n) {
-  std::size_t i = 0;
-  std::uint64_t binary = 0;
-  for (; i + 8 <= n; i += 8) {
-    const std::uint64_t w = load8(p + i);
-    const std::uint64_t nl = eq_mask(w, '\n');
-    std::uint64_t bin = binary_mask(w);
-    if (nl != 0) {
-      // Keep only bytes strictly before the first newline: bits below its
-      // high bit cover exactly the earlier bytes' high-bit positions.
-      const int bit = __builtin_ctzll(nl);
-      bin &= (1ull << bit) - 1;
-      return LineScan{i + (static_cast<std::size_t>(bit) >> 3),
-                      (binary | bin) != 0};
-    }
-    binary |= bin;
-  }
-  bool tail_binary = false;
-  for (; i < n; ++i) {
-    const unsigned char c = static_cast<unsigned char>(p[i]);
-    if (c == '\n') break;
-    tail_binary = tail_binary || is_binary_byte(c);
-  }
-  return LineScan{i, binary != 0 || tail_binary};
-}
-
-std::size_t swar_count_byte(const char* p, std::size_t n, char c) {
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    count += static_cast<std::size_t>(
-        __builtin_popcountll(eq_mask(load8(p + i), c)));
-  }
-  for (; i < n; ++i) count += (p[i] == c);
-  return count;
-}
-
-std::size_t swar_find_substr(const char* p, std::size_t n, const char* q,
-                             std::size_t m) {
-  if (m == 0 || m > n) return n;
-  const char first = q[0];
-  const std::size_t last_start = n - m;
-  std::size_t i = 0;
-  while (i + 8 <= last_start + 1) {
-    std::uint64_t cand = eq_mask(load8(p + i), first);
-    while (cand != 0) {
-      const std::size_t at = i + first_byte_index(cand);
-      if (std::memcmp(p + at, q, m) == 0) return at;
-      cand &= cand - 1;  // clear the lowest candidate, try the next
-    }
-    i += 8;
-  }
-  for (; i <= last_start; ++i) {
-    if (p[i] == first && std::memcmp(p + i, q, m) == 0) return i;
-  }
-  return n;
-}
-
 // --- AVX2: 32-byte lanes behind a target attribute -------------------------
 //
 // Compiled for AVX2 in this one translation unit and reached only through
-// the dispatch table, which never selects them unless CPUID reports the
-// ISA.  Tails below 32 bytes run the scalar reference so partial lanes
+// ops(), which never hands them out unless CPUID reports the ISA.  Tails below 32 bytes run the scalar reference so partial lanes
 // cannot diverge from it.
 
-#if defined(GPURES_SIMD_X86)
+#if defined(GPURES_X86)
 
 __attribute__((target("avx2"))) inline unsigned avx2_eq_bits(__m256i x,
                                                              char c) {
@@ -328,33 +198,61 @@ __attribute__((target("avx2"))) std::size_t avx2_find_substr(const char* p,
   return at == span ? n : i + at;
 }
 
-#endif  // GPURES_SIMD_X86
+#endif  // GPURES_X86
 
 constexpr ScanOps kScalarOps = {scalar_find_byte, scalar_find_terminator,
                                 scalar_next_line, scalar_count_byte,
                                 scalar_find_substr};
 
-constexpr ScanOps kSwarOps = {swar_find_byte, swar_find_terminator,
-                              swar_next_line, swar_count_byte,
-                              swar_find_substr};
-
-#if defined(GPURES_SIMD_X86)
+#if defined(GPURES_X86)
 constexpr ScanOps kAvx2Ops = {avx2_find_byte, avx2_find_terminator,
                               avx2_next_line, avx2_count_byte,
                               avx2_find_substr};
 #else
-constexpr ScanOps kAvx2Ops = kSwarOps;
+constexpr ScanOps kAvx2Ops = kScalarOps;
 #endif
+
+bool cpu_has_avx2() {
+#if defined(GPURES_X86) && defined(__GNUC__)
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+// -1 = not yet probed; otherwise a Backend value.  Relaxed is enough: racing
+// first reads all resolve to the same CPUID answer.
+std::atomic<int> g_active{-1};
 
 }  // namespace
 
-const ScanOps& ops(Backend b) {
-  switch (b) {
-    case Backend::kScalar: return kScalarOps;
-    case Backend::kSwar: return kSwarOps;
-    case Backend::kAvx2: return available(Backend::kAvx2) ? kAvx2Ops : kSwarOps;
+std::vector<Backend> all_available() {
+  std::vector<Backend> out{Backend::kScalar};
+  if (cpu_has_avx2()) out.push_back(Backend::kAvx2);
+  return out;
+}
+
+std::string_view to_string(Backend b) {
+  return b == Backend::kAvx2 ? "avx2" : "scalar";
+}
+
+Backend active() {
+  int v = g_active.load(std::memory_order_relaxed);
+  if (v < 0) {
+    v = static_cast<int>(cpu_has_avx2() ? Backend::kAvx2 : Backend::kScalar);
+    g_active.store(v, std::memory_order_relaxed);
   }
-  return kScalarOps;
+  return static_cast<Backend>(v);
+}
+
+bool set_active(Backend b) {
+  if (b == Backend::kAvx2 && !cpu_has_avx2()) return false;
+  g_active.store(static_cast<int>(b), std::memory_order_relaxed);
+  return true;
+}
+
+const ScanOps& ops(Backend b) {
+  return b == Backend::kAvx2 && cpu_has_avx2() ? kAvx2Ops : kScalarOps;
 }
 
 const ScanOps& active_ops() { return ops(active()); }

@@ -1,5 +1,5 @@
 // The Stage-I scan kernel family: byte search, line slicing, and substring
-// search over raw log bytes, in scalar / SWAR / AVX2 variants behind one
+// search over raw log bytes, in a scalar and an AVX2 variant behind one
 // dispatch table.
 //
 // These are the inner loops of ingestion: DayBuffer::from_text slices a
@@ -8,10 +8,25 @@
 // and FastLineParser pre-filters every line with find_terminator and
 // find_substr before any field parsing.
 //
-// Contract (enforced by tests/test_simd.cpp differential fuzzing):
-//  * every backend returns bit-identical results for every input — the
-//    scalar variant is the reference, SWAR and AVX2 must match it exactly;
-//  * kernels never read past p + n.  Vector variants process whole 8- or
+// Backends:
+//
+//  * kScalar — the reference implementation (libc memchr / plain loops,
+//    exactly the code the pre-SIMD parser ran), and the path on any host
+//    without AVX2;
+//  * kAvx2   — 32-byte AVX2 lanes, compiled with a target attribute.
+//
+// The CPUID probe alone picks the backend: AVX2 when the host reports it,
+// scalar otherwise.  No flag, environment variable or config field selects
+// one.  set_active() exists only as a test seam, so the differential suites
+// can pin the pipeline to scalar in-process and compare.
+//
+// Contract (enforced by tests/test_simd.cpp and
+// tests/test_simd_differential.cpp, from single kernels up to full
+// pipeline runs):
+//  * both backends return bit-identical results for every input — the
+//    scalar variant is the reference, AVX2 must match it exactly — so the
+//    backend never changes a pipeline artifact, only how fast it is made;
+//  * kernels never read past p + n.  The AVX2 variants process whole
 //    32-byte blocks and hand the remainder to the scalar tail loop, so a
 //    newline in the final partial lane or a lone '\r' at a chunk edge is
 //    handled by the same code path the reference uses;
@@ -20,10 +35,28 @@
 
 #include <cstddef>
 #include <cstdint>
-
-#include "simd/dispatch.h"
+#include <string_view>
+#include <vector>
 
 namespace gpures::simd {
+
+enum class Backend : std::uint8_t { kScalar = 0, kAvx2 = 1 };
+
+/// Every backend this host can run, scalar first — the iteration set for
+/// differential tests and per-backend benchmarks.
+std::vector<Backend> all_available();
+
+/// "scalar" or "avx2", as recorded in run manifests.
+std::string_view to_string(Backend b);
+
+/// The backend the dispatched kernels use: the CPUID decision unless a test
+/// has pinned another with set_active().  One relaxed atomic load.
+Backend active();
+
+/// Test seam: pin the active backend.  Returns false (and changes nothing)
+/// if the host cannot run it.  Not synchronized against kernels running
+/// concurrently — switch between pipeline runs, not during them.
+bool set_active(Backend b);
 
 /// Result of one fused line scan: the offset of the first '\n' (or n if the
 /// buffer ends without one) and whether any byte before it is "binary" — a
@@ -53,8 +86,7 @@ struct ScanOps {
 };
 
 /// The kernel table for one backend.  Requesting kAvx2 on a host without
-/// AVX2 support returns the SWAR table (callers select backends through
-/// dispatch.h, which never hands out an unavailable backend).
+/// AVX2 support returns the scalar table.
 const ScanOps& ops(Backend b);
 
 /// ops(active()) — the table the production paths use.

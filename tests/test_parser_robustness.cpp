@@ -10,7 +10,7 @@
 #include "cluster/topology.h"
 #include "common/rng.h"
 #include "logsys/syslog.h"
-#include "simd/dispatch.h"
+#include "simd/scan.h"
 #include "slurm/accounting.h"
 
 namespace an = gpures::analysis;

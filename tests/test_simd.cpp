@@ -1,13 +1,13 @@
-// Differential tests for the Stage-I scan kernel family: every backend
-// (scalar, SWAR, AVX2 where available) must return bit-identical results on
-// every input.  The scalar backend is itself checked against independent
+// Differential tests for the Stage-I scan kernel family: both backends
+// (scalar, and AVX2 where the host has it) must return bit-identical results
+// on every input.  The scalar backend is itself checked against independent
 // naive reference loops written here, so the chain is
-// naive -> scalar -> {swar, avx2}.
+// naive -> scalar -> avx2.
 //
-// Boundary coverage is deliberate: lengths straddling the 8-byte SWAR word
-// and 32-byte AVX2 lane (0, 1, 7..9, 15..17, 31..33, 63..65), a newline in
-// the final partial lane, and a lone '\r' at a chunk edge — the places
-// where a vector loop hands off to its scalar tail.
+// Boundary coverage is deliberate: short lengths and lengths straddling the
+// 32-byte AVX2 lane (0, 1, 7..9, 15..17, 31..33, 63..65), a newline in the
+// final partial lane, and a lone '\r' at a chunk edge — the places where a
+// vector loop hands off to its scalar tail.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -16,7 +16,6 @@
 
 #include "common/parse.h"
 #include "common/rng.h"
-#include "simd/dispatch.h"
 #include "simd/scan.h"
 #include "xid/xid.h"
 
@@ -232,26 +231,20 @@ TEST(SimdScan, EmptyInputIsSafe) {
 
 // ---- dispatch --------------------------------------------------------------
 
-TEST(SimdDispatch, ScalarAndSwarAlwaysAvailable) {
-  EXPECT_TRUE(sd::available(sd::Backend::kScalar));
-  EXPECT_TRUE(sd::available(sd::Backend::kSwar));
+TEST(SimdDispatch, CpuidAloneSelectsBackend) {
+  // Probed here independently of src/simd: AVX2 exactly when CPUID reports
+  // it, the scalar reference otherwise.  Every test that pins a backend
+  // restores the previous one, so this holds in a whole-binary run too.
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+  const bool avx2 = __builtin_cpu_supports("avx2");
+#else
+  const bool avx2 = false;
+#endif
+  EXPECT_EQ(sd::active(), avx2 ? sd::Backend::kAvx2 : sd::Backend::kScalar);
   const auto all = sd::all_available();
-  ASSERT_GE(all.size(), 2u);
+  ASSERT_EQ(all.size(), avx2 ? 2u : 1u);
   EXPECT_EQ(all[0], sd::Backend::kScalar);
-  EXPECT_EQ(all[1], sd::Backend::kSwar);
-}
-
-TEST(SimdDispatch, ParseBackendNames) {
-  EXPECT_EQ(sd::parse_backend("scalar"), sd::Backend::kScalar);
-  EXPECT_EQ(sd::parse_backend("swar"), sd::Backend::kSwar);
-  EXPECT_EQ(sd::parse_backend("avx2"), sd::Backend::kAvx2);
-  EXPECT_EQ(sd::parse_backend("auto"), sd::best_available());
-  EXPECT_FALSE(sd::parse_backend("").has_value());
-  EXPECT_FALSE(sd::parse_backend("AVX2").has_value());
-  EXPECT_FALSE(sd::parse_backend("sse2").has_value());
-  for (const auto b : sd::all_available()) {
-    EXPECT_EQ(sd::parse_backend(sd::to_string(b)), b);
-  }
+  EXPECT_EQ(sd::to_string(sd::active()), avx2 ? "avx2" : "scalar");
 }
 
 TEST(SimdDispatch, SetActiveRoundTrips) {
@@ -262,8 +255,9 @@ TEST(SimdDispatch, SetActiveRoundTrips) {
     // active_ops() must hand out the table for the active backend.
     EXPECT_EQ(&sd::active_ops(), &sd::ops(b));
   }
-  if (!sd::available(sd::Backend::kAvx2)) {
+  if (sd::all_available().back() != sd::Backend::kAvx2) {
     EXPECT_FALSE(sd::set_active(sd::Backend::kAvx2));
+    EXPECT_EQ(&sd::ops(sd::Backend::kAvx2), &sd::ops(sd::Backend::kScalar));
   }
   ASSERT_TRUE(sd::set_active(before));
 }

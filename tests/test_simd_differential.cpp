@@ -21,7 +21,7 @@
 #include "index/writer.h"
 #include "logsys/day_buffer.h"
 #include "logsys/syslog.h"
-#include "simd/dispatch.h"
+#include "simd/scan.h"
 #include "slurm/accounting.h"
 
 namespace an = gpures::analysis;
@@ -143,7 +143,7 @@ std::string serialized_index(const an::AnalysisPipeline& pipe,
 }
 
 fs::path temp_dir(const std::string& name) {
-  const auto dir = fs::temp_directory_path() / ("gpures_simd_" + name);
+  const auto dir = fs::temp_directory_path() / ("gpures_scan_" + name);
   fs::remove_all(dir);
   return dir;
 }

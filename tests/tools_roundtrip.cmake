@@ -37,6 +37,35 @@ if(NOT EXISTS "${WORKDIR}/out.json")
   message(FATAL_ERROR "missing JSON export")
 endif()
 
+# A misspelled --report is a usage error (exit 2, no reports), not a full
+# analysis that prints nothing and exits 0; serve shares the parser.
+foreach(tool "${ANALYZE}" "${SERVE}")
+  execute_process(
+    COMMAND "${tool}" --data "${WORKDIR}/ds" --report tabel2 --quiet
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT out STREQUAL "")
+    message(FATAL_ERROR "${tool} --report tabel2: want exit 2, got ${rc}: ${out} ${err}")
+  endif()
+endforeach()
+
+# --report none renders nothing but still succeeds.
+execute_process(
+  COMMAND "${ANALYZE}" --data "${WORKDIR}/ds" --report none --quiet
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out STREQUAL "")
+  message(FATAL_ERROR "gpures-analyze --report none failed (${rc}): ${out} ${err}")
+endif()
+
+# The scan backend is picked by CPUID alone: the removed selector flag is an
+# unknown argument, not silently ignored.
+execute_process(
+  COMMAND "${ANALYZE}" --data "${WORKDIR}/ds" --simd avx2 --quiet
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+string(FIND "${err}" "unknown argument" pos)
+if(NOT rc EQUAL 2 OR pos EQUAL -1)
+  message(FATAL_ERROR "gpures-analyze with the removed selector flag: want exit 2 as an unknown argument, got ${rc}: ${err}")
+endif()
+
 # The written index must be byte-identical across pipeline worker counts.
 execute_process(
   COMMAND "${ANALYZE}" --data "${WORKDIR}/ds" --threads 4

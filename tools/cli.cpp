@@ -10,7 +10,7 @@
 #include "analysis/trends.h"
 #include "common/strings.h"
 #include "index/writer.h"
-#include "simd/dispatch.h"
+#include "obs/trace.h"
 
 namespace gpures::cli {
 
@@ -110,6 +110,20 @@ obs::LogLevel parse_log_level(std::string_view tool, const char* value) {
   return *level;
 }
 
+std::string parse_report(std::string_view tool, const char* value) {
+  static constexpr std::string_view kReports[] = {
+      "all",  "none",     "table1", "table2",   "table3",
+      "fig2", "findings", "trends", "survival", "mitigation"};
+  for (const auto name : kReports) {
+    if (name == value) return value;
+  }
+  std::fprintf(stderr,
+               "%s: --report must be all|none|table1|table2|table3|fig2|"
+               "findings|trends|survival|mitigation\n",
+               std::string(tool).c_str());
+  std::exit(2);
+}
+
 analysis::IngestPolicy parse_ingest_policy(std::string_view tool,
                                            const char* value) {
   const auto policy = analysis::parse_ingest_policy(value);
@@ -152,39 +166,6 @@ bool arm_io_fault(std::string_view tool, const std::string& spec,
   return true;
 }
 
-bool select_simd(std::string_view tool, const std::string& choice) {
-  // --simd (CLI) beats GPURES_SIMD (environment) beats auto-detection.  The
-  // library degrades a bad environment value to auto, but an explicit CLI
-  // request for an unavailable backend is a hard usage error.
-  if (choice.empty()) return true;
-  const std::string name(tool);
-  const auto backend = simd::parse_backend(choice);
-  if (!backend) {
-    std::fprintf(stderr, "%s: --simd must be auto|scalar|swar|avx2\n",
-                 name.c_str());
-    return false;
-  }
-  if (!simd::set_active(*backend)) {
-    std::fprintf(stderr, "%s: --simd %s: backend not available on this host\n",
-                 name.c_str(), choice.c_str());
-    return false;
-  }
-  return true;
-}
-
-void print_simd_info() {
-  // Machine-readable dispatch probe for CI matrix legs: which backend the
-  // dispatcher resolved to (after --simd / GPURES_SIMD) and which the host
-  // can run at all.
-  std::printf("active %s\n",
-              std::string(simd::to_string(simd::active())).c_str());
-  std::printf("available");
-  for (const auto b : simd::all_available()) {
-    std::printf(" %s", std::string(simd::to_string(b)).c_str());
-  }
-  std::printf("\n");
-}
-
 bool emit_results(std::string_view tool, const analysis::ResultSet& res,
                   const EmitRequest& req, std::uint64_t* index_bytes) {
   auto& log = obs::Logger::current();
@@ -195,34 +176,42 @@ bool emit_results(std::string_view tool, const analysis::ResultSet& res,
   const bool all = req.report == "all";
   const auto want = [&](const char* name) { return all || req.report == name; };
   if (want("table1")) {
+    OBS_SPAN("report.table1");
     std::printf("%s\n", analysis::render_table1(stats).c_str());
   }
   if (want("findings")) {
+    OBS_SPAN("report.findings");
     std::printf("%s\n", analysis::render_findings(stats).c_str());
   }
   if (want("table2") && have_jobs) {
+    OBS_SPAN("report.table2");
     std::printf("%s\n", analysis::render_table2(res.job_impact()).c_str());
   }
   if (want("table3") && have_jobs) {
+    OBS_SPAN("report.table3");
     std::printf("%s\n", analysis::render_table3(res.job_stats()).c_str());
   }
   if (want("fig2")) {
+    OBS_SPAN("report.fig2");
     std::printf("%s\n", analysis::render_fig2(res.availability(),
                                               res.mttf_estimate_h())
                             .c_str());
   }
   if (want("trends")) {
+    OBS_SPAN("report.trends");
     std::printf("%s\n",
                 analysis::render_trends(res.errors(), periods, res.pool())
                     .c_str());
   }
   if (want("mitigation") && have_jobs) {
+    OBS_SPAN("report.mitigation");
     std::printf("%s\n",
                 analysis::render_mitigation(res.jobs(), res.errors(),
                                             res.impact_config(), res.pool())
                     .c_str());
   }
   if (want("survival")) {
+    OBS_SPAN("report.survival");
     std::printf("%s\n", analysis::render_survival(res.errors(), periods,
                                                   res.topo().total_gpus(),
                                                   res.pool())
@@ -230,6 +219,7 @@ bool emit_results(std::string_view tool, const analysis::ResultSet& res,
   }
 
   if (!req.index_file.empty()) {
+    OBS_SPAN("index.write");
     const auto avail = res.availability();
     const auto& knobs = res.knobs();
     index::IndexBuildInput in;

@@ -1,5 +1,5 @@
 // Command-line plumbing shared by the gpures tools: strict numeric flags,
-// checked artifact writes, --simd selection, and the one emit path that
+// checked artifact writes, enum-valued flags, and the one emit path that
 // gpures-analyze and gpures-serve render their results through.
 //
 // Every helper takes the tool's name ("gpures-analyze", ...) so messages
@@ -69,6 +69,10 @@ bool write_artifact(std::string_view tool, const std::filesystem::path& path,
 /// --log-level value (debug|info|warn|error), or exit 2.
 obs::LogLevel parse_log_level(std::string_view tool, const char* value);
 
+/// --report value (all|none|table1|table2|table3|fig2|findings|trends|
+/// survival|mitigation), or exit 2.
+std::string parse_report(std::string_view tool, const char* value);
+
 /// --ingest-policy value (strict|lenient), or exit 2.
 analysis::IngestPolicy parse_ingest_policy(std::string_view tool,
                                            const char* value);
@@ -92,24 +96,17 @@ std::unique_ptr<obs::Logger> start_logger(std::string_view tool,
 bool arm_io_fault(std::string_view tool, const std::string& spec,
                   common::IoFaultPlan& plan);
 
-/// Apply an explicit --simd choice (empty = keep GPURES_SIMD / auto).  An
-/// unknown name or a backend the host cannot run is a usage error: prints
-/// it and returns false (the caller exits 2).
-bool select_simd(std::string_view tool, const std::string& choice);
-
-/// --simd-info: the resolved backend and the ones the host can run.
-void print_simd_info();
-
 /// What to render from a result view.
 struct EmitRequest {
-  /// all|table1|table2|table3|fig2|findings|trends|survival|mitigation, or
-  /// none; reports go to stdout.
+  /// A parse_report value; reports go to stdout.
   std::string report = "all";
   std::string index_file;  ///< --write-index; empty = skip
   std::string json_file;   ///< --export-json; empty = skip
 };
 
-/// Render `--report`, `--write-index` and `--export-json` from `res`.
+/// Render `--report`, `--write-index` and `--export-json` from `res`, each
+/// report under a `report.<name>` trace span and the index under
+/// `index.write`.
 /// Returns false after logging a failed write.  `index_bytes`, when
 /// non-null, receives the size of the written index.
 bool emit_results(std::string_view tool, const analysis::ResultSet& res,

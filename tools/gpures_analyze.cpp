@@ -1,7 +1,7 @@
 // gpures-analyze: run the analysis pipeline over a dataset directory.
 //
-//   gpures-analyze --data DIR [--report all|table1|table2|table3|fig2|
-//                              findings|trends|survival]
+//   gpures-analyze --data DIR [--report all|none|table1|table2|table3|
+//                              fig2|findings|trends|survival|mitigation]
 //                  [--export-csv DIR] [--export-json FILE]
 //                  [--coalesce-window SECONDS] [--window SECONDS]
 //                  [--node-level] [--threads N]
@@ -38,7 +38,7 @@
 #include "obs/progress.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
-#include "simd/dispatch.h"
+#include "simd/scan.h"
 
 using namespace gpures;
 
@@ -49,8 +49,9 @@ void usage() {
       stderr,
       "usage: gpures-analyze --data DIR [options]\n"
       "  --data DIR             dataset directory (required)\n"
-      "  --report WHAT          all|table1|table2|table3|fig2|findings|\n"
-      "                         trends|survival|mitigation   (default all)\n"
+      "  --report WHAT          all|none|table1|table2|table3|fig2|\n"
+      "                         findings|trends|survival|mitigation\n"
+      "                         (default all)\n"
       "  --export-csv DIR       write table1..3 + fig2 CSV files (plus a\n"
       "                         run_manifest.json provenance record)\n"
       "  --export-json FILE     write everything as one JSON document\n"
@@ -60,12 +61,6 @@ void usage() {
       "  --node-level           node-level attribution (default: device)\n"
       "  --threads N            Stage I/II worker threads (0 = serial;\n"
       "                         output is byte-identical either way)\n"
-      "  --simd B               Stage-I scan backend: auto|scalar|swar|avx2\n"
-      "                         (default auto; every backend is\n"
-      "                         byte-identical, only speed differs; an\n"
-      "                         unavailable backend is a hard error)\n"
-      "  --simd-info            print the dispatch decision and available\n"
-      "                         backends, then exit\n"
       "  --write-index FILE     write the binary error index (gpures.idx)\n"
       "                         for gpures-query; deterministic across\n"
       "                         --threads\n"
@@ -123,8 +118,6 @@ int main(int argc, char** argv) {
   std::string telemetry_file;
   long long telemetry_interval_ms = 1000;
   cli::LogFlags log_flags;
-  std::string simd_choice;
-  bool simd_info = false;
   analysis::PipelineConfig pcfg;
   analysis::IngestPolicy policy = analysis::IngestPolicy::kStrict;
   std::uint64_t error_budget = 0;
@@ -135,7 +128,7 @@ int main(int argc, char** argv) {
     if (arg == "--data") {
       data_dir = args.value();
     } else if (arg == "--report") {
-      report = args.value();
+      report = cli::parse_report(kTool, args.value());
     } else if (arg == "--export-csv") {
       csv_dir = args.value();
     } else if (arg == "--export-json") {
@@ -150,10 +143,6 @@ int main(int argc, char** argv) {
       pcfg.attribution = analysis::Attribution::kNodeLevel;
     } else if (arg == "--threads") {
       pcfg.num_threads = args.threads();
-    } else if (arg == "--simd") {
-      simd_choice = args.value();
-    } else if (arg == "--simd-info") {
-      simd_info = true;
     } else if (arg == "--write-index") {
       index_file = args.value();
     } else if (arg == "--metrics") {
@@ -183,11 +172,6 @@ int main(int argc, char** argv) {
     } else {
       args.unknown(usage);
     }
-  }
-  if (!cli::select_simd(kTool, simd_choice)) return 2;
-  if (simd_info) {
-    cli::print_simd_info();
-    return 0;
   }
   if (data_dir.empty()) {
     usage();
@@ -234,15 +218,12 @@ int main(int argc, char** argv) {
   run.config_hash = config_fingerprint(pcfg);
   run.threads = pcfg.num_threads;
   run.started_at = obs::wall_clock_iso();
-  // Record the resolved scan backend in the provenance manifest and the log:
-  // artifacts are byte-identical across backends, but a throughput anomaly
-  // should be attributable to the dispatch decision after the fact.
+  // Record the CPUID scan-backend decision in the provenance manifest and
+  // the log: artifacts are byte-identical across backends, but a throughput
+  // anomaly should be attributable to it after the fact.
   const auto simd_backend = std::string(simd::to_string(simd::active()));
   run.extra.emplace_back("simd_backend", simd_backend);
-  log.info("analyze", "simd dispatch",
-           {{"backend", simd_backend},
-            {"avx2_available",
-             simd::available(simd::Backend::kAvx2) ? "true" : "false"}});
+  log.info("analyze", "simd dispatch", {{"backend", simd_backend}});
 
   analysis::AnalysisPipeline pipe(topo, pcfg);
 

@@ -77,7 +77,6 @@ void usage() {
       "  --quality-report FILE  write the data-quality accounting as JSON\n"
       "  --metrics FILE         write the metrics snapshot (.prom = text\n"
       "                         exposition)\n"
-      "  --simd B               Stage-I scan backend: auto|scalar|swar|avx2\n"
       "  --log-json FILE        mirror log records to FILE as JSONL\n"
       "  --log-level L          debug|info|warn|error (default info)\n"
       "  --chaos-io-fault SPEC  testing: SUBSTRING:BYTES[:KIND[:TIMES]]\n"
@@ -104,7 +103,6 @@ int main(int argc, char** argv) {
   std::string metrics_file;
   std::string chaos_io_fault;
   std::string chaos_kill_spec;
-  std::string simd_choice;
   cli::LogFlags log_flags;
   bool follow = false;
   bool resume = false;
@@ -157,7 +155,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--node-level") {
       scfg.attribution = analysis::Attribution::kNodeLevel;
     } else if (arg == "--report") {
-      emit.report = args.value();
+      emit.report = cli::parse_report(kTool, args.value());
     } else if (arg == "--write-index") {
       emit.index_file = args.value();
     } else if (arg == "--export-json") {
@@ -166,8 +164,6 @@ int main(int argc, char** argv) {
       quality_file = args.value();
     } else if (arg == "--metrics") {
       metrics_file = args.value();
-    } else if (arg == "--simd") {
-      simd_choice = args.value();
     } else if (arg == "--log-json") {
       log_flags.json_file = args.value();
     } else if (arg == "--log-level") {
@@ -182,7 +178,6 @@ int main(int argc, char** argv) {
       args.unknown(usage);
     }
   }
-  if (!cli::select_simd(kTool, simd_choice)) return 2;
   if (scfg.data_dir.empty()) {
     usage();
     return 2;

@@ -31,7 +31,7 @@
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
-#include "simd/dispatch.h"
+#include "simd/scan.h"
 
 using namespace gpures;
 
@@ -63,9 +63,6 @@ void usage() {
                "  --metrics FILE write the metrics registry snapshot as JSON\n"
                "                 (or Prometheus text with a .prom suffix)\n"
                "  --trace FILE   write a Chrome Trace Event JSON timeline\n"
-               "  --simd B       scan backend: auto|scalar|swar|avx2 (default\n"
-               "                 auto; byte-identical output either way)\n"
-               "  --simd-info    print dispatch decision + available backends\n"
                "  --quiet        suppress progress and summary on stderr\n"
                "  --list-config-keys\n");
 }
@@ -97,8 +94,6 @@ int main(int argc, char** argv) {
   std::string metrics_file;
   std::string trace_file;
   bool quiet = false;
-  std::string simd_choice;
-  bool simd_info = false;
   analysis::CampaignConfig cfg = analysis::CampaignConfig::delta_a100();
   bool quick = false;
   long long fleet_nodes = -1;  // -1 = keep the configured (106-node) spec
@@ -131,10 +126,6 @@ int main(int argc, char** argv) {
       metrics_file = args.value();
     } else if (arg == "--trace") {
       trace_file = args.value();
-    } else if (arg == "--simd") {
-      simd_choice = args.value();
-    } else if (arg == "--simd-info") {
-      simd_info = true;
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--progress") {
@@ -147,11 +138,6 @@ int main(int argc, char** argv) {
     } else {
       args.unknown(usage);
     }
-  }
-  if (!cli::select_simd(kTool, simd_choice)) return 2;
-  if (simd_info) {
-    cli::print_simd_info();
-    return 0;
   }
   if (out_dir.empty()) {
     usage();
