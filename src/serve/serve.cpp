@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
+#include <type_traits>
 
 #include "common/hash.h"
 #include "common/io.h"
+#include "obs/trace.h"
 
 namespace gpures::serve {
 
@@ -23,6 +25,13 @@ std::int64_t ppm(std::uint64_t num, std::uint64_t den) {
   return static_cast<std::int64_t>(static_cast<double>(num) * 1e6 /
                                    static_cast<double>(den));
 }
+
+/// How far a `syslog/` mtime must lag the clock before no entry created
+/// after the walk can share it: Linux stamps directories from a clock that
+/// advances once per jiffy (at most 10 ms).  A more recent stamp does not
+/// gate the next walk.  Filesystems with coarser stamps are covered by the
+/// `reprobe_ticks` cadence walk.
+constexpr auto kStampSettle = std::chrono::milliseconds(50);
 
 std::uint64_t count_newlines(std::string_view text) {
   std::uint64_t n = 0;
@@ -44,6 +53,7 @@ struct ServeSession::Source : SourceSnapshot {
 
 struct ServeSession::Metrics {
   obs::Counter* ticks = nullptr;
+  obs::Counter* dir_scans = nullptr;
   obs::Counter* chunks = nullptr;
   obs::Counter* bytes = nullptr;
   obs::Counter* out_of_order = nullptr;
@@ -72,11 +82,19 @@ ServeSession::ServeSession(ServeConfig cfg)
     : ResultSet(nullptr, analysis::StudyPeriods{}, cfg, cfg.threads,
                 cfg.metrics),
       cfg_(std::move(cfg)),
+      syslog_dir_(cfg_.data_dir / "syslog"),
+      acct_path_((cfg_.data_dir / "slurm_accounting.txt").string()),
       screen_(metrics(), rules_of(cfg_)),
       stage1_(metrics(), "serve") {
   m_ = std::make_unique<Metrics>();
   auto& reg = metrics();
   m_->ticks = &reg.counter("serve.ticks");
+  reg.describe("serve.dir_scans",
+               "Full walks of syslog/: at open(), when its mtime changes, and "
+               "every reprobe_ticks; other ticks probe only the next day's "
+               "name",
+               "walks");
+  m_->dir_scans = &reg.counter("serve.dir_scans");
   m_->chunks = &reg.counter("serve.chunks");
   m_->bytes = &reg.counter("serve.bytes_ingested");
   m_->out_of_order = &reg.counter("serve.out_of_order_observations");
@@ -144,15 +162,12 @@ std::uint64_t ServeSession::config_hash() const {
 }
 
 std::uint64_t ServeSession::degraded_count() const {
-  std::uint64_t n = acct_.degraded ? 1 : 0;
-  for (const auto& src : sources_) {
-    if (src.degraded) ++n;
-  }
-  return n;
+  return degraded_days_ + (acct_.degraded ? 1 : 0);
 }
 
 common::Status ServeSession::open(bool resume) {
   common::check(!opened_, "ServeSession: open() called twice");
+  OBS_SPAN("serve.open");
   const auto manifest = analysis::read_manifest(cfg_.data_dir);
   if (!manifest.ok()) return manifest.error();
   periods_ = manifest.value().periods;
@@ -160,7 +175,7 @@ common::Status ServeSession::open(bool resume) {
   topo_ = topology_.get();
   accounting_.emplace(*topo_, jobs_, metrics(), "serve");
 
-  if (!fs::is_directory(cfg_.data_dir / "syslog")) {
+  if (!fs::is_directory(syslog_dir_)) {
     return common::Error::make("dataset: missing syslog/ in " +
                                cfg_.data_dir.string());
   }
@@ -203,25 +218,53 @@ common::Status ServeSession::open(bool resume) {
       if (!st.ok()) return st;
     }
   }
-  return scan_sources();
+  scan_sources();
+  return {};
 }
 
-common::Status ServeSession::scan_sources() {
-  const auto syslog_dir = cfg_.data_dir / "syslog";
+void ServeSession::discover_sources() {
+  const bool cadence =
+      cfg_.reprobe_ticks == 0 || tick_ % cfg_.reprobe_ticks == 0;
   std::error_code ec;
-  fs::directory_iterator it(syslog_dir, ec);
-  if (ec) {
-    // The directory existed at open(); treat a transient disappearance like
-    // any other source hiccup — keep the known sources, note it, move on.
-    if (cfg_.warn) {
-      cfg_.warn("cannot scan " + syslog_dir.string() + ": " + ec.message());
-    }
-    return {};
+  const auto stamp = fs::last_write_time(syslog_dir_, ec);
+  if (cadence || ec || stamp != dir_stamp_) {
+    scan_sources();
+    return;
   }
-  for (const auto& entry : fs::directory_iterator(syslog_dir, ec)) {
-    const auto name = entry.path().filename().string();
+  // Nothing was created or removed since the walk.  Sealing the newest day
+  // needs only "a later day exists", so once it is at EOF probe the name
+  // of its successor, not the directory.
+  if (sources_.empty()) return;
+  const Source& newest = sources_.back();
+  if (!newest.at_eof && !newest.sealed && !newest.degraded) return;
+  const common::TimePoint next = newest.date + common::kDay;
+  const std::string name = "syslog-" + common::format_date(next) + ".log";
+  if (fs::is_regular_file(syslog_dir_ / name, ec)) add_source(name, next);
+}
+
+void ServeSession::scan_sources() {
+  m_->dir_scans->inc();
+  // The stamp is read before the walk: an entry created during the walk
+  // changes the mtime after this read, so the next tick walks again.
+  // A stamp recent enough to be shared by a later entry proves nothing, so
+  // it stays unset and the next tick walks again.
+  std::error_code stamp_ec;
+  const auto stamp = fs::last_write_time(syslog_dir_, stamp_ec);
+  dir_stamp_.reset();
+  if (!stamp_ec && fs::file_time_type::clock::now() - stamp >= kStampSettle) {
+    dir_stamp_ = stamp;
+  }
+  std::error_code ec;
+  for (fs::directory_iterator it(syslog_dir_, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    const auto name = it->path().filename().string();
+    std::error_code type_ec;
+    const bool regular = it->is_regular_file(type_ec);
+    // An entry that vanished mid-walk is skipped; a dangling symlink still
+    // exists, and is a stray like any other non-regular entry.
+    if (type_ec && !it->is_symlink(type_ec)) continue;
     const auto date = analysis::day_file_date(name);
-    if (!date || !entry.is_regular_file()) {
+    if (!date || !regular) {
       const auto pos = std::lower_bound(strays_.begin(), strays_.end(), name);
       if (pos == strays_.end() || *pos != name) {
         strays_.insert(pos, name);
@@ -230,34 +273,46 @@ common::Status ServeSession::scan_sources() {
       }
       continue;
     }
-    const auto pos = std::lower_bound(
-        sources_.begin(), sources_.end(), *date,
-        [](const Source& s, common::TimePoint d) { return s.date < d; });
-    if (pos != sources_.end() && pos->date == *date) continue;  // known
-    Source src;
-    src.name = name;
-    src.path = entry.path().string();
-    src.date = *date;
-    src.existed = true;
-    src.last_progress_tick = tick_;
-    const auto idx = static_cast<std::size_t>(pos - sources_.begin());
-    sources_.insert(pos, std::move(src));
-    dirty_ = true;
-    // The slot has passed once any *later* day has been consumed: ingesting
-    // this file now would break the batch-equivalent ordering contract, so
-    // it can only be reported.  idx == frontier_ still counts when the
-    // displaced frontier source was already partially read.
-    bool slot_passed = idx < frontier_;
-    for (std::size_t j = idx + 1; !slot_passed && j < sources_.size(); ++j) {
-      slot_passed = sources_[j].offset > 0 || sources_[j].sealed;
-    }
-    if (slot_passed) {
-      if (idx < frontier_) ++frontier_;
-      degrade(sources_[idx], sources_[idx].name,
-              "day file appeared after its ingest slot had passed");
+    add_source(name, *date);
+  }
+  if (ec) {
+    // The directory existed at open(); treat a transient disappearance like
+    // any other source hiccup — keep the known sources, note it, move on.
+    dir_stamp_.reset();
+    if (cfg_.warn) {
+      cfg_.warn("cannot scan " + syslog_dir_.string() + ": " + ec.message());
     }
   }
-  return {};
+}
+
+void ServeSession::add_source(const std::string& name,
+                              common::TimePoint date) {
+  const auto pos = std::lower_bound(
+      sources_.begin(), sources_.end(), date,
+      [](const Source& s, common::TimePoint d) { return s.date < d; });
+  if (pos != sources_.end() && pos->date == date) return;  // known
+  Source src;
+  src.name = name;
+  src.path = (syslog_dir_ / name).string();
+  src.date = date;
+  src.existed = true;
+  src.last_progress_tick = tick_;
+  const auto idx = static_cast<std::size_t>(pos - sources_.begin());
+  sources_.insert(pos, std::move(src));
+  dirty_ = true;
+  // The slot has passed once any *later* day has been consumed: ingesting
+  // this file now would break the batch-equivalent ordering contract, so
+  // it can only be reported.  idx == frontier_ still counts when the
+  // displaced frontier source was already partially read.
+  bool slot_passed = idx < frontier_;
+  for (std::size_t j = idx + 1; !slot_passed && j < sources_.size(); ++j) {
+    slot_passed = sources_[j].offset > 0 || sources_[j].sealed;
+  }
+  if (slot_passed) {
+    if (idx < frontier_) ++frontier_;
+    degrade(sources_[idx], sources_[idx].name,
+            "day file appeared after its ingest slot had passed");
+  }
 }
 
 template <typename State>
@@ -266,6 +321,7 @@ void ServeSession::degrade(State& state, const std::string& name,
   if (state.degraded) return;
   state.degraded = true;
   state.degrade_reason = reason;
+  if constexpr (std::is_same_v<State, Source>) ++degraded_days_;
   dirty_ = true;
   m_->degraded_total->inc();
   if (cfg_.warn) {
@@ -292,8 +348,7 @@ void ServeSession::reprobe_degraded() {
     }
   }
   if (acct_.degraded) {
-    const auto path = (cfg_.data_dir / "slurm_accounting.txt").string();
-    if (probe(path, acct_.offset)) {
+    if (probe(acct_path_, acct_.offset)) {
       // Unlike a day file, the accounting tail has no ordering constraint
       // against other sources — resume it where it left off.
       acct_.degraded = false;
@@ -354,12 +409,6 @@ common::Result<std::string> ServeSession::read_chunk(const std::string& path,
   }
 }
 
-std::size_t ServeSession::settled_sources() const {
-  return static_cast<std::size_t>(
-      std::count_if(sources_.begin(), sources_.end(),
-                    [](const Source& s) { return s.sealed || s.degraded; }));
-}
-
 void ServeSession::advance_frontier() {
   while (frontier_ < sources_.size() &&
          (sources_[frontier_].sealed || sources_[frontier_].degraded)) {
@@ -369,6 +418,7 @@ void ServeSession::advance_frontier() {
 
 void ServeSession::seal(Source& src) {
   src.sealed = true;
+  ++sealed_days_;
   dirty_ = true;
   watermark_ = std::max(watermark_, src.date + common::kDay);
   analysis::warn_screened(src.counts, src.path, cfg_.warn);
@@ -478,9 +528,8 @@ common::Status ServeSession::consume_day_text(Source& src, std::string&& text,
 
 common::Status ServeSession::pump_accounting(bool drain) {
   if (acct_.degraded) return {};
-  const auto path = (cfg_.data_dir / "slurm_accounting.txt").string();
   std::error_code ec;
-  if (!fs::exists(cfg_.data_dir / "slurm_accounting.txt", ec)) {
+  if (!fs::exists(acct_path_, ec)) {
     // Absent is a coverage gap, not an error — same as the batch loader.
     acct_at_eof_ = true;
     return {};
@@ -490,7 +539,7 @@ common::Status ServeSession::pump_accounting(bool drain) {
     dirty_ = true;
   }
   bool at_end = false;
-  auto r = read_chunk(path, acct_.offset, at_end);
+  auto r = read_chunk(acct_path_, acct_.offset, at_end);
   if (!r.ok()) {
     if (cfg_.policy == analysis::IngestPolicy::kStrict) {
       return common::Error::make("dataset: " + r.error().message);
@@ -519,8 +568,7 @@ common::Status ServeSession::pump_accounting(bool drain) {
 }
 
 common::Status ServeSession::consume_accounting_text(std::string&& text) {
-  const auto path = (cfg_.data_dir / "slurm_accounting.txt").string();
-  auto st = accounting_->consume(text, path, rules_of(cfg_), acct_);
+  auto st = accounting_->consume(text, acct_path_, rules_of(cfg_), acct_);
   if (!st.ok()) return st;
   dirty_ = true;
   m_->bytes->add(text.size());
@@ -528,11 +576,7 @@ common::Status ServeSession::consume_accounting_text(std::string&& text) {
 }
 
 void ServeSession::watchdog_and_gauges() {
-  std::int64_t sealed = 0, degraded = 0, stalled = 0;
-  for (auto& src : sources_) {
-    if (src.sealed) ++sealed;
-    if (src.degraded) ++degraded;
-  }
+  std::int64_t stalled = 0;
   advance_frontier();
   if (frontier_ < sources_.size()) {
     Source& src = sources_[frontier_];
@@ -558,10 +602,9 @@ void ServeSession::watchdog_and_gauges() {
   } else {
     m_->lag_bytes->set(0);
   }
-  if (acct_.degraded) ++degraded;
   m_->sources_total->set(static_cast<std::int64_t>(sources_.size()));
-  m_->sources_sealed->set(sealed);
-  m_->sources_degraded->set(degraded);
+  m_->sources_sealed->set(static_cast<std::int64_t>(sealed_days_));
+  m_->sources_degraded->set(static_cast<std::int64_t>(degraded_count()));
   m_->sources_stalled->set(stalled);
   m_->watermark_epoch->set(watermark_);
   if (store_ != nullptr) {
@@ -576,26 +619,36 @@ void ServeSession::watchdog_and_gauges() {
 common::Status ServeSession::tick() {
   common::check(opened_, "ServeSession: tick() before open()");
   common::check(!finished_, "ServeSession: tick() after finalize()");
+  OBS_SPAN("serve.tick");
   ++tick_;
   m_->ticks->inc();
   if (cfg_.chaos_point) cfg_.chaos_point("tick");
   const std::uint64_t bytes_before = m_->bytes->value();
   const std::size_t sources_before = sources_.size();
-  const std::size_t settled_before = settled_sources();
+  const std::size_t settled_before = sealed_days_ + degraded_days_;
 
-  auto st = scan_sources();
-  if (!st.ok()) return st;
-  if (cfg_.reprobe_ticks > 0 && tick_ % cfg_.reprobe_ticks == 0) {
-    reprobe_degraded();
+  {
+    OBS_SPAN("serve.scan");
+    discover_sources();
+    if (cfg_.reprobe_ticks > 0 && tick_ % cfg_.reprobe_ticks == 0) {
+      reprobe_degraded();
+    }
   }
-  st = pump_frontier(false);
+  common::Status st;
+  {
+    OBS_SPAN("serve.pump_day");
+    st = pump_frontier(false);
+  }
   if (!st.ok()) return st;
-  st = pump_accounting(false);
+  {
+    OBS_SPAN("serve.pump_accounting");
+    st = pump_accounting(false);
+  }
   if (!st.ok()) return st;
 
   const bool progressed = m_->bytes->value() != bytes_before ||
                           sources_.size() != sources_before ||
-                          settled_sources() != settled_before;
+                          sealed_days_ + degraded_days_ != settled_before;
   advance_frontier();
   bool days_drained = frontier_ >= sources_.size();
   if (!days_drained && frontier_ + 1 >= sources_.size() &&
@@ -620,6 +673,7 @@ common::Status ServeSession::checkpoint_now() {
   // After finalize() the result vectors are sorted: they are no longer the
   // append-only streams the segments extend, so there is nothing to write.
   if (store_ == nullptr || finished_) return {};
+  OBS_SPAN("serve.checkpoint");
   if (cfg_.chaos_point) cfg_.chaos_point("ckpt-pre");
   const auto began = std::chrono::steady_clock::now();
   CheckpointFrontier frontier = snapshot();
@@ -673,10 +727,13 @@ void ServeSession::restore(CheckpointData&& data) {
   last_checkpoint_tick_ = data.tick;
   watermark_ = data.watermark;
   sources_.clear();
+  sealed_days_ = degraded_days_ = 0;
   for (auto& s : data.sources) {
     Source src;
     static_cast<SourceSnapshot&>(src) = std::move(s);
-    src.path = (cfg_.data_dir / "syslog" / src.name).string();
+    src.path = (syslog_dir_ / src.name).string();
+    if (src.sealed) ++sealed_days_;
+    if (src.degraded) ++degraded_days_;
     sources_.push_back(std::move(src));
   }
   frontier_ = 0;
@@ -693,6 +750,7 @@ void ServeSession::restore(CheckpointData&& data) {
 common::Status ServeSession::finalize() {
   common::check(opened_, "ServeSession: finalize() before open()");
   if (finished_) return {};
+  OBS_SPAN("serve.finalize");
   // Drain the remaining day bytes in date order (torn EOF fragments are
   // consumed immediately) — every pump either consumes bytes, seals, or
   // degrades, so this terminates.
@@ -753,8 +811,7 @@ void ServeSession::derive_quality() {
     cfg_.warn("no slurm_accounting.txt in " + cfg_.data_dir.string() +
               ", job analyses will be empty");
   }
-  analysis::warn_rejected_rows(
-      acct_, (cfg_.data_dir / "slurm_accounting.txt").string(), cfg_.warn);
+  analysis::warn_rejected_rows(acct_, acct_path_, cfg_.warn);
   q.accounting_rows_kept = acct_.rows_kept;
   q.accounting_rows_rejected = acct_.rows_rejected;
   q.accounting_bytes_rejected = acct_.bytes_rejected;

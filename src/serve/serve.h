@@ -68,7 +68,10 @@ struct ServeConfig : analysis::AnalysisKnobs {
   /// (a later day file exists) is consumed as torn, and before a
   /// non-advancing source is flagged stalled.
   std::uint64_t stall_ticks = 8;
-  std::uint64_t reprobe_ticks = 16;  ///< degraded-source re-probe cadence
+  /// Cadence of degraded-source re-probes and of the full `syslog/` walk
+  /// that bounds discovery on filesystems with coarse mtimes.  0 walks on
+  /// every tick and never re-probes.
+  std::uint64_t reprobe_ticks = 16;
   RetryPolicy retry;
   analysis::IngestPolicy policy = analysis::IngestPolicy::kLenient;
   std::uint64_t error_budget = 0;
@@ -102,12 +105,16 @@ class ServeSession : public analysis::ResultSet {
   /// a usable checkpoint the checkpoint directory is reset (fresh start).
   common::Status open(bool resume);
 
-  /// One scheduler tick: rescan the directory, re-probe degraded sources,
-  /// pump one chunk of the frontier day source and one of the accounting
-  /// tail, run the stall watchdog, refresh gauges, and checkpoint on the
-  /// configured cadence.  Returns an error only for fatal conditions
-  /// (strict-mode offense, exceeded error budget) — I/O trouble degrades
-  /// sources instead.
+  /// One scheduler tick: discover new day files, re-probe degraded
+  /// sources, pump one chunk of the frontier day source and one of the
+  /// accounting tail, run the stall watchdog, refresh gauges, and checkpoint
+  /// on the configured cadence.  Discovery costs O(1) unless `syslog/` can
+  /// hold something new: the full walk runs only when its mtime changed,
+  /// when that mtime is too recent to trust, and every `reprobe_ticks`
+  /// (every tick when 0); otherwise, once the newest day is at EOF, only
+  /// the next day's name is probed (DESIGN "Source discovery").  Returns an
+  /// error only for fatal conditions (strict-mode offense, exceeded error
+  /// budget) — I/O trouble degrades sources instead.
   common::Status tick();
 
   /// True when the last tick consumed nothing and every source is drained
@@ -143,7 +150,16 @@ class ServeSession : public analysis::ResultSet {
   struct Source;
   struct Metrics;
 
-  common::Status scan_sources();
+  /// Full walk of `syslog/`: records the directory mtime first (so an entry
+  /// created during the walk triggers the next one), then adds every new
+  /// day file and reports every new stray.
+  void scan_sources();
+  /// Per-tick discovery: the full walk when `syslog/` may hold something
+  /// new, else the O(1) successor probe.
+  void discover_sources();
+  /// Insert day file `name` in date order; a day whose ingest slot has
+  /// already passed is quarantined instead.
+  void add_source(const std::string& name, common::TimePoint date);
   void reprobe_degraded();
   /// Read [offset, offset+max) of `path` under the retry policy.  On
   /// exhaustion returns the last error; the *caller* decides between
@@ -170,8 +186,6 @@ class ServeSession : public analysis::ResultSet {
   common::Status consume_accounting_text(std::string&& text);
   void seal(Source& src);
   void advance_frontier();
-  /// Sources sealed or degraded (no longer ingesting).
-  std::size_t settled_sources() const;
   void watchdog_and_gauges();
   common::Status maybe_checkpoint();
   CheckpointFrontier snapshot() const;
@@ -179,6 +193,8 @@ class ServeSession : public analysis::ResultSet {
   void derive_quality();
 
   ServeConfig cfg_;
+  const std::filesystem::path syslog_dir_;  ///< data_dir/syslog
+  const std::string acct_path_;             ///< data_dir/slurm_accounting.txt
   std::unique_ptr<cluster::Topology> topology_;  ///< read at open()
   analysis::DayScreen screen_;
   analysis::Stage1Counters stage1_;
@@ -188,8 +204,14 @@ class ServeSession : public analysis::ResultSet {
 
   std::vector<Source> sources_;  ///< date order
   std::size_t frontier_ = 0;     ///< first unsealed, undegraded source
+  std::size_t sealed_days_ = 0;    ///< sources_ sealed
+  std::size_t degraded_days_ = 0;  ///< sources_ degraded (never also sealed)
+  /// `syslog/`'s mtime, read before the last walk; unset when that walk
+  /// failed or the stamp was too recent to prove that nothing was created
+  /// after it, so the next tick walks again.  Transient: a resumed session
+  /// walks at open() and records it afresh.
+  std::optional<std::filesystem::file_time_type> dir_stamp_;
   AccountingSnapshot acct_;
-  std::string acct_fragment_pending_;  ///< unterminated tail seen at EOF
   bool acct_at_eof_ = false;
   std::vector<std::string> strays_;  ///< sorted, deduplicated
 

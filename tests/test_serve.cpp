@@ -4,6 +4,7 @@
 // counts.  Permanent faults degrade sources instead of failing the run.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -678,6 +679,161 @@ TEST(Serve, StrayFilesAreReportedOnce) {
   ASSERT_TRUE(serve.ok) << serve.error.message;
   ASSERT_EQ(serve.quality.stray_files.size(), 1u);
   EXPECT_EQ(serve.quality.stray_files[0], "notes.txt");
+  fs::remove_all(dir);
+}
+
+// ---- source discovery ------------------------------------------------------
+//
+// A tick walks syslog/ only when the directory can hold something new; every
+// other tick costs O(1).  The follow-mode tests create a day file and then
+// put syslog/'s mtime back, as a filesystem with coarse timestamps leaves
+// it, so only the successor probe or the cadence walk can find the file.
+
+namespace {
+
+ServeOutcome outcome_of(const sv::ServeSession& s) {
+  ServeOutcome out;
+  out.ok = true;
+  out.errors = s.errors();
+  out.lifecycle = s.lifecycle().size();
+  out.jobs = s.jobs().jobs.size();
+  out.degraded = s.degraded_count();
+  out.quality = s.quality();
+  return out;
+}
+
+/// Read a day file and remove it, so a test can bring it back later.
+std::string take_file(const fs::path& path) {
+  auto r = ct::read_file(path.string());
+  EXPECT_TRUE(r.ok()) << path;
+  fs::remove(path);
+  return r.ok() ? std::move(r).take() : std::string();
+}
+
+/// Stamp syslog/ an hour back, like a dataset at rest, and return the stamp.
+fs::file_time_type age_syslog_dir(const fs::path& dir) {
+  const auto stamp = fs::file_time_type::clock::now() - std::chrono::hours(1);
+  fs::last_write_time(dir / "syslog", stamp);
+  return stamp;
+}
+
+std::int64_t gauge_of(sv::ServeSession& s, const char* name) {
+  return s.metrics().gauge(name).value();
+}
+
+}  // namespace
+
+// Over a 400-day drain of a dataset at rest, the full walk runs at open() and
+// on the reprobe cadence, not on every tick.  This holds with the default
+// chunks and with 64 KiB chunks.  Walking every tick makes the drain
+// O(days^2).  syslog/ is aged first: a directory stamped under 50 ms ago
+// walks on every tick, which would make the count depend on timing.
+TEST(Serve, DirectoryWalksStayRareOverALongDrain) {
+  const auto dir = make_long_dataset("walks", 400);
+  age_syslog_dir(dir);
+  const BatchOutcome batch = batch_load(dir);
+  for (const std::uint64_t chunk :
+       {std::uint64_t{4} << 20, std::uint64_t{64} << 10}) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    sv::ServeConfig cfg = base_config(dir, 0);
+    cfg.max_chunk_bytes = chunk;
+    sv::ServeSession s(std::move(cfg));
+    ASSERT_TRUE(s.open(false).ok());
+    for (int i = 0; i < 8192 && !s.idle(); ++i) ASSERT_TRUE(s.tick().ok());
+    ASSERT_TRUE(s.idle());
+    const std::uint64_t ticks = s.metrics().counter_value("serve.ticks");
+    const std::uint64_t walks = s.metrics().counter_value("serve.dir_scans");
+    EXPECT_GE(ticks, 400u);
+    EXPECT_GE(walks, 1u);  // open() walks
+    EXPECT_LE(walks, ticks / 8) << walks << " walks in " << ticks << " ticks";
+    ASSERT_TRUE(s.finalize().ok());
+    expect_matches_batch(outcome_of(s), batch);
+  }
+  fs::remove_all(dir);
+}
+
+// The next day appears while the newest one sits at EOF, and syslog/'s mtime
+// does not move: the successor probe finds it on the very next tick, without
+// a walk, and the newest day is sealed before the new one is read.
+TEST(Serve, SuccessorDayIsFoundOnTheNextTickWithoutAWalk) {
+  const auto dir = make_dataset("successor", 3);
+  const std::string day2 = take_file(day_file(dir, 2));
+  const auto stamp = age_syslog_dir(dir);
+  sv::ServeConfig cfg = base_config(dir, 0);
+  cfg.reprobe_ticks = 1000;  // no cadence walk during the test
+  sv::ServeSession s(std::move(cfg));
+  ASSERT_TRUE(s.open(false).ok());
+  for (int i = 0; i < 64 && !s.idle(); ++i) ASSERT_TRUE(s.tick().ok());
+  ASSERT_TRUE(s.idle());
+  EXPECT_EQ(gauge_of(s, "serve.sources.sealed"), 1);  // day 1 is the tail
+  const std::uint64_t walks = s.metrics().counter_value("serve.dir_scans");
+
+  ASSERT_TRUE(ct::write_text_file(day_file(dir, 2).string(), day2).ok());
+  fs::last_write_time(dir / "syslog", stamp);
+  ASSERT_TRUE(s.tick().ok());
+  EXPECT_EQ(gauge_of(s, "serve.sources.total"), 3);
+  EXPECT_EQ(gauge_of(s, "serve.sources.sealed"), 2);
+  EXPECT_EQ(s.metrics().counter_value("serve.dir_scans"), walks);
+
+  for (int i = 0; i < 64 && !s.idle(); ++i) ASSERT_TRUE(s.tick().ok());
+  ASSERT_TRUE(s.finalize().ok());
+  expect_matches_batch(outcome_of(s), batch_load(dir));
+  fs::remove_all(dir);
+}
+
+// A day after a gap is not the newest day's successor, and the mtime did not
+// move: the cadence walk finds it within reprobe_ticks ticks.
+TEST(Serve, DayAfterAGapIsFoundByTheCadenceWalk) {
+  const auto dir = make_dataset("gap", 4);
+  fs::remove(day_file(dir, 2));  // a coverage gap for good
+  const std::string day3 = take_file(day_file(dir, 3));
+  const auto stamp = age_syslog_dir(dir);
+  constexpr std::uint64_t kCadence = 8;
+  sv::ServeConfig cfg = base_config(dir, 0);
+  cfg.reprobe_ticks = kCadence;
+  sv::ServeSession s(std::move(cfg));
+  ASSERT_TRUE(s.open(false).ok());
+  for (int i = 0; i < 64 && !s.idle(); ++i) ASSERT_TRUE(s.tick().ok());
+  ASSERT_TRUE(s.idle());
+  const std::uint64_t walks = s.metrics().counter_value("serve.dir_scans");
+
+  ASSERT_TRUE(ct::write_text_file(day_file(dir, 3).string(), day3).ok());
+  fs::last_write_time(dir / "syslog", stamp);
+  std::uint64_t found_at = 0;
+  for (std::uint64_t i = 0; i < kCadence && found_at == 0; ++i) {
+    ASSERT_TRUE(s.tick().ok());
+    if (gauge_of(s, "serve.sources.total") == 3) found_at = s.ticks();
+  }
+  ASSERT_NE(found_at, 0u) << "not found within reprobe_ticks ticks";
+  EXPECT_EQ(found_at % kCadence, 0u);
+  EXPECT_EQ(s.metrics().counter_value("serve.dir_scans"), walks + 1);
+
+  for (int i = 0; i < 64 && !s.idle(); ++i) ASSERT_TRUE(s.tick().ok());
+  ASSERT_TRUE(s.finalize().ok());
+  expect_matches_batch(outcome_of(s), batch_load(dir));
+  fs::remove_all(dir);
+}
+
+// A stamp that is not safely behind the clock (just written, or set by a
+// host whose clock runs ahead) cannot prove that nothing was created after
+// the walk, so the next tick walks again.
+TEST(Serve, RecentDirectoryStampDoesNotGateTheWalk) {
+  const auto dir = make_dataset("recent_stamp", 4);
+  fs::remove(day_file(dir, 2));
+  const std::string day3 = take_file(day_file(dir, 3));
+  const auto stamp = fs::file_time_type::clock::now() + std::chrono::hours(1);
+  fs::last_write_time(dir / "syslog", stamp);
+  sv::ServeConfig cfg = base_config(dir, 0);
+  cfg.reprobe_ticks = 1000;
+  sv::ServeSession s(std::move(cfg));
+  ASSERT_TRUE(s.open(false).ok());
+  for (int i = 0; i < 64 && !s.idle(); ++i) ASSERT_TRUE(s.tick().ok());
+  ASSERT_TRUE(s.idle());
+
+  ASSERT_TRUE(ct::write_text_file(day_file(dir, 3).string(), day3).ok());
+  fs::last_write_time(dir / "syslog", stamp);
+  ASSERT_TRUE(s.tick().ok());
+  EXPECT_EQ(gauge_of(s, "serve.sources.total"), 3);
   fs::remove_all(dir);
 }
 

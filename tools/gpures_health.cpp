@@ -545,12 +545,12 @@ std::string render_md(const Report& r) {
     out += "\n## Serve\n\n";
     out += "| metric | value |\n|---|---|\n";
     static const char* kServeCounters[] = {
-        "serve.ticks",           "serve.bytes_ingested",
-        "serve.log_lines",       "serve.errors_coalesced",
-        "serve.retry.attempts",  "serve.retry.recovered",
-        "serve.retry.exhausted", "serve.sources.degraded_total",
-        "serve.checkpoint.writes", "serve.checkpoint.failures",
-        "serve.checkpoint.bytes",
+        "serve.ticks",             "serve.dir_scans",
+        "serve.bytes_ingested",    "serve.log_lines",
+        "serve.errors_coalesced",  "serve.retry.attempts",
+        "serve.retry.recovered",   "serve.retry.exhausted",
+        "serve.sources.degraded_total", "serve.checkpoint.writes",
+        "serve.checkpoint.failures",    "serve.checkpoint.bytes",
     };
     for (const char* name : kServeCounters) {
       const auto it = r.metrics.counters.find(name);

@@ -4,7 +4,7 @@
 //                [--checkpoint-dir DIR] [--checkpoint-interval N]
 //                [--retry-max N] [--retry-backoff-ms N] [--retry-deadline-ms N]
 //                [--report WHAT] [--write-index FILE] [--export-json FILE]
-//                [--quality-report FILE] [--metrics FILE] ...
+//                [--quality-report FILE] [--metrics FILE] [--trace FILE] ...
 //
 // Tails the dataset the way a site would feed live logs: day files may grow,
 // rotate, appear late, or fail to read.  Ingestion state is checkpointed
@@ -29,6 +29,7 @@
 #include "obs/expfmt.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/serve.h"
 
 using namespace gpures;
@@ -62,7 +63,9 @@ void usage() {
       "  --retry-backoff-max-ms N  backoff cap (default 1000)\n"
       "  --retry-deadline-ms N  total backoff budget per read (0 = off)\n"
       "  --stall-ticks N        watchdog threshold (default 8)\n"
-      "  --reprobe-ticks N      degraded-source re-probe cadence (default 16)\n"
+      "  --reprobe-ticks N      degraded-source re-probe and full syslog/\n"
+      "                         walk cadence (default 16; 0 = walk every\n"
+      "                         tick)\n"
       "  --ingest-policy P      strict|lenient (default lenient: degrade and\n"
       "                         keep serving; strict fails fast like batch)\n"
       "  --error-budget N       lenient: abort if any one file exceeds N\n"
@@ -77,6 +80,7 @@ void usage() {
       "  --quality-report FILE  write the data-quality accounting as JSON\n"
       "  --metrics FILE         write the metrics snapshot (.prom = text\n"
       "                         exposition)\n"
+      "  --trace FILE           write a Chrome Trace Event JSON timeline\n"
       "  --log-json FILE        mirror log records to FILE as JSONL\n"
       "  --log-level L          debug|info|warn|error (default info)\n"
       "  --chaos-io-fault SPEC  testing: SUBSTRING:BYTES[:KIND[:TIMES]]\n"
@@ -101,6 +105,7 @@ int main(int argc, char** argv) {
   cli::EmitRequest emit;
   std::string quality_file;
   std::string metrics_file;
+  std::string trace_file;
   std::string chaos_io_fault;
   std::string chaos_kill_spec;
   cli::LogFlags log_flags;
@@ -164,6 +169,8 @@ int main(int argc, char** argv) {
       quality_file = args.value();
     } else if (arg == "--metrics") {
       metrics_file = args.value();
+    } else if (arg == "--trace") {
+      trace_file = args.value();
     } else if (arg == "--log-json") {
       log_flags.json_file = args.value();
     } else if (arg == "--log-level") {
@@ -233,6 +240,8 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
 
+  obs::Tracer tracer;
+  if (!trace_file.empty()) obs::Tracer::install(&tracer);
   serve::ServeSession session(std::move(scfg));
   auto st = session.open(resume);
   if (!st.ok()) {
@@ -284,10 +293,12 @@ int main(int argc, char** argv) {
             {"checkpoint_seq", session.checkpoint_seq()}});
 
   if (!cli::emit_results(kTool, session, emit)) return 1;
+  obs::Tracer::install(nullptr);
 
   const bool wrote =
       cli::write_artifact(kTool, quality_file, quality.to_json() + "\n") &&
       cli::write_artifact(kTool, metrics_file,
-                          obs::render_metrics_file(registry, metrics_file));
+                          obs::render_metrics_file(registry, metrics_file)) &&
+      cli::write_artifact(kTool, trace_file, tracer.to_chrome_json());
   return wrote ? 0 : 1;
 }
