@@ -114,8 +114,8 @@ void BM_BuildErrorIndex(benchmark::State& state) {
   const auto cfg = impact_config(analysis::Attribution::kGpuLevel);
   const auto& errs = errors();
   for (auto _ : state) {
-    auto index = analysis::build_error_index(errs, cfg);
-    benchmark::DoNotOptimize(index.entries());
+    auto index = analysis::build_error_index(errs, cfg.period);
+    benchmark::DoNotOptimize(index.time.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(errs.size()));
@@ -129,13 +129,13 @@ BENCHMARK(BM_BuildErrorIndex)->Unit(benchmark::kMillisecond);
 void BM_ExposureJoin(benchmark::State& state) {
   const auto cfg = impact_config(analysis::Attribution::kGpuLevel);
   const auto& table = job_table();
-  const auto index = analysis::build_error_index(errors(), cfg);
+  const auto index = analysis::build_error_index(errors(), cfg.period);
   const auto threads = static_cast<std::size_t>(state.range(0));
   std::unique_ptr<common::ThreadPool> pool;
   if (threads > 0) pool = std::make_unique<common::ThreadPool>(threads);
   std::size_t exposed = 0;
   for (auto _ : state) {
-    auto exp = analysis::compute_exposures(table, index, cfg, pool.get());
+    auto exp = analysis::compute_exposures(table, index.view(), cfg, pool.get());
     exposed = exp.size();
     benchmark::DoNotOptimize(exp.data());
   }

@@ -449,8 +449,11 @@ common::Result<std::uint64_t> load_dataset(const fs::path& dir,
 
   // Accounting: one sized read, then an in-place newline split (getline
   // pulled ~1.5M lines through the streambuf one character at a time).
-  auto acc_status = ingest_accounting(dir, pipeline, options);
-  if (!acc_status.ok()) return acc_status.error();
+  {
+    OBS_SPAN("dataset.accounting");
+    auto acc_status = ingest_accounting(dir, pipeline, options);
+    if (!acc_status.ok()) return acc_status.error();
+  }
 
   pipeline.finish();
   return ingested;

@@ -1,68 +1,46 @@
 #include "analysis/job_impact.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace gpures::analysis {
 
 namespace {
 
-/// Contiguous shard bounds: shard s of n covers [lo, hi) with the ranges
-/// partitioning [0, total).  Purely a function of (total, n, s), so the
-/// job -> shard assignment never depends on thread timing.
-std::pair<std::size_t, std::size_t> shard_range(std::size_t total,
-                                                std::size_t shards,
-                                                std::size_t s) {
-  return {total * s / shards, total * (s + 1) / shards};
+/// Run fn(shard, lo, hi) over contiguous job ranges partitioning
+/// [0, total): pool->size() shards on the pool, or one inline shard.  The
+/// job -> shard assignment is purely a function of (total, shards), never of
+/// thread timing.
+template <typename Fn>
+void for_each_shard(common::ThreadPool* pool, std::size_t total, Fn&& fn) {
+  const std::size_t shards = pool != nullptr ? pool->size() : 1;
+  const auto run = [&](std::size_t s) {
+    fn(s, total * s / shards, total * (s + 1) / shards);
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(shards, [&](std::size_t s, std::size_t) { run(s); });
+  } else {
+    run(0);
+  }
 }
 
-/// Scan jobs [lo, hi) against the index, invoking emit(exposure) for each
-/// job that encountered at least one error, in job-index order.  Returns the
-/// number of jobs in the range that end inside the period.
-template <typename Emit>
-std::uint64_t scan_job_range(const JobTable& table, const ErrorIndex& index,
-                             const JobImpactConfig& cfg, std::size_t lo,
-                             std::size_t hi, Emit&& emit) {
-  std::uint64_t scanned = 0;
+/// The batch job loop: visit(idx, job, masks) for each job of [lo, hi) that
+/// ends inside cfg.period, in job-index order.
+template <typename Visit>
+void scan_job_range(const JobTable& table, const ErrorIndexView& index,
+                    const JobImpactConfig& cfg, std::size_t lo, std::size_t hi,
+                    Visit&& visit) {
   std::vector<std::int32_t> node_scratch;
   for (std::size_t idx = lo; idx < hi; ++idx) {
     const auto& j = table.jobs[idx];
     if (!cfg.period.contains(j.end)) continue;
-    ++scanned;
-
-    std::uint32_t run_mask = 0;
-    std::uint32_t window_mask = 0;
-    const auto scan_loc = [&](std::int64_t key) {
-      const auto v = index.at(key);
-      // Strictly after start: an error stamped at the exact second a job
-      // started belongs to the GPU's previous tenant (the scheduler can hand
-      // a freed GPU to a queued job within the same second the error killed
-      // its former owner).
-      auto it = std::lower_bound(
-          v.begin(), v.end(), j.start + 1,
-          [](const ErrorIndex::Entry& e, common::TimePoint t) {
-            return e.time < t;
-          });
-      for (; it != v.end() && it->time <= j.end; ++it) {
-        run_mask |= 1u << it->bit;
-        if (it->time >= j.end - cfg.window) window_mask |= 1u << it->bit;
-      }
-    };
-    if (index.gpu_level()) {
-      for (const PackedGpu g : table.gpus_of(j)) scan_loc(g);
-    } else {
-      table.nodes_of(j, node_scratch);
-      for (const std::int32_t node : node_scratch) scan_loc(node);
-    }
-    if (run_mask == 0) continue;
-
-    JobExposure exp;
-    exp.job_index = idx;
-    exp.run_mask = run_mask;
-    exp.window_mask = window_mask;
-    exp.gpu_failed = slurm::is_failure(j.state) && window_mask != 0;
-    emit(exp);
+    visit(idx, j,
+          expose(index, j.start, j.end, table.gpus_of(j), cfg, node_scratch));
   }
-  return scanned;
+}
+
+bool gpu_failed(slurm::JobState state, const ExposureMasks& m) {
+  return slurm::is_failure(state) && m.window_mask != 0;
 }
 
 }  // namespace
@@ -88,75 +66,167 @@ std::uint64_t ExposureJoinStats::total_exposed() const {
   return sum;
 }
 
-std::span<const ErrorIndex::Entry> ErrorIndex::at(std::int64_t key) const {
-  const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
-  if (it == keys_.end() || *it != key) return {};
-  const auto i = static_cast<std::size_t>(it - keys_.begin());
-  return {entries_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
+std::pair<std::size_t, std::size_t> ErrorIndexView::key_range(
+    std::int64_t key_lo, std::int64_t key_hi) const {
+  // A range holds at most one node's GPUs, so walk rather than search the
+  // upper end.
+  auto it = std::lower_bound(keys.begin(), keys.end(), key_lo);
+  const auto lo = static_cast<std::size_t>(it - keys.begin());
+  while (it != keys.end() && *it <= key_hi) ++it;
+  return {lo, static_cast<std::size_t>(it - keys.begin())};
 }
 
 ErrorIndex build_error_index(const std::vector<CoalescedError>& errors,
-                             const JobImpactConfig& cfg) {
-  ErrorIndex index;
-  index.gpu_level_ = cfg.attribution == Attribution::kGpuLevel;
-
+                             const Period& period) {
   struct Keyed {
     std::int64_t key;
-    ErrorIndex::Entry entry;
+    common::TimePoint time;
+    std::uint32_t bit;
   };
   std::vector<Keyed> keyed;
   keyed.reserve(errors.size());
   for (const auto& e : errors) {
-    if (!cfg.period.contains(e.time)) continue;
+    if (!period.contains(e.time)) continue;
     const int bit = exposure_bit(e.code);
     if (bit < 0) continue;
-    const std::int64_t key =
-        index.gpu_level_ ? pack_gpu(e.gpu.node, e.gpu.slot) : e.gpu.node;
-    keyed.push_back({key, {e.time, static_cast<std::uint32_t>(bit)}});
+    keyed.push_back({pack_gpu(e.gpu.node, e.gpu.slot), e.time,
+                     static_cast<std::uint32_t>(bit)});
   }
   // Full (key, time, bit) order: the per-key groups come out time-sorted and
   // the build is deterministic for any input order.  Masks OR over a time
   // range, so tie order inside a group cannot change any downstream value.
   std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
     if (a.key != b.key) return a.key < b.key;
-    if (a.entry.time != b.entry.time) return a.entry.time < b.entry.time;
-    return a.entry.bit < b.entry.bit;
+    if (a.time != b.time) return a.time < b.time;
+    return a.bit < b.bit;
   });
 
-  index.entries_.reserve(keyed.size());
+  ErrorIndex index;
+  index.time.reserve(keyed.size());
+  index.bit.reserve(keyed.size());
   for (const auto& k : keyed) {
-    if (index.keys_.empty() || index.keys_.back() != k.key) {
-      index.keys_.push_back(k.key);
-      index.offsets_.push_back(index.entries_.size());
+    if (index.keys.empty() || index.keys.back() != k.key) {
+      index.keys.push_back(k.key);
+      index.offsets.push_back(index.time.size());
     }
-    index.entries_.push_back(k.entry);
+    index.time.push_back(k.time);
+    index.bit.push_back(k.bit);
   }
-  index.offsets_.push_back(index.entries_.size());
+  index.offsets.push_back(index.time.size());
   return index;
 }
 
+ExposureMasks expose(const ErrorIndexView& index, common::TimePoint start,
+                     common::TimePoint end, std::span<const PackedGpu> gpus,
+                     const JobImpactConfig& cfg,
+                     std::vector<std::int32_t>& node_scratch) {
+  // Strictly after start: an error stamped at the exact second a job started
+  // belongs to the GPU's previous tenant (the scheduler can hand a freed GPU
+  // to a queued job within the same second the error killed its former
+  // owner).  The period clamps both ends.
+  const common::TimePoint from = std::max(start + 1, cfg.period.begin);
+  const common::TimePoint to = std::min(end, cfg.period.end - 1);
+  const common::TimePoint window_from = end - cfg.window;
+  ExposureMasks m;
+  const auto scan = [&](std::pair<std::size_t, std::size_t> groups) {
+    for (std::size_t k = groups.first; k < groups.second; ++k) {
+      const auto* first = index.time.data() + index.offsets[k];
+      const auto* last = index.time.data() + index.offsets[k + 1];
+      for (auto* t = std::lower_bound(first, last, from); t != last && *t <= to;
+           ++t) {
+        const std::uint32_t bit = 1u << index.bit[t - index.time.data()];
+        m.run_mask |= bit;
+        if (*t >= window_from) m.window_mask |= bit;
+      }
+    }
+  };
+  if (cfg.attribution == Attribution::kGpuLevel) {
+    for (const PackedGpu g : gpus) scan(index.key_range(g, g));
+    return m;
+  }
+  node_scratch.clear();
+  for (const PackedGpu g : gpus) {
+    const std::int32_t node = packed_node(g);
+    if (std::find(node_scratch.begin(), node_scratch.end(), node) ==
+        node_scratch.end()) {
+      node_scratch.push_back(node);
+    }
+  }
+  for (const std::int32_t node : node_scratch) {
+    scan(index.key_range(pack_gpu(node, 0), pack_gpu(node, 0xff)));
+  }
+  return m;
+}
+
+void ImpactTally::add(slurm::JobState state, const ExposureMasks& masks) {
+  ++jobs_analyzed;
+  if (slurm::is_failure(state)) ++failed_jobs_total;
+  if (masks.run_mask == 0) return;
+  ++jobs_exposed;
+  for (std::uint32_t r = masks.run_mask; r != 0; r &= r - 1) {
+    ++encountering[static_cast<std::size_t>(std::countr_zero(r))];
+  }
+  if (!gpu_failed(state, masks)) return;
+  ++gpu_failed_jobs;
+  for (std::uint32_t w = masks.window_mask; w != 0; w &= w - 1) {
+    ++failed[static_cast<std::size_t>(std::countr_zero(w))];
+  }
+}
+
+void ImpactTally::merge(const ImpactTally& other) {
+  jobs_analyzed += other.jobs_analyzed;
+  failed_jobs_total += other.failed_jobs_total;
+  gpu_failed_jobs += other.gpu_failed_jobs;
+  jobs_exposed += other.jobs_exposed;
+  for (std::size_t b = 0; b < kBits; ++b) {
+    encountering[b] += other.encountering[b];
+    failed[b] += other.failed[b];
+  }
+}
+
+JobImpact ImpactTally::finish(const JobImpactConfig& cfg) const {
+  JobImpact out;
+  out.cfg = cfg;
+  out.jobs_analyzed = jobs_analyzed;
+  out.failed_jobs_total = failed_jobs_total;
+  out.gpu_failed_jobs = gpu_failed_jobs;
+  const auto order = xid::report_order();
+  for (std::size_t b = 0; b < order.size(); ++b) {
+    ImpactRow row;
+    row.code = order[b];
+    row.failed_jobs = failed[b];
+    row.encountering_jobs = encountering[b];
+    if (encountering[b] > 0) {
+      row.failure_probability = static_cast<double>(failed[b]) /
+                                static_cast<double>(encountering[b]);
+      row.ci = common::wilson_interval(failed[b], encountering[b]);
+    }
+    out.rows.push_back(row);
+  }
+  return out;
+}
+
 std::vector<JobExposure> compute_exposures(
-    const JobTable& table, const ErrorIndex& index, const JobImpactConfig& cfg,
-    common::ThreadPool* pool, ExposureJoinStats* stats) {
+    const JobTable& table, const ErrorIndexView& index,
+    const JobImpactConfig& cfg, common::ThreadPool* pool,
+    ExposureJoinStats* stats) {
   const std::size_t shards = pool != nullptr ? pool->size() : 1;
   std::vector<std::vector<JobExposure>> shard_out(shards);
   std::vector<ExposureJoinStats::Shard> shard_stats(shards);
-
-  const auto run_shard = [&](std::size_t s) {
-    const auto [lo, hi] = shard_range(table.jobs.size(), shards, s);
-    auto& out = shard_out[s];
-    shard_stats[s].jobs_scanned = scan_job_range(
-        table, index, cfg, lo, hi,
-        [&out](const JobExposure& exp) { out.push_back(exp); });
-    shard_stats[s].jobs_exposed = out.size();
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(shards, [&](std::size_t s, std::size_t) {
-      run_shard(s);
-    });
-  } else {
-    run_shard(0);
-  }
+  for_each_shard(pool, table.jobs.size(),
+                 [&](std::size_t s, std::size_t lo, std::size_t hi) {
+                   auto& out = shard_out[s];
+                   scan_job_range(
+                       table, index, cfg, lo, hi,
+                       [&](std::size_t idx, const JobView& j,
+                           const ExposureMasks& m) {
+                         ++shard_stats[s].jobs_scanned;
+                         if (m.run_mask == 0) return;
+                         out.push_back({idx, m.run_mask, m.window_mask,
+                                        gpu_failed(j.state, m)});
+                       });
+                   shard_stats[s].jobs_exposed = out.size();
+                 });
 
   // Shards cover contiguous job ranges, so concatenating them in shard order
   // reproduces the serial job-index order exactly.
@@ -172,7 +242,8 @@ std::vector<JobExposure> compute_exposures(
 std::vector<JobExposure> compute_exposures(
     const JobTable& table, const std::vector<CoalescedError>& errors,
     const JobImpactConfig& cfg) {
-  return compute_exposures(table, build_error_index(errors, cfg), cfg);
+  return compute_exposures(table, build_error_index(errors, cfg.period).view(),
+                           cfg);
 }
 
 JobImpact compute_job_impact(const JobTable& table,
@@ -180,83 +251,26 @@ JobImpact compute_job_impact(const JobTable& table,
                              const JobImpactConfig& cfg,
                              common::ThreadPool* pool,
                              ExposureJoinStats* stats) {
-  JobImpact out;
-  out.cfg = cfg;
+  const auto index = build_error_index(errors, cfg.period);
+  std::vector<ImpactTally> tallies(pool != nullptr ? pool->size() : 1);
+  for_each_shard(pool, table.jobs.size(),
+                 [&](std::size_t s, std::size_t lo, std::size_t hi) {
+                   scan_job_range(table, index.view(), cfg, lo, hi,
+                                  [&](std::size_t, const JobView& j,
+                                      const ExposureMasks& m) {
+                                    tallies[s].add(j.state, m);
+                                  });
+                 });
 
-  const auto order = xid::report_order();
-  const auto index = build_error_index(errors, cfg);
-
-  /// Pure per-shard tallies; merged by summation in fixed shard order, so
-  /// every count is exactly what the serial loop produces.
-  struct ShardAccum {
-    std::uint64_t jobs_analyzed = 0;
-    std::uint64_t failed_jobs_total = 0;
-    std::uint64_t gpu_failed = 0;
-    std::vector<std::uint64_t> encountering;
-    std::vector<std::uint64_t> failed;
-    ExposureJoinStats::Shard join;
-  };
-  const std::size_t shards = pool != nullptr ? pool->size() : 1;
-  std::vector<ShardAccum> accum(shards);
-
-  const auto run_shard = [&](std::size_t s) {
-    auto& a = accum[s];
-    a.encountering.assign(order.size(), 0);
-    a.failed.assign(order.size(), 0);
-    const auto [lo, hi] = shard_range(table.jobs.size(), shards, s);
-    for (std::size_t idx = lo; idx < hi; ++idx) {
-      const auto& j = table.jobs[idx];
-      if (!cfg.period.contains(j.end)) continue;
-      if (slurm::is_failure(j.state)) ++a.failed_jobs_total;
-    }
-    a.join.jobs_scanned = scan_job_range(
-        table, index, cfg, lo, hi, [&](const JobExposure& exp) {
-          ++a.join.jobs_exposed;
-          if (exp.gpu_failed) ++a.gpu_failed;
-          for (std::size_t b = 0; b < order.size(); ++b) {
-            if (exp.run_mask & (1u << b)) ++a.encountering[b];
-            if (exp.gpu_failed && (exp.window_mask & (1u << b))) ++a.failed[b];
-          }
-        });
-    a.jobs_analyzed = a.join.jobs_scanned;
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(shards, [&](std::size_t s, std::size_t) {
-      run_shard(s);
-    });
-  } else {
-    run_shard(0);
-  }
-
-  std::vector<std::uint64_t> encountering(order.size(), 0);
-  std::vector<std::uint64_t> failed(order.size(), 0);
-  for (const auto& a : accum) {
-    out.jobs_analyzed += a.jobs_analyzed;
-    out.failed_jobs_total += a.failed_jobs_total;
-    out.gpu_failed_jobs += a.gpu_failed;
-    for (std::size_t b = 0; b < order.size(); ++b) {
-      encountering[b] += a.encountering[b];
-      failed[b] += a.failed[b];
-    }
-  }
+  ImpactTally total;
+  for (const auto& t : tallies) total.merge(t);
   if (stats != nullptr) {
     stats->shards.clear();
-    for (const auto& a : accum) stats->shards.push_back(a.join);
-  }
-
-  for (std::size_t b = 0; b < order.size(); ++b) {
-    ImpactRow row;
-    row.code = order[b];
-    row.failed_jobs = failed[b];
-    row.encountering_jobs = encountering[b];
-    if (encountering[b] > 0) {
-      row.failure_probability = static_cast<double>(failed[b]) /
-                                static_cast<double>(encountering[b]);
-      row.ci = common::wilson_interval(failed[b], encountering[b]);
+    for (const auto& t : tallies) {
+      stats->shards.push_back({t.jobs_analyzed, t.jobs_exposed});
     }
-    out.rows.push_back(row);
   }
-  return out;
+  return total.finish(cfg);
 }
 
 }  // namespace gpures::analysis

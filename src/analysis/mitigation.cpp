@@ -140,8 +140,8 @@ std::string render_mitigation(const JobTable& table,
 
   // One sharded join feeds all three what-ifs; each consumes the exposure
   // list in order, so results are independent of the worker count.
-  const auto index = build_error_index(errors, cfg);
-  const auto exposures = compute_exposures(table, index, cfg, pool);
+  const auto exposures = compute_exposures(
+      table, build_error_index(errors, cfg.period).view(), cfg, pool);
 
   const auto lost = compute_lost_work(table, exposures, cfg);
   std::snprintf(buf, sizeof(buf),

@@ -81,9 +81,11 @@ enum class SectionId : std::uint32_t {
   kErrCode = 7,          ///< u16[E] canonical (family-merged) XID
   kErrRawXid = 8,        ///< u16[E] XID as logged
   kErrRawLines = 9,      ///< u32[E] raw lines merged into the error
-  // Exposure-join view: reported-family errors grouped by packed-GPU key
-  // (groups sorted by key, entries by (time, bit)) — the on-disk twin of
-  // analysis::ErrorIndex.
+  // Exposure-join location index: reported-family errors grouped by
+  // packed-GPU key (groups sorted by key, entries by (time, bit)).  These
+  // are the four columns of analysis::ErrorIndex, as build_error_index
+  // returns them over an unbounded period; the reader exposes them as an
+  // analysis::ErrorIndexView.
   kLocKeys = 10,         ///< i64[K] distinct location keys, ascending
   kLocOffsets = 11,      ///< u64[K + 1] group bounds into the entry columns
   kLocTime = 12,         ///< i64[L] entry timestamps

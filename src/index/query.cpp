@@ -7,6 +7,7 @@
 #include "analysis/error_stats.h"
 #include "analysis/job_impact.h"
 #include "analysis/job_stats.h"
+#include "common/stats.h"
 #include "obs/log.h"
 #include "slurm/job.h"
 
@@ -134,7 +135,7 @@ CountResult QueryEngine::count(const Predicate& p) {
                              [&] { return compute_count(p); });
 }
 
-ImpactResult QueryEngine::impact(const Predicate& p) {
+analysis::JobImpact QueryEngine::impact(const Predicate& p) {
   if (m_impact_calls_ != nullptr) m_impact_calls_->inc();
   // The effective window/attribution are fixed per engine, but key them
   // anyway so engines sharing a future external cache could not collide.
@@ -142,8 +143,8 @@ ImpactResult QueryEngine::impact(const Predicate& p) {
   key += '|';
   key += std::to_string(window_);
   key += node_level_ ? "|n" : "|g";
-  return cached<ImpactResult>("impact", m_latency_impact_, key,
-                              [&] { return compute_impact(p); });
+  return cached<analysis::JobImpact>("impact", m_latency_impact_, key,
+                                     [&] { return compute_impact(p); });
 }
 
 AvailabilityResult QueryEngine::availability(const Predicate& p) {
@@ -180,99 +181,39 @@ CountResult QueryEngine::compute_count(const Predicate& p) const {
   return out;
 }
 
-ImpactResult QueryEngine::compute_impact(const Predicate& p) const {
-  ImpactResult out;
-  const auto order = xid::report_order();
-  const analysis::Period period{p.from, p.to};
+analysis::JobImpact QueryEngine::compute_impact(const Predicate& p) const {
+  analysis::JobImpactConfig cfg;
+  cfg.window = window_;
+  cfg.period = {p.from, p.to};
+  cfg.attribution = node_level_ ? analysis::Attribution::kNodeLevel
+                                : analysis::Attribution::kGpuLevel;
 
   const auto job_end = reader_.job_end();
   const auto job_start = reader_.job_start();
   const auto job_state = reader_.job_state();
-  const std::size_t lo = lower_idx(job_end, p.from);
   const std::size_t hi = lower_idx(job_end, p.to);
-
-  std::vector<std::uint64_t> encountering(order.size(), 0);
-  std::vector<std::uint64_t> failed(order.size(), 0);
+  analysis::ImpactTally tally;
   std::vector<std::int32_t> node_scratch;
-
-  for (std::size_t idx = lo; idx < hi; ++idx) {
-    const auto job_gpu = reader_.job_gpus(idx);
-    if (p.node.has_value()) {
-      bool on_node = false;
-      for (const std::int32_t g : job_gpu) {
-        if (analysis::packed_node(g) == *p.node) {
-          on_node = true;
-          break;
-        }
-      }
-      if (!on_node) continue;
+  for (std::size_t idx = lower_idx(job_end, p.from); idx < hi; ++idx) {
+    const auto gpus = reader_.job_gpus(idx);
+    if (p.node.has_value() &&
+        std::none_of(gpus.begin(), gpus.end(), [&](std::int32_t g) {
+          return analysis::packed_node(g) == *p.node;
+        })) {
+      continue;
     }
-    ++out.jobs_analyzed;
-    const auto state = static_cast<slurm::JobState>(job_state[idx]);
-    if (slurm::is_failure(state)) ++out.failed_jobs_total;
-
-    const std::int64_t start = job_start[idx];
-    const std::int64_t end = job_end[idx];
-    std::uint32_t run_mask = 0;
-    std::uint32_t window_mask = 0;
-    // Identical attribution to analysis::scan_job_range: strictly after the
-    // job's start second, up to and including its end, restricted to errors
-    // inside the query period (the batch join bakes the period into its
-    // ErrorIndex; here it is a per-entry filter over the same sorted data).
-    const auto scan_group = [&](const IndexReader::LocGroup& g) {
-      std::size_t i = lower_idx(g.time, start + 1);
-      for (; i < g.time.size() && g.time[i] <= end; ++i) {
-        if (!period.contains(g.time[i])) continue;
-        run_mask |= 1u << g.bit[i];
-        if (g.time[i] >= end - window_) window_mask |= 1u << g.bit[i];
-      }
-    };
-    if (!node_level_) {
-      for (const std::int32_t g : job_gpu) scan_group(reader_.loc_at(g));
-    } else {
-      node_scratch.clear();
-      for (const std::int32_t g : job_gpu) {
-        const std::int32_t node = analysis::packed_node(g);
-        if (std::find(node_scratch.begin(), node_scratch.end(), node) ==
-            node_scratch.end()) {
-          node_scratch.push_back(node);
-        }
-      }
-      for (const std::int32_t node : node_scratch) {
-        const auto [klo, khi] = reader_.loc_key_range(
-            analysis::pack_gpu(node, 0), analysis::pack_gpu(node, 0xff));
-        for (std::size_t k = klo; k < khi; ++k) {
-          scan_group(reader_.loc_group(k));
-        }
-      }
-    }
-    if (run_mask == 0) continue;
-
-    const bool gpu_failed = slurm::is_failure(state) && window_mask != 0;
-    if (gpu_failed) ++out.gpu_failed_jobs;
-    for (std::size_t b = 0; b < order.size(); ++b) {
-      if (run_mask & (1u << b)) ++encountering[b];
-      if (gpu_failed && (window_mask & (1u << b))) ++failed[b];
-    }
+    tally.add(static_cast<slurm::JobState>(job_state[idx]),
+              analysis::expose(reader_.error_index(), job_start[idx],
+                               job_end[idx], gpus, cfg, node_scratch));
   }
 
-  const int want_bit =
-      p.xid.has_value()
-          ? analysis::exposure_bit(
-                static_cast<xid::Code>(canonical_xid(*p.xid)))
-          : -1;
-  for (std::size_t b = 0; b < order.size(); ++b) {
-    if (p.xid.has_value() && static_cast<int>(b) != want_bit) continue;
-    ImpactRowResult row;
-    row.code = order[b];
-    row.failed_jobs = failed[b];
-    row.encountering_jobs = encountering[b];
-    if (encountering[b] > 0) {
-      row.failure_probability = static_cast<double>(failed[b]) /
-                                static_cast<double>(encountering[b]);
-      row.ci = common::wilson_interval(failed[b], encountering[b]);
-    }
-    out.rows.push_back(row);
+  auto out = tally.finish(cfg);
+  if (p.xid.has_value()) {
+    const int bit = analysis::exposure_bit(
+        static_cast<xid::Code>(canonical_xid(*p.xid)));
+    std::vector<analysis::ImpactRow> rows;
+    if (bit >= 0) rows.push_back(out.rows[static_cast<std::size_t>(bit)]);
+    out.rows = std::move(rows);
   }
   return out;
 }

@@ -12,9 +12,11 @@
 //    per-node MTBE = system MTBE x node count (x1 under a node predicate).
 //    An XID predicate is canonicalized through xid::merge_key, so --xid 120
 //    counts the merged GSP family exactly like Table I does.
-//  * impact: compute_job_impact with period = [from, to) — same strictly-
-//    after-start error attribution, same window mask, same Wilson interval.
-//    Under a node predicate only jobs allocated on that node participate.
+//  * impact: the batch join itself — analysis::expose over the mapped
+//    ErrorIndexView for each job ending in [from, to), folded by
+//    analysis::ImpactTally, so it is compute_job_impact with period =
+//    [from, to) by construction.  Under a node predicate only jobs
+//    allocated on that node participate.
 //  * availability: stored unavailability intervals with drain time in
 //    [from, to) (and on the node, if given); MTTR is their summarize() mean,
 //    MTTF is the aggregate per-node MTBE over the same node/time predicate —
@@ -40,7 +42,7 @@
 #include <variant>
 #include <vector>
 
-#include "common/stats.h"
+#include "analysis/job_impact.h"
 #include "common/time.h"
 #include "index/reader.h"
 #include "obs/metrics.h"
@@ -61,24 +63,6 @@ struct CountResult {
   double window_hours = 0.0;
   double mtbe_system_h = 0.0;
   double mtbe_per_node_h = 0.0;
-};
-
-/// One Table II-style row (mirrors analysis::ImpactRow).
-struct ImpactRowResult {
-  xid::Code code = xid::Code::kMmuError;
-  std::uint64_t failed_jobs = 0;
-  std::uint64_t encountering_jobs = 0;
-  double failure_probability = 0.0;
-  common::Proportion ci;
-};
-
-struct ImpactResult {
-  std::uint64_t jobs_analyzed = 0;
-  std::uint64_t failed_jobs_total = 0;
-  std::uint64_t gpu_failed_jobs = 0;
-  /// Report order; restricted to the predicate's family when an XID filter
-  /// names a reported family (empty for non-family XIDs).
-  std::vector<ImpactRowResult> rows;
 };
 
 struct AvailabilityResult {
@@ -113,7 +97,10 @@ class QueryEngine {
   explicit QueryEngine(const IndexReader& reader, QueryOptions opts = {});
 
   CountResult count(const Predicate& p);
-  ImpactResult impact(const Predicate& p);
+  /// Table II over the jobs ending in [from, to): analysis::compute_job_impact
+  /// with that window as the period.  Under an XID filter the rows are
+  /// restricted to its family (none for a non-family XID).
+  analysis::JobImpact impact(const Predicate& p);
   AvailabilityResult availability(const Predicate& p);
 
   /// Predicate spanning the whole recorded study window.
@@ -126,10 +113,11 @@ class QueryEngine {
   bool node_level() const { return node_level_; }
 
  private:
-  using Cached = std::variant<CountResult, ImpactResult, AvailabilityResult>;
+  using Cached =
+      std::variant<CountResult, analysis::JobImpact, AvailabilityResult>;
 
   CountResult compute_count(const Predicate& p) const;
-  ImpactResult compute_impact(const Predicate& p) const;
+  analysis::JobImpact compute_impact(const Predicate& p) const;
   AvailabilityResult compute_availability(const Predicate& p) const;
   /// Batch-total MTBE (compute_error_stats over rebuilt window errors) used
   /// as the availability MTTF; ignores any XID filter on `p`.

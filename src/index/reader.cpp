@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <optional>
 
 #include "common/hash.h"
 #include "index/format.h"
@@ -22,24 +23,6 @@ struct Section {
   std::uint64_t offset = 0;
   std::uint64_t size = 0;  ///< padded
 };
-
-/// Typed view of a column section: verifies the padded size matches the
-/// element count exactly, then casts.  T is limited to the little-endian
-/// fixed-width types the format defines (alignment <= 8, matching the
-/// 8-aligned section offsets).
-template <typename T>
-common::Result<std::span<const T>> column(const unsigned char* base,
-                                          const Section& s,
-                                          std::uint64_t count, SectionId id,
-                                          const std::string& path) {
-  if (count > s.size / sizeof(T) || pad8(count * sizeof(T)) != s.size) {
-    return at("index section '" + std::string(section_name(id)) +
-                  "' size does not match its element count",
-              path, s.offset);
-  }
-  return std::span<const T>(reinterpret_cast<const T*>(base + s.offset),
-                            count);
-}
 
 }  // namespace
 
@@ -190,24 +173,30 @@ common::Result<IndexReader> IndexReader::open(const std::string& path) {
   }
 
   // ---- typed columns --------------------------------------------------------
-  const auto bind = [&](auto& span_member, SectionId id,
-                        std::uint64_t count) -> common::Status {
-    using Span = std::remove_reference_t<decltype(span_member)>;
-    using T = typename Span::element_type;
-    auto col = column<std::remove_const_t<T>>(base, sec(id), count, id, path);
-    if (!col.ok()) return col.error();
-    span_member = col.value();
-    return common::Status::ok_status();
+  // Each bind verifies a section's padded size matches its element count
+  // exactly, then casts (T is one of the little-endian fixed-width types the
+  // format defines, alignment <= 8 like the section offsets).  The first
+  // failure is kept and every later bind is skipped.
+  std::optional<common::Error> bind_error;
+  const auto bind = [&](auto& span_member, SectionId id, std::uint64_t count) {
+    using T = typename std::remove_reference_t<
+        decltype(span_member)>::element_type;
+    if (bind_error) return;
+    const Section& s = sec(id);
+    if (count > s.size / sizeof(T) || pad8(count * sizeof(T)) != s.size) {
+      bind_error = at("index section '" + std::string(section_name(id)) +
+                          "' size does not match its element count",
+                      path, s.offset);
+      return;
+    }
+    span_member = {reinterpret_cast<T*>(base + s.offset), count};
   };
-  const std::uint64_t nodes1 = std::uint64_t{meta.node_count} + 1;
-  const std::uint64_t jobs1 = meta.job_count + 1;
   // Key count is implied by the key section's own size (i64 elements pack
   // the 8-byte granule exactly, so size / 8 is the element count).
   const std::uint64_t key_count = sec(SectionId::kLocKeys).size / 8;
-  if (auto s = bind(r.name_offsets_, SectionId::kNodeNameOffsets, nodes1);
-      !s.ok()) {
-    return s.error();
-  }
+  bind(r.name_offsets_, SectionId::kNodeNameOffsets,
+       std::uint64_t{meta.node_count} + 1);
+  if (bind_error) return *bind_error;
   {
     const Section& bs = sec(SectionId::kNodeNameBlob);
     const std::uint32_t blob_len = r.name_offsets_.back();
@@ -218,214 +207,124 @@ common::Result<IndexReader> IndexReader::open(const std::string& path) {
     r.name_blob_ = std::string_view(
         reinterpret_cast<const char*>(base + bs.offset), blob_len);
   }
-  if (auto s = bind(r.err_time_, SectionId::kErrTime, meta.error_count);
-      !s.ok()) {
-    return s.error();
-  }
-  if (auto s = bind(r.err_last_, SectionId::kErrLast, meta.error_count);
-      !s.ok()) {
-    return s.error();
-  }
-  if (auto s = bind(r.err_gpu_, SectionId::kErrGpu, meta.error_count);
-      !s.ok()) {
-    return s.error();
-  }
-  if (auto s = bind(r.err_code_, SectionId::kErrCode, meta.error_count);
-      !s.ok()) {
-    return s.error();
-  }
-  if (auto s = bind(r.err_raw_xid_, SectionId::kErrRawXid, meta.error_count);
-      !s.ok()) {
-    return s.error();
-  }
-  if (auto s =
-          bind(r.err_raw_lines_, SectionId::kErrRawLines, meta.error_count);
-      !s.ok()) {
-    return s.error();
-  }
-  if (auto s = bind(r.loc_keys_, SectionId::kLocKeys, key_count); !s.ok()) {
-    return s.error();
-  }
-  if (auto s = bind(r.loc_offsets_, SectionId::kLocOffsets, key_count + 1);
-      !s.ok()) {
-    return s.error();
-  }
-  if (auto s = bind(r.loc_time_, SectionId::kLocTime, meta.loc_entry_count);
-      !s.ok()) {
-    return s.error();
-  }
-  if (auto s = bind(r.loc_bit_, SectionId::kLocBit, meta.loc_entry_count);
-      !s.ok()) {
-    return s.error();
-  }
-  if (auto s = bind(r.job_id_, SectionId::kJobId, meta.job_count); !s.ok()) {
-    return s.error();
-  }
-  if (auto s = bind(r.job_start_, SectionId::kJobStart, meta.job_count);
-      !s.ok()) {
-    return s.error();
-  }
-  if (auto s = bind(r.job_end_, SectionId::kJobEnd, meta.job_count); !s.ok()) {
-    return s.error();
-  }
-  if (auto s = bind(r.job_state_, SectionId::kJobState, meta.job_count);
-      !s.ok()) {
-    return s.error();
-  }
-  if (auto s = bind(r.job_gpu_offsets_, SectionId::kJobGpuOffsets, jobs1);
-      !s.ok()) {
-    return s.error();
-  }
-  if (auto s =
-          bind(r.job_gpu_list_, SectionId::kJobGpuList, meta.job_gpu_count);
-      !s.ok()) {
-    return s.error();
-  }
-  if (auto s =
-          bind(r.unavail_node_, SectionId::kUnavailNode, meta.unavail_count);
-      !s.ok()) {
-    return s.error();
-  }
-  if (auto s =
-          bind(r.unavail_begin_, SectionId::kUnavailBegin, meta.unavail_count);
-      !s.ok()) {
-    return s.error();
-  }
-  if (auto s =
-          bind(r.unavail_end_, SectionId::kUnavailEnd, meta.unavail_count);
-      !s.ok()) {
-    return s.error();
-  }
+  bind(r.err_time_, SectionId::kErrTime, meta.error_count);
+  bind(r.err_last_, SectionId::kErrLast, meta.error_count);
+  bind(r.err_gpu_, SectionId::kErrGpu, meta.error_count);
+  bind(r.err_code_, SectionId::kErrCode, meta.error_count);
+  bind(r.err_raw_xid_, SectionId::kErrRawXid, meta.error_count);
+  bind(r.err_raw_lines_, SectionId::kErrRawLines, meta.error_count);
+  bind(r.loc_.keys, SectionId::kLocKeys, key_count);
+  bind(r.loc_.offsets, SectionId::kLocOffsets, key_count + 1);
+  bind(r.loc_.time, SectionId::kLocTime, meta.loc_entry_count);
+  bind(r.loc_.bit, SectionId::kLocBit, meta.loc_entry_count);
+  bind(r.job_id_, SectionId::kJobId, meta.job_count);
+  bind(r.job_start_, SectionId::kJobStart, meta.job_count);
+  bind(r.job_end_, SectionId::kJobEnd, meta.job_count);
+  bind(r.job_state_, SectionId::kJobState, meta.job_count);
+  bind(r.job_gpu_offsets_, SectionId::kJobGpuOffsets, meta.job_count + 1);
+  bind(r.job_gpu_list_, SectionId::kJobGpuList, meta.job_gpu_count);
+  bind(r.unavail_node_, SectionId::kUnavailNode, meta.unavail_count);
+  bind(r.unavail_begin_, SectionId::kUnavailBegin, meta.unavail_count);
+  bind(r.unavail_end_, SectionId::kUnavailEnd, meta.unavail_count);
+  if (bind_error) return *bind_error;
 
   // ---- column invariants ----------------------------------------------------
   // Everything binary search or CSR indexing relies on is proven here, once,
-  // so per-query code can trust the views unconditionally.
-  const auto check = [&](bool ok, std::string msg,
-                         SectionId id) -> common::Status {
-    if (ok) return common::Status::ok_status();
-    return at("index invariant violated: " + std::move(msg), path,
+  // so per-query code can trust the views unconditionally.  The messages are
+  // literals: only a violation pays for building the located error.
+  const auto violated = [&](const char* msg, SectionId id) {
+    return at(std::string("index invariant violated: ") + msg, path,
               sec(id).offset);
   };
   const std::int64_t max_key =
       (static_cast<std::int64_t>(meta.node_count) << 8) - 1;
+  const auto& loc = r.loc_;
   for (std::size_t i = 0; i + 1 < r.name_offsets_.size(); ++i) {
-    if (auto s = check(r.name_offsets_[i] <= r.name_offsets_[i + 1],
-                       "node-name offsets must be nondecreasing",
-                       SectionId::kNodeNameOffsets);
-        !s.ok()) {
-      return s.error();
+    if (r.name_offsets_[i] > r.name_offsets_[i + 1]) {
+      return violated("node-name offsets must be nondecreasing",
+                      SectionId::kNodeNameOffsets);
     }
   }
   for (std::size_t i = 0; i < r.err_time_.size(); ++i) {
-    if (auto s = check(i == 0 || r.err_time_[i - 1] <= r.err_time_[i],
-                       "error times must be nondecreasing",
-                       SectionId::kErrTime);
-        !s.ok()) {
-      return s.error();
+    if (i > 0 && r.err_time_[i - 1] > r.err_time_[i]) {
+      return violated("error times must be nondecreasing",
+                      SectionId::kErrTime);
     }
-    if (auto s = check(r.err_gpu_[i] >= 0 && r.err_gpu_[i] <= max_key,
-                       "error GPU key out of topology range",
-                       SectionId::kErrGpu);
-        !s.ok()) {
-      return s.error();
+    if (r.err_gpu_[i] < 0 || r.err_gpu_[i] > max_key) {
+      return violated("error GPU key out of topology range",
+                      SectionId::kErrGpu);
     }
   }
-  for (std::size_t i = 0; i < r.loc_keys_.size(); ++i) {
-    if (auto s = check(i == 0 || r.loc_keys_[i - 1] < r.loc_keys_[i],
-                       "location keys must be strictly increasing",
-                       SectionId::kLocKeys);
-        !s.ok()) {
-      return s.error();
+  for (std::size_t i = 0; i < loc.keys.size(); ++i) {
+    if (i > 0 && loc.keys[i - 1] >= loc.keys[i]) {
+      return violated("location keys must be strictly increasing",
+                      SectionId::kLocKeys);
     }
-    if (auto s = check(r.loc_keys_[i] >= 0 && r.loc_keys_[i] <= max_key,
-                       "location key out of topology range",
-                       SectionId::kLocKeys);
-        !s.ok()) {
-      return s.error();
+    if (loc.keys[i] < 0 || loc.keys[i] > max_key) {
+      return violated("location key out of topology range",
+                      SectionId::kLocKeys);
     }
   }
-  for (std::size_t i = 0; i < r.loc_offsets_.size(); ++i) {
-    const bool mono = i == 0 ? r.loc_offsets_[0] == 0
-                             : r.loc_offsets_[i - 1] <= r.loc_offsets_[i];
-    if (auto s = check(mono && r.loc_offsets_[i] <= meta.loc_entry_count,
-                       "location offsets must be nondecreasing and in range",
-                       SectionId::kLocOffsets);
-        !s.ok()) {
-      return s.error();
+  for (std::size_t i = 0; i < loc.offsets.size(); ++i) {
+    const bool mono = i == 0 ? loc.offsets[0] == 0
+                             : loc.offsets[i - 1] <= loc.offsets[i];
+    if (!mono || loc.offsets[i] > meta.loc_entry_count) {
+      return violated("location offsets must be nondecreasing and in range",
+                      SectionId::kLocOffsets);
     }
   }
-  if (auto s = check(r.loc_offsets_.back() == meta.loc_entry_count,
-                     "location offsets must cover every entry",
-                     SectionId::kLocOffsets);
-      !s.ok()) {
-    return s.error();
+  if (loc.offsets.back() != meta.loc_entry_count) {
+    return violated("location offsets must cover every entry",
+                    SectionId::kLocOffsets);
   }
-  for (std::size_t k = 0; k + 1 < r.loc_offsets_.size(); ++k) {
-    for (std::uint64_t i = r.loc_offsets_[k] + 1; i < r.loc_offsets_[k + 1];
-         ++i) {
-      if (auto s = check(r.loc_time_[i - 1] <= r.loc_time_[i],
-                         "location entries must be time-sorted per key",
-                         SectionId::kLocTime);
-          !s.ok()) {
-        return s.error();
+  for (std::size_t k = 0; k + 1 < loc.offsets.size(); ++k) {
+    for (std::uint64_t i = loc.offsets[k] + 1; i < loc.offsets[k + 1]; ++i) {
+      if (loc.time[i - 1] > loc.time[i]) {
+        return violated("location entries must be time-sorted per key",
+                        SectionId::kLocTime);
       }
     }
   }
-  for (const std::uint32_t b : r.loc_bit_) {
-    if (auto s = check(b < xid::report_order().size(),
-                       "location bit out of family range", SectionId::kLocBit);
-        !s.ok()) {
-      return s.error();
+  for (const std::uint32_t b : loc.bit) {
+    if (b >= xid::report_order().size()) {
+      return violated("location bit out of family range", SectionId::kLocBit);
     }
   }
   for (std::size_t i = 1; i < r.job_end_.size(); ++i) {
-    if (auto s = check(r.job_end_[i - 1] <= r.job_end_[i],
-                       "job end times must be nondecreasing",
-                       SectionId::kJobEnd);
-        !s.ok()) {
-      return s.error();
+    if (r.job_end_[i - 1] > r.job_end_[i]) {
+      return violated("job end times must be nondecreasing",
+                      SectionId::kJobEnd);
     }
   }
   for (std::size_t i = 0; i < r.job_gpu_offsets_.size(); ++i) {
     const bool mono = i == 0 ? r.job_gpu_offsets_[0] == 0
                              : r.job_gpu_offsets_[i - 1] <=
                                    r.job_gpu_offsets_[i];
-    if (auto s = check(mono && r.job_gpu_offsets_[i] <= meta.job_gpu_count,
-                       "job GPU offsets must be nondecreasing and in range",
-                       SectionId::kJobGpuOffsets);
-        !s.ok()) {
-      return s.error();
+    if (!mono || r.job_gpu_offsets_[i] > meta.job_gpu_count) {
+      return violated("job GPU offsets must be nondecreasing and in range",
+                      SectionId::kJobGpuOffsets);
     }
   }
-  if (auto s = check(r.job_gpu_offsets_.empty() ||
-                         r.job_gpu_offsets_.back() == meta.job_gpu_count,
-                     "job GPU offsets must cover every allocation",
-                     SectionId::kJobGpuOffsets);
-      !s.ok()) {
-    return s.error();
+  if (!r.job_gpu_offsets_.empty() &&
+      r.job_gpu_offsets_.back() != meta.job_gpu_count) {
+    return violated("job GPU offsets must cover every allocation",
+                    SectionId::kJobGpuOffsets);
   }
   for (const std::int32_t g : r.job_gpu_list_) {
-    if (auto s = check(g >= 0 && g <= max_key,
-                       "job GPU key out of topology range",
-                       SectionId::kJobGpuList);
-        !s.ok()) {
-      return s.error();
+    if (g < 0 || g > max_key) {
+      return violated("job GPU key out of topology range",
+                      SectionId::kJobGpuList);
     }
   }
   for (std::size_t i = 0; i < r.unavail_node_.size(); ++i) {
-    if (auto s = check(r.unavail_node_[i] >= 0 &&
-                           static_cast<std::uint32_t>(r.unavail_node_[i]) <
-                               meta.node_count,
-                       "unavailability node out of topology range",
-                       SectionId::kUnavailNode);
-        !s.ok()) {
-      return s.error();
+    if (r.unavail_node_[i] < 0 ||
+        static_cast<std::uint32_t>(r.unavail_node_[i]) >= meta.node_count) {
+      return violated("unavailability node out of topology range",
+                      SectionId::kUnavailNode);
     }
-    if (auto s = check(i == 0 || r.unavail_begin_[i - 1] <= r.unavail_begin_[i],
-                       "unavailability intervals must be begin-sorted",
-                       SectionId::kUnavailBegin);
-        !s.ok()) {
-      return s.error();
+    if (i > 0 && r.unavail_begin_[i - 1] > r.unavail_begin_[i]) {
+      return violated("unavailability intervals must be begin-sorted",
+                      SectionId::kUnavailBegin);
     }
   }
   return r;
@@ -443,26 +342,6 @@ std::optional<std::int32_t> IndexReader::node_index(
     if (node_name(i) == name) return static_cast<std::int32_t>(i);
   }
   return std::nullopt;
-}
-
-IndexReader::LocGroup IndexReader::loc_at(std::int64_t key) const {
-  const auto it = std::lower_bound(loc_keys_.begin(), loc_keys_.end(), key);
-  if (it == loc_keys_.end() || *it != key) return {};
-  return loc_group(static_cast<std::size_t>(it - loc_keys_.begin()));
-}
-
-std::pair<std::size_t, std::size_t> IndexReader::loc_key_range(
-    std::int64_t key_lo, std::int64_t key_hi) const {
-  const auto lo = std::lower_bound(loc_keys_.begin(), loc_keys_.end(), key_lo);
-  const auto hi = std::upper_bound(lo, loc_keys_.end(), key_hi);
-  return {static_cast<std::size_t>(lo - loc_keys_.begin()),
-          static_cast<std::size_t>(hi - loc_keys_.begin())};
-}
-
-IndexReader::LocGroup IndexReader::loc_group(std::size_t key_idx) const {
-  const std::uint64_t lo = loc_offsets_[key_idx];
-  const std::uint64_t hi = loc_offsets_[key_idx + 1];
-  return {loc_time_.subspan(lo, hi - lo), loc_bit_.subspan(lo, hi - lo)};
 }
 
 std::span<const std::int32_t> IndexReader::job_gpus(std::size_t j) const {

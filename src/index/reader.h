@@ -24,6 +24,7 @@
 #include <string>
 #include <string_view>
 
+#include "analysis/job_impact.h"
 #include "analysis/periods.h"
 #include "common/error.h"
 #include "common/mmap.h"
@@ -79,21 +80,9 @@ class IndexReader {
     return err_raw_lines_;
   }
 
-  // Exposure-join view (reported families only, grouped by packed GPU).
-  std::span<const std::int64_t> loc_keys() const { return loc_keys_; }
-  std::span<const std::uint64_t> loc_offsets() const { return loc_offsets_; }
-  std::span<const std::int64_t> loc_time() const { return loc_time_; }
-  std::span<const std::uint32_t> loc_bit() const { return loc_bit_; }
-  /// Time-sorted (time, bit) entries at a location key; empty when clean.
-  struct LocGroup {
-    std::span<const std::int64_t> time;
-    std::span<const std::uint32_t> bit;
-  };
-  LocGroup loc_at(std::int64_t key) const;
-  /// Index range [lo, hi) of loc_keys() whose keys fall in [key_lo, key_hi].
-  std::pair<std::size_t, std::size_t> loc_key_range(std::int64_t key_lo,
-                                                    std::int64_t key_hi) const;
-  LocGroup loc_group(std::size_t key_idx) const;
+  /// The exposure-join location index (reported families only, grouped by
+  /// packed GPU): the same layout analysis::build_error_index produces.
+  const analysis::ErrorIndexView& error_index() const { return loc_; }
 
   // Job columns, sorted by (end, start, id).
   std::span<const std::uint64_t> job_id() const { return job_id_; }
@@ -128,10 +117,7 @@ class IndexReader {
   std::span<const std::uint16_t> err_code_;
   std::span<const std::uint16_t> err_raw_xid_;
   std::span<const std::uint32_t> err_raw_lines_;
-  std::span<const std::int64_t> loc_keys_;
-  std::span<const std::uint64_t> loc_offsets_;
-  std::span<const std::int64_t> loc_time_;
-  std::span<const std::uint32_t> loc_bit_;
+  analysis::ErrorIndexView loc_;
   std::span<const std::uint64_t> job_id_;
   std::span<const std::int64_t> job_start_;
   std::span<const std::int64_t> job_end_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <numeric>
 
 #include "common/hash.h"
@@ -73,27 +74,11 @@ common::Result<std::string> serialize_index(const IndexBuildInput& in) {
               return x.raw_lines < y.raw_lines;
             });
 
-  // Location-grouped exposure view: same keying and sort as
-  // analysis::build_error_index, minus the period filter (applied at query
-  // time so one artifact serves any window).
-  struct Loc {
-    std::int64_t key;
-    common::TimePoint time;
-    std::uint32_t bit;
-  };
-  std::vector<Loc> loc;
-  loc.reserve(errors.size());
-  for (const auto& e : errors) {
-    const int bit = an::exposure_bit(e.code);
-    if (bit < 0) continue;
-    loc.push_back({an::pack_gpu(e.gpu.node, e.gpu.slot), e.time,
-                   static_cast<std::uint32_t>(bit)});
-  }
-  std::sort(loc.begin(), loc.end(), [](const Loc& a, const Loc& b) {
-    if (a.key != b.key) return a.key < b.key;
-    if (a.time != b.time) return a.time < b.time;
-    return a.bit < b.bit;
-  });
+  // The exposure-join location index, serialized verbatim.  No period
+  // filter: queries clamp to their own window, so one artifact serves any.
+  const auto loc = an::build_error_index(
+      errors, {std::numeric_limits<common::TimePoint>::min(),
+               std::numeric_limits<common::TimePoint>::max()});
 
   std::vector<std::size_t> job_order(jobs.jobs.size());
   std::iota(job_order.begin(), job_order.end(), std::size_t{0});
@@ -113,14 +98,9 @@ common::Result<std::string> serialize_index(const IndexBuildInput& in) {
   };
   std::vector<Interval> unavail;
   unavail.reserve(in.unavailability->size());
-  std::uint64_t dropped_hosts = 0;
   for (const auto& u : *in.unavailability) {
     const auto node = topo.node_index(u.host);
-    if (!node.has_value()) {
-      ++dropped_hosts;
-      continue;
-    }
-    unavail.push_back({*node, u.begin, u.end});
+    if (node.has_value()) unavail.push_back({*node, u.begin, u.end});
   }
   std::sort(unavail.begin(), unavail.end(),
             [](const Interval& a, const Interval& b) {
@@ -152,7 +132,7 @@ common::Result<std::string> serialize_index(const IndexBuildInput& in) {
     append_le32(s, static_cast<std::uint32_t>(topo.node_count()));
     append_le32(s, in.attribution == an::Attribution::kGpuLevel ? 0u : 1u);
     append_le64(s, errors.size());
-    append_le64(s, loc.size());
+    append_le64(s, loc.time.size());
     append_le64(s, jobs.jobs.size());
     append_le64(s, job_gpus);
     append_le64(s, unavail.size());
@@ -179,19 +159,14 @@ common::Result<std::string> serialize_index(const IndexBuildInput& in) {
     append_le16(sec(SectionId::kErrRawXid), e.raw_xid);
     append_le32(sec(SectionId::kErrRawLines), e.raw_lines);
   }
-  {
-    std::string& keys = sec(SectionId::kLocKeys);
-    std::string& offs = sec(SectionId::kLocOffsets);
-    for (std::size_t i = 0; i < loc.size(); ++i) {
-      if (i == 0 || loc[i].key != loc[i - 1].key) {
-        append_i64(keys, loc[i].key);
-        append_le64(offs, i);
-      }
-      append_i64(sec(SectionId::kLocTime), loc[i].time);
-      append_le32(sec(SectionId::kLocBit), loc[i].bit);
-    }
-    append_le64(offs, loc.size());
+  for (const std::int64_t key : loc.keys) {
+    append_i64(sec(SectionId::kLocKeys), key);
   }
+  for (const std::uint64_t off : loc.offsets) {
+    append_le64(sec(SectionId::kLocOffsets), off);
+  }
+  for (const std::int64_t t : loc.time) append_i64(sec(SectionId::kLocTime), t);
+  for (const std::uint32_t b : loc.bit) append_le32(sec(SectionId::kLocBit), b);
   {
     std::string& goffs = sec(SectionId::kJobGpuOffsets);
     std::uint64_t gcount = 0;
@@ -270,11 +245,9 @@ common::Result<IndexWriteStats> write_index(const IndexBuildInput& in,
   stats.jobs = load_le64(meta + kMetaJobCount);
   stats.job_gpus = load_le64(meta + kMetaJobGpuCount);
   stats.unavailability = load_le64(meta + kMetaUnavailCount);
-  std::uint64_t dropped = 0;
-  for (const auto& u : *in.unavailability) {
-    if (!in.topo->node_index(u.host).has_value()) ++dropped;
-  }
-  stats.dropped_unknown_hosts = dropped;
+  // Every interval the writer did not store named an unknown host.
+  stats.dropped_unknown_hosts =
+      in.unavailability->size() - stats.unavailability;
   return stats;
 }
 

@@ -265,7 +265,7 @@ void expect_count_eq(const ix::CountResult& got, const ix::CountResult& want,
       << got.mtbe_per_node_h << " vs " << want.mtbe_per_node_h;
 }
 
-void expect_impact_eq(const ix::ImpactResult& got, const an::JobImpact& want,
+void expect_impact_eq(const an::JobImpact& got, const an::JobImpact& want,
                       const ix::Predicate& p) {
   SCOPED_TRACE("impact from=" + std::to_string(p.from) +
                " to=" + std::to_string(p.to) +

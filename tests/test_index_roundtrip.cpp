@@ -16,6 +16,7 @@
 #include "cluster/topology.h"
 #include "common/io.h"
 #include "common/rng.h"
+#include "index/query.h"
 #include "index/reader.h"
 #include "index/writer.h"
 #include "logsys/syslog.h"
@@ -155,22 +156,15 @@ TEST(IndexRoundTrip, ErrorColumnsSurviveWriteAndMmapRead) {
     EXPECT_EQ(reader.err_raw_lines()[i], want[i].raw_lines) << i;
   }
 
-  // Exposure entries must match the batch join's index over the whole study
-  // window: same keys, same per-key (time, bit) sequences.
-  an::JobImpactConfig icfg;
-  icfg.period = c.pds.whole();
-  const auto batch = an::build_error_index(c.errors, icfg);
-  ASSERT_EQ(reader.loc_keys().size(), batch.locations());
-  ASSERT_EQ(reader.loc_time().size(), batch.entries());
-  for (std::size_t k = 0; k < reader.loc_keys().size(); ++k) {
-    const auto entries = batch.at(reader.loc_keys()[k]);
-    const auto group = reader.loc_group(k);
-    ASSERT_EQ(group.time.size(), entries.size()) << "key " << k;
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      EXPECT_EQ(group.time[i], entries[i].time);
-      EXPECT_EQ(group.bit[i], entries[i].bit);
-    }
-  }
+  // The loc sections are the batch join's index over the whole study
+  // window, column for column.
+  const auto batch = an::build_error_index(c.errors, c.pds.whole());
+  const auto& loc = reader.error_index();
+  EXPECT_TRUE(std::ranges::equal(loc.keys, batch.keys));
+  EXPECT_TRUE(std::ranges::equal(loc.offsets, batch.offsets));
+  EXPECT_TRUE(std::ranges::equal(loc.time, batch.time));
+  EXPECT_TRUE(std::ranges::equal(loc.bit, batch.bit));
+  EXPECT_EQ(reader.meta().loc_entry_count, batch.time.size());
 }
 
 TEST(IndexRoundTrip, JobAndUnavailabilityColumnsSurvive) {
@@ -274,10 +268,12 @@ TEST(IndexRoundTrip, EmptyDatasetRoundTrips) {
   const auto& reader = opened.value();
   EXPECT_EQ(reader.meta().error_count, 0u);
   EXPECT_TRUE(reader.err_time().empty());
-  EXPECT_TRUE(reader.loc_keys().empty());
+  EXPECT_TRUE(reader.error_index().keys.empty());
   EXPECT_TRUE(reader.job_id().empty());
   EXPECT_TRUE(reader.unavail_begin().empty());
-  EXPECT_TRUE(reader.loc_at(an::pack_gpu(0, 0)).time.empty());
+  const auto key = an::pack_gpu(0, 0);
+  const auto [lo, hi] = reader.error_index().key_range(key, key);
+  EXPECT_EQ(lo, hi);
   EXPECT_TRUE(reader.job_gpus(0).empty());  // out of range is empty, not UB
 }
 
@@ -305,9 +301,122 @@ TEST(IndexRoundTrip, SingleErrorRoundTrips) {
   EXPECT_EQ(reader.err_gpu()[0], an::pack_gpu(1, 2));
   EXPECT_EQ(reader.err_code()[0], 63);
   EXPECT_EQ(reader.err_raw_lines()[0], 9u);
-  const auto group = reader.loc_at(an::pack_gpu(1, 2));
-  ASSERT_EQ(group.time.size(), 1u);
-  EXPECT_EQ(group.time[0], pds.op.begin + 42);
+  const auto& loc = reader.error_index();
+  const auto key = an::pack_gpu(1, 2);
+  const auto [lo, hi] = loc.key_range(key, key);
+  ASSERT_EQ(hi - lo, 1u);
+  ASSERT_EQ(loc.offsets[hi] - loc.offsets[lo], 1u);
+  EXPECT_EQ(loc.time[loc.offsets[lo]], pds.op.begin + 42);
+}
+
+namespace {
+
+an::JobView job(std::uint64_t id, ct::TimePoint start, ct::TimePoint end,
+                gpures::slurm::JobState state, an::PackedGpu gpu) {
+  an::JobView j;
+  j.id = id;
+  j.start = start;
+  j.end = end;
+  j.gpus = 1;
+  j.state = state;
+  j.inline_count = 1;
+  j.gpus_inline[0] = gpu;
+  return j;
+}
+
+void expect_same_impact(const an::JobImpact& got, const an::JobImpact& want) {
+  EXPECT_EQ(got.jobs_analyzed, want.jobs_analyzed);
+  EXPECT_EQ(got.failed_jobs_total, want.failed_jobs_total);
+  EXPECT_EQ(got.gpu_failed_jobs, want.gpu_failed_jobs);
+  ASSERT_EQ(got.rows.size(), want.rows.size());
+  for (std::size_t i = 0; i < want.rows.size(); ++i) {
+    EXPECT_EQ(got.rows[i].code, want.rows[i].code) << i;
+    EXPECT_EQ(got.rows[i].encountering_jobs, want.rows[i].encountering_jobs)
+        << i;
+    EXPECT_EQ(got.rows[i].failed_jobs, want.rows[i].failed_jobs) << i;
+    EXPECT_EQ(got.rows[i].failure_probability,
+              want.rows[i].failure_probability)
+        << i;
+    EXPECT_EQ(got.rows[i].ci.lo, want.rows[i].ci.lo) << i;
+    EXPECT_EQ(got.rows[i].ci.hi, want.rows[i].ci.hi) << i;
+  }
+}
+
+std::uint64_t encountering(const an::JobImpact& impact, std::uint16_t xid) {
+  return impact.find(static_cast<gx::Code>(xid))->encountering_jobs;
+}
+std::uint64_t failed(const an::JobImpact& impact, std::uint16_t xid) {
+  return impact.find(static_cast<gx::Code>(xid))->failed_jobs;
+}
+
+}  // namespace
+
+TEST(IndexRoundTrip, QueryImpactMatchesBatchAtWindowBoundaries) {
+  // The query window [from, to) clamps both jobs (by end) and errors (by
+  // time); the attribution excludes an error at a job's exact start second.
+  // Errors sit at from - 1, from, to - 1, to and at a job's start second.
+  using gpures::slurm::JobState;
+  Corpus c;
+  const auto from = c.pds.op.begin + 1000;
+  const auto to = c.pds.op.begin + 5000;
+  const auto g10 = an::pack_gpu(1, 0);
+  const auto g11 = an::pack_gpu(1, 1);
+  const auto g21 = an::pack_gpu(2, 1);
+  c.errors = {
+      err(from - 1, 1, 0, 31, 31, 1),    // before the window
+      err(from, 1, 0, 48, 48, 1),        // first second of the window
+      err(from + 90, 1, 0, 63, 63, 1),   // in job A's final 20 s
+      err(from + 200, 2, 1, 74, 74, 1),  // job B's start second
+      err(to - 1, 2, 1, 79, 79, 1),      // last second, job B's end
+      err(to, 2, 1, 94, 94, 1),          // first second after the window
+  };
+  c.jobs = {};
+  // A starts before the window and ends inside it.
+  c.jobs.jobs.push_back(job(1, from - 500, from + 100, JobState::kFailed, g10));
+  c.jobs.jobs.push_back(job(2, from + 200, to - 1, JobState::kFailed, g21));
+  // Ends at `to`: outside the window.
+  c.jobs.jobs.push_back(job(3, from + 300, to, JobState::kFailed, g21));
+  // Shares node 1 with A on another GPU: exposed only at node level.
+  c.jobs.jobs.push_back(job(4, from - 10, from + 150, JobState::kCompleted, g11));
+  // Ends before the window.
+  c.jobs.jobs.push_back(job(5, from - 2000, from - 1, JobState::kFailed, g10));
+
+  const auto path = temp_file("boundaries");
+  ASSERT_TRUE(ix::write_index(c.input(), path.string()).ok());
+  auto opened = ix::IndexReader::open(path.string());
+  ASSERT_TRUE(opened.ok()) << opened.error().message;
+  const auto reader = std::move(opened).take();
+
+  ix::Predicate p;
+  p.from = from;
+  p.to = to;
+  an::JobImpactConfig cfg;
+  cfg.window = 20;
+  cfg.period = {from, to};
+  for (const int attribution : {0, 1}) {
+    SCOPED_TRACE(attribution == 0 ? "device level" : "node level");
+    cfg.attribution = attribution == 0 ? an::Attribution::kGpuLevel
+                                       : an::Attribution::kNodeLevel;
+    ix::QueryOptions opts;
+    opts.attribution = attribution;
+    ix::QueryEngine engine(reader, opts);
+    const auto want = an::compute_job_impact(c.jobs, c.errors, cfg);
+    expect_same_impact(engine.impact(p), want);
+
+    EXPECT_EQ(want.jobs_analyzed, 3u);
+    EXPECT_EQ(want.failed_jobs_total, 2u);
+    EXPECT_EQ(want.gpu_failed_jobs, 2u);
+    for (const std::uint16_t outside : {31, 74, 94}) {
+      EXPECT_EQ(encountering(want, outside), 0u) << "xid " << outside;
+    }
+    const std::uint64_t node_share = attribution == 0 ? 1u : 2u;
+    EXPECT_EQ(encountering(want, 48), node_share);
+    EXPECT_EQ(encountering(want, 63), node_share);
+    EXPECT_EQ(encountering(want, 79), 1u);
+    EXPECT_EQ(failed(want, 48), 0u);
+    EXPECT_EQ(failed(want, 63), 1u);
+    EXPECT_EQ(failed(want, 79), 1u);
+  }
 }
 
 TEST(IndexRoundTrip, SerializationIsDeterministic) {

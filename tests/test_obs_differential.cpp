@@ -146,6 +146,9 @@ TEST(ObsDifferential, DatasetAnalysisIdenticalAcrossObsAndThreadModes) {
     if (instrumented) {
       EXPECT_GT(tracer.event_count(), 0u);
       EXPECT_GT(registry.counter_value("pipe.log_lines"), 0u);
+      // Accounting ingest runs under its own span inside dataset.load.
+      EXPECT_NE(tracer.to_chrome_json().find("\"name\":\"dataset.accounting\""),
+                std::string::npos);
     }
     return rendered_artifacts(pipe, topo);
   };

@@ -168,7 +168,8 @@ class Stage3Parallel : public ::testing::TestWithParam<Case> {};
 TEST_P(Stage3Parallel, ExposureJoinMatchesSerial) {
   const auto param = GetParam();
   const auto cfg = impact_config(param.attribution);
-  const auto index = an::build_error_index(errors(), cfg);
+  const auto owned = an::build_error_index(errors(), cfg.period);
+  const auto index = owned.view();
 
   an::ExposureJoinStats serial_stats;
   const auto serial = an::compute_exposures(job_table(), index, cfg, nullptr,
@@ -222,7 +223,8 @@ TEST(Stage3Parallel, PoolsOfDifferentSizesAgree) {
   // Transitivity at odd worker counts: the shard partition differs but the
   // concatenated output cannot.
   const auto cfg = impact_config(an::Attribution::kGpuLevel);
-  const auto index = an::build_error_index(errors(), cfg);
+  const auto owned = an::build_error_index(errors(), cfg.period);
+  const auto index = owned.view();
   ct::ThreadPool three(3);
   ct::ThreadPool seven(7);
   expect_exposures_equal(
@@ -230,16 +232,31 @@ TEST(Stage3Parallel, PoolsOfDifferentSizesAgree) {
       an::compute_exposures(job_table(), index, cfg, &seven));
 }
 
+namespace {
+
+/// Entry range [lo, hi) of the groups whose keys fall in [key_lo, key_hi].
+std::size_t entries_in(const an::ErrorIndexView& index, std::int64_t key_lo,
+                       std::int64_t key_hi) {
+  const auto [lo, hi] = index.key_range(key_lo, key_hi);
+  return index.offsets[hi] - index.offsets[lo];
+}
+
+}  // namespace
+
 TEST(Stage3Parallel, ErrorIndexMatchesNaiveScan) {
   const auto cfg = impact_config(an::Attribution::kGpuLevel);
-  const auto index = an::build_error_index(errors(), cfg);
-  EXPECT_TRUE(index.gpu_level());
-  ASSERT_GT(index.locations(), 0u);
+  const auto owned = an::build_error_index(errors(), cfg.period);
+  const auto index = owned.view();
+  ASSERT_GT(index.keys.size(), 0u);
+  ASSERT_EQ(index.offsets.size(), index.keys.size() + 1);
+  ASSERT_EQ(index.time.size(), index.bit.size());
 
   std::size_t total = 0;
   for (std::int32_t node = 0; node < kNodes; ++node) {
     for (std::int32_t slot = 0; slot < kGpusPerNode; ++slot) {
-      const auto group = index.at(an::pack_gpu(node, slot));
+      const auto key = an::pack_gpu(node, slot);
+      const auto [lo, hi] = index.key_range(key, key);
+      ASSERT_LE(hi - lo, 1u);
       std::size_t expected = 0;
       for (const auto& e : errors()) {
         if (e.gpu.node == node && e.gpu.slot == slot &&
@@ -247,29 +264,49 @@ TEST(Stage3Parallel, ErrorIndexMatchesNaiveScan) {
           ++expected;
         }
       }
-      EXPECT_EQ(group.size(), expected) << "gpu " << node << "/" << slot;
-      for (std::size_t i = 1; i < group.size(); ++i) {
-        EXPECT_LE(group[i - 1].time, group[i].time);
+      EXPECT_EQ(entries_in(index, key, key), expected)
+          << "gpu " << node << "/" << slot;
+      for (std::uint64_t i = index.offsets[lo] + 1; i < index.offsets[hi];
+           ++i) {
+        EXPECT_LE(index.time[i - 1], index.time[i]);
       }
-      total += group.size();
+      total += expected;
     }
   }
-  EXPECT_EQ(total, index.entries());
-  EXPECT_TRUE(index.at(an::pack_gpu(kNodes + 5, 0)).empty());
+  EXPECT_EQ(total, index.time.size());
+  const auto ghost = an::pack_gpu(kNodes + 5, 0);
+  EXPECT_EQ(entries_in(index, ghost, ghost), 0u);
 }
 
 TEST(Stage3Parallel, NodeLevelIndexGroupsByNode) {
+  // Node-level attribution reads the same GPU-keyed index: a node's errors
+  // are exactly the groups in [pack_gpu(node, 0), pack_gpu(node, 0xff)].
   const auto cfg = impact_config(an::Attribution::kNodeLevel);
-  const auto index = an::build_error_index(errors(), cfg);
-  EXPECT_FALSE(index.gpu_level());
-  std::size_t expected = 0;
-  for (const auto& e : errors()) {
-    if (e.gpu.node == 3 && cfg.period.contains(e.time) &&
-        an::exposure_bit(e.code) >= 0) {
-      ++expected;
+  const auto owned = an::build_error_index(errors(), cfg.period);
+  const auto index = owned.view();
+  std::size_t total = 0;
+  for (std::int32_t node = 0; node < kNodes; ++node) {
+    std::size_t expected = 0;
+    for (const auto& e : errors()) {
+      if (e.gpu.node == node && cfg.period.contains(e.time) &&
+          an::exposure_bit(e.code) >= 0) {
+        ++expected;
+      }
     }
+    const auto lo_key = an::pack_gpu(node, 0);
+    const auto hi_key = an::pack_gpu(node, 0xff);
+    EXPECT_EQ(entries_in(index, lo_key, hi_key), expected) << "node " << node;
+    const auto [lo, hi] = index.key_range(lo_key, hi_key);
+    for (std::size_t k = lo; k < hi; ++k) {
+      EXPECT_EQ(an::packed_node(static_cast<an::PackedGpu>(index.keys[k])),
+                node);
+    }
+    total += expected;
   }
-  EXPECT_EQ(index.at(3).size(), expected);
+  EXPECT_EQ(total, index.time.size());
+  EXPECT_EQ(entries_in(index, an::pack_gpu(kNodes, 0),
+                       an::pack_gpu(kNodes, 0xff)),
+            0u);
 }
 
 TEST(Stage3Parallel, AvailabilityBitIdenticalAcrossWorkerCounts) {

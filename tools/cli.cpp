@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "analysis/export.h"
 #include "analysis/mitigation.h"
@@ -173,6 +174,24 @@ bool emit_results(std::string_view tool, const analysis::ResultSet& res,
   const auto& periods = res.periods();
   const bool have_jobs = !res.jobs().jobs.empty();
   const auto stats = res.error_stats();
+  // mttf_estimate_h() is this same total; reuse the stats in hand.
+  const double mttf_h = stats.total.op.mtbe_per_node_h;
+  // Each Stage-III result is derived at most once per call, on first use.
+  std::optional<analysis::JobImpact> impact;
+  std::optional<analysis::JobStats> job_stats;
+  std::optional<analysis::AvailabilityStats> avail;
+  const auto get_impact = [&]() -> const analysis::JobImpact& {
+    if (!impact) impact = res.job_impact();
+    return *impact;
+  };
+  const auto get_job_stats = [&]() -> const analysis::JobStats& {
+    if (!job_stats) job_stats = res.job_stats();
+    return *job_stats;
+  };
+  const auto get_avail = [&]() -> const analysis::AvailabilityStats& {
+    if (!avail) avail = res.availability();
+    return *avail;
+  };
   const bool all = req.report == "all";
   const auto want = [&](const char* name) { return all || req.report == name; };
   if (want("table1")) {
@@ -185,17 +204,15 @@ bool emit_results(std::string_view tool, const analysis::ResultSet& res,
   }
   if (want("table2") && have_jobs) {
     OBS_SPAN("report.table2");
-    std::printf("%s\n", analysis::render_table2(res.job_impact()).c_str());
+    std::printf("%s\n", analysis::render_table2(get_impact()).c_str());
   }
   if (want("table3") && have_jobs) {
     OBS_SPAN("report.table3");
-    std::printf("%s\n", analysis::render_table3(res.job_stats()).c_str());
+    std::printf("%s\n", analysis::render_table3(get_job_stats()).c_str());
   }
   if (want("fig2")) {
     OBS_SPAN("report.fig2");
-    std::printf("%s\n", analysis::render_fig2(res.availability(),
-                                              res.mttf_estimate_h())
-                            .c_str());
+    std::printf("%s\n", analysis::render_fig2(get_avail(), mttf_h).c_str());
   }
   if (want("trends")) {
     OBS_SPAN("report.trends");
@@ -220,7 +237,6 @@ bool emit_results(std::string_view tool, const analysis::ResultSet& res,
 
   if (!req.index_file.empty()) {
     OBS_SPAN("index.write");
-    const auto avail = res.availability();
     const auto& knobs = res.knobs();
     index::IndexBuildInput in;
     in.periods = periods;
@@ -231,7 +247,7 @@ bool emit_results(std::string_view tool, const analysis::ResultSet& res,
     in.topo = &res.topo();
     in.errors = &res.errors();
     in.jobs = &res.jobs();
-    in.unavailability = &avail.intervals;
+    in.unavailability = &get_avail().intervals;
     const auto wrote = index::write_index(in, req.index_file);
     if (!wrote.ok()) {
       log.error(comp, wrote.error().message);
@@ -248,15 +264,12 @@ bool emit_results(std::string_view tool, const analysis::ResultSet& res,
   }
 
   if (!req.json_file.empty()) {
-    const auto impact = res.job_impact();
-    const auto jobs = res.job_stats();
-    const auto avail = res.availability();
     analysis::ExportBundle bundle;
     bundle.error_stats = &stats;
-    bundle.job_stats = &jobs;
-    bundle.job_impact = &impact;
-    bundle.availability = &avail;
-    bundle.mttf_h = res.mttf_estimate_h();
+    bundle.job_stats = &get_job_stats();
+    bundle.job_impact = &get_impact();
+    bundle.availability = &get_avail();
+    bundle.mttf_h = mttf_h;
     const auto json = analysis::to_json(bundle) + "\n";
     if (!write_artifact(tool, req.json_file, json)) return false;
     log.info(comp, "wrote JSON export", {{"path", req.json_file}});

@@ -86,7 +86,7 @@ void render_md(const index::QueryEngine& eng, const index::Predicate& p,
                const index::IndexReader& reader, bool want_count,
                bool want_impact, bool want_avail,
                const index::CountResult* count,
-               const index::ImpactResult* impact,
+               const analysis::JobImpact* impact,
                const index::AvailabilityResult* avail) {
   std::printf("# gpures-query\n\n");
   std::printf("- index: %s\n", reader.path().c_str());
@@ -147,7 +147,7 @@ void render_md(const index::QueryEngine& eng, const index::Predicate& p,
 
 void render_csv(bool want_count, bool want_impact, bool want_avail,
                 const index::CountResult* count,
-                const index::ImpactResult* impact,
+                const analysis::JobImpact* impact,
                 const index::AvailabilityResult* avail) {
   const auto num = [](double v) {
     if (!std::isfinite(v)) return std::string();
@@ -190,7 +190,7 @@ void render_json(const index::QueryEngine& eng, const index::Predicate& p,
                  const index::IndexReader& reader, bool want_count,
                  bool want_impact, bool want_avail,
                  const index::CountResult* count,
-                 const index::ImpactResult* impact,
+                 const analysis::JobImpact* impact,
                  const index::AvailabilityResult* avail) {
   common::JsonWriter w;
   const auto fin = [&w](double v) {
@@ -398,7 +398,7 @@ int main(int argc, char** argv) {
   }
 
   index::CountResult count;
-  index::ImpactResult impact;
+  analysis::JobImpact impact;
   index::AvailabilityResult avail;
   if (want_count) count = engine.count(pred);
   if (want_impact) impact = engine.impact(pred);
