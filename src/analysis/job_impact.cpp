@@ -24,23 +24,52 @@ void for_each_shard(common::ThreadPool* pool, std::size_t total, Fn&& fn) {
   }
 }
 
-/// The batch job loop: visit(idx, job, masks) for each job of [lo, hi) that
-/// ends inside cfg.period, in job-index order.
-template <typename Visit>
-void scan_job_range(const JobTable& table, const ErrorIndexView& index,
-                    const JobImpactConfig& cfg, std::size_t lo, std::size_t hi,
-                    Visit&& visit) {
-  std::vector<std::int32_t> node_scratch;
-  for (std::size_t idx = lo; idx < hi; ++idx) {
-    const auto& j = table.jobs[idx];
-    if (!cfg.period.contains(j.end)) continue;
-    visit(idx, j,
-          expose(index, j.start, j.end, table.gpus_of(j), cfg, node_scratch));
-  }
-}
-
 bool gpu_failed(slurm::JobState state, const ExposureMasks& m) {
   return slurm::is_failure(state) && m.window_mask != 0;
+}
+
+/// The one batch job loop: every job of the table ending in cfg.period is
+/// exposed once and folded into its shard's tally; with `exposures`, jobs
+/// that saw an error are also listed.  Per-shard lists concatenate in shard
+/// order — shards cover contiguous job ranges, so that is the serial
+/// job-index order — and per-shard tallies merge by integer summation.
+JobImpact join(const JobTable& table, const ErrorIndexView& index,
+               const JobImpactConfig& cfg, common::ThreadPool* pool,
+               ExposureJoinStats* stats, std::vector<JobExposure>* exposures) {
+  const std::size_t shards = pool != nullptr ? pool->size() : 1;
+  std::vector<ImpactTally> tallies(shards);
+  std::vector<std::vector<JobExposure>> shard_out(shards);
+  for_each_shard(pool, table.jobs.size(),
+                 [&](std::size_t s, std::size_t lo, std::size_t hi) {
+                   std::vector<std::int32_t> node_scratch;
+                   for (std::size_t idx = lo; idx < hi; ++idx) {
+                     const auto& j = table.jobs[idx];
+                     if (!cfg.period.contains(j.end)) continue;
+                     const auto m = expose(index, j.start, j.end,
+                                           table.gpus_of(j), cfg, node_scratch);
+                     tallies[s].add(j.state, m);
+                     if (exposures == nullptr || m.run_mask == 0) continue;
+                     shard_out[s].push_back({idx, m.run_mask, m.window_mask,
+                                             gpu_failed(j.state, m)});
+                   }
+                 });
+
+  ImpactTally total;
+  for (const auto& t : tallies) total.merge(t);
+  if (stats != nullptr) {
+    stats->shards.clear();
+    for (const auto& t : tallies) {
+      stats->shards.push_back({t.jobs_analyzed, t.jobs_exposed});
+    }
+  }
+  if (exposures != nullptr) {
+    exposures->clear();
+    exposures->reserve(total.jobs_exposed);
+    for (const auto& v : shard_out) {
+      exposures->insert(exposures->end(), v.begin(), v.end());
+    }
+  }
+  return total.finish(cfg);
 }
 
 }  // namespace
@@ -210,32 +239,8 @@ std::vector<JobExposure> compute_exposures(
     const JobTable& table, const ErrorIndexView& index,
     const JobImpactConfig& cfg, common::ThreadPool* pool,
     ExposureJoinStats* stats) {
-  const std::size_t shards = pool != nullptr ? pool->size() : 1;
-  std::vector<std::vector<JobExposure>> shard_out(shards);
-  std::vector<ExposureJoinStats::Shard> shard_stats(shards);
-  for_each_shard(pool, table.jobs.size(),
-                 [&](std::size_t s, std::size_t lo, std::size_t hi) {
-                   auto& out = shard_out[s];
-                   scan_job_range(
-                       table, index, cfg, lo, hi,
-                       [&](std::size_t idx, const JobView& j,
-                           const ExposureMasks& m) {
-                         ++shard_stats[s].jobs_scanned;
-                         if (m.run_mask == 0) return;
-                         out.push_back({idx, m.run_mask, m.window_mask,
-                                        gpu_failed(j.state, m)});
-                       });
-                   shard_stats[s].jobs_exposed = out.size();
-                 });
-
-  // Shards cover contiguous job ranges, so concatenating them in shard order
-  // reproduces the serial job-index order exactly.
-  std::size_t total = 0;
-  for (const auto& v : shard_out) total += v.size();
   std::vector<JobExposure> out;
-  out.reserve(total);
-  for (auto& v : shard_out) out.insert(out.end(), v.begin(), v.end());
-  if (stats != nullptr) stats->shards = std::move(shard_stats);
+  join(table, index, cfg, pool, stats, &out);
   return out;
 }
 
@@ -249,28 +254,10 @@ std::vector<JobExposure> compute_exposures(
 JobImpact compute_job_impact(const JobTable& table,
                              const std::vector<CoalescedError>& errors,
                              const JobImpactConfig& cfg,
-                             common::ThreadPool* pool,
-                             ExposureJoinStats* stats) {
-  const auto index = build_error_index(errors, cfg.period);
-  std::vector<ImpactTally> tallies(pool != nullptr ? pool->size() : 1);
-  for_each_shard(pool, table.jobs.size(),
-                 [&](std::size_t s, std::size_t lo, std::size_t hi) {
-                   scan_job_range(table, index.view(), cfg, lo, hi,
-                                  [&](std::size_t, const JobView& j,
-                                      const ExposureMasks& m) {
-                                    tallies[s].add(j.state, m);
-                                  });
-                 });
-
-  ImpactTally total;
-  for (const auto& t : tallies) total.merge(t);
-  if (stats != nullptr) {
-    stats->shards.clear();
-    for (const auto& t : tallies) {
-      stats->shards.push_back({t.jobs_analyzed, t.jobs_exposed});
-    }
-  }
-  return total.finish(cfg);
+                             common::ThreadPool* pool, ExposureJoinStats* stats,
+                             std::vector<JobExposure>* exposures) {
+  return join(table, build_error_index(errors, cfg.period).view(), cfg, pool,
+              stats, exposures);
 }
 
 }  // namespace gpures::analysis

@@ -155,8 +155,7 @@ struct ExposureJoinStats {
 };
 
 /// Compute exposures for every job ending in cfg.period (jobs with no
-/// errors are omitted).  Shared by the Table II computation and the
-/// mitigation what-ifs.  With a pool, the job table is sharded into
+/// errors are omitted).  With a pool, the job table is sharded into
 /// pool->size() contiguous ranges joined concurrently against `index`;
 /// per-shard outputs are concatenated in shard order, so the returned
 /// vector is identical to a serial join for any worker count.
@@ -176,11 +175,14 @@ int exposure_bit(xid::Code code);
 /// Correlate coalesced errors with job records.  Errors may be in any order;
 /// jobs may be in any order.  With a pool, the join is sharded as in
 /// compute_exposures and the per-shard tallies are merged in fixed shard
-/// order — integer sums, so the result is exactly the serial one.
+/// order — integer sums, so the result is exactly the serial one.  The same
+/// pass fills `exposures`, when non-null, with compute_exposures' list, so
+/// Table II and the mitigation what-ifs can share one join.
 JobImpact compute_job_impact(const JobTable& table,
                              const std::vector<CoalescedError>& errors,
                              const JobImpactConfig& cfg,
                              common::ThreadPool* pool = nullptr,
-                             ExposureJoinStats* stats = nullptr);
+                             ExposureJoinStats* stats = nullptr,
+                             std::vector<JobExposure>* exposures = nullptr);
 
 }  // namespace gpures::analysis

@@ -2,11 +2,7 @@
 
 #include <cstdio>
 
-#include "analysis/mitigation.h"
-#include "analysis/reports.h"
 #include "analysis/reproduction.h"
-#include "analysis/survival.h"
-#include "analysis/trends.h"
 
 namespace gpures::analysis {
 
@@ -22,14 +18,14 @@ void section(std::string& out, const std::string& heading,
 
 }  // namespace
 
-std::string render_markdown_report(const AnalysisPipeline& pipe,
-                                   const cluster::Topology& topo,
+std::string render_markdown_report(Stage3Results& results,
+                                   const AnalysisPipeline::Counters& c,
                                    const MarkdownReportOptions& opts) {
-  std::string out;
-  out += "# " + opts.title + "\n\n";
+  std::string out = "# GPU resilience characterization\n\n";
 
-  const auto& periods = pipe.config().periods;
-  const auto& c = pipe.counters();
+  const auto& res = results.results();
+  const auto& periods = res.periods();
+  const auto& topo = res.topo();
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),
@@ -43,54 +39,25 @@ std::string render_markdown_report(const AnalysisPipeline& pipe,
       static_cast<unsigned long long>(c.xid_records),
       static_cast<unsigned long long>(c.lifecycle_records),
       static_cast<unsigned long long>(c.rejected_lines),
-      pipe.jobs().jobs.size(), pipe.errors().size());
+      res.jobs().jobs.size(), res.errors().size());
   out += buf;
-
-  const auto stats = pipe.error_stats();
-  const bool have_jobs = !pipe.jobs().jobs.empty();
 
   if (opts.quality != nullptr) {
     out += opts.quality->to_markdown();
     out += '\n';
   }
-  if (opts.include_table1) {
-    section(out, "Error counts and MTBE (Table I)", render_table1(stats));
-  }
-  if (opts.include_findings) {
-    section(out, "Headline findings", render_findings(stats));
-  }
-  if (opts.include_table2 && have_jobs) {
-    section(out, "GPU error impact on jobs (Table II)",
-            render_table2(pipe.job_impact()));
-  }
-  if (opts.include_table3 && have_jobs) {
-    section(out, "Job population (Table III)", render_table3(pipe.job_stats()));
-  }
-  if (opts.include_fig2) {
-    section(out, "Unavailability and availability (Fig. 2)",
-            render_fig2(pipe.availability(), pipe.mttf_estimate_h()));
-  }
-  if (opts.include_trends) {
-    section(out, "Trends, burstiness, concentration",
-            render_trends(pipe.errors(), periods, pipe.pool()));
-  }
-  if (opts.include_survival) {
-    section(out, "Survival analysis",
-            render_survival(pipe.errors(), periods, topo.total_gpus(),
-                            pipe.pool()));
-  }
-  if (opts.include_mitigation && have_jobs) {
-    section(out, "Mitigation what-ifs",
-            render_mitigation(pipe.jobs(), pipe.errors(), pipe.impact_config(),
-                              pipe.pool()));
+  const auto catalog = report_catalog();
+  for (std::size_t i = 0; i < catalog.size(); ++i) {
+    if (const auto* body = results.report(i)) {
+      section(out, catalog[i].heading, *body);
+    }
   }
   if (opts.include_scorecard) {
-    const auto impact = have_jobs ? pipe.job_impact() : JobImpact{};
-    const auto jobs = have_jobs ? pipe.job_stats() : JobStats{};
-    const auto avail = pipe.availability();
+    const bool have_jobs = !res.jobs().jobs.empty();
     const auto card = score_reproduction(
-        &stats, have_jobs ? &impact : nullptr, have_jobs ? &jobs : nullptr,
-        &avail, pipe.mttf_estimate_h());
+        &results.error_stats(), have_jobs ? &results.job_impact() : nullptr,
+        have_jobs ? &results.job_stats() : nullptr, &results.availability(),
+        results.mttf_estimate_h());
     section(out, "Reproduction scorecard", card.render());
   }
   return out;

@@ -8,29 +8,23 @@
 
 #include "analysis/data_quality.h"
 #include "analysis/pipeline.h"
+#include "analysis/stage3_results.h"
 
 namespace gpures::analysis {
 
 struct MarkdownReportOptions {
-  std::string title = "GPU resilience characterization";
   /// When non-null, a "Data quality" section describing what ingestion
   /// dropped or quarantined is rendered first (readers must know how much
   /// of the input the numbers below actually saw).
   const DataQualityReport* quality = nullptr;
-  bool include_table1 = true;
-  bool include_findings = true;
-  bool include_table2 = true;       ///< skipped automatically without jobs
-  bool include_table3 = true;       ///< skipped automatically without jobs
-  bool include_fig2 = true;
-  bool include_trends = true;
-  bool include_survival = true;
-  bool include_mitigation = true;   ///< skipped automatically without jobs
   bool include_scorecard = false;   ///< only meaningful at full Delta scale
 };
 
-/// Render the full report from a finished pipeline.
-std::string render_markdown_report(const AnalysisPipeline& pipe,
-                                   const cluster::Topology& topo,
+/// Render the full report: a header with the pipeline's ingest `counters`,
+/// then every report_catalog() section in catalog order, each body
+/// byte-equal to its --report block on stdout.
+std::string render_markdown_report(Stage3Results& results,
+                                   const AnalysisPipeline::Counters& counters,
                                    const MarkdownReportOptions& opts = {});
 
 }  // namespace gpures::analysis

@@ -28,12 +28,6 @@ LostWork compute_lost_work(const JobTable& table,
   return out;
 }
 
-LostWork compute_lost_work(const JobTable& table,
-                           const std::vector<CoalescedError>& errors,
-                           const JobImpactConfig& cfg) {
-  return compute_lost_work(table, compute_exposures(table, errors, cfg), cfg);
-}
-
 CheckpointSweep sweep_checkpoint_interval(
     const JobTable& table, std::span<const JobExposure> exposures,
     const JobImpactConfig& cfg, const std::vector<double>& intervals_h,
@@ -87,15 +81,6 @@ CheckpointSweep sweep_checkpoint_interval(
   return sweep;
 }
 
-CheckpointSweep sweep_checkpoint_interval(
-    const JobTable& table, const std::vector<CoalescedError>& errors,
-    const JobImpactConfig& cfg, const std::vector<double>& intervals_h,
-    double checkpoint_cost_h, double restore_cost_h) {
-  return sweep_checkpoint_interval(table, compute_exposures(table, errors, cfg),
-                                   cfg, intervals_h, checkpoint_cost_h,
-                                   restore_cost_h);
-}
-
 MaskingWhatIf compute_masking_whatif(const JobTable& table,
                                      std::span<const JobExposure> exposures,
                                      const JobImpactConfig& /*cfg*/,
@@ -123,25 +108,11 @@ MaskingWhatIf compute_masking_whatif(const JobTable& table,
   return out;
 }
 
-MaskingWhatIf compute_masking_whatif(const JobTable& table,
-                                     const std::vector<CoalescedError>& errors,
-                                     const JobImpactConfig& cfg,
-                                     const std::vector<xid::Code>& maskable) {
-  return compute_masking_whatif(table, compute_exposures(table, errors, cfg),
-                                cfg, maskable);
-}
-
 std::string render_mitigation(const JobTable& table,
-                              const std::vector<CoalescedError>& errors,
-                              const JobImpactConfig& cfg,
-                              common::ThreadPool* pool) {
+                              std::span<const JobExposure> exposures,
+                              const JobImpactConfig& cfg) {
   std::string out;
   char buf[256];
-
-  // One sharded join feeds all three what-ifs; each consumes the exposure
-  // list in order, so results are independent of the worker count.
-  const auto exposures = compute_exposures(
-      table, build_error_index(errors, cfg.period).view(), cfg, pool);
 
   const auto lost = compute_lost_work(table, exposures, cfg);
   std::snprintf(buf, sizeof(buf),
@@ -187,6 +158,17 @@ std::string render_mitigation(const JobTable& table,
                 mask.maskable_fraction * 100.0, mask.recoverable_gpu_hours);
   out += buf;
   return out;
+}
+
+std::string render_mitigation(const JobTable& table,
+                              const std::vector<CoalescedError>& errors,
+                              const JobImpactConfig& cfg,
+                              common::ThreadPool* pool) {
+  return render_mitigation(
+      table,
+      compute_exposures(table, build_error_index(errors, cfg.period).view(),
+                        cfg, pool),
+      cfg);
 }
 
 }  // namespace gpures::analysis

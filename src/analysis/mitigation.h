@@ -33,13 +33,9 @@ struct LostWork {
   double lost_fraction = 0.0;         ///< lost / total
 };
 
-/// Identify GPU-failed jobs (same rule as compute_job_impact) and sum their
-/// GPU-hours.
-LostWork compute_lost_work(const JobTable& table,
-                           const std::vector<CoalescedError>& errors,
-                           const JobImpactConfig& cfg);
-/// Same, over a precomputed exposure join (compute_exposures output for the
-/// same table/cfg) — lets callers run the join once and share it.
+/// Sum the GPU-hours of the GPU-failed jobs in an exposure join
+/// (compute_exposures output for the same table/cfg) and of every job
+/// ending in cfg.period.
 LostWork compute_lost_work(const JobTable& table,
                            std::span<const JobExposure> exposures,
                            const JobImpactConfig& cfg);
@@ -65,10 +61,6 @@ struct CheckpointSweep {
 };
 
 CheckpointSweep sweep_checkpoint_interval(
-    const JobTable& table, const std::vector<CoalescedError>& errors,
-    const JobImpactConfig& cfg, const std::vector<double>& intervals_h,
-    double checkpoint_cost_h = 0.05, double restore_cost_h = 0.1);
-CheckpointSweep sweep_checkpoint_interval(
     const JobTable& table, std::span<const JobExposure> exposures,
     const JobImpactConfig& cfg, const std::vector<double>& intervals_h,
     double checkpoint_cost_h = 0.05, double restore_cost_h = 0.1);
@@ -84,17 +76,17 @@ struct MaskingWhatIf {
 };
 
 MaskingWhatIf compute_masking_whatif(
-    const JobTable& table, const std::vector<CoalescedError>& errors,
-    const JobImpactConfig& cfg,
-    const std::vector<xid::Code>& maskable = {xid::Code::kMmuError});
-MaskingWhatIf compute_masking_whatif(
     const JobTable& table, std::span<const JobExposure> exposures,
     const JobImpactConfig& cfg,
     const std::vector<xid::Code>& maskable = {xid::Code::kMmuError});
 
-/// Render the mitigation report.  Runs the exposure join once (sharded over
-/// `pool` when given — same deterministic merge as compute_exposures) and
-/// feeds all three what-ifs from it.
+/// Render the mitigation report: all three what-ifs over one exposure join
+/// (compute_exposures or compute_job_impact output for the same table/cfg).
+std::string render_mitigation(const JobTable& table,
+                              std::span<const JobExposure> exposures,
+                              const JobImpactConfig& cfg);
+/// Same, running its own join (sharded over `pool` when given — the same
+/// deterministic merge as compute_exposures).
 std::string render_mitigation(const JobTable& table,
                               const std::vector<CoalescedError>& errors,
                               const JobImpactConfig& cfg,

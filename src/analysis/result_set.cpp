@@ -77,12 +77,12 @@ JobImpactConfig ResultSet::impact_config() const {
   return cfg;
 }
 
-JobImpact ResultSet::job_impact() const {
+JobImpact ResultSet::job_impact(std::vector<JobExposure>* exposures) const {
   OBS_SPAN("stage3.job_impact");
   const auto t0 = std::chrono::steady_clock::now();
   ExposureJoinStats join;
-  auto out =
-      compute_job_impact(jobs_, errors_, impact_config(), pool_.get(), &join);
+  auto out = compute_job_impact(jobs_, errors_, impact_config(), pool_.get(),
+                                &join, exposures);
   join_us_->observe(std::chrono::duration<double, std::micro>(
                         std::chrono::steady_clock::now() - t0)
                         .count());

@@ -3,7 +3,8 @@
 // errors, lifecycle records and job table with the topology, periods,
 // analysis knobs and worker pool, fixes the final result order, and derives
 // every Stage-III analysis (paper Fig. 1), so reports render the same from
-// either front end.
+// either front end.  Each call derives afresh; a run that renders several
+// artifacts reads them through one Stage3Results (stage3_results.h).
 #pragma once
 
 #include <cstdint>
@@ -49,7 +50,10 @@ class ResultSet {
   ErrorStats error_stats() const;
   JobStats job_stats() const;                 ///< full characterization window
   JobStats job_stats(const Period& w) const;  ///< custom window
-  JobImpact job_impact() const;               ///< operational period
+  /// Table II over the operational period: the exposure join counted in
+  /// pipe.stage3.*.  `exposures`, when non-null, receives the same pass's
+  /// per-job exposure list (see compute_job_impact).
+  JobImpact job_impact(std::vector<JobExposure>* exposures = nullptr) const;
   AvailabilityStats availability() const;     ///< operational period
   /// Conservative MTTF estimate: the all-error per-node MTBE in op (the
   /// paper assumes every GPU error interrupts the node).

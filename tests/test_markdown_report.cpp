@@ -4,6 +4,7 @@
 #include "analysis/markdown_report.h"
 #include "analysis/pipeline.h"
 #include "logsys/syslog.h"
+#include "obs/metrics.h"
 #include "slurm/accounting.h"
 
 namespace an = gpures::analysis;
@@ -57,7 +58,8 @@ struct Fixture {
 
 TEST(MarkdownReport, AllSectionsPresent) {
   Fixture f;
-  const auto md = an::render_markdown_report(f.pipe, f.topo);
+  an::Stage3Results results(f.pipe);
+  const auto md = an::render_markdown_report(results, f.pipe.counters());
   EXPECT_TRUE(md.rfind("# GPU resilience characterization", 0) == 0);
   for (const char* heading :
        {"## Error counts and MTBE (Table I)", "## Headline findings",
@@ -78,16 +80,29 @@ TEST(MarkdownReport, AllSectionsPresent) {
   EXPECT_GE(fences, 16);
 }
 
-TEST(MarkdownReport, SectionsToggleOff) {
+TEST(MarkdownReport, SectionsAreTheCatalogReportsOverOneJoin) {
+  // Each section body is its --report block, in catalog order, and the
+  // document and the reports share the holder's one exposure join.
   Fixture f;
-  an::MarkdownReportOptions opts;
-  opts.title = "Custom title";
-  opts.include_trends = false;
-  opts.include_survival = false;
-  const auto md = an::render_markdown_report(f.pipe, f.topo, opts);
-  EXPECT_NE(md.find("# Custom title"), std::string::npos);
-  EXPECT_EQ(md.find("## Trends"), std::string::npos);
-  EXPECT_EQ(md.find("## Survival"), std::string::npos);
+  an::Stage3Results results(f.pipe);
+  const auto md = an::render_markdown_report(results, f.pipe.counters());
+  const auto catalog = an::report_catalog();
+  std::size_t pos = 0;
+  for (std::size_t i = 0; i < catalog.size(); ++i) {
+    const auto* body = results.report(i);
+    ASSERT_NE(body, nullptr) << catalog[i].name;
+    const auto section =
+        "## " + std::string(catalog[i].heading) + "\n\n```\n" + *body;
+    const auto at = md.find(section, pos);
+    ASSERT_NE(at, std::string::npos) << catalog[i].name;
+    pos = at + section.size();
+  }
+  EXPECT_EQ(f.pipe.metrics()
+                .histogram("pipe.stage3.exposure_join_us",
+                           gpures::obs::latency_buckets_us())
+                .count(),
+            1u);
+  EXPECT_EQ(f.pipe.metrics().counter_value("pipe.stage3.exposures"), 1u);
 }
 
 TEST(MarkdownReport, JobSectionsSkippedWithoutJobs) {
@@ -99,7 +114,8 @@ TEST(MarkdownReport, JobSectionsSkippedWithoutJobs) {
                           "0000:07:00", gx::Code::kMmuError, "x") +
           "\n");
   pipe.finish();
-  const auto md = an::render_markdown_report(pipe, topo);
+  an::Stage3Results results(pipe);
+  const auto md = an::render_markdown_report(results, pipe.counters());
   EXPECT_EQ(md.find("Table II"), std::string::npos);
   EXPECT_EQ(md.find("Table III"), std::string::npos);
   EXPECT_EQ(md.find("Mitigation"), std::string::npos);
@@ -108,9 +124,10 @@ TEST(MarkdownReport, JobSectionsSkippedWithoutJobs) {
 
 TEST(MarkdownReport, ScorecardSectionOptIn) {
   Fixture f;
+  an::Stage3Results results(f.pipe);
   an::MarkdownReportOptions opts;
   opts.include_scorecard = true;
-  const auto md = an::render_markdown_report(f.pipe, f.topo, opts);
+  const auto md = an::render_markdown_report(results, f.pipe.counters(), opts);
   EXPECT_NE(md.find("## Reproduction scorecard"), std::string::npos);
   EXPECT_NE(md.find("shape match:"), std::string::npos);
 }

@@ -70,7 +70,8 @@ TEST(LostWork, SumsFailedJobHours) {
   table.add(job(2, 0, 3600, 1, sl::JobState::kCompleted));
   const std::vector<an::CoalescedError> errors = {
       error_at(7190, 0, gx::Code::kGspRpcTimeout)};
-  const auto lost = an::compute_lost_work(table, errors, config());
+  const auto lost = an::compute_lost_work(
+      table, an::compute_exposures(table, errors, config()), config());
   EXPECT_EQ(lost.gpu_failed_jobs, 1u);
   EXPECT_DOUBLE_EQ(lost.lost_gpu_hours, 4.0);
   EXPECT_DOUBLE_EQ(lost.total_gpu_hours, 5.0);
@@ -82,7 +83,8 @@ TEST(LostWork, FailedWithoutWindowErrorNotCounted) {
   table.add(job(1, 0, 7200, 0, sl::JobState::kFailed));
   const std::vector<an::CoalescedError> errors = {
       error_at(3600, 0, gx::Code::kMmuError)};  // mid-run, survived; user bug
-  const auto lost = an::compute_lost_work(table, errors, config());
+  const auto lost = an::compute_lost_work(
+      table, an::compute_exposures(table, errors, config()), config());
   EXPECT_EQ(lost.gpu_failed_jobs, 0u);
   EXPECT_DOUBLE_EQ(lost.lost_gpu_hours, 0.0);
 }
@@ -95,8 +97,8 @@ TEST(Checkpoint, SweepMathExact) {
   const std::vector<an::CoalescedError> errors = {
       error_at(35990, 0, gx::Code::kGspRpcTimeout)};
   const auto sweep = an::sweep_checkpoint_interval(
-      table, errors, config(), {2.0}, /*checkpoint_cost_h=*/0.1,
-      /*restore_cost_h=*/0.5);
+      table, an::compute_exposures(table, errors, config()), config(), {2.0},
+      /*checkpoint_cost_h=*/0.1, /*restore_cost_h=*/0.5);
   EXPECT_DOUBLE_EQ(sweep.no_checkpoint_waste, 10.0);
   ASSERT_EQ(sweep.points.size(), 1u);
   const auto& p = sweep.points[0];
@@ -126,8 +128,9 @@ TEST(Checkpoint, TradeoffHasInteriorOptimum) {
   auto cfg = config();
   cfg.period = {0, 200 * 50000 + 100000};
   const std::vector<double> intervals = {0.01, 0.1, 1.0, 4.0, 100.0};
-  const auto sweep =
-      an::sweep_checkpoint_interval(table, errors, cfg, intervals, 0.05, 0.1);
+  const auto sweep = an::sweep_checkpoint_interval(
+      table, an::compute_exposures(table, errors, cfg), cfg, intervals, 0.05,
+      0.1);
   EXPECT_GT(sweep.points.front().wasted_gpu_hours, sweep.best_waste);
   EXPECT_GT(sweep.points.back().wasted_gpu_hours, sweep.best_waste);
   EXPECT_GT(sweep.best_interval_h, 0.01);
@@ -146,7 +149,8 @@ TEST(Masking, OnlyPureMmuFailuresAreMaskable) {
       error_at(1991, 1, gx::Code::kGspRpcTimeout),
       error_at(1990, 2, gx::Code::kGspRpcTimeout),
   };
-  const auto mask = an::compute_masking_whatif(table, errors, config());
+  const auto mask = an::compute_masking_whatif(
+      table, an::compute_exposures(table, errors, config()), config());
   EXPECT_EQ(mask.gpu_failed_jobs, 3u);
   EXPECT_EQ(mask.maskable_jobs, 1u);
   EXPECT_NEAR(mask.maskable_fraction, 1.0 / 3.0, 1e-9);

@@ -42,8 +42,7 @@ an::CampaignConfig small_campaign(std::uint64_t seed) {
 }
 
 /// Everything the CLIs can emit on stdout or to export files.
-std::string rendered_artifacts(const an::AnalysisPipeline& pipe,
-                               const cl::Topology& topo) {
+std::string rendered_artifacts(const an::AnalysisPipeline& pipe) {
   const auto stats = pipe.error_stats();
   const auto impact = pipe.job_impact();
   const auto jobs = pipe.job_stats();
@@ -64,7 +63,8 @@ std::string rendered_artifacts(const an::AnalysisPipeline& pipe,
   bundle.availability = &avail;
   bundle.mttf_h = pipe.mttf_estimate_h();
   os << an::to_json(bundle);
-  os << an::render_markdown_report(pipe, topo);
+  an::Stage3Results results(pipe);
+  os << an::render_markdown_report(results, pipe.counters());
   return os.str();
 }
 
@@ -80,7 +80,7 @@ TEST(ObsDifferential, CampaignWithMetricsAndTraceMatchesPlainRun) {
   // Baseline: no shared registry, no tracer.
   an::DeltaCampaign plain(small_campaign(11));
   plain.run();
-  const auto baseline = rendered_artifacts(plain.pipeline(), plain.topology());
+  const auto baseline = rendered_artifacts(plain.pipeline());
   ASSERT_FALSE(plain.pipeline().errors().empty());
 
   // Instrumented: shared registry across every layer + installed tracer.
@@ -94,7 +94,7 @@ TEST(ObsDifferential, CampaignWithMetricsAndTraceMatchesPlainRun) {
     TracerGuard guard(&tracer);
     an::DeltaCampaign obs(cfg);
     obs.run();
-    instrumented = rendered_artifacts(obs.pipeline(), obs.topology());
+    instrumented = rendered_artifacts(obs.pipeline());
     instrumented_errors = obs.pipeline().errors().size();
   }
   EXPECT_EQ(baseline, instrumented);
@@ -150,7 +150,7 @@ TEST(ObsDifferential, DatasetAnalysisIdenticalAcrossObsAndThreadModes) {
       EXPECT_NE(tracer.to_chrome_json().find("\"name\":\"dataset.accounting\""),
                 std::string::npos);
     }
-    return rendered_artifacts(pipe, topo);
+    return rendered_artifacts(pipe);
   };
 
   const auto serial_off = analyze(0, false);
@@ -190,7 +190,7 @@ TEST(ObsDifferential, FullTelemetryStackDoesNotPerturbArtifacts) {
     pcfg.num_threads = threads;
     an::AnalysisPipeline pipe(topo, pcfg);
     EXPECT_TRUE(an::load_dataset(dir, pipe).ok());
-    return rendered_artifacts(pipe, topo);
+    return rendered_artifacts(pipe);
   };
 
   auto analyze_fullstack = [&](std::uint32_t threads) {
@@ -219,7 +219,7 @@ TEST(ObsDifferential, FullTelemetryStackDoesNotPerturbArtifacts) {
 
     an::AnalysisPipeline pipe(topo, pcfg);
     EXPECT_TRUE(an::load_dataset(dir, pipe).ok());
-    const auto artifacts = rendered_artifacts(pipe, topo);
+    const auto artifacts = rendered_artifacts(pipe);
 
     sampler.stop();
     ob::Logger::install(nullptr);

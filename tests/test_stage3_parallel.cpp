@@ -198,10 +198,14 @@ TEST_P(Stage3Parallel, JobImpactMatchesSerial) {
   const auto serial = an::compute_job_impact(job_table(), errors(), cfg);
   ASSERT_GT(serial.gpu_failed_jobs, 100u);
 
+  // The same pass lists the exposures, as compute_exposures would.
   ct::ThreadPool pool(param.threads);
-  const auto parallel =
-      an::compute_job_impact(job_table(), errors(), cfg, &pool);
+  std::vector<an::JobExposure> exposures;
+  const auto parallel = an::compute_job_impact(job_table(), errors(), cfg,
+                                               &pool, nullptr, &exposures);
   expect_impact_equal(serial, parallel);
+  expect_exposures_equal(an::compute_exposures(job_table(), errors(), cfg),
+                         exposures);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -393,23 +397,30 @@ TEST(Stage3Parallel, SurvivalTrendsMitigationRenderIdenticalBytes) {
 }
 
 TEST(Stage3Parallel, MitigationSpanOverloadsMatchLegacyPath) {
-  // The span-based what-ifs consume a precomputed join; they must agree
-  // with the legacy overloads that join internally.
+  // Mitigation reads the exposure list of Table II's join; the what-ifs and
+  // the render over it must agree with a separate compute_exposures join
+  // and with the render entry point that joins for itself.
   const auto cfg = impact_config(an::Attribution::kGpuLevel);
-  const auto exposures = an::compute_exposures(job_table(), errors(), cfg);
+  std::vector<an::JobExposure> shared;
+  an::compute_job_impact(job_table(), errors(), cfg, nullptr, nullptr,
+                         &shared);
+  const auto own = an::compute_exposures(job_table(), errors(), cfg);
 
-  const auto a = an::compute_lost_work(job_table(), exposures, cfg);
-  const auto b = an::compute_lost_work(job_table(), errors(), cfg);
+  const auto a = an::compute_lost_work(job_table(), shared, cfg);
+  const auto b = an::compute_lost_work(job_table(), own, cfg);
   EXPECT_EQ(a.gpu_failed_jobs, b.gpu_failed_jobs);
   EXPECT_EQ(a.lost_gpu_hours, b.lost_gpu_hours);
   EXPECT_EQ(a.total_gpu_hours, b.total_gpu_hours);
   EXPECT_EQ(a.lost_fraction, b.lost_fraction);
 
-  const auto ma = an::compute_masking_whatif(job_table(), exposures, cfg,
+  const auto ma = an::compute_masking_whatif(job_table(), shared, cfg,
                                              {gx::Code::kMmuError});
-  const auto mb = an::compute_masking_whatif(job_table(), errors(), cfg,
+  const auto mb = an::compute_masking_whatif(job_table(), own, cfg,
                                              {gx::Code::kMmuError});
   EXPECT_EQ(ma.gpu_failed_jobs, mb.gpu_failed_jobs);
   EXPECT_EQ(ma.maskable_jobs, mb.maskable_jobs);
   EXPECT_EQ(ma.recoverable_gpu_hours, mb.recoverable_gpu_hours);
+
+  EXPECT_EQ(an::render_mitigation(job_table(), shared, cfg),
+            an::render_mitigation(job_table(), errors(), cfg));
 }

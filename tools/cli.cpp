@@ -2,13 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 
 #include "analysis/export.h"
-#include "analysis/mitigation.h"
-#include "analysis/reports.h"
-#include "analysis/survival.h"
-#include "analysis/trends.h"
 #include "common/strings.h"
 #include "index/writer.h"
 #include "obs/trace.h"
@@ -111,17 +106,23 @@ obs::LogLevel parse_log_level(std::string_view tool, const char* value) {
   return *level;
 }
 
-std::string parse_report(std::string_view tool, const char* value) {
-  static constexpr std::string_view kReports[] = {
-      "all",  "none",     "table1", "table2",   "table3",
-      "fig2", "findings", "trends", "survival", "mitigation"};
-  for (const auto name : kReports) {
-    if (name == value) return value;
+std::string report_choices() {
+  std::string out = "all|none";
+  for (const auto& entry : analysis::report_catalog()) {
+    out += '|';
+    out += entry.name;
   }
-  std::fprintf(stderr,
-               "%s: --report must be all|none|table1|table2|table3|fig2|"
-               "findings|trends|survival|mitigation\n",
-               std::string(tool).c_str());
+  return out;
+}
+
+std::string parse_report(std::string_view tool, const char* value) {
+  const std::string_view v = value;
+  if (v == "all" || v == "none") return value;
+  for (const auto& entry : analysis::report_catalog()) {
+    if (v == entry.name) return value;
+  }
+  std::fprintf(stderr, "%s: --report must be %s\n", std::string(tool).c_str(),
+               report_choices().c_str());
   std::exit(2);
 }
 
@@ -167,79 +168,24 @@ bool arm_io_fault(std::string_view tool, const std::string& spec,
   return true;
 }
 
-bool emit_results(std::string_view tool, const analysis::ResultSet& res,
+bool emit_results(std::string_view tool, analysis::Stage3Results& results,
                   const EmitRequest& req, std::uint64_t* index_bytes) {
   auto& log = obs::Logger::current();
   const auto comp = component(tool);
-  const auto& periods = res.periods();
-  const bool have_jobs = !res.jobs().jobs.empty();
-  const auto stats = res.error_stats();
-  // mttf_estimate_h() is this same total; reuse the stats in hand.
-  const double mttf_h = stats.total.op.mtbe_per_node_h;
-  // Each Stage-III result is derived at most once per call, on first use.
-  std::optional<analysis::JobImpact> impact;
-  std::optional<analysis::JobStats> job_stats;
-  std::optional<analysis::AvailabilityStats> avail;
-  const auto get_impact = [&]() -> const analysis::JobImpact& {
-    if (!impact) impact = res.job_impact();
-    return *impact;
-  };
-  const auto get_job_stats = [&]() -> const analysis::JobStats& {
-    if (!job_stats) job_stats = res.job_stats();
-    return *job_stats;
-  };
-  const auto get_avail = [&]() -> const analysis::AvailabilityStats& {
-    if (!avail) avail = res.availability();
-    return *avail;
-  };
-  const bool all = req.report == "all";
-  const auto want = [&](const char* name) { return all || req.report == name; };
-  if (want("table1")) {
-    OBS_SPAN("report.table1");
-    std::printf("%s\n", analysis::render_table1(stats).c_str());
-  }
-  if (want("findings")) {
-    OBS_SPAN("report.findings");
-    std::printf("%s\n", analysis::render_findings(stats).c_str());
-  }
-  if (want("table2") && have_jobs) {
-    OBS_SPAN("report.table2");
-    std::printf("%s\n", analysis::render_table2(get_impact()).c_str());
-  }
-  if (want("table3") && have_jobs) {
-    OBS_SPAN("report.table3");
-    std::printf("%s\n", analysis::render_table3(get_job_stats()).c_str());
-  }
-  if (want("fig2")) {
-    OBS_SPAN("report.fig2");
-    std::printf("%s\n", analysis::render_fig2(get_avail(), mttf_h).c_str());
-  }
-  if (want("trends")) {
-    OBS_SPAN("report.trends");
-    std::printf("%s\n",
-                analysis::render_trends(res.errors(), periods, res.pool())
-                    .c_str());
-  }
-  if (want("mitigation") && have_jobs) {
-    OBS_SPAN("report.mitigation");
-    std::printf("%s\n",
-                analysis::render_mitigation(res.jobs(), res.errors(),
-                                            res.impact_config(), res.pool())
-                    .c_str());
-  }
-  if (want("survival")) {
-    OBS_SPAN("report.survival");
-    std::printf("%s\n", analysis::render_survival(res.errors(), periods,
-                                                  res.topo().total_gpus(),
-                                                  res.pool())
-                            .c_str());
+  const auto& res = results.results();
+  const auto catalog = analysis::report_catalog();
+  for (std::size_t i = 0; i < catalog.size(); ++i) {
+    if (req.report != "all" && req.report != catalog[i].name) continue;
+    if (const auto* text = results.report(i)) {
+      std::printf("%s\n", text->c_str());
+    }
   }
 
   if (!req.index_file.empty()) {
     OBS_SPAN("index.write");
     const auto& knobs = res.knobs();
     index::IndexBuildInput in;
-    in.periods = periods;
+    in.periods = res.periods();
     in.attribution_window = knobs.attribution_window;
     in.attribution = knobs.attribution;
     in.outlier_share = knobs.outlier_share;
@@ -247,7 +193,7 @@ bool emit_results(std::string_view tool, const analysis::ResultSet& res,
     in.topo = &res.topo();
     in.errors = &res.errors();
     in.jobs = &res.jobs();
-    in.unavailability = &get_avail().intervals;
+    in.unavailability = &results.availability().intervals;
     const auto wrote = index::write_index(in, req.index_file);
     if (!wrote.ok()) {
       log.error(comp, wrote.error().message);
@@ -265,11 +211,11 @@ bool emit_results(std::string_view tool, const analysis::ResultSet& res,
 
   if (!req.json_file.empty()) {
     analysis::ExportBundle bundle;
-    bundle.error_stats = &stats;
-    bundle.job_stats = &get_job_stats();
-    bundle.job_impact = &get_impact();
-    bundle.availability = &get_avail();
-    bundle.mttf_h = mttf_h;
+    bundle.error_stats = &results.error_stats();
+    bundle.job_stats = &results.job_stats();
+    bundle.job_impact = &results.job_impact();
+    bundle.availability = &results.availability();
+    bundle.mttf_h = results.mttf_estimate_h();
     const auto json = analysis::to_json(bundle) + "\n";
     if (!write_artifact(tool, req.json_file, json)) return false;
     log.info(comp, "wrote JSON export", {{"path", req.json_file}});

@@ -14,7 +14,7 @@
 #include <string_view>
 
 #include "analysis/data_quality.h"
-#include "analysis/result_set.h"
+#include "analysis/stage3_results.h"
 #include "common/io.h"
 #include "obs/log.h"
 
@@ -69,8 +69,11 @@ bool write_artifact(std::string_view tool, const std::filesystem::path& path,
 /// --log-level value (debug|info|warn|error), or exit 2.
 obs::LogLevel parse_log_level(std::string_view tool, const char* value);
 
-/// --report value (all|none|table1|table2|table3|fig2|findings|trends|
-/// survival|mitigation), or exit 2.
+/// The --report choices: "all|none|" then analysis::report_catalog()'s
+/// names in catalog order, for usage lines and parse_report's message.
+std::string report_choices();
+
+/// --report value (one of report_choices()), or exit 2.
 std::string parse_report(std::string_view tool, const char* value);
 
 /// --ingest-policy value (strict|lenient), or exit 2.
@@ -104,12 +107,13 @@ struct EmitRequest {
   std::string json_file;   ///< --export-json; empty = skip
 };
 
-/// Render `--report`, `--write-index` and `--export-json` from `res`, each
-/// report under a `report.<name>` trace span and the index under
-/// `index.write`.
+/// Render `--report`, `--write-index` and `--export-json` from `results`,
+/// each report under a `report.<name>` trace span and the index under
+/// `index.write`.  The caller renders any further artifact from the same
+/// `results`, so no Stage-III result is derived twice.
 /// Returns false after logging a failed write.  `index_bytes`, when
 /// non-null, receives the size of the written index.
-bool emit_results(std::string_view tool, const analysis::ResultSet& res,
+bool emit_results(std::string_view tool, analysis::Stage3Results& results,
                   const EmitRequest& req,
                   std::uint64_t* index_bytes = nullptr);
 

@@ -1,8 +1,7 @@
 // gpures-analyze: run the analysis pipeline over a dataset directory.
 //
-//   gpures-analyze --data DIR [--report all|none|table1|table2|table3|
-//                              fig2|findings|trends|survival|mitigation]
-//                  [--export-csv DIR] [--export-json FILE]
+//   gpures-analyze --data DIR [--report WHAT]
+//                  [--export-csv DIR] [--export-json FILE] [--report-md FILE]
 //                  [--coalesce-window SECONDS] [--window SECONDS]
 //                  [--node-level] [--threads N]
 //                  [--metrics FILE[.prom]] [--trace FILE]
@@ -49,8 +48,7 @@ void usage() {
       stderr,
       "usage: gpures-analyze --data DIR [options]\n"
       "  --data DIR             dataset directory (required)\n"
-      "  --report WHAT          all|none|table1|table2|table3|fig2|\n"
-      "                         findings|trends|survival|mitigation\n"
+      "  --report WHAT          %s\n"
       "                         (default all)\n"
       "  --export-csv DIR       write table1..3 + fig2 CSV files (plus a\n"
       "                         run_manifest.json provenance record)\n"
@@ -84,7 +82,8 @@ void usage() {
       "                         fail reads of paths containing SUBSTRING\n"
       "                         after BYTES; KIND fail|transient|eintr|\n"
       "                         short-read (see common/io.h)\n"
-      "  --quiet                suppress progress and summaries on stderr\n");
+      "  --quiet                suppress progress and summaries on stderr\n",
+      cli::report_choices().c_str());
 }
 
 constexpr std::string_view kTool = "gpures-analyze";
@@ -276,31 +275,28 @@ int main(int argc, char** argv) {
   emit.index_file = index_file;
   emit.json_file = json_file;
   std::uint64_t index_bytes = 0;
-  if (!cli::emit_results(kTool, pipe, emit, &index_bytes)) return 1;
+  analysis::Stage3Results results(pipe);
+  if (!cli::emit_results(kTool, results, emit, &index_bytes)) return 1;
   if (!index_file.empty()) {
     run.extra.emplace_back("index_bytes", std::to_string(index_bytes));
   }
 
   if (!csv_dir.empty()) {
     namespace fs = std::filesystem;
-    const auto stats = pipe.error_stats();
-    const auto impact = pipe.job_impact();
-    const auto jobs = pipe.job_stats();
-    const auto avail = pipe.availability();
-    const auto write_csv = [&](const char* name, auto&& render) {
+    const auto write_csv = [&](const char* name, auto write, const auto& value) {
       std::ostringstream os;
-      render(os);
+      write(os, value);
       return cli::write_artifact(kTool, fs::path(csv_dir) / name, os.str());
     };
     const bool ok =
-        write_csv("table1.csv",
-                  [&](std::ostream& os) { analysis::write_table1_csv(os, stats); }) &&
-        write_csv("table2.csv",
-                  [&](std::ostream& os) { analysis::write_table2_csv(os, impact); }) &&
-        write_csv("table3.csv",
-                  [&](std::ostream& os) { analysis::write_table3_csv(os, jobs); }) &&
-        write_csv("fig2.csv",
-                  [&](std::ostream& os) { analysis::write_fig2_csv(os, avail); });
+        write_csv("table1.csv", analysis::write_table1_csv,
+                  results.error_stats()) &&
+        write_csv("table2.csv", analysis::write_table2_csv,
+                  results.job_impact()) &&
+        write_csv("table3.csv", analysis::write_table3_csv,
+                  results.job_stats()) &&
+        write_csv("fig2.csv", analysis::write_fig2_csv,
+                  results.availability());
     if (!ok) return 1;
     log.info("analyze", "wrote CSV exports", {{"dir", csv_dir}});
   }
@@ -308,7 +304,8 @@ int main(int argc, char** argv) {
   if (!md_file.empty()) {
     analysis::MarkdownReportOptions mopts;
     mopts.quality = &quality;
-    const auto md = analysis::render_markdown_report(pipe, topo, mopts);
+    const auto md =
+        analysis::render_markdown_report(results, pipe.counters(), mopts);
     if (!cli::write_artifact(kTool, md_file, md)) return 1;
     log.info("analyze", "wrote markdown report", {{"path", md_file}});
   }

@@ -73,8 +73,8 @@ void usage() {
       "  --coalesce-window S    Stage II window (default 30)\n"
       "  --window S             job-failure attribution window (default 20)\n"
       "  --node-level           node-level attribution (default: device)\n"
-      "  --report WHAT          all|none|table1|table2|table3|fig2|findings|\n"
-      "                         trends|survival|mitigation   (default all)\n"
+      "  --report WHAT          %s\n"
+      "                         (default all)\n"
       "  --write-index FILE     write the binary error index (gpures.idx)\n"
       "  --export-json FILE     write everything as one JSON document\n"
       "  --quality-report FILE  write the data-quality accounting as JSON\n"
@@ -87,7 +87,8 @@ void usage() {
       "                         (see common/io.h)\n"
       "  --chaos-kill POINT:N   testing: raise SIGKILL at the Nth occurrence\n"
       "                         of POINT (tick|ckpt-pre|ckpt-mid|ckpt-post)\n"
-      "  --quiet                suppress warnings on stderr\n");
+      "  --quiet                suppress warnings on stderr\n",
+      cli::report_choices().c_str());
 }
 
 constexpr std::string_view kTool = "gpures-serve";
@@ -292,7 +293,8 @@ int main(int argc, char** argv) {
             {"degraded_sources", session.degraded_count()},
             {"checkpoint_seq", session.checkpoint_seq()}});
 
-  if (!cli::emit_results(kTool, session, emit)) return 1;
+  analysis::Stage3Results results(session);
+  if (!cli::emit_results(kTool, results, emit)) return 1;
   obs::Tracer::install(nullptr);
 
   const bool wrote =
