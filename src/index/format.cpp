@@ -26,6 +26,9 @@ std::string_view section_name(SectionId id) {
     case SectionId::kUnavailNode: return "unavail_node";
     case SectionId::kUnavailBegin: return "unavail_begin";
     case SectionId::kUnavailEnd: return "unavail_end";
+    case SectionId::kJobExposedPos: return "job_exposed_pos";
+    case SectionId::kJobExposedMasks: return "job_exposed_masks";
+    case SectionId::kJobFailedPos: return "job_failed_pos";
   }
   return "unknown";
 }

@@ -5,17 +5,17 @@
 // reader.  Layout:
 //
 //   [0, 48)                 fixed header
-//   [48, 48 + 22 * 32)      section table, one 32-byte entry per section
-//   [752, file_size)        the 22 sections, gapless, each 8-aligned and
+//   [48, 48 + 25 * 32)      section table, one 32-byte entry per section
+//   [848, file_size)        the 25 sections, gapless, each 8-aligned and
 //                           zero-padded to a multiple of 8 bytes
 //
 // Header (all integers little-endian):
 //   off  0  u8[8]  magic "GPURESIX"
-//   off  8  u32    format version (currently 1)
+//   off  8  u32    format version (currently 2)
 //   off 12  u32    endian tag 0x01020304 (reads back scrambled on a
 //                  byte-swapped interpretation)
 //   off 16  u64    file size in bytes
-//   off 24  u32    section count (currently 22)
+//   off 24  u32    section count (currently 25)
 //   off 28  u32    reserved, zero
 //   off 32  u64    XXH64 of the section-table bytes
 //   off 40  u64    XXH64 of header bytes [0, 40)
@@ -48,11 +48,11 @@
 namespace gpures::index {
 
 inline constexpr char kMagic[8] = {'G', 'P', 'U', 'R', 'E', 'S', 'I', 'X'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 inline constexpr std::uint32_t kEndianTag = 0x01020304u;
 inline constexpr std::size_t kHeaderSize = 48;
 inline constexpr std::size_t kSectionEntrySize = 32;
-inline constexpr std::uint32_t kSectionCount = 22;
+inline constexpr std::uint32_t kSectionCount = 25;
 inline constexpr std::size_t kSectionTableOffset = kHeaderSize;
 inline constexpr std::size_t kSectionBase =
     kHeaderSize + kSectionCount * kSectionEntrySize;
@@ -102,13 +102,19 @@ enum class SectionId : std::uint32_t {
   kUnavailNode = 20,     ///< i32[U] topology node index
   kUnavailBegin = 21,    ///< i64[U] drain time
   kUnavailEnd = 22,      ///< i64[U] resume time
+  // Write-time exposure attribution (v2): analysis::expose over the loc
+  // index above for every job, at the recorded window and attribution and
+  // an unbounded period.  Positions index the job columns.
+  kJobExposedPos = 23,   ///< u32[X] jobs with a nonzero run mask, ascending
+  kJobExposedMasks = 24, ///< u32[X] pack_masks(run, window) per exposed job
+  kJobFailedPos = 25,    ///< u32[F] jobs in a failure state, ascending
 };
 
 std::string_view section_name(SectionId id);
 
 /// Fixed-size meta block (section 1).  All counts are redundant with the
 /// section sizes; the reader cross-checks them.
-inline constexpr std::size_t kMetaSize = 120;
+inline constexpr std::size_t kMetaSize = 136;
 inline constexpr std::size_t kMetaPreBegin = 0;    // i64
 inline constexpr std::size_t kMetaPreEnd = 8;      // i64
 inline constexpr std::size_t kMetaOpBegin = 16;    // i64
@@ -129,6 +135,21 @@ inline constexpr std::size_t kMetaOutlierShare = 96;      // f64
 inline constexpr std::size_t kMetaOutlierMin = 104;       // u64
 inline constexpr std::size_t kMetaExcludeOutliers = 112;  // u32: 0 no, 1 yes
 // bytes [116, 120) reserved, zero
+inline constexpr std::size_t kMetaExposedCount = 120;  // u64
+inline constexpr std::size_t kMetaFailedCount = 128;   // u64
+
+/// An exposed job's run and window masks (xid::report_order() bits, ten
+/// families) share one u32: run mask low, window mask high.
+inline constexpr std::uint32_t kMaskBits = 16;
+constexpr std::uint32_t pack_masks(std::uint32_t run, std::uint32_t window) {
+  return run | (window << kMaskBits);
+}
+constexpr std::uint32_t run_mask_of(std::uint32_t packed) {
+  return packed & ((1u << kMaskBits) - 1);
+}
+constexpr std::uint32_t window_mask_of(std::uint32_t packed) {
+  return packed >> kMaskBits;
+}
 
 /// Round a byte count up to the 8-byte section granule.
 constexpr std::uint64_t pad8(std::uint64_t n) { return (n + 7) & ~std::uint64_t{7}; }

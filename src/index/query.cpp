@@ -8,6 +8,7 @@
 #include "analysis/job_impact.h"
 #include "analysis/job_stats.h"
 #include "common/stats.h"
+#include "index/format.h"
 #include "obs/log.h"
 #include "slurm/job.h"
 
@@ -26,6 +27,44 @@ std::uint16_t canonical_xid(std::uint16_t xid) {
 std::size_t lower_idx(std::span<const std::int64_t> v, std::int64_t t) {
   return static_cast<std::size_t>(
       std::lower_bound(v.begin(), v.end(), t) - v.begin());
+}
+
+std::size_t lower_pos(std::span<const std::uint32_t> v, std::size_t pos) {
+  return static_cast<std::size_t>(
+      std::lower_bound(v.begin(), v.end(), pos) - v.begin());
+}
+
+/// First position in [g, end) of `list` holding a GPU of the node whose
+/// first packed key is `key_lo`, or `end`.  Blocks without a match are
+/// skipped whole, with a branch-free test the compiler can vectorize.
+std::uint64_t next_on_node(std::span<const std::int32_t> list, std::uint64_t g,
+                           std::uint64_t end, std::int32_t key_lo) {
+  const auto on_node = [key_lo](std::int32_t key) {
+    return static_cast<std::uint32_t>(key - key_lo) <= 0xffu;
+  };
+  constexpr std::uint64_t kBlock = 32;
+  for (; g + kBlock <= end; g += kBlock) {
+    unsigned any = 0;
+    for (std::uint64_t i = 0; i < kBlock; ++i) any |= on_node(list[g + i]);
+    if (any != 0) break;
+  }
+  while (g < end && !on_node(list[g])) ++g;
+  return g;
+}
+
+/// The job in [from, hi) whose GPU-list range holds position g, given
+/// offs[from] <= g < offs[hi]: a galloping search forward from `from`.
+std::size_t owner_of(std::span<const std::uint64_t> offs, std::size_t from,
+                     std::size_t hi, std::uint64_t g) {
+  std::size_t step = 1;
+  while (from + step < hi && offs[from + step] <= g) {
+    from += step;
+    step *= 2;
+  }
+  const std::size_t top = std::min(from + step, hi);  // offs[top] > g
+  return static_cast<std::size_t>(
+      std::upper_bound(offs.begin() + from + 1, offs.begin() + top + 1, g) -
+      offs.begin() - 1);
 }
 
 std::string key_of(std::string_view verb, const Predicate& p) {
@@ -49,6 +88,8 @@ QueryEngine::QueryEngine(const IndexReader& reader, QueryOptions opts)
                                            : reader.meta().attribution_window),
       node_level_(opts.attribution >= 0 ? opts.attribution == 1
                                         : reader.meta().attribution == 1),
+      recorded_(window_ == reader.meta().attribution_window &&
+                node_level_ == (reader.meta().attribution == 1)),
       capacity_(opts.cache_capacity),
       slow_query_us_(opts.slow_query_us) {
   if (opts.metrics != nullptr) {
@@ -58,12 +99,22 @@ QueryEngine::QueryEngine(const IndexReader& reader, QueryOptions opts)
     reg.describe("query.cache.evictions",
                  "Query results evicted from the LRU cache", "queries");
     reg.describe("query.latency_us", "End-to-end query latency by verb", "us");
+    reg.describe("query.impact.replays",
+                 "Impact queries that re-ran the exposure join because the "
+                 "window or attribution differs from the recorded one",
+                 "queries");
+    reg.describe("query.impact.boundary_jobs",
+                 "Jobs re-exposed by impact queries because they started "
+                 "before the query window",
+                 "jobs");
     m_hits_ = &reg.counter("query.cache.hits");
     m_misses_ = &reg.counter("query.cache.misses");
     m_evictions_ = &reg.counter("query.cache.evictions");
     m_count_calls_ = &reg.counter("query.calls.count");
     m_impact_calls_ = &reg.counter("query.calls.impact");
     m_avail_calls_ = &reg.counter("query.calls.availability");
+    m_impact_replays_ = &reg.counter("query.impact.replays");
+    m_impact_boundary_jobs_ = &reg.counter("query.impact.boundary_jobs");
     m_latency_count_ = &reg.histogram("query.latency_us", {{"op", "count"}},
                                       obs::latency_buckets_us());
     m_latency_impact_ = &reg.histogram("query.latency_us", {{"op", "impact"}},
@@ -191,20 +242,73 @@ analysis::JobImpact QueryEngine::compute_impact(const Predicate& p) const {
   const auto job_end = reader_.job_end();
   const auto job_start = reader_.job_start();
   const auto job_state = reader_.job_state();
-  const std::size_t hi = lower_idx(job_end, p.to);
-  analysis::ImpactTally tally;
+  const std::size_t lo = lower_idx(job_end, p.from);
+  const std::size_t hi = std::max(lo, lower_idx(job_end, p.to));
+  const auto state_of = [&](std::size_t idx) {
+    return static_cast<slurm::JobState>(job_state[idx]);
+  };
   std::vector<std::int32_t> node_scratch;
-  for (std::size_t idx = lower_idx(job_end, p.from); idx < hi; ++idx) {
-    const auto gpus = reader_.job_gpus(idx);
-    if (p.node.has_value() &&
-        std::none_of(gpus.begin(), gpus.end(), [&](std::int32_t g) {
-          return analysis::packed_node(g) == *p.node;
-        })) {
-      continue;
+  const auto replay = [&](std::size_t idx) {
+    return analysis::expose(reader_.error_index(), job_start[idx],
+                            job_end[idx], reader_.job_gpus(idx), cfg,
+                            node_scratch);
+  };
+  // Job `idx`'s masks in this window, for ascending `idx`.  At the recorded
+  // settings a job ending in [from, to) is clamped only below, and only when
+  // start + 1 < from: such a boundary job re-runs expose with the window
+  // clamp; any other job's masks are the stored ones, or zero when the
+  // writer found it unexposed.  Otherwise the stored masks do not apply and
+  // every job replays the join.
+  const auto xpos = reader_.job_exposed_pos();
+  const auto xmask = reader_.job_exposed_masks();
+  std::size_t k = lower_pos(xpos, lo);
+  std::uint64_t boundary = 0;
+  const auto masks_at = [&](std::size_t idx) -> analysis::ExposureMasks {
+    if (!recorded_) return replay(idx);
+    while (k < xpos.size() && xpos[k] < idx) ++k;
+    if (k == xpos.size() || xpos[k] != idx) return {};
+    if (job_start[idx] + 1 < p.from) {
+      ++boundary;
+      return replay(idx);
     }
-    tally.add(static_cast<slurm::JobState>(job_state[idx]),
-              analysis::expose(reader_.error_index(), job_start[idx],
-                               job_end[idx], gpus, cfg, node_scratch));
+    return {run_mask_of(xmask[k]), window_mask_of(xmask[k])};
+  };
+
+  analysis::ImpactTally tally;
+  if (p.node.has_value()) {
+    // The window's jobs own one contiguous run of the GPU list; scan it for
+    // the node's packed-GPU keys and fold each job found once.  Every
+    // stored key is on a topology node, so another node matches no job.
+    const bool known = *p.node >= 0 && static_cast<std::uint32_t>(*p.node) <
+                                           reader_.meta().node_count;
+    const std::size_t scan_hi = known ? hi : lo;
+    const auto offs = reader_.job_gpu_offsets();
+    const auto list = reader_.job_gpu_list();
+    const std::int32_t key_lo = known ? analysis::pack_gpu(*p.node, 0) : 0;
+    const std::uint64_t g_hi = offs[scan_hi];
+    std::size_t idx = lo;  // the job owning the next match is >= idx
+    for (std::uint64_t g = next_on_node(list, offs[lo], g_hi, key_lo);
+         g < g_hi; g = next_on_node(list, offs[idx], g_hi, key_lo)) {
+      idx = owner_of(offs, idx, scan_hi, g);
+      tally.add(state_of(idx), masks_at(idx));
+      ++idx;
+    }
+  } else if (!recorded_) {
+    for (std::size_t idx = lo; idx < hi; ++idx) {
+      tally.add(state_of(idx), masks_at(idx));
+    }
+  } else {
+    // Only exposed jobs can touch a row; the totals count every job.
+    for (std::size_t x = k, x_hi = lower_pos(xpos, hi); x < x_hi; ++x) {
+      tally.add(state_of(xpos[x]), masks_at(xpos[x]));
+    }
+    const auto fpos = reader_.job_failed_pos();
+    tally.jobs_analyzed = hi - lo;
+    tally.failed_jobs_total = lower_pos(fpos, hi) - lower_pos(fpos, lo);
+  }
+  if (!recorded_ && m_impact_replays_ != nullptr) m_impact_replays_->inc();
+  if (m_impact_boundary_jobs_ != nullptr) {
+    m_impact_boundary_jobs_->add(boundary);
   }
 
   auto out = tally.finish(cfg);

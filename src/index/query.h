@@ -12,11 +12,15 @@
 //    per-node MTBE = system MTBE x node count (x1 under a node predicate).
 //    An XID predicate is canonicalized through xid::merge_key, so --xid 120
 //    counts the merged GSP family exactly like Table I does.
-//  * impact: the batch join itself — analysis::expose over the mapped
-//    ErrorIndexView for each job ending in [from, to), folded by
-//    analysis::ImpactTally, so it is compute_job_impact with period =
-//    [from, to) by construction.  Under a node predicate only jobs
-//    allocated on that node participate.
+//  * impact: compute_job_impact with period = [from, to), folded by
+//    analysis::ImpactTally.  At the recorded window and attribution the
+//    fold reads the masks the writer stored (analysis::expose over an
+//    unbounded period): a job ending in [from, to) is clamped only below,
+//    and only when start + 1 < from, so only those boundary jobs re-run
+//    expose with the window clamp, and an unexposed job stays unexposed in
+//    every window.  An engine whose window or attribution differs replays
+//    the join over every job in the window.  Under a node predicate only
+//    jobs allocated on that node participate.
 //  * availability: stored unavailability intervals with drain time in
 //    [from, to) (and on the node, if given); MTTR is their summarize() mean,
 //    MTTF is the aggregate per-node MTBE over the same node/time predicate —
@@ -83,7 +87,7 @@ struct QueryOptions {
   int attribution = -1;
   /// Optional sink for query.* metrics (per-op latency histograms under
   /// `query.latency_us{op=...}`, cache hit/miss/eviction counters, per-verb
-  /// call counts).  Never affects results.
+  /// call counts, impact replays and boundary jobs).  Never affects results.
   obs::MetricsRegistry* metrics = nullptr;
   /// Log queries slower than this many microseconds as warn records on the
   /// installed obs::Logger (op, latency, predicate key, cache outcome).
@@ -134,6 +138,9 @@ class QueryEngine {
   const IndexReader& reader_;
   common::Duration window_;
   bool node_level_;
+  /// Window and attribution equal the recorded ones: impact folds the
+  /// stored masks instead of replaying the join.
+  bool recorded_;
   std::size_t capacity_;
   double slow_query_us_;
 
@@ -151,6 +158,8 @@ class QueryEngine {
   obs::Counter* m_count_calls_ = nullptr;
   obs::Counter* m_impact_calls_ = nullptr;
   obs::Counter* m_avail_calls_ = nullptr;
+  obs::Counter* m_impact_replays_ = nullptr;
+  obs::Counter* m_impact_boundary_jobs_ = nullptr;
   /// Per-op children of `query.latency_us{op=...}`.
   obs::Histogram* m_latency_count_ = nullptr;
   obs::Histogram* m_latency_impact_ = nullptr;

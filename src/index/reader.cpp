@@ -166,10 +166,20 @@ common::Result<IndexReader> IndexReader::open(const std::string& path) {
   meta.outlier_share = load_f64(m + kMetaOutlierShare);
   meta.outlier_min = load_le64(m + kMetaOutlierMin);
   meta.exclude_outliers_from_totals = load_le32(m + kMetaExcludeOutliers) != 0;
+  meta.exposed_count = load_le64(m + kMetaExposedCount);
+  meta.failed_count = load_le64(m + kMetaFailedCount);
   if (meta.attribution > 1) {
     return at("index meta: attribution must be 0 (device) or 1 (node), got " +
                   std::to_string(meta.attribution),
               path, ms.offset + kMetaAttribution);
+  }
+  if (meta.exposed_count > meta.job_count) {
+    return at("index meta: exposed job count exceeds the job count", path,
+              ms.offset + kMetaExposedCount);
+  }
+  if (meta.failed_count > meta.job_count) {
+    return at("index meta: failed job count exceeds the job count", path,
+              ms.offset + kMetaFailedCount);
   }
 
   // ---- typed columns --------------------------------------------------------
@@ -226,6 +236,9 @@ common::Result<IndexReader> IndexReader::open(const std::string& path) {
   bind(r.unavail_node_, SectionId::kUnavailNode, meta.unavail_count);
   bind(r.unavail_begin_, SectionId::kUnavailBegin, meta.unavail_count);
   bind(r.unavail_end_, SectionId::kUnavailEnd, meta.unavail_count);
+  bind(r.job_exposed_pos_, SectionId::kJobExposedPos, meta.exposed_count);
+  bind(r.job_exposed_masks_, SectionId::kJobExposedMasks, meta.exposed_count);
+  bind(r.job_failed_pos_, SectionId::kJobFailedPos, meta.failed_count);
   if (bind_error) return *bind_error;
 
   // ---- column invariants ----------------------------------------------------
@@ -326,6 +339,45 @@ common::Result<IndexReader> IndexReader::open(const std::string& path) {
       return violated("unavailability intervals must be begin-sorted",
                       SectionId::kUnavailBegin);
     }
+  }
+  // The attribution sections: the query fold trusts positions as job
+  // indices and masks as Table II bits.
+  const auto ascending_below_jobs = [&](std::span<const std::uint32_t> pos) {
+    for (std::size_t i = 0; i < pos.size(); ++i) {
+      if ((i > 0 && pos[i - 1] >= pos[i]) || pos[i] >= meta.job_count) {
+        return false;
+      }
+    }
+    return true;
+  };
+  if (!ascending_below_jobs(r.job_exposed_pos_)) {
+    return violated(
+        "exposed job positions must be strictly increasing and below the "
+        "job count",
+        SectionId::kJobExposedPos);
+  }
+  const std::uint32_t families = (1u << xid::report_order().size()) - 1;
+  for (const std::uint32_t packed : r.job_exposed_masks_) {
+    const std::uint32_t run = run_mask_of(packed);
+    const std::uint32_t window = window_mask_of(packed);
+    if ((run & ~families) != 0 || (window & ~families) != 0) {
+      return violated("exposure masks must stay within the family range",
+                      SectionId::kJobExposedMasks);
+    }
+    if (run == 0) {
+      return violated("exposed job run masks must be nonzero",
+                      SectionId::kJobExposedMasks);
+    }
+    if ((window & ~run) != 0) {
+      return violated("exposure window mask must be a subset of the run mask",
+                      SectionId::kJobExposedMasks);
+    }
+  }
+  if (!ascending_below_jobs(r.job_failed_pos_)) {
+    return violated(
+        "failed job positions must be strictly increasing and below the job "
+        "count",
+        SectionId::kJobFailedPos);
   }
   return r;
 }

@@ -49,6 +49,10 @@ struct IndexMeta {
   std::uint64_t job_count = 0;
   std::uint64_t job_gpu_count = 0;
   std::uint64_t unavail_count = 0;
+  /// Jobs with a nonzero run mask at the recorded attribution.
+  std::uint64_t exposed_count = 0;
+  /// Jobs in a failure state.
+  std::uint64_t failed_count = 0;
 };
 
 class IndexReader {
@@ -96,6 +100,20 @@ class IndexReader {
   /// Packed GPUs allocated to job `j` (index into the job columns).
   std::span<const std::int32_t> job_gpus(std::size_t j) const;
 
+  // Write-time attribution at the recorded window and attribution, over an
+  // unbounded period: positions (into the job columns) of the jobs with a
+  // nonzero run mask, their packed masks (format.h pack_masks), and the
+  // positions of the jobs in a failure state.  Positions ascend.
+  std::span<const std::uint32_t> job_exposed_pos() const {
+    return job_exposed_pos_;
+  }
+  std::span<const std::uint32_t> job_exposed_masks() const {
+    return job_exposed_masks_;
+  }
+  std::span<const std::uint32_t> job_failed_pos() const {
+    return job_failed_pos_;
+  }
+
   // Unavailability columns, sorted by (begin, node, end).
   std::span<const std::int32_t> unavail_node() const { return unavail_node_; }
   std::span<const std::int64_t> unavail_begin() const {
@@ -124,6 +142,9 @@ class IndexReader {
   std::span<const std::uint8_t> job_state_;
   std::span<const std::uint64_t> job_gpu_offsets_;
   std::span<const std::int32_t> job_gpu_list_;
+  std::span<const std::uint32_t> job_exposed_pos_;
+  std::span<const std::uint32_t> job_exposed_masks_;
+  std::span<const std::uint32_t> job_failed_pos_;
   std::span<const std::int32_t> unavail_node_;
   std::span<const std::int64_t> unavail_begin_;
   std::span<const std::int64_t> unavail_end_;

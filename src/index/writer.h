@@ -2,10 +2,12 @@
 //
 // Serializes the pipeline's Stage II/III outputs — coalesced errors, job
 // exposure intervals, unavailability intervals — into the columnar format
-// defined in format.h.  The writer is a pure function of its input: columns
-// are sorted with total-order keys, padding is zeroed, and nothing
-// time-of-day- or thread-dependent is emitted, so a pipeline run that is
-// byte-identical across --threads produces a byte-identical artifact too.
+// defined in format.h, together with each job's exposure masks at the
+// recorded attribution (the exposure join, run once at write time).  The
+// writer is a pure function of its input: columns are sorted with
+// total-order keys, padding is zeroed, and nothing time-of-day- or
+// thread-dependent is emitted, so a pipeline run that is byte-identical
+// across --threads produces a byte-identical artifact too.
 #pragma once
 
 #include <cstdint>

@@ -9,6 +9,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "analysis/job_stats.h"
 #include "chaos/index_chaos.h"
 #include "cluster/topology.h"
+#include "common/hash.h"
 #include "common/io.h"
 #include "common/rng.h"
 #include "index/format.h"
@@ -126,6 +128,42 @@ std::vector<an::Unavailability>* IndexCorruption::unavail_ = nullptr;
 std::string IndexCorruption::pristine_;
 fs::path IndexCorruption::dir_;
 
+constexpr ix::SectionId kAttributionSections[] = {
+    ix::SectionId::kJobExposedPos,
+    ix::SectionId::kJobExposedMasks,
+    ix::SectionId::kJobFailedPos,
+};
+
+struct Span {
+  std::uint64_t offset = 0;
+  std::uint64_t size = 0;
+};
+
+/// Where section `id` sits, read from the table of a well-formed file.
+Span section(const std::string& bytes, ix::SectionId id) {
+  const auto* e = reinterpret_cast<const unsigned char*>(bytes.data()) +
+                  ix::kSectionTableOffset +
+                  (static_cast<std::size_t>(id) - 1) * ix::kSectionEntrySize;
+  return {ix::load_le64(e + 8), ix::load_le64(e + 16)};
+}
+
+/// Recompute every section hash, then the table and header hashes, so an
+/// edited file passes the integrity chain and reaches the invariants.
+void reseal(std::string& bytes) {
+  auto* base = reinterpret_cast<unsigned char*>(bytes.data());
+  for (std::uint32_t i = 0; i < ix::kSectionCount; ++i) {
+    unsigned char* e =
+        base + ix::kSectionTableOffset + i * ix::kSectionEntrySize;
+    ix::store_le64(e + 24, ct::xxhash64(base + ix::load_le64(e + 8),
+                                        ix::load_le64(e + 16)));
+  }
+  ix::store_le64(base + ix::kOffTableHash,
+                 ct::xxhash64(base + ix::kSectionTableOffset,
+                              ix::kSectionCount * ix::kSectionEntrySize));
+  ix::store_le64(base + ix::kOffHeaderHash,
+                 ct::xxhash64(base, ix::kHeaderHashedBytes));
+}
+
 /// Open must fail with an error that is *located*: non-empty message naming
 /// the artifact, so a user can tell which file is bad.
 void expect_located_failure(const std::string& path, const std::string& why) {
@@ -145,6 +183,125 @@ TEST_F(IndexCorruption, PristineArtifactOpens) {
   const auto opened = ix::IndexReader::open(path);
   ASSERT_TRUE(opened.ok()) << opened.error().message;
   EXPECT_EQ(opened.value().meta().error_count, errors_->size());
+  // The attribution sections carry real payload too.
+  EXPECT_GE(opened.value().meta().exposed_count, 2u);
+  EXPECT_GE(opened.value().meta().failed_count, 2u);
+}
+
+TEST_F(IndexCorruption, AttributionSectionBitFlipsAndCutsAreCaught) {
+  // The random fuzz lands in the small attribution sections only by
+  // chance; flip every bit of their first and last words (the last one is
+  // padding when the count is odd) and cut inside each of them.
+  for (const auto id : kAttributionSections) {
+    const Span s = section(pristine_, id);
+    ASSERT_GE(s.size, 8u) << ix::section_name(id);
+    for (const std::uint64_t off : {s.offset, s.offset + s.size - 4}) {
+      for (std::uint64_t byte = off; byte < off + 4; ++byte) {
+        for (int bit = 0; bit < 8; ++bit) {
+          std::string bytes = pristine_;
+          bytes[byte] = static_cast<char>(bytes[byte] ^ (1 << bit));
+          auto opened = ix::IndexReader::open(write("attr_flip.idx", bytes));
+          EXPECT_FALSE(opened.ok())
+              << ix::section_name(id) << " byte " << byte << " bit " << bit;
+        }
+      }
+    }
+    for (const std::uint64_t cut : {s.offset, s.offset + s.size / 2}) {
+      expect_located_failure(write("attr_trunc.idx", pristine_.substr(0, cut)),
+                             std::string(ix::section_name(id)) +
+                                 " truncated at " + std::to_string(cut));
+    }
+  }
+}
+
+TEST_F(IndexCorruption, AttributionSectionInvariantsAreLocated) {
+  // Each forged file is fully re-sealed (section, table and header hashes
+  // recomputed), so the reader reaches the invariant itself and must name
+  // it, located at its section (or at its meta field).
+  const Span meta = section(pristine_, ix::SectionId::kMeta);
+  const auto job_count = static_cast<std::uint32_t>(jobs_->jobs.size());
+  const auto at = [](std::string& b, std::uint64_t off) {
+    return reinterpret_cast<unsigned char*>(b.data()) + off;
+  };
+  struct Forge {
+    const char* message;
+    ix::SectionId id;
+    std::uint64_t offset;
+    std::function<void(std::string&)> edit;
+  };
+  const Span xpos = section(pristine_, ix::SectionId::kJobExposedPos);
+  const Span xmask = section(pristine_, ix::SectionId::kJobExposedMasks);
+  const Span fpos = section(pristine_, ix::SectionId::kJobFailedPos);
+  const std::vector<Forge> forges = {
+      {"exposed job count exceeds the job count", ix::SectionId::kMeta,
+       meta.offset + ix::kMetaExposedCount,
+       [&](std::string& b) {
+         ix::store_le64(at(b, meta.offset + ix::kMetaExposedCount),
+                        job_count + 1);
+       }},
+      {"failed job count exceeds the job count", ix::SectionId::kMeta,
+       meta.offset + ix::kMetaFailedCount,
+       [&](std::string& b) {
+         ix::store_le64(at(b, meta.offset + ix::kMetaFailedCount),
+                        job_count + 1);
+       }},
+      {"exposed job positions must be strictly increasing",
+       ix::SectionId::kJobExposedPos, xpos.offset,
+       [&](std::string& b) {
+         ix::store_le32(at(b, xpos.offset + 4),
+                        ix::load_le32(at(b, xpos.offset)));
+       }},
+      {"exposed job positions must be strictly increasing",
+       ix::SectionId::kJobExposedPos, xpos.offset,
+       [&](std::string& b) { ix::store_le32(at(b, xpos.offset), job_count); }},
+      {"exposure masks must stay within the family range",
+       ix::SectionId::kJobExposedMasks, xmask.offset,
+       [&](std::string& b) {
+         ix::store_le32(at(b, xmask.offset), ix::pack_masks(1u << 12, 0));
+       }},
+      {"exposed job run masks must be nonzero",
+       ix::SectionId::kJobExposedMasks, xmask.offset,
+       [&](std::string& b) { ix::store_le32(at(b, xmask.offset), 0); }},
+      {"exposure window mask must be a subset of the run mask",
+       ix::SectionId::kJobExposedMasks, xmask.offset,
+       [&](std::string& b) {
+         ix::store_le32(at(b, xmask.offset), ix::pack_masks(1, 2));
+       }},
+      {"failed job positions must be strictly increasing",
+       ix::SectionId::kJobFailedPos, fpos.offset,
+       [&](std::string& b) {
+         ix::store_le32(at(b, fpos.offset + 4),
+                        ix::load_le32(at(b, fpos.offset)));
+       }},
+      {"failed job positions must be strictly increasing",
+       ix::SectionId::kJobFailedPos, fpos.offset,
+       [&](std::string& b) { ix::store_le32(at(b, fpos.offset), job_count); }},
+  };
+  for (const auto& f : forges) {
+    std::string bytes = pristine_;
+    f.edit(bytes);
+    reseal(bytes);
+    auto opened = ix::IndexReader::open(write("forged.idx", bytes));
+    ASSERT_FALSE(opened.ok()) << f.message;
+    EXPECT_NE(opened.error().message.find(f.message), std::string::npos)
+        << opened.error().message;
+    EXPECT_EQ(opened.error().offset, f.offset) << f.message;
+  }
+}
+
+TEST_F(IndexCorruption, VersionOneFileIsRefusedAsUnsupported) {
+  // A v1 artifact (no attribution sections) must be refused before any
+  // payload is trusted, as version skew rather than corruption.
+  std::string bytes = pristine_;
+  ix::store_le32(reinterpret_cast<unsigned char*>(bytes.data()) +
+                     ix::kOffVersion,
+                 1);
+  reseal(bytes);
+  auto opened = ix::IndexReader::open(write("v1.idx", bytes));
+  ASSERT_FALSE(opened.ok());
+  EXPECT_NE(opened.error().message.find("unsupported index format version 1"),
+            std::string::npos)
+      << opened.error().message;
 }
 
 TEST_F(IndexCorruption, EveryFaultKindFailsOpenAcrossSeeds) {

@@ -3,9 +3,12 @@
 // once by the IndexReader + QueryEngine over the mapped artifact, once
 // computed fresh from the pipeline's in-memory outputs with the batch
 // machinery — and held exactly equal (integer counts ==, doubles bitwise
-// via the same arithmetic).  Also proves the cache is semantically
-// invisible (cache-on vs cache-off) and that four threads hammering one
-// shared mapping agree with the serial answers.
+// via the same arithmetic).  Impact is checked at the recorded settings (a
+// fold of the masks stored at write time, boundary jobs re-exposed), on an
+// index written at node-level attribution, and under window and
+// attribution overrides (the replayed join).  Also proves the cache is
+// semantically invisible (cache-on vs cache-off) and that four threads
+// hammering one shared mapping agree with the serial answers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -77,11 +80,25 @@ class QueryDifferential : public ::testing::Test {
     reader_ = new ix::IndexReader(std::move(opened).take());
     ASSERT_GT(reader_->meta().error_count, 50u) << "corpus too thin";
     ASSERT_GT(reader_->meta().job_count, 500u) << "corpus too thin";
+    ASSERT_EQ(in.attribution, an::Attribution::kGpuLevel);
+
+    // The same outputs written at node-level attribution: its stored masks
+    // are the node-level join's.
+    in.attribution = an::Attribution::kNodeLevel;
+    const auto node_path = (dir / "gpures_node.idx").string();
+    const auto wrote_node = ix::write_index(in, node_path);
+    ASSERT_TRUE(wrote_node.ok()) << wrote_node.error().message;
+    auto opened_node = ix::IndexReader::open(node_path);
+    ASSERT_TRUE(opened_node.ok()) << opened_node.error().message;
+    node_reader_ = new ix::IndexReader(std::move(opened_node).take());
+    ASSERT_EQ(node_reader_->meta().attribution, 1u);
   }
 
   static void TearDownTestSuite() {
     delete reader_;
     reader_ = nullptr;
+    delete node_reader_;
+    node_reader_ = nullptr;
     delete avail_;
     avail_ = nullptr;
     delete campaign_;
@@ -92,6 +109,7 @@ class QueryDifferential : public ::testing::Test {
   static an::DeltaCampaign* campaign_;
   static an::AvailabilityStats* avail_;
   static ix::IndexReader* reader_;
+  static ix::IndexReader* node_reader_;  ///< written at node-level attribution
   static std::string path_;
   static fs::path dir_;
 };
@@ -99,6 +117,7 @@ class QueryDifferential : public ::testing::Test {
 an::DeltaCampaign* QueryDifferential::campaign_ = nullptr;
 an::AvailabilityStats* QueryDifferential::avail_ = nullptr;
 ix::IndexReader* QueryDifferential::reader_ = nullptr;
+ix::IndexReader* QueryDifferential::node_reader_ = nullptr;
 std::string QueryDifferential::path_;
 fs::path QueryDifferential::dir_;
 
@@ -131,6 +150,37 @@ std::vector<ix::Predicate> make_corpus(const ix::IndexReader& reader,
     if (rng.uniform() < 0.5) {
       p.xid = kXids[rng.uniform_u64(std::size(kXids))];
     }
+    out.push_back(p);
+  }
+  return out;
+}
+
+/// Windows that open inside long exposed jobs, so the fold must re-expose
+/// them with the window clamp: for each of the `n` longest exposed jobs,
+/// `from` falls in the middle of its run and `to` just past its end, with
+/// and without a node predicate on one of its nodes.
+std::vector<ix::Predicate> make_boundary_corpus(const ix::IndexReader& reader,
+                                                std::size_t n) {
+  const auto start = reader.job_start();
+  const auto end = reader.job_end();
+  std::vector<std::uint32_t> longest(reader.job_exposed_pos().begin(),
+                                     reader.job_exposed_pos().end());
+  std::sort(longest.begin(), longest.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              const auto la = end[a] - start[a];
+              const auto lb = end[b] - start[b];
+              return la != lb ? la > lb : a < b;
+            });
+  longest.resize(std::min(longest.size(), n));
+  std::vector<ix::Predicate> out;
+  for (const std::uint32_t j : longest) {
+    ix::Predicate p;
+    p.from = start[j] + (end[j] - start[j]) / 2;
+    p.to = end[j] + 1 + (end[j] - start[j]) / 4;
+    out.push_back(p);
+    p.node = an::packed_node(reader.job_gpus(j).front());
+    out.push_back(p);
+    p.xid = 79;
     out.push_back(p);
   }
   return out;
@@ -321,10 +371,13 @@ TEST_F(QueryDifferential, CountsMatchNaiveScanOnSeededCorpus) {
 }
 
 TEST_F(QueryDifferential, ImpactMatchesBatchJoinOnSeededCorpus) {
-  ix::QueryEngine engine(*reader_);
-  // The join is the expensive verb; a smaller corpus still covers node and
-  // XID filters, empty windows, and the whole-study window.
-  for (const auto& p : make_corpus(*reader_, 202, 40)) {
+  // At the recorded settings every answer is a fold of the stored masks;
+  // the batch join is the oracle.
+  obs::MetricsRegistry registry;
+  ix::QueryOptions opts;
+  opts.metrics = &registry;
+  ix::QueryEngine engine(*reader_, opts);
+  for (const auto& p : make_corpus(*reader_, 202, 400)) {
     expect_impact_eq(
         engine.impact(p),
         ref_impact(*campaign_, p, engine.effective_window(),
@@ -332,17 +385,122 @@ TEST_F(QueryDifferential, ImpactMatchesBatchJoinOnSeededCorpus) {
                                        : an::Attribution::kGpuLevel),
         p);
   }
+  EXPECT_EQ(registry.counter("query.impact.replays").value(), 0u);
 }
 
-TEST_F(QueryDifferential, NodeLevelAttributionAlsoMatches) {
+TEST_F(QueryDifferential, WindowsOpeningInsideExposedJobsReExposeThem) {
+  // A job that started before `from` may have seen errors the window
+  // clamps away, so its stored masks do not apply.  These windows open in
+  // the middle of the longest exposed jobs: the boundary path must run,
+  // and still match the batch join.
+  obs::MetricsRegistry registry;
   ix::QueryOptions opts;
-  opts.attribution = 1;  // override the recorded device-level setting
+  opts.metrics = &registry;
+  opts.cache_capacity = 0;
   ix::QueryEngine engine(*reader_, opts);
-  for (const auto& p : make_corpus(*reader_, 303, 15)) {
+  const auto corpus = make_boundary_corpus(*reader_, 40);
+  ASSERT_GE(corpus.size(), 60u);
+  for (const auto& p : corpus) {
+    expect_impact_eq(engine.impact(p),
+                     ref_impact(*campaign_, p, engine.effective_window(),
+                                an::Attribution::kGpuLevel),
+                     p);
+  }
+  EXPECT_GE(registry.counter("query.impact.boundary_jobs").value(),
+            corpus.size());
+  EXPECT_EQ(registry.counter("query.impact.replays").value(), 0u);
+}
+
+TEST_F(QueryDifferential, NodeLevelIndexFoldsItsOwnMasks) {
+  // An index written at node-level attribution answers node-level Table II
+  // from its stored masks, boundary windows included.
+  obs::MetricsRegistry registry;
+  ix::QueryOptions opts;
+  opts.metrics = &registry;
+  ix::QueryEngine engine(*node_reader_, opts);
+  ASSERT_TRUE(engine.node_level());
+  auto corpus = make_corpus(*node_reader_, 808, 120);
+  const auto boundary = make_boundary_corpus(*node_reader_, 20);
+  corpus.insert(corpus.end(), boundary.begin(), boundary.end());
+  for (const auto& p : corpus) {
     expect_impact_eq(engine.impact(p),
                      ref_impact(*campaign_, p, engine.effective_window(),
                                 an::Attribution::kNodeLevel),
                      p);
+  }
+  EXPECT_EQ(registry.counter("query.impact.replays").value(), 0u);
+  EXPECT_GT(registry.counter("query.impact.boundary_jobs").value(), 0u);
+}
+
+TEST_F(QueryDifferential, NodesOutsideTheTopologyMatchNoJob) {
+  const auto node_count =
+      static_cast<std::int32_t>(reader_->meta().node_count);
+  for (const int window : {-1, 30}) {
+    ix::QueryOptions opts;
+    opts.attribution_window = window;
+    ix::QueryEngine engine(*reader_, opts);
+    for (const std::int32_t node : {-1, node_count, node_count + 7}) {
+      for (const std::optional<std::uint16_t> xid :
+           {std::optional<std::uint16_t>(), std::optional<std::uint16_t>(79)}) {
+        ix::Predicate p = engine.whole_period();
+        p.node = node;
+        p.xid = xid;
+        const auto got = engine.impact(p);
+        EXPECT_EQ(got.jobs_analyzed, 0u);
+        expect_impact_eq(got,
+                         ref_impact(*campaign_, p, engine.effective_window(),
+                                    an::Attribution::kGpuLevel),
+                         p);
+      }
+    }
+  }
+}
+
+TEST_F(QueryDifferential, NodeLevelAttributionAlsoMatches) {
+  obs::MetricsRegistry registry;
+  ix::QueryOptions opts;
+  opts.attribution = 1;  // override the recorded device-level setting
+  opts.metrics = &registry;
+  ix::QueryEngine engine(*reader_, opts);
+  const auto corpus = make_corpus(*reader_, 303, 15);
+  for (const auto& p : corpus) {
+    expect_impact_eq(engine.impact(p),
+                     ref_impact(*campaign_, p, engine.effective_window(),
+                                an::Attribution::kNodeLevel),
+                     p);
+  }
+  // An overridden attribution cannot use the stored masks: every miss
+  // replays the join.
+  EXPECT_EQ(registry.counter("query.impact.replays").value(),
+            registry.counter("query.cache.misses").value());
+  EXPECT_GT(registry.counter("query.impact.replays").value(), 0u);
+}
+
+TEST_F(QueryDifferential, WindowOverridesReplayTheJoin) {
+  // --window overrides, alone and with --node-level, on both indexes.
+  for (const auto* reader : {reader_, node_reader_}) {
+    for (const int attribution : {-1, 0, 1}) {
+      obs::MetricsRegistry registry;
+      ix::QueryOptions opts;
+      opts.attribution_window = 30;
+      opts.attribution = attribution;
+      opts.metrics = &registry;
+      ix::QueryEngine engine(*reader, opts);
+      ASSERT_EQ(engine.effective_window(), 30);
+      auto corpus = make_corpus(*reader, 909, 12);
+      const auto boundary = make_boundary_corpus(*reader, 4);
+      corpus.insert(corpus.end(), boundary.begin(), boundary.end());
+      for (const auto& p : corpus) {
+        expect_impact_eq(engine.impact(p),
+                         ref_impact(*campaign_, p, 30,
+                                    engine.node_level()
+                                        ? an::Attribution::kNodeLevel
+                                        : an::Attribution::kGpuLevel),
+                         p);
+      }
+      EXPECT_GT(registry.counter("query.impact.replays").value(), 0u);
+      EXPECT_EQ(registry.counter("query.impact.boundary_jobs").value(), 0u);
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "cluster/topology.h"
 #include "common/io.h"
 #include "common/rng.h"
+#include "index/format.h"
 #include "index/query.h"
 #include "index/reader.h"
 #include "index/writer.h"
@@ -215,6 +217,106 @@ TEST(IndexRoundTrip, JobAndUnavailabilityColumnsSurvive) {
     EXPECT_EQ(reader.node_index(c.topo.node(n).name), n);
   }
   EXPECT_FALSE(reader.node_index("ghost-node").has_value());
+}
+
+TEST(IndexRoundTrip, AttributionSectionsHoldTheWriteTimeJoin) {
+  // Both jobs saw errors on their GPUs during their runs (the 63 at
+  // t0 + 5000 and the 119/79 pair at t0 + 100); only job 7 failed.
+  Corpus c;
+  const auto path = temp_file("attribution");
+  const auto stats = ix::write_index(c.input(), path.string());
+  ASSERT_TRUE(stats.ok()) << stats.error().message;
+
+  auto opened = ix::IndexReader::open(path.string());
+  ASSERT_TRUE(opened.ok()) << opened.error().message;
+  const auto reader = std::move(opened).take();
+  EXPECT_EQ(reader.meta().exposed_count, 2u);
+  EXPECT_EQ(reader.meta().failed_count, 1u);
+  ASSERT_EQ(reader.job_exposed_pos().size(), 2u);
+  EXPECT_EQ(reader.job_exposed_pos()[0], 0u);
+  EXPECT_EQ(reader.job_exposed_pos()[1], 1u);
+  ASSERT_EQ(reader.job_failed_pos().size(), 1u);
+  EXPECT_EQ(reader.job_failed_pos()[0], 1u);
+
+  // The stored masks are expose() over an unbounded period at the recorded
+  // window and attribution.
+  an::JobImpactConfig cfg;
+  cfg.window = 20;
+  cfg.period = {std::numeric_limits<ct::TimePoint>::min(),
+                std::numeric_limits<ct::TimePoint>::max()};
+  std::vector<std::int32_t> scratch;
+  for (std::size_t k = 0; k < 2; ++k) {
+    const std::size_t j = reader.job_exposed_pos()[k];
+    const auto m = an::expose(reader.error_index(), reader.job_start()[j],
+                              reader.job_end()[j], reader.job_gpus(j), cfg,
+                              scratch);
+    EXPECT_NE(m.run_mask, 0u);
+    EXPECT_EQ(reader.job_exposed_masks()[k],
+              ix::pack_masks(m.run_mask, m.window_mask))
+        << k;
+  }
+}
+
+TEST(IndexRoundTrip, AttributionHonoursTheRunEdges) {
+  // A run is (start, end]: an error stamped at a job's start belongs to the
+  // GPU's previous tenant, one stamped at its end counts.  Jobs on GPU
+  // (0, 0) and on its neighbour (0, 1) around errors on (0, 0), at device
+  // and at node level, against expose itself for every job.
+  Corpus c;
+  const auto t = c.pds.op.begin;
+  c.errors = {err(t, 0, 0, 63, 63, 1), err(t + 100, 0, 0, 79, 79, 1),
+              err(t + 200, 0, 0, 48, 48, 1)};
+  c.jobs = an::JobTable();
+  const std::pair<std::int64_t, std::int64_t> runs[] = {
+      {0, 50}, {60, 100}, {99, 150}, {101, 199}, {150, 200}, {200, 260}};
+  std::uint64_t id = 1;
+  for (const std::int32_t slot : {0, 1}) {
+    for (const auto& [start, end] : runs) {
+      an::JobView v;
+      v.id = id++;
+      v.start = t + start;
+      v.end = t + end;
+      v.state = id % 2 == 0 ? gpures::slurm::JobState::kFailed
+                            : gpures::slurm::JobState::kCompleted;
+      v.inline_count = 1;
+      v.gpus_inline[0] = an::pack_gpu(0, slot);
+      c.jobs.jobs.push_back(v);
+    }
+  }
+  for (const auto level :
+       {an::Attribution::kGpuLevel, an::Attribution::kNodeLevel}) {
+    auto in = c.input();
+    in.attribution = level;
+    const auto path = temp_file("edges");
+    ASSERT_TRUE(ix::write_index(in, path.string()).ok());
+    auto opened = ix::IndexReader::open(path.string());
+    ASSERT_TRUE(opened.ok()) << opened.error().message;
+    const auto reader = std::move(opened).take();
+
+    an::JobImpactConfig cfg;
+    cfg.window = in.attribution_window;
+    cfg.period = {std::numeric_limits<ct::TimePoint>::min(),
+                  std::numeric_limits<ct::TimePoint>::max()};
+    cfg.attribution = level;
+    std::vector<std::int32_t> scratch;
+    std::size_t k = 0;
+    for (std::size_t j = 0; j < reader.meta().job_count; ++j) {
+      const auto m = an::expose(reader.error_index(), reader.job_start()[j],
+                                reader.job_end()[j], reader.job_gpus(j), cfg,
+                                scratch);
+      if (m.run_mask == 0) continue;
+      ASSERT_LT(k, reader.job_exposed_pos().size()) << j;
+      EXPECT_EQ(reader.job_exposed_pos()[k], j);
+      EXPECT_EQ(reader.job_exposed_masks()[k],
+                ix::pack_masks(m.run_mask, m.window_mask))
+          << j;
+      ++k;
+    }
+    EXPECT_EQ(k, reader.job_exposed_pos().size());
+    // Runs (60, 100], (99, 150] and (150, 200] hold an error; on slot 1
+    // only node-level attribution sees them.
+    EXPECT_EQ(k, level == an::Attribution::kGpuLevel ? 3u : 6u);
+  }
 }
 
 TEST(IndexRoundTrip, MetaBlockSurvives) {

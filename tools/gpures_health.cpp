@@ -7,7 +7,7 @@
 // registry snapshot JSON (--metrics) and the live telemetry sampler JSONL
 // (--telemetry) — and renders one operator-facing report: pipeline
 // throughput, latency quantiles per histogram family, query cache
-// effectiveness, ingest quality (drop reasons), and an RSS/CPU timeline.
+// effectiveness and impact replays, ingest quality (drop reasons), and an RSS/CPU timeline.
 //
 // The report is a pure function of its input files: no clocks, no
 // environment probes, so the same sidecars always render the same bytes.
@@ -352,6 +352,10 @@ struct Report {
   double cache_misses = 0.0;
   double cache_evictions = 0.0;
   double cache_hit_ratio = std::numeric_limits<double>::quiet_NaN();
+  /// Impact queries that re-ran the exposure join, and the boundary jobs
+  /// the stored-mask fold re-exposed.
+  double impact_replays = 0.0;
+  double impact_boundary_jobs = 0.0;
   std::vector<HistRow> latency;
 
   // Daemon health (present only in gpures-serve snapshots).
@@ -382,6 +386,8 @@ void derive(Report& r) {
   r.cache_evictions = family_sum(m, "query.cache.evictions");
   const double lookups = r.cache_hits + r.cache_misses;
   if (lookups > 0.0) r.cache_hit_ratio = r.cache_hits / lookups;
+  r.impact_replays = family_sum(m, "query.impact.replays");
+  r.impact_boundary_jobs = family_sum(m, "query.impact.boundary_jobs");
   for (const auto& h : m.histograms) r.latency.push_back(hist_row(h));
 
   if (std::isfinite(r.drop_rate) && r.drop_rate > 0.01) {
@@ -592,6 +598,9 @@ std::string render_md(const Report& r) {
     out += "| misses | " + fmt_num(r.cache_misses) + " |\n";
     out += "| evictions | " + fmt_num(r.cache_evictions) + " |\n";
     out += "| hit ratio | " + fmt_pct(r.cache_hit_ratio) + " |\n";
+    out += "| impact replays | " + fmt_num(r.impact_replays) + " |\n";
+    out += "| impact boundary jobs | " + fmt_num(r.impact_boundary_jobs) +
+           " |\n";
   }
 
   out += "\n## Ingest quality\n\n";
@@ -732,6 +741,11 @@ std::string render_json(const Report& r) {
   w.kv("misses", r.cache_misses);
   w.kv("evictions", r.cache_evictions);
   json_number_or_null(w, "hit_ratio", r.cache_hit_ratio);
+  w.end_object();
+  w.key("impact");
+  w.begin_object();
+  w.kv("replays", r.impact_replays);
+  w.kv("boundary_jobs", r.impact_boundary_jobs);
   w.end_object();
   w.key("ingest");
   w.begin_object();

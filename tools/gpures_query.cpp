@@ -24,6 +24,7 @@
 #include "common/json.h"
 #include "common/strings.h"
 #include "common/time.h"
+#include "index/format.h"
 #include "index/query.h"
 #include "index/reader.h"
 #include "obs/expfmt.h"
@@ -360,7 +361,7 @@ int main(int argc, char** argv) {
     std::printf("gpures index %s (%llu bytes, format v%u)\n",
                 index_file.c_str(),
                 static_cast<unsigned long long>(reader.file_bytes()),
-                1u);
+                index::kFormatVersion);
     std::printf("  study window: %s .. %s (op from %s)\n",
                 common::format_iso(meta.periods.pre.begin).c_str(),
                 common::format_iso(meta.periods.op.end).c_str(),
@@ -374,6 +375,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(meta.loc_entry_count),
                 static_cast<unsigned long long>(meta.job_count),
                 static_cast<unsigned long long>(meta.unavail_count));
+    std::printf("  exposed jobs: %llu, failed jobs: %llu\n",
+                static_cast<unsigned long long>(meta.exposed_count),
+                static_cast<unsigned long long>(meta.failed_count));
     return 0;
   }
 
