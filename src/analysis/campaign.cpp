@@ -197,17 +197,29 @@ void DeltaCampaign::run() {
 
   if (scheduler_) {
     OBS_SPAN("campaign.ingest_accounting");
-    if (dataset_ != nullptr) {
-      dataset_->write_accounting_line(slurm::kAccountingHeader);
-    }
-    pipeline_->ingest_accounting_line(slurm::kAccountingHeader);
-    std::string line;  // reused scratch: no per-record allocation
+    // Rows render into one reused chunk of a few MB, which is written and
+    // then ingested whole, in line ranges on the pipeline's pool.  Lenient
+    // rules with no budget count a row that fails to parse and go on.
+    constexpr std::size_t kChunkBytes = 4 << 20;
+    IngestRules rules;
+    rules.policy = IngestPolicy::kLenient;
+    AccountingCursor cur;
+    std::string chunk;
+    chunk.reserve(kChunkBytes + 4096);
+    chunk += slurm::kAccountingHeader;
+    chunk += '\n';
+    const auto flush = [&] {
+      if (dataset_ != nullptr) dataset_->write_accounting_text(chunk);
+      pipeline_->ingest_accounting(chunk, "slurm_accounting.txt", rules, cur)
+          .throw_if_error();
+      chunk.clear();
+    };
     for (const auto& rec : scheduler_->records()) {
-      line.clear();
-      slurm::append_accounting_line(line, rec, topo_);
-      if (dataset_ != nullptr) dataset_->write_accounting_line(line);
-      pipeline_->ingest_accounting_line(line);
+      slurm::append_accounting_line(chunk, rec, topo_);
+      chunk += '\n';
+      if (chunk.size() >= kChunkBytes) flush();
     }
+    flush();
   }
   pipeline_->finish();
   if (dataset_ != nullptr) dataset_->finalize().throw_if_error();

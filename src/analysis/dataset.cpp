@@ -172,6 +172,14 @@ void DatasetWriter::write_accounting_line(std::string_view line) {
   }
 }
 
+void DatasetWriter::write_accounting_text(std::string_view text) {
+  accounting_.write(text.data(), static_cast<std::streamsize>(text.size()));
+  if (!accounting_) {
+    note_write_failure("DatasetWriter: accounting write failed in " +
+                       dir_.string());
+  }
+}
+
 common::Status DatasetWriter::finalize() {
   if (finalized_) return final_status_;
   finalized_ = true;

@@ -70,8 +70,11 @@ class DatasetWriter {
   void write_day(common::TimePoint day_start,
                  const std::vector<logsys::RawLine>& lines);
 
-  /// Append one accounting line (header is written automatically first).
+  /// Append one accounting line and its newline (the header is a line the
+  /// caller writes first).
   void write_accounting_line(std::string_view line);
+  /// Append accounting text as is: whole lines, each ending in a newline.
+  void write_accounting_text(std::string_view text);
 
   /// Flush and write the manifest.  Called by the destructor too (which
   /// discards the status).  Returns the first write failure since

@@ -1,8 +1,11 @@
 #include "analysis/ingest.h"
 
+#include <algorithm>
 #include <variant>
 
 #include "common/strings.h"
+#include "obs/trace.h"
+#include "simd/scan.h"
 #include "slurm/accounting.h"
 
 namespace gpures::analysis {
@@ -26,6 +29,81 @@ void fold(logsys::ScreenCounts& into, const logsys::ScreenCounts& sc,
     into.first_category = sc.first_category;
     into.first_line = base_line + sc.first_line;
     into.first_offset = base_offset + sc.first_offset;
+  }
+}
+
+using Row = AccountingIngest::Row;
+
+/// The row policy for one trimmed, non-blank line: the header is skipped, a
+/// row that does not parse into `rec` is rejected, any other is kept.
+Row classify_row(std::string_view trimmed, const cluster::Topology& topo,
+                 slurm::JobRecord& rec) {
+  if (trimmed == slurm::kAccountingHeader) return Row::kSkipped;
+  return slurm::parse_accounting_line(trimmed, topo, rec).ok() ? Row::kKept
+                                                               : Row::kRejected;
+}
+
+/// A malformed row seen by one range, located for the row-order replay.
+struct RejectedRow {
+  std::uint64_t line = 0;   ///< physical lines before it in its range
+  std::size_t offset = 0;   ///< its first byte in the consumed text
+  std::uint64_t bytes = 0;  ///< trimmed length
+  std::uint64_t rows = 0;   ///< non-blank lines before it in its range
+  std::uint64_t kept = 0;   ///< rows kept before it in its range
+};
+
+/// One contiguous line range of a consumed text, and what converting it
+/// left behind.
+struct RowRange {
+  std::size_t lo = 0;       ///< first byte in the text
+  std::size_t hi = 0;       ///< one past its last byte
+  std::uint64_t lines = 0;  ///< physical lines: the job-table slots it gets
+  std::size_t slot = 0;     ///< its first job-table slot
+  std::uint64_t rows = 0;   ///< non-blank lines (`accounting_lines`)
+  std::uint64_t kept = 0;   ///< views written from `slot` on
+  std::vector<RejectedRow> rejected;
+  std::vector<std::vector<PackedGpu>> spill;  ///< range-local spill lists
+  std::vector<std::uint64_t> spilled;  ///< kept-row index of each spill list
+};
+
+/// Count the physical lines of `r` (the last range may end unterminated).
+void count_lines(std::string_view text, RowRange& r) {
+  r.lines = simd::active_ops().count_byte(text.data() + r.lo, r.hi - r.lo,
+                                          '\n');
+  if (r.hi == text.size() && r.hi > r.lo && text.back() != '\n') ++r.lines;
+}
+
+/// Convert the rows of `r` into out[0, r.kept) through a range-local record.
+/// A range stops at a rejection the merge is certain to stop at: the first
+/// one under strict, the one past the error budget under lenient.
+void convert_range(std::string_view text, const cluster::Topology& topo,
+                   const IngestRules& rules, JobView* out, RowRange& r) {
+  OBS_SPAN("accounting.parse_range");
+  slurm::JobRecord rec;
+  std::uint64_t line = 0;
+  for (std::size_t start = r.lo; start < r.hi; ++line) {
+    const std::size_t nl = text.find('\n', start);
+    const std::size_t end = nl == std::string_view::npos ? text.size() : nl;
+    const auto trimmed = common::trim(text.substr(start, end - start));
+    const std::size_t line_start = start;
+    start = end + 1;
+    if (trimmed.empty()) continue;
+    const Row kind = classify_row(trimmed, topo, rec);
+    if (kind == Row::kRejected) {
+      r.rejected.push_back({line, line_start, trimmed.size(), r.rows, r.kept});
+      ++r.rows;
+      if (rules.policy == IngestPolicy::kStrict ||
+          (rules.error_budget > 0 && r.rejected.size() > rules.error_budget)) {
+        return;
+      }
+      continue;
+    }
+    ++r.rows;
+    if (kind == Row::kKept) {
+      const JobView v = JobTable::convert(rec, r.spill);
+      if (v.spill_index >= 0) r.spilled.push_back(r.kept);
+      out[r.kept++] = v;
+    }
   }
 }
 
@@ -155,11 +233,32 @@ void warn_rejected_rows(const AccountingCursor& cur, const std::string& path,
   }
 }
 
+std::vector<std::size_t> line_range_cuts(std::string_view text,
+                                         std::size_t ranges) {
+  ranges = std::max<std::size_t>(1, ranges);
+  std::vector<std::size_t> cuts(ranges + 1, text.size());
+  cuts[0] = 0;
+  for (std::size_t i = 1; i < ranges; ++i) {
+    const std::size_t target = std::max(cuts[i - 1], text.size() * i / ranges);
+    if (target == 0) {
+      cuts[i] = 0;
+      continue;
+    }
+    // The first line start at or after `target`: just past the first
+    // newline at or after target - 1.
+    const std::size_t nl = text.find('\n', target - 1);
+    cuts[i] = nl == std::string_view::npos ? text.size() : nl + 1;
+  }
+  return cuts;
+}
+
 AccountingIngest::AccountingIngest(const cluster::Topology& topo,
                                    JobTable& jobs, obs::MetricsRegistry& reg,
-                                   const std::string& prefix)
+                                   const std::string& prefix,
+                                   common::ThreadPool* pool)
     : topo_(topo),
       jobs_(jobs),
+      pool_(pool),
       lines_(&reg.counter(prefix + ".accounting_lines")),
       errors_(&reg.counter(prefix + ".accounting_errors")) {}
 
@@ -167,45 +266,101 @@ AccountingIngest::Row AccountingIngest::row(std::string_view line) {
   const auto trimmed = common::trim(line);
   if (trimmed.empty()) return Row::kSkipped;
   lines_->inc();
-  if (trimmed == slurm::kAccountingHeader) return Row::kSkipped;
-  if (!slurm::parse_accounting_line(trimmed, topo_, record_).ok()) {
-    errors_->inc();
-    return Row::kRejected;
-  }
-  jobs_.add(record_);
-  return Row::kKept;
+  const Row r = classify_row(trimmed, topo_, record_);
+  if (r == Row::kRejected) errors_->inc();
+  if (r == Row::kKept) jobs_.add(record_);
+  return r;
 }
 
 common::Status AccountingIngest::consume(std::string_view text,
                                          const std::string& path,
                                          const IngestRules& rules,
                                          AccountingCursor& cur) {
-  std::size_t start = 0;
-  while (start < text.size()) {
-    const std::size_t nl = text.find('\n', start);
-    const std::size_t end = nl == std::string_view::npos ? text.size() : nl;
-    const auto line = text.substr(start, end - start);
-    const Row r = row(line);
-    if (r == Row::kKept) {
-      cur.rows_kept += 1;
-    } else if (r == Row::kRejected) {
+  // One range per worker, none under kMinRangeBytes; serial mode is the
+  // one-range case run inline.
+  const std::size_t n =
+      pool_ == nullptr ? 1
+                       : std::clamp<std::size_t>(text.size() / kMinRangeBytes,
+                                                 1, pool_->size());
+  const auto cuts = line_range_cuts(text, n);
+  std::vector<RowRange> ranges(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ranges[i].lo = cuts[i];
+    ranges[i].hi = cuts[i + 1];
+  }
+  const auto each_range = [&](const auto& fn) {
+    if (n == 1) return fn(ranges[0]);
+    pool_->parallel_for(n, [&](std::size_t i, std::size_t) { fn(ranges[i]); });
+  };
+
+  // Every physical line gets a slot, so each range writes its views straight
+  // into the table with no per-range buffer and no reallocation.
+  each_range([&](RowRange& r) { count_lines(text, r); });
+  const std::size_t base = jobs_.jobs.size();
+  std::size_t slots = base;
+  for (auto& r : ranges) {
+    r.slot = slots;
+    slots += r.lines;
+  }
+  jobs_.jobs.resize(slots);
+  JobView* views = jobs_.jobs.data();
+  each_range([&](RowRange& r) {
+    convert_range(text, topo_, rules, views + r.slot, r);
+  });
+
+  // Replay the rows in order: close up the unused slots, rebase the spill
+  // lists, and stop where a row-by-row loop would have stopped.
+  OBS_SPAN("accounting.merge");
+  common::Status st;
+  std::size_t dst = base;
+  std::uint64_t lines = 0;   // physical lines of the ranges merged whole
+  std::uint64_t rows = 0;    // non-blank lines consumed
+  std::uint64_t errors = 0;  // rejected rows consumed
+  for (auto& r : ranges) {
+    const RejectedRow* stop = nullptr;
+    for (const auto& rej : r.rejected) {
+      ++errors;
       if (rules.policy == IngestPolicy::kStrict) {
-        return common::Error::at("dataset: malformed accounting row", path,
-                                 cur.line_no + 1, cur.offset + start);
+        st = common::Error::at("dataset: malformed accounting row", path,
+                               cur.line_no + lines + rej.line + 1,
+                               cur.offset + rej.offset);
+        stop = &rej;
+        break;
       }
       cur.rows_rejected += 1;
-      cur.bytes_rejected += common::trim(line).size();
+      cur.bytes_rejected += rej.bytes;
       if (rules.error_budget > 0 && cur.rows_rejected > rules.error_budget) {
-        return common::Error::make(
+        st = common::Error::make(
             "dataset: accounting error budget exceeded: " +
             std::to_string(cur.rows_rejected) + " rejected rows in " + path +
             " (budget " + std::to_string(rules.error_budget) + ")");
+        stop = &rej;
+        break;
       }
     }
-    cur.line_no += 1;
-    if (nl == std::string_view::npos) break;
-    start = nl + 1;
+    const std::uint64_t keep = stop != nullptr ? stop->kept : r.kept;
+    if (dst != r.slot) {
+      std::copy(views + r.slot, views + r.slot + keep, views + dst);
+    }
+    for (std::size_t k = 0; k < r.spilled.size() && r.spilled[k] < keep; ++k) {
+      views[dst + r.spilled[k]].spill_index =
+          static_cast<std::int32_t>(jobs_.spill.size());
+      jobs_.spill.push_back(std::move(r.spill[k]));
+    }
+    dst += keep;
+    cur.rows_kept += keep;
+    rows += stop != nullptr ? stop->rows + 1 : r.rows;
+    if (stop != nullptr) {
+      cur.line_no += lines + stop->line;
+      break;
+    }
+    lines += r.lines;
   }
+  jobs_.jobs.resize(dst);
+  lines_->add(rows);
+  errors_->add(errors);
+  if (!st.ok()) return st;
+  cur.line_no += lines;
   cur.offset += text.size();
   return {};
 }

@@ -16,6 +16,7 @@
 #include "analysis/job_stats.h"
 #include "cluster/topology.h"
 #include "common/error.h"
+#include "common/thread_pool.h"
 #include "logsys/day_buffer.h"
 #include "obs/metrics.h"
 #include "slurm/job.h"
@@ -111,14 +112,34 @@ struct AccountingCursor {
 void warn_rejected_rows(const AccountingCursor& cur, const std::string& path,
                         const WarnFn& warn);
 
+/// Byte offsets that cut `text` into `ranges` contiguous pieces, each ending
+/// just past a newline (the last at text.size()): cuts.front() is 0,
+/// cuts.back() is text.size(), and piece i is [cuts[i], cuts[i + 1]), which
+/// may be empty.  Cut i is the first line start at or after i / ranges of
+/// the text.
+std::vector<std::size_t> line_range_cuts(std::string_view text,
+                                         std::size_t ranges);
+
 /// Slurm accounting rows into a JobTable.
+///
+/// consume() converts rows in contiguous line ranges, one per pool worker,
+/// each straight into its own slots of the job table, then merges the
+/// ranges in row order: the table, the counters and the cursor come out as
+/// if one loop had walked the rows, and the strict and budget decisions are
+/// replayed in row order, so an error names the same row and leaves the
+/// same state at any worker count (DESIGN.md "One ingest core").
 class AccountingIngest {
  public:
   enum class Row : std::uint8_t { kSkipped, kKept, kRejected };
 
+  /// Texts shorter than this per range are not split further.
+  static constexpr std::size_t kMinRangeBytes = 32 << 10;
+
   /// Counts `<prefix>.accounting_lines` / `<prefix>.accounting_errors`.
+  /// With a `pool`, consume() converts line ranges on its workers.
   AccountingIngest(const cluster::Topology& topo, JobTable& jobs,
-                   obs::MetricsRegistry& reg, const std::string& prefix);
+                   obs::MetricsRegistry& reg, const std::string& prefix,
+                   common::ThreadPool* pool = nullptr);
 
   /// One row: blank lines and the header are skipped, a malformed row is
   /// counted and rejected, anything else lands in the job table (through
@@ -126,14 +147,17 @@ class AccountingIngest {
   Row row(std::string_view line);
 
   /// Consume whole lines (the last possibly unterminated) at `cur`: strict
-  /// fails on a malformed row naming path:line:byte, lenient tallies it
-  /// under the error budget.  Advances `cur` past `text` on success.
+  /// fails on the first malformed row naming path:line:byte, lenient
+  /// tallies it under the error budget.  Advances `cur` past `text` on
+  /// success; on failure the table, counters and `cur` stop at the
+  /// offending row, as a row-by-row loop would leave them.
   common::Status consume(std::string_view text, const std::string& path,
                          const IngestRules& rules, AccountingCursor& cur);
 
  private:
   const cluster::Topology& topo_;
   JobTable& jobs_;
+  common::ThreadPool* pool_;
   slurm::JobRecord record_;
   obs::Counter* lines_ = nullptr;
   obs::Counter* errors_ = nullptr;

@@ -23,7 +23,8 @@ void JobTable::nodes_of(const JobView& j, std::vector<std::int32_t>& out) const 
   }
 }
 
-void JobTable::add(const slurm::JobRecord& rec) {
+JobView JobTable::convert(const slurm::JobRecord& rec,
+                         std::vector<std::vector<PackedGpu>>& spill) {
   JobView v;
   v.id = rec.id;
   v.start = rec.start;
@@ -45,7 +46,7 @@ void JobTable::add(const slurm::JobRecord& rec) {
     v.spill_index = static_cast<std::int32_t>(spill.size());
     spill.push_back(std::move(packed));
   }
-  jobs.push_back(v);
+  return v;
 }
 
 bool is_ml_name(std::string_view name) {

@@ -61,8 +61,13 @@ struct JobTable {
   /// Unique node indices of a job, appended to `out` (cleared first).
   void nodes_of(const JobView& j, std::vector<std::int32_t>& out) const;
 
+  /// A job converted from an accounting record.  A wide job's GPU list is
+  /// appended to `spill` and the view's spill_index points at it.
+  static JobView convert(const slurm::JobRecord& rec,
+                         std::vector<std::vector<PackedGpu>>& spill);
+
   /// Append a job converted from an accounting record.
-  void add(const slurm::JobRecord& rec);
+  void add(const slurm::JobRecord& rec) { jobs.push_back(convert(rec, spill)); }
 };
 
 /// Keyword classifier approximating ML workloads from job names (the paper

@@ -12,7 +12,7 @@ AnalysisPipeline::AnalysisPipeline(const cluster::Topology& topo,
                                    PipelineConfig cfg)
     : ResultSet(&topo, cfg.periods, cfg, cfg.num_threads, cfg.metrics),
       cfg_(cfg),
-      accounting_(topo, jobs_, metrics(), "pipe"),
+      accounting_(topo, jobs_, metrics(), "pipe", pool()),
       stage1_(metrics(), "pipe") {
   auto& reg = metrics();
   out_of_order_ = &reg.counter("pipe.out_of_order_observations");

@@ -1,10 +1,10 @@
 #include "index/query.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 
-#include "analysis/error_stats.h"
 #include "analysis/job_impact.h"
 #include "analysis/job_stats.h"
 #include "common/stats.h"
@@ -324,46 +324,55 @@ analysis::JobImpact QueryEngine::compute_impact(const Predicate& p) const {
 
 double QueryEngine::aggregate_mtbe_per_node_h(const Predicate& p) const {
   const auto times = reader_.err_time();
-  const auto lasts = reader_.err_last();
   const auto gpus = reader_.err_gpu();
   const auto codes = reader_.err_code();
-  const auto raw_xids = reader_.err_raw_xid();
-  const auto raw_lines = reader_.err_raw_lines();
   const std::size_t lo = lower_idx(times, p.from);
-  const std::size_t hi = lower_idx(times, p.to);
+  const std::size_t hi = std::max(lo, lower_idx(times, p.to));
+  const auto in_scope = [&](std::size_t i) {
+    return !p.node.has_value() || analysis::packed_node(gpus[i]) == *p.node;
+  };
 
-  std::vector<analysis::CoalescedError> errs;
-  errs.reserve(hi - lo);
+  // compute_error_stats' aggregate with the window as the operational
+  // period, counted instead of rebuilt: every tracked code's window count,
+  // minus its outlier GPUs' errors, plus the derived RRE + RRF row once
+  // more.  Tracked codes are all below 128.
+  std::array<std::uint64_t, 128> count{};
   for (std::size_t i = lo; i < hi; ++i) {
-    if (p.node.has_value() && analysis::packed_node(gpus[i]) != *p.node) {
-      continue;
-    }
-    analysis::CoalescedError e;
-    e.time = times[i];
-    e.last = lasts[i];
-    e.gpu = {analysis::packed_node(gpus[i]),
-             static_cast<std::int32_t>(gpus[i] & 0xff)};
-    e.code = static_cast<xid::Code>(codes[i]);
-    e.raw_xid = raw_xids[i];
-    e.raw_lines = raw_lines[i];
-    errs.push_back(e);
+    if (in_scope(i) && codes[i] < count.size()) ++count[codes[i]];
   }
-
-  // The query window plays the operational period; an empty pre-op period
-  // keeps every rebuilt error classified kOp.
-  analysis::StudyPeriods periods;
-  periods.pre = {p.from, p.from};
-  periods.op = {p.from, p.to};
-  analysis::ErrorStatsConfig cfg;
-  cfg.node_count =
-      p.node.has_value() ? 1
-                         : static_cast<std::int32_t>(reader_.meta().node_count);
-  cfg.outlier_share = reader_.meta().outlier_share;
-  cfg.outlier_min = reader_.meta().outlier_min;
-  cfg.exclude_outliers_from_totals =
-      reader_.meta().exclude_outliers_from_totals;
-  return analysis::compute_error_stats(errs, periods, cfg)
-      .total.op.mtbe_per_node_h;
+  const auto& meta = reader_.meta();
+  std::uint64_t total =
+      count[xid::to_number(xid::Code::kRowRemapEvent)] +
+      count[xid::to_number(xid::Code::kRowRemapFailure)];
+  std::vector<std::int32_t> keys;
+  for (std::uint16_t c = 0; c < count.size(); ++c) {
+    if (count[c] == 0 || !xid::is_known(c)) continue;
+    std::uint64_t kept = count[c];
+    // A GPU needs outlier_min errors of the code to be its outlier, so only
+    // a code that reaches it needs per-GPU counts.
+    if (meta.exclude_outliers_from_totals && count[c] >= meta.outlier_min) {
+      keys.clear();
+      for (std::size_t i = lo; i < hi; ++i) {
+        if (codes[i] == c && in_scope(i)) keys.push_back(gpus[i]);
+      }
+      std::sort(keys.begin(), keys.end());
+      std::uint64_t outliers = 0;
+      for (std::size_t a = 0, b = 0; a < keys.size(); a = b) {
+        while (b < keys.size() && keys[b] == keys[a]) ++b;
+        const std::uint64_t n = b - a;
+        if (n >= meta.outlier_min &&
+            static_cast<double>(n) / static_cast<double>(count[c]) >=
+                meta.outlier_share) {
+          outliers += n;
+        }
+      }
+      kept -= std::min(kept, outliers);
+    }
+    total += kept;
+  }
+  const double node_count =
+      p.node.has_value() ? 1.0 : static_cast<double>(meta.node_count);
+  return common::mtbe(common::to_hours(p.to - p.from), total) * node_count;
 }
 
 AvailabilityResult QueryEngine::compute_availability(const Predicate& p) const {
@@ -390,8 +399,7 @@ AvailabilityResult QueryEngine::compute_availability(const Predicate& p) const {
   // (the paper's conservative every-error-interrupts-the-node assumption; an
   // XID filter deliberately does not narrow it).  "Aggregate" is the batch
   // pipeline's total — outliers excluded, derived uncorrectable-ECC row
-  // double-counted — so the errors are rebuilt from the columns and handed
-  // to compute_error_stats with the recorded config, not re-counted here.
+  // double-counted — under the recorded outlier config.
   out.mttf_h = aggregate_mtbe_per_node_h(p);
   if (!std::isfinite(out.mttf_h) || out.mttf_h <= 0.0 || out.mttr_h < 0.0) {
     out.availability = 1.0;

@@ -123,8 +123,9 @@ class QueryEngine {
   CountResult compute_count(const Predicate& p) const;
   analysis::JobImpact compute_impact(const Predicate& p) const;
   AvailabilityResult compute_availability(const Predicate& p) const;
-  /// Batch-total MTBE (compute_error_stats over rebuilt window errors) used
-  /// as the availability MTTF; ignores any XID filter on `p`.
+  /// Batch-total MTBE (compute_error_stats' aggregate, folded over the
+  /// window's columns) used as the availability MTTF; ignores any XID
+  /// filter on `p`.
   double aggregate_mtbe_per_node_h(const Predicate& p) const;
 
   /// Look up `key`; on miss, compute() runs outside the lock (possibly

@@ -173,7 +173,7 @@ common::Status ServeSession::open(bool resume) {
   periods_ = manifest.value().periods;
   topology_ = std::make_unique<cluster::Topology>(manifest.value().spec);
   topo_ = topology_.get();
-  accounting_.emplace(*topo_, jobs_, metrics(), "serve");
+  accounting_.emplace(*topo_, jobs_, metrics(), "serve", pool());
 
   if (!fs::is_directory(syslog_dir_)) {
     return common::Error::make("dataset: missing syslog/ in " +

@@ -625,3 +625,89 @@ TEST_F(QueryDifferential, MetricsRegistryObservesCallsWithoutChangingResults) {
                 registry.counter("query.cache.misses").value(),
             corpus.size());
 }
+
+TEST(QueryAvailability, OutlierThresholdsAreInclusiveLikeErrorStats) {
+  // Availability's MTTF folds counts instead of rebuilding errors, so the
+  // outlier edges must match compute_error_stats exactly: a GPU holding
+  // exactly outlier_min errors, or exactly outlier_share of its code's
+  // window count, is an outlier.  Two GPUs share XID 95 evenly (both
+  // outliers over the whole span), one has three MMU errors (below the
+  // minimum), and RRE/RRF rows feed the derived row.
+  const gpures::cluster::Topology topo(
+      gpures::cluster::ClusterSpec::small(4, 0));
+  const auto t0 = ct::make_date(2023, 3, 1);
+  std::vector<an::CoalescedError> errors;
+  const auto add = [&](std::int64_t h, gx::GpuId gpu, gx::Code code) {
+    an::CoalescedError e;
+    e.time = t0 + h * ct::kHour;
+    e.last = e.time;
+    e.gpu = gpu;
+    e.code = code;
+    e.raw_xid = gx::to_number(code);
+    errors.push_back(e);
+  };
+  for (int i = 0; i < 4; ++i) {
+    add(10 * i, {0, 0}, gx::Code::kUncontainedEccError);
+    add(10 * i + 5, {1, 1}, gx::Code::kUncontainedEccError);
+  }
+  for (int i = 0; i < 3; ++i) add(7 * i + 2, {2, 0}, gx::Code::kMmuError);
+  add(3, {3, 2}, gx::Code::kRowRemapEvent);
+  add(33, {3, 2}, gx::Code::kRowRemapFailure);
+  std::sort(errors.begin(), errors.end(),
+            [](const auto& a, const auto& b) { return a.time < b.time; });
+
+  const an::JobTable jobs;
+  const std::vector<an::Unavailability> unavail;
+  ix::IndexBuildInput in;
+  in.periods = an::StudyPeriods::make(t0, t0 + 24 * ct::kHour,
+                                      t0 + 30 * ct::kDay);
+  in.outlier_share = 0.5;
+  in.outlier_min = 4;
+  in.topo = &topo;
+  in.errors = &errors;
+  in.jobs = &jobs;
+  in.unavailability = &unavail;
+  const auto path = fs::temp_directory_path() /
+                    ("gpures_avail_edges." + std::to_string(::getpid()));
+  ASSERT_TRUE(ix::write_index(in, path.string()).ok());
+  auto reader = ix::IndexReader::open(path.string());
+  ASSERT_TRUE(reader.ok()) << reader.error().message;
+  ix::QueryEngine engine(reader.value());
+
+  std::size_t outlier_windows = 0;
+  for (const std::int64_t from_h : {0, 1, 6, 11}) {
+    for (const std::int64_t to_h : {16, 31, 36, 48}) {
+      for (const std::optional<std::int32_t> node :
+           {std::optional<std::int32_t>(), std::optional<std::int32_t>(0),
+            std::optional<std::int32_t>(3)}) {
+        ix::Predicate p;
+        p.from = t0 + from_h * ct::kHour;
+        p.to = t0 + to_h * ct::kHour;
+        p.node = node;
+        std::vector<an::CoalescedError> window;
+        for (const auto& e : errors) {
+          if (e.time < p.from || e.time >= p.to) continue;
+          if (node.has_value() && e.gpu.node != *node) continue;
+          window.push_back(e);
+        }
+        an::StudyPeriods periods;
+        periods.pre = {p.from, p.from};
+        periods.op = {p.from, p.to};
+        an::ErrorStatsConfig cfg;
+        cfg.node_count = node.has_value() ? 1 : topo.node_count();
+        cfg.outlier_share = in.outlier_share;
+        cfg.outlier_min = in.outlier_min;
+        const auto stats = an::compute_error_stats(window, periods, cfg);
+        outlier_windows += stats.outliers.empty() ? 0 : 1;
+        const double want = stats.total.op.mtbe_per_node_h;
+        const double got = engine.availability(p).mttf_h;
+        EXPECT_TRUE(got == want || (std::isinf(got) && std::isinf(want)))
+            << "from +" << from_h << "h to +" << to_h << "h node "
+            << (node ? std::to_string(*node) : "-") << ": " << got << " vs "
+            << want;
+      }
+    }
+  }
+  EXPECT_GT(outlier_windows, 4u);
+  fs::remove_all(path);
+}

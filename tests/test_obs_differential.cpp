@@ -4,6 +4,7 @@
 // Instrumentation observes; it must never perturb.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +14,7 @@
 #include "analysis/campaign.h"
 #include "analysis/dataset.h"
 #include "analysis/export.h"
+#include "analysis/ingest.h"
 #include "analysis/markdown_report.h"
 #include "analysis/reports.h"
 #include "common/json.h"
@@ -39,6 +41,17 @@ an::CampaignConfig small_campaign(std::uint64_t seed) {
   cfg.workload_scale *= 0.1;
   cfg.noise_lines_per_day = 30.0;
   return cfg;
+}
+
+/// Spans named `name` in a Chrome trace document.
+std::size_t count_spans(const std::string& json, const std::string& name) {
+  const std::string key = "\"name\":\"" + name + "\"";
+  std::size_t n = 0;
+  for (auto at = json.find(key); at != std::string::npos;
+       at = json.find(key, at + key.size())) {
+    ++n;
+  }
+  return n;
 }
 
 /// Everything the CLIs can emit on stdout or to export files.
@@ -146,9 +159,21 @@ TEST(ObsDifferential, DatasetAnalysisIdenticalAcrossObsAndThreadModes) {
     if (instrumented) {
       EXPECT_GT(tracer.event_count(), 0u);
       EXPECT_GT(registry.counter_value("pipe.log_lines"), 0u);
-      // Accounting ingest runs under its own span inside dataset.load.
-      EXPECT_NE(tracer.to_chrome_json().find("\"name\":\"dataset.accounting\""),
+      // Accounting ingest runs under its own span inside dataset.load: one
+      // accounting.parse_range span per line range (on the workers when
+      // there are several), then one accounting.merge.
+      const std::string json = tracer.to_chrome_json();
+      EXPECT_NE(json.find("\"name\":\"dataset.accounting\""),
                 std::string::npos);
+      EXPECT_EQ(count_spans(json, "accounting.merge"), 1u);
+      const auto dump_bytes = fs::file_size(dir / "slurm_accounting.txt");
+      const std::size_t ranges =
+          threads == 0 ? 1
+                       : std::clamp<std::size_t>(
+                             dump_bytes / an::AccountingIngest::kMinRangeBytes,
+                             1, threads);
+      EXPECT_EQ(count_spans(json, "accounting.parse_range"), ranges);
+      if (threads > 0) EXPECT_GT(ranges, 1u) << dump_bytes << " bytes";
     }
     return rendered_artifacts(pipe);
   };
