@@ -144,9 +144,10 @@ void BM_EndToEnd_DayIngestion(benchmark::State& state) {
 BENCHMARK(BM_EndToEnd_DayIngestion)->Unit(benchmark::kMillisecond);
 
 // Stage I+II over a standard multi-day campaign slice: 8 consolidated days of
-// 50k lines each through the full parse -> resolve -> coalesce -> merge path.
-// Arg 0 is the serial reference; 2/4/8 run the day-sharded / GPU-sharded
-// parallel mode, whose output is byte-identical to serial by construction.
+// 50k lines each through the full parse -> resolve -> coalesce path.  Arg 0
+// is the serial reference; 2/4/8 classify each day in that many line ranges
+// and coalesce on one coalescer in line order, so the output is
+// byte-identical to serial by construction.
 void BM_StageI_II_MultiDay(benchmark::State& state) {
   constexpr int kDays = 8;
   constexpr std::size_t kLinesPerDay = 50000;

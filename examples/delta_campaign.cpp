@@ -36,14 +36,14 @@ int main(int argc, char** argv) {
   std::printf("\n\n");
 
   const auto& pipe = campaign.pipeline();
-  const auto& c = pipe.counters();
+  const auto count = [&pipe](const char* name) {
+    return static_cast<unsigned long long>(pipe.metrics().counter_value(name));
+  };
   std::printf("Stage I : %llu raw lines -> %llu XID records, %llu lifecycle "
               "records (%llu rejected, %llu unknown hosts)\n",
-              static_cast<unsigned long long>(c.log_lines),
-              static_cast<unsigned long long>(c.xid_records),
-              static_cast<unsigned long long>(c.lifecycle_records),
-              static_cast<unsigned long long>(c.rejected_lines),
-              static_cast<unsigned long long>(c.unknown_hosts));
+              count("pipe.log_lines"), count("pipe.xid_records"),
+              count("pipe.lifecycle_records"), count("pipe.rejected_lines"),
+              count("pipe.unknown_hosts"));
   std::printf("Stage II: %zu coalesced errors (simulator ground truth: %zu)\n",
               pipe.errors().size(), campaign.ground_truth().errors.size());
   std::printf("Jobs    : %zu records; %llu killed directly by GPU errors\n\n",

@@ -24,13 +24,13 @@ int main() {
   std::printf("\n");
 
   const auto& pipe = campaign.pipeline();
-  const auto& c = pipe.counters();
+  const auto count = [&pipe](const char* name) {
+    return static_cast<unsigned long long>(pipe.metrics().counter_value(name));
+  };
   std::printf("raw log lines: %llu (xid records %llu, lifecycle %llu, "
               "rejected %llu)\n",
-              static_cast<unsigned long long>(c.log_lines),
-              static_cast<unsigned long long>(c.xid_records),
-              static_cast<unsigned long long>(c.lifecycle_records),
-              static_cast<unsigned long long>(c.rejected_lines));
+              count("pipe.log_lines"), count("pipe.xid_records"),
+              count("pipe.lifecycle_records"), count("pipe.rejected_lines"));
   std::printf("coalesced errors: %zu (ground truth: %zu)\n",
               pipe.errors().size(), campaign.ground_truth().errors.size());
   std::printf("jobs: %zu (killed by GPU errors: %llu)\n\n",

@@ -1,6 +1,7 @@
 #include "analysis/ingest.h"
 
 #include <algorithm>
+#include <chrono>
 #include <variant>
 
 #include "common/strings.h"
@@ -107,8 +108,10 @@ void convert_range(std::string_view text, const cluster::Topology& topo,
   }
 }
 
-}  // namespace
-
+/// Classify lines [lo, hi) of the day file `day` starting at `day_start`:
+/// XID lines resolve host -> node -> GPU slot into observations, lifecycle
+/// lines on known hosts into records.  The hot path: no allocation on the
+/// reject path, no per-line callback.
 LineTallies classify_lines(const cluster::Topology& topo,
                            const logsys::DayBuffer& day, std::size_t lo,
                            std::size_t hi, common::TimePoint day_start,
@@ -154,6 +157,8 @@ LineTallies classify_lines(const cluster::Topology& topo,
   return t;
 }
 
+}  // namespace
+
 Stage1Counters::Stage1Counters(obs::MetricsRegistry& reg,
                                const std::string& prefix)
     : log_lines(&reg.counter(prefix + ".log_lines")),
@@ -168,6 +173,98 @@ void Stage1Counters::add(const LineTallies& t) const {
   unknown_hosts->add(t.unknown_hosts);
   xid_records->add(t.xids);
   lifecycle_records->add(t.lifecycles);
+}
+
+LogIngest::LogIngest(const cluster::Topology& topo, const CoalescerConfig& cfg,
+                     std::vector<CoalescedError>& errors,
+                     std::vector<LifecycleRecord>& lifecycle,
+                     obs::MetricsRegistry& reg, const std::string& prefix,
+                     common::ThreadPool* pool)
+    : topo_(topo),
+      lifecycle_(lifecycle),
+      pool_(pool),
+      stage1_(reg, prefix),
+      errors_coalesced_(&reg.counter(prefix + ".errors_coalesced")),
+      out_of_order_(&reg.counter(prefix + ".out_of_order_observations")),
+      day_parse_us_(&reg.histogram(prefix + ".stage1.day_parse_us",
+                                   obs::latency_buckets_us())),
+      coalescer_(cfg, [&errors, coalesced = errors_coalesced_](
+                          const CoalescedError& e) {
+        errors.push_back(e);
+        coalesced->inc();
+      }) {
+  const std::string days_help =
+      "Line ranges this worker slot classified: a day file or serve chunk "
+      "splits into ranges of at least " +
+      std::to_string(kMinRangeLines) + " lines, at most one per worker";
+  workers_.resize(pool_ != nullptr ? pool_->size() : 1);
+  for (std::size_t w = 0; w < workers_.size(); ++w) {
+    const std::string slot = prefix + ".worker." + std::to_string(w) + ".";
+    reg.describe(slot + "days_parsed", days_help, "ranges");
+    workers_[w].days_parsed = &reg.counter(slot + "days_parsed");
+    workers_[w].lines = &reg.counter(slot + "lines");
+    workers_[w].parse_time_ns = &reg.counter(slot + "parse_time_ns");
+  }
+}
+
+common::TimePoint LogIngest::ingest(common::TimePoint date,
+                                    const logsys::DayBuffer& day) {
+  using Clock = std::chrono::steady_clock;
+  const auto began = Clock::now();
+  const std::size_t n = day.size();
+  const std::size_t ranges =
+      pool_ == nullptr
+          ? 1
+          : std::clamp<std::size_t>(n / kMinRangeLines, 1, pool_->size());
+  ranges_.resize(ranges);
+  // Plain local tallies flushed to the registry once per range: the hot
+  // loop touches no atomics.
+  const auto classify = [&](std::size_t i, std::size_t w) {
+    OBS_SPAN("stage1.parse_range");
+    const auto t0 = Clock::now();
+    // Fill a local batch (keeping the reused buffers): adjacent elements of
+    // ranges_ share a cache line, and pushing through them would make the
+    // workers contend on it for every record.
+    Stage1Batch out = std::move(ranges_[i]);
+    out.obs.clear();
+    out.lifecycle.clear();
+    const auto tallies = classify_lines(topo_, day, i * n / ranges,
+                                        (i + 1) * n / ranges, date, out);
+    ranges_[i] = std::move(out);
+    stage1_.add(tallies);
+    const auto& wm = workers_[w];
+    wm.days_parsed->inc();
+    wm.lines->add(tallies.lines);
+    wm.parse_time_ns->add(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                             t0)
+            .count()));
+  };
+  if (ranges > 1) {
+    pool_->parallel_for(ranges, classify);
+  } else {
+    classify(0, 0);
+  }
+  day_parse_us_->observe(
+      std::chrono::duration<double, std::micro>(Clock::now() - began).count());
+
+  // Stage II in line order: one coalescer sees every (GPU, code) key's
+  // observations in the order a serial walk would.
+  OBS_SPAN("stage2.coalesce");
+  common::TimePoint newest = 0;
+  for (auto& out : ranges_) {
+    for (auto& l : out.lifecycle) lifecycle_.push_back(std::move(l));
+    for (const auto& o : out.obs) {
+      coalescer_.add(o);
+      newest = std::max(newest, o.time);
+    }
+  }
+  return newest;
+}
+
+void LogIngest::finish() {
+  coalescer_.flush();
+  out_of_order_->add(coalescer_.out_of_order());
 }
 
 DayScreen::DayScreen(obs::MetricsRegistry& reg, IngestRules rules)

@@ -1,7 +1,8 @@
-// The Stage-I ingest core shared by the batch loader (load_dataset feeding
-// an AnalysisPipeline) and the follow-mode daemon (serve::ServeSession):
-// line classification, the line screen and the accounting-row policy, each
-// decided here once (see DESIGN.md "One ingest core").
+// The Stage I/II ingest core shared by the batch loader (load_dataset
+// feeding an AnalysisPipeline) and the follow-mode daemon
+// (serve::ServeSession): line classification and coalescing, the line screen
+// and the accounting-row policy, each decided here once (see DESIGN.md "One
+// ingest core").
 #pragma once
 
 #include <cstdint>
@@ -38,15 +39,6 @@ struct Stage1Batch {
   std::vector<LifecycleRecord> lifecycle;
 };
 
-/// Classify lines [lo, hi) of the day file `day` starting at `day_start`:
-/// XID lines resolve host -> node -> GPU slot into observations, lifecycle
-/// lines on known hosts into records.  The hot path: no allocation on the
-/// reject path, no per-line callback.
-LineTallies classify_lines(const cluster::Topology& topo,
-                           const logsys::DayBuffer& day, std::size_t lo,
-                           std::size_t hi, common::TimePoint day_start,
-                           Stage1Batch& out);
-
 /// The five Stage-I counters of one front end, `<prefix>.log_lines` etc.
 struct Stage1Counters {
   Stage1Counters(obs::MetricsRegistry& reg, const std::string& prefix);
@@ -57,6 +49,66 @@ struct Stage1Counters {
   obs::Counter* lifecycle_records = nullptr;
   obs::Counter* rejected_lines = nullptr;
   obs::Counter* unknown_hosts = nullptr;
+};
+
+/// Stages I and II of the XID logs (paper Fig. 1): raw day lines into
+/// observations and lifecycle records, observations into coalesced errors.
+///
+/// ingest() classifies a day's lines in contiguous line ranges, up to one
+/// per pool worker and none under kMinRangeLines, then appends the
+/// lifecycle records and feeds the observations to the one coalescer in
+/// line order: errors, records and counters come out as one serial walk
+/// would produce them, at any worker count and however a day is cut into
+/// chunks (DESIGN.md "Parallel pipeline determinism").
+class LogIngest {
+ public:
+  /// Days are not split into ranges shorter than this: handing a range to a
+  /// worker costs a wake-up, worth it only for a few hundred microseconds of
+  /// classification.
+  static constexpr std::size_t kMinRangeLines = 1024;
+
+  /// Coalesced errors append to `errors`, lifecycle records to `lifecycle`.
+  /// Counts the Stage1Counters, `<prefix>.errors_coalesced`,
+  /// `<prefix>.out_of_order_observations` (at finish()), the per-slot
+  /// `<prefix>.worker.N.{days_parsed,lines,parse_time_ns}` and the
+  /// `<prefix>.stage1.day_parse_us` histogram.  With a `pool`, ingest()
+  /// classifies line ranges on its workers.
+  LogIngest(const cluster::Topology& topo, const CoalescerConfig& cfg,
+            std::vector<CoalescedError>& errors,
+            std::vector<LifecycleRecord>& lifecycle, obs::MetricsRegistry& reg,
+            const std::string& prefix, common::ThreadPool* pool = nullptr);
+
+  /// Stages I and II over `day` — a whole day file, or a serve chunk of one
+  /// cut at a line boundary — dated `date`.  Returns the newest observation
+  /// time, 0 when the lines hold none.
+  common::TimePoint ingest(common::TimePoint date, const logsys::DayBuffer& day);
+
+  /// Flush the open coalescer groups and count the out-of-order
+  /// observations.  Call once after the last ingest().
+  void finish();
+
+  /// The coalescer's in-flight state, for checkpoints.
+  CoalescerState state() const { return coalescer_.state(); }
+  void restore(const CoalescerState& state) { coalescer_.restore(state); }
+
+ private:
+  /// Stage-I totals of one worker slot (slot 0 when inline).
+  struct WorkerMetrics {
+    obs::Counter* days_parsed = nullptr;
+    obs::Counter* lines = nullptr;
+    obs::Counter* parse_time_ns = nullptr;
+  };
+
+  const cluster::Topology& topo_;
+  std::vector<LifecycleRecord>& lifecycle_;
+  common::ThreadPool* pool_;
+  Stage1Counters stage1_;
+  obs::Counter* errors_coalesced_ = nullptr;
+  obs::Counter* out_of_order_ = nullptr;
+  obs::Histogram* day_parse_us_ = nullptr;
+  std::vector<WorkerMetrics> workers_;
+  std::vector<Stage1Batch> ranges_;  ///< reused across ingest() calls
+  Coalescer coalescer_;
 };
 
 /// The ingest policy as both front ends apply it.

@@ -19,11 +19,13 @@ void section(std::string& out, const std::string& heading,
 }  // namespace
 
 std::string render_markdown_report(Stage3Results& results,
-                                   const AnalysisPipeline::Counters& c,
                                    const MarkdownReportOptions& opts) {
   std::string out = "# GPU resilience characterization\n\n";
 
   const auto& res = results.results();
+  const auto count = [&res](const char* name) {
+    return static_cast<unsigned long long>(res.metrics().counter_value(name));
+  };
   const auto& periods = res.periods();
   const auto& topo = res.topo();
   char buf[512];
@@ -35,10 +37,8 @@ std::string render_markdown_report(Stage3Results& results,
       common::format_date(periods.pre.begin).c_str(),
       common::format_date(periods.op.end).c_str(),
       common::format_date(periods.op.begin).c_str(), topo.node_count(),
-      topo.total_gpus(), static_cast<unsigned long long>(c.log_lines),
-      static_cast<unsigned long long>(c.xid_records),
-      static_cast<unsigned long long>(c.lifecycle_records),
-      static_cast<unsigned long long>(c.rejected_lines),
+      topo.total_gpus(), count("pipe.log_lines"), count("pipe.xid_records"),
+      count("pipe.lifecycle_records"), count("pipe.rejected_lines"),
       res.jobs().jobs.size(), res.errors().size());
   out += buf;
 

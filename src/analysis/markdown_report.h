@@ -7,7 +7,6 @@
 #include <string>
 
 #include "analysis/data_quality.h"
-#include "analysis/pipeline.h"
 #include "analysis/stage3_results.h"
 
 namespace gpures::analysis {
@@ -20,11 +19,11 @@ struct MarkdownReportOptions {
   bool include_scorecard = false;   ///< only meaningful at full Delta scale
 };
 
-/// Render the full report: a header with the pipeline's ingest `counters`,
-/// then every report_catalog() section in catalog order, each body
-/// byte-equal to its --report block on stdout.
+/// Render the full report: a header with the pipeline's ingest counters
+/// (`pipe.*` in the results' metrics registry), then every report_catalog()
+/// section in catalog order, each body byte-equal to its --report block on
+/// stdout.
 std::string render_markdown_report(Stage3Results& results,
-                                   const AnalysisPipeline::Counters& counters,
                                    const MarkdownReportOptions& opts = {});
 
 }  // namespace gpures::analysis

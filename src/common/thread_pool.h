@@ -36,7 +36,7 @@ class ThreadPool {
 
   /// Run fn(index, worker) for every index in [0, n).  Indices are split
   /// into size() contiguous chunks; chunk w runs sequentially on one thread
-  /// and is passed worker id w, so per-worker state (parsers, coalescer
+  /// and is passed worker id w, so per-worker state (parse ranges, join
   /// shards) is never shared.  Blocks until all chunks finish; the first
   /// exception thrown by any chunk is rethrown on the caller.
   void parallel_for(std::size_t n,

@@ -1,7 +1,7 @@
 // Scoped wall-time tracing spans, exported as Chrome Trace Event JSON
 // (loadable in chrome://tracing and Perfetto).
 //
-// Usage: install a Tracer for the run, drop OBS_SPAN("stage1.parse_day")
+// Usage: install a Tracer for the run, drop OBS_SPAN("stage1.parse_range")
 // at the top of the scope to time, write to_chrome_json() at the end.
 // When no tracer is installed a span is a single relaxed atomic load —
 // instrumentation can stay in release builds.

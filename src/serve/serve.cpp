@@ -56,8 +56,6 @@ struct ServeSession::Metrics {
   obs::Counter* dir_scans = nullptr;
   obs::Counter* chunks = nullptr;
   obs::Counter* bytes = nullptr;
-  obs::Counter* out_of_order = nullptr;
-  obs::Counter* errors_coalesced = nullptr;
   obs::Counter* retry_attempts = nullptr;
   obs::Counter* retry_recovered = nullptr;
   obs::Counter* retry_exhausted = nullptr;
@@ -84,8 +82,7 @@ ServeSession::ServeSession(ServeConfig cfg)
       cfg_(std::move(cfg)),
       syslog_dir_(cfg_.data_dir / "syslog"),
       acct_path_((cfg_.data_dir / "slurm_accounting.txt").string()),
-      screen_(metrics(), rules_of(cfg_)),
-      stage1_(metrics(), "serve") {
+      screen_(metrics(), rules_of(cfg_)) {
   m_ = std::make_unique<Metrics>();
   auto& reg = metrics();
   m_->ticks = &reg.counter("serve.ticks");
@@ -97,8 +94,6 @@ ServeSession::ServeSession(ServeConfig cfg)
   m_->dir_scans = &reg.counter("serve.dir_scans");
   m_->chunks = &reg.counter("serve.chunks");
   m_->bytes = &reg.counter("serve.bytes_ingested");
-  m_->out_of_order = &reg.counter("serve.out_of_order_observations");
-  m_->errors_coalesced = &reg.counter("serve.errors_coalesced");
   m_->retry_attempts = &reg.counter("serve.retry.attempts");
   m_->retry_recovered = &reg.counter("serve.retry.recovered");
   m_->retry_exhausted = &reg.counter("serve.retry.exhausted");
@@ -128,12 +123,6 @@ ServeSession::ServeSession(ServeConfig cfg)
   m_->ckpt_last_seq = &reg.gauge("serve.checkpoint.last_seq");
   m_->ckpt_interval_ticks = &reg.gauge("serve.checkpoint.interval_ticks");
   m_->lag_bytes = &reg.gauge("serve.frontier.lag_bytes");
-
-  coalescer_ = std::make_unique<analysis::Coalescer>(
-      cfg_.coalescer, [this](const analysis::CoalescedError& e) {
-        errors_.push_back(e);
-        m_->errors_coalesced->inc();
-      });
 }
 
 ServeSession::~ServeSession() = default;
@@ -173,6 +162,8 @@ common::Status ServeSession::open(bool resume) {
   periods_ = manifest.value().periods;
   topology_ = std::make_unique<cluster::Topology>(manifest.value().spec);
   topo_ = topology_.get();
+  logs_.emplace(*topo_, cfg_.coalescer, errors_, lifecycle_, metrics(),
+                "serve", pool());
   accounting_.emplace(*topo_, jobs_, metrics(), "serve", pool());
 
   if (!fs::is_directory(syslog_dir_)) {
@@ -497,32 +488,11 @@ common::Status ServeSession::consume_day_text(Source& src, std::string&& text,
   dirty_ = true;
   m_->bytes->add(n_bytes);
 
-  // Stage I over the chunk.  Parallel mode splits the lines into one
-  // contiguous range per worker and merges range-ordered — the observation
-  // sequence is the line sequence either way, so results are byte-identical
-  // at any thread count.
-  const std::size_t n = day.size();
-  const std::size_t ranges =
-      pool() != nullptr && n >= 2 * pool()->size() ? pool()->size() : 1;
-  std::vector<analysis::Stage1Batch> parts(ranges);
-  const auto classify = [&](std::size_t i, std::size_t) {
-    stage1_.add(analysis::classify_lines(topo(), day, i * n / ranges,
-                                         (i + 1) * n / ranges, src.date,
-                                         parts[i]));
-  };
-  if (ranges > 1) {
-    pool()->parallel_for(ranges, classify);
-  } else {
-    classify(0, 0);
-  }
-  for (auto& part : parts) {
-    for (auto& l : part.lifecycle) lifecycle_.push_back(std::move(l));
-    for (const auto& o : part.obs) {
-      coalescer_->add(o);
-      if (o.time > watermark_) watermark_ = o.time;
-      if (o.time > src.last_event) src.last_event = o.time;
-    }
-  }
+  // Stages I and II over the chunk: chunk boundaries, like worker counts,
+  // never change what LogIngest produces.
+  const common::TimePoint newest = logs_->ingest(src.date, day);
+  watermark_ = std::max(watermark_, newest);
+  src.last_event = std::max(src.last_event, newest);
   return {};
 }
 
@@ -717,7 +687,7 @@ CheckpointFrontier ServeSession::snapshot() const {
   data.sources.assign(sources_.begin(), sources_.end());
   data.accounting = acct_;
   data.stray_files = strays_;
-  data.coalescer = coalescer_->state();
+  data.coalescer = logs_->state();
   return data;
 }
 
@@ -740,7 +710,7 @@ void ServeSession::restore(CheckpointData&& data) {
   advance_frontier();
   acct_ = std::move(data.accounting);
   strays_ = std::move(data.stray_files);
-  coalescer_->restore(data.coalescer);
+  logs_->restore(data.coalescer);
   errors_ = std::move(data.errors);
   lifecycle_ = std::move(data.lifecycle);
   jobs_ = std::move(data.jobs);
@@ -767,8 +737,7 @@ common::Status ServeSession::finalize() {
     if (!st.ok()) return st;
     if (acct_.offset == before) break;  // absent, or tailed to EOF
   }
-  coalescer_->flush();
-  m_->out_of_order->add(coalescer_->out_of_order());
+  logs_->finish();
   sort_results();
   derive_quality();
   watchdog_and_gauges();

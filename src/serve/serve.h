@@ -35,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/coalesce.h"
 #include "analysis/data_quality.h"
 #include "analysis/dataset.h"
 #include "analysis/ingest.h"
@@ -180,7 +179,7 @@ class ServeSession : public analysis::ResultSet {
   common::Status pump_frontier(bool drain);
   common::Status pump_accounting(bool drain);
   /// Feed `text` (cut at a line boundary, or a final torn fragment when
-  /// `torn_tail`) of day source `src` through screen -> parse -> coalescer.
+  /// `torn_tail`) of day source `src` through the screen and LogIngest.
   common::Status consume_day_text(Source& src, std::string&& text,
                                   bool torn_tail);
   common::Status consume_accounting_text(std::string&& text);
@@ -197,9 +196,8 @@ class ServeSession : public analysis::ResultSet {
   const std::string acct_path_;             ///< data_dir/slurm_accounting.txt
   std::unique_ptr<cluster::Topology> topology_;  ///< read at open()
   analysis::DayScreen screen_;
-  analysis::Stage1Counters stage1_;
+  std::optional<analysis::LogIngest> logs_;               ///< from open()
   std::optional<analysis::AccountingIngest> accounting_;  ///< from open()
-  std::unique_ptr<analysis::Coalescer> coalescer_;
   std::unique_ptr<CheckpointStore> store_;
 
   std::vector<Source> sources_;  ///< date order

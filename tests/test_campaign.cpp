@@ -72,11 +72,11 @@ TEST_F(CampaignTest, PerFamilyCountsMatchGroundTruth) {
 }
 
 TEST_F(CampaignTest, StageOneRejectsAllNoise) {
-  const auto& c = campaign_->pipeline().counters();
-  EXPECT_GT(c.rejected_lines, 0u);          // noise existed
-  EXPECT_EQ(c.unknown_hosts, 0u);           // every real line resolved
-  EXPECT_EQ(c.accounting_errors, 0u);       // accounting round-trips
-  EXPECT_EQ(c.log_lines, campaign_->raw_log_lines());
+  const auto& m = campaign_->pipeline().metrics();
+  EXPECT_GT(m.counter_value("pipe.rejected_lines"), 0u);  // noise existed
+  EXPECT_EQ(m.counter_value("pipe.unknown_hosts"), 0u);   // all lines resolved
+  EXPECT_EQ(m.counter_value("pipe.accounting_errors"), 0u);  // round-trips
+  EXPECT_EQ(m.counter_value("pipe.log_lines"), campaign_->raw_log_lines());
 }
 
 TEST_F(CampaignTest, JobsRoundTripThroughAccountingText) {
@@ -255,7 +255,8 @@ TEST(CampaignRegexParser, AgreesWithFastParserOnEveryCampaignLine) {
   fs::remove_all(dir);
   EXPECT_EQ(mismatches, 0u) << "first: \"" << first_mismatch << '"';
   // The differential saw exactly the lines the pipeline ingested.
-  EXPECT_EQ(lines, campaign.pipeline().counters().log_lines);
+  EXPECT_EQ(lines,
+            campaign.pipeline().metrics().counter_value("pipe.log_lines"));
   EXPECT_GT(records, 1000u);
 }
 

@@ -111,7 +111,8 @@ TEST(ConfigFile, DrivesCampaignBehaviourEndToEnd) {
   }
   EXPECT_FALSE(saw_gsp);
   EXPECT_TRUE(saw_other);
-  EXPECT_EQ(campaign.pipeline().counters().rejected_lines, 0u);  // no noise
+  EXPECT_EQ(  // no noise
+      campaign.pipeline().metrics().counter_value("pipe.rejected_lines"), 0u);
 }
 
 TEST(ConfigFile, MissingFileReported) {

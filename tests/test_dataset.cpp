@@ -297,6 +297,6 @@ TEST(Dataset, CampaignTeeRoundTrip) {
   }
   EXPECT_EQ(pipe.jobs().jobs.size(), mem.jobs().jobs.size());
   EXPECT_EQ(pipe.lifecycle().size(), mem.lifecycle().size());
-  EXPECT_EQ(pipe.counters().accounting_errors, 0u);
+  EXPECT_EQ(pipe.metrics().counter_value("pipe.accounting_errors"), 0u);
   fs::remove_all(dir);
 }

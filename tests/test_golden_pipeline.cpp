@@ -186,8 +186,8 @@ TEST_F(GoldenPipeline, ParallelDatasetReplayReproducesGoldenBytes) {
 }
 
 TEST_F(GoldenPipeline, DiagnosticsAreClean) {
-  const auto& c = campaign_->pipeline().counters();
-  EXPECT_EQ(c.unknown_hosts, 0u);
-  EXPECT_EQ(c.accounting_errors, 0u);
-  EXPECT_EQ(c.out_of_order_observations, 0u);
+  const auto& m = campaign_->pipeline().metrics();
+  EXPECT_EQ(m.counter_value("pipe.unknown_hosts"), 0u);
+  EXPECT_EQ(m.counter_value("pipe.accounting_errors"), 0u);
+  EXPECT_EQ(m.counter_value("pipe.out_of_order_observations"), 0u);
 }

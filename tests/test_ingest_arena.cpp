@@ -190,9 +190,11 @@ void expect_same_results(const an::AnalysisPipeline& a,
     EXPECT_EQ(a.lifecycle()[i].host, b.lifecycle()[i].host) << what;
     EXPECT_EQ(a.lifecycle()[i].kind, b.lifecycle()[i].kind) << what;
   }
-  EXPECT_EQ(a.counters().log_lines, b.counters().log_lines) << what;
-  EXPECT_EQ(a.counters().xid_records, b.counters().xid_records) << what;
-  EXPECT_EQ(a.counters().rejected_lines, b.counters().rejected_lines) << what;
+  for (const char* name :
+       {"pipe.log_lines", "pipe.xid_records", "pipe.rejected_lines"}) {
+    EXPECT_EQ(a.metrics().counter_value(name), b.metrics().counter_value(name))
+        << what << " " << name;
+  }
 }
 
 }  // namespace

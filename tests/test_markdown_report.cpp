@@ -59,7 +59,7 @@ struct Fixture {
 TEST(MarkdownReport, AllSectionsPresent) {
   Fixture f;
   an::Stage3Results results(f.pipe);
-  const auto md = an::render_markdown_report(results, f.pipe.counters());
+  const auto md = an::render_markdown_report(results);
   EXPECT_TRUE(md.rfind("# GPU resilience characterization", 0) == 0);
   for (const char* heading :
        {"## Error counts and MTBE (Table I)", "## Headline findings",
@@ -85,7 +85,7 @@ TEST(MarkdownReport, SectionsAreTheCatalogReportsOverOneJoin) {
   // document and the reports share the holder's one exposure join.
   Fixture f;
   an::Stage3Results results(f.pipe);
-  const auto md = an::render_markdown_report(results, f.pipe.counters());
+  const auto md = an::render_markdown_report(results);
   const auto catalog = an::report_catalog();
   std::size_t pos = 0;
   for (std::size_t i = 0; i < catalog.size(); ++i) {
@@ -115,7 +115,7 @@ TEST(MarkdownReport, JobSectionsSkippedWithoutJobs) {
           "\n");
   pipe.finish();
   an::Stage3Results results(pipe);
-  const auto md = an::render_markdown_report(results, pipe.counters());
+  const auto md = an::render_markdown_report(results);
   EXPECT_EQ(md.find("Table II"), std::string::npos);
   EXPECT_EQ(md.find("Table III"), std::string::npos);
   EXPECT_EQ(md.find("Mitigation"), std::string::npos);
@@ -127,7 +127,7 @@ TEST(MarkdownReport, ScorecardSectionOptIn) {
   an::Stage3Results results(f.pipe);
   an::MarkdownReportOptions opts;
   opts.include_scorecard = true;
-  const auto md = an::render_markdown_report(results, f.pipe.counters(), opts);
+  const auto md = an::render_markdown_report(results, opts);
   EXPECT_NE(md.find("## Reproduction scorecard"), std::string::npos);
   EXPECT_NE(md.find("shape match:"), std::string::npos);
 }

@@ -17,7 +17,9 @@
 #include "analysis/ingest.h"
 #include "analysis/markdown_report.h"
 #include "analysis/reports.h"
+#include "common/io.h"
 #include "common/json.h"
+#include "logsys/day_buffer.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -77,8 +79,31 @@ std::string rendered_artifacts(const an::AnalysisPipeline& pipe) {
   bundle.mttf_h = pipe.mttf_estimate_h();
   os << an::to_json(bundle);
   an::Stage3Results results(pipe);
-  os << an::render_markdown_report(results, pipe.counters());
+  os << an::render_markdown_report(results);
   return os.str();
+}
+
+/// Day files in `dir` and the Stage-I line ranges LogIngest cuts them into
+/// at `threads` workers: one per kMinRangeLines lines of a day, at least one
+/// and at most one per worker.
+struct Stage1Ranges {
+  std::size_t days = 0;
+  std::size_t ranges = 0;
+};
+Stage1Ranges stage1_ranges(const fs::path& dir, std::size_t threads) {
+  Stage1Ranges r;
+  for (const auto& entry : fs::directory_iterator(dir / "syslog")) {
+    auto text = gpures::common::read_file(entry.path().string());
+    EXPECT_TRUE(text.ok());
+    const auto day =
+        gpures::logsys::DayBuffer::from_text(0, std::move(text).take());
+    ++r.days;
+    r.ranges += threads == 0 ? 1
+                             : std::clamp<std::size_t>(
+                                   day.size() / an::LogIngest::kMinRangeLines,
+                                   1, threads);
+  }
+  return r;
 }
 
 fs::path temp_dir(const std::string& name) {
@@ -174,6 +199,13 @@ TEST(ObsDifferential, DatasetAnalysisIdenticalAcrossObsAndThreadModes) {
                              1, threads);
       EXPECT_EQ(count_spans(json, "accounting.parse_range"), ranges);
       if (threads > 0) EXPECT_GT(ranges, 1u) << dump_bytes << " bytes";
+      // Stage I runs one stage1.parse_range span per line range of a day
+      // (on the workers when there are several), then the day's
+      // stage2.coalesce on this thread.
+      const auto stage1 = stage1_ranges(dir, threads);
+      EXPECT_EQ(count_spans(json, "stage1.parse_range"), stage1.ranges);
+      EXPECT_EQ(count_spans(json, "stage2.coalesce"), stage1.days);
+      if (threads > 0) EXPECT_GT(stage1.ranges, stage1.days);
     }
     return rendered_artifacts(pipe);
   };
@@ -276,7 +308,9 @@ TEST(ObsDifferential, FullTelemetryStackDoesNotPerturbArtifacts) {
 
 TEST(ObsDifferential, PerWorkerCountersPartitionTheTotals) {
   // The per-worker Stage-I counters must sum to the stage totals — in serial
-  // mode (one slot) and in parallel mode (num_threads slots).
+  // mode (one slot) and in parallel mode (num_threads slots).  days_parsed
+  // counts line ranges: one per day file serially, up to one per worker for
+  // a day of several kMinRangeLines lines.
   const auto dir = temp_dir("workers");
   {
     an::DatasetManifest manifest;
@@ -313,13 +347,14 @@ TEST(ObsDifferential, PerWorkerCountersPartitionTheTotals) {
     }
     EXPECT_EQ(worker_lines, reg.counter_value("pipe.log_lines"))
         << threads << " threads";
-    EXPECT_EQ(worker_days, 90u) << threads << " threads";
+    const auto stage1 = stage1_ranges(dir, threads);
+    EXPECT_EQ(stage1.days, 90u);
+    EXPECT_EQ(worker_days, stage1.ranges) << threads << " threads";
+    if (threads > 0) EXPECT_GT(stage1.ranges, stage1.days);
     // No counts leak past the configured worker slots.
     EXPECT_EQ(reg.counter_value("pipe.worker." + std::to_string(slots) +
                                 ".lines"),
               0u);
-    // The struct view matches the registry.
-    EXPECT_EQ(pipe.counters().log_lines, reg.counter_value("pipe.log_lines"));
   }
   fs::remove_all(dir);
 }

@@ -1,12 +1,15 @@
-// Differential tests for the parallel pipeline: for any worker count, the
-// day-sharded Stage I + GPU-sharded Stage II + ordered merge must produce
-// results *identical* to the serial pipeline — same errors (every field),
-// same lifecycle records, same counters, same rendered artifacts.  This is
-// the equivalence the golden-file harness and the speedup headline rest on.
+// Differential tests for the parallel pipeline: for any worker count, and
+// however a day is cut into chunks, Stage I in line ranges + one coalescer
+// in line order must produce results *identical* to the serial whole-day
+// pipeline — same errors (every field), same lifecycle records, same
+// counters, same rendered artifacts.  This is the equivalence the
+// golden-file harness, serve-vs-batch parity and the speedup headline rest
+// on.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/campaign.h"
@@ -26,13 +29,16 @@ namespace {
 
 // A multi-day synthetic campaign: heavy XID duplication (so coalescing state
 // matters), lifecycle churn, family-merge codes, excluded/unknown codes,
-// unknown hosts, noise, and cross-midnight stragglers.
+// unknown hosts, noise, and cross-midnight stragglers.  A `storm` day has
+// 40x the events, enough lines for Stage I to split it into ranges.
 std::vector<std::string> make_day_text(const cl::Topology& topo,
-                                       ct::TimePoint day, ct::Rng& rng) {
+                                       ct::TimePoint day, ct::Rng& rng,
+                                       bool storm) {
   constexpr std::uint16_t kCodes[] = {31, 48, 63, 64, 74, 79, 94, 95,
                                       119, 120, 122, 123, 13, 43, 777};
   std::vector<std::string> lines;
-  const int n = 300 + static_cast<int>(rng.uniform_u64(200));
+  const int n = (300 + static_cast<int>(rng.uniform_u64(200))) *
+                (storm ? 40 : 1);
   ct::TimePoint t = day;
   for (int i = 0; i < n; ++i) {
     t += static_cast<ct::Duration>(rng.uniform_u64(400));
@@ -65,34 +71,56 @@ std::vector<std::string> make_day_text(const cl::Topology& topo,
   return lines;
 }
 
+/// Feed `text` the way serve feeds a growing day file: one ingest_day per
+/// chunk of whole lines.  Chunk sizes cycle through 1, 5, 40, 200 and 5000
+/// lines, so some chunks are classified inline and others split into ranges.
+void ingest_in_chunks(an::AnalysisPipeline& pipe, ct::TimePoint day,
+                      std::string_view text) {
+  constexpr std::size_t kChunkLines[] = {1, 5, 40, 200, 5000};
+  std::size_t start = 0;
+  for (std::size_t c = 0; start < text.size(); ++c) {
+    std::size_t end = start;
+    for (std::size_t l = 0; l < kChunkLines[c % std::size(kChunkLines)] &&
+                            end < text.size();
+         ++l) {
+      end = text.find('\n', end) + 1;
+    }
+    pipe.ingest_log_text(day, text.substr(start, end - start));
+    start = end;
+  }
+}
+
 void ingest_synthetic(an::AnalysisPipeline& pipe, const cl::Topology& topo,
-                      std::uint64_t seed, int days) {
+                      std::uint64_t seed, int days, bool chunked = false) {
   ct::Rng rng(seed);
   const auto day0 = ct::make_date(2023, 2, 1);
   for (int d = 0; d < days; ++d) {
     const auto day = day0 + d * ct::kDay;
     std::string text;
-    for (const auto& l : make_day_text(topo, day, rng)) {
+    for (const auto& l : make_day_text(topo, day, rng, /*storm=*/d == 1)) {
       text += l;
       text += '\n';
     }
-    pipe.ingest_log_text(day, text);
+    if (chunked) {
+      ingest_in_chunks(pipe, day, text);
+    } else {
+      pipe.ingest_log_text(day, text);
+    }
   }
   pipe.finish();
 }
 
 void expect_identical(const an::AnalysisPipeline& serial,
                       const an::AnalysisPipeline& parallel) {
-  const auto& ce = serial.counters();
-  const auto& cp = parallel.counters();
-  EXPECT_EQ(ce.log_lines, cp.log_lines);
-  EXPECT_EQ(ce.xid_records, cp.xid_records);
-  EXPECT_EQ(ce.lifecycle_records, cp.lifecycle_records);
-  EXPECT_EQ(ce.rejected_lines, cp.rejected_lines);
-  EXPECT_EQ(ce.unknown_hosts, cp.unknown_hosts);
-  EXPECT_EQ(ce.accounting_lines, cp.accounting_lines);
-  EXPECT_EQ(ce.accounting_errors, cp.accounting_errors);
-  EXPECT_EQ(ce.out_of_order_observations, cp.out_of_order_observations);
+  for (const char* name :
+       {"pipe.log_lines", "pipe.xid_records", "pipe.lifecycle_records",
+        "pipe.rejected_lines", "pipe.unknown_hosts", "pipe.accounting_lines",
+        "pipe.accounting_errors", "pipe.out_of_order_observations",
+        "pipe.errors_coalesced"}) {
+    EXPECT_EQ(serial.metrics().counter_value(name),
+              parallel.metrics().counter_value(name))
+        << name;
+  }
 
   ASSERT_EQ(serial.errors().size(), parallel.errors().size());
   for (std::size_t i = 0; i < serial.errors().size(); ++i) {
@@ -146,8 +174,6 @@ TEST_P(ParallelDeterminism, SyntheticCampaignMatchesSerialExactly) {
   an::PipelineConfig serial_cfg;
   an::PipelineConfig par_cfg;
   par_cfg.num_threads = param.threads;
-  // A small batch forces several Stage-I flush cycles per run.
-  par_cfg.stage1_batch_days = 3;
 
   an::AnalysisPipeline serial(topo, serial_cfg);
   an::AnalysisPipeline parallel(topo, par_cfg);
@@ -155,6 +181,8 @@ TEST_P(ParallelDeterminism, SyntheticCampaignMatchesSerialExactly) {
   ingest_synthetic(parallel, topo, param.seed, 14);
 
   ASSERT_GT(serial.errors().size(), 100u);
+  // The storm day split into ranges: a second worker classified some.
+  EXPECT_GT(parallel.metrics().counter_value("pipe.worker.1.days_parsed"), 0u);
   expect_identical(serial, parallel);
   EXPECT_EQ(rendered_artifacts(serial), rendered_artifacts(parallel));
 }
@@ -170,18 +198,39 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(ParallelDeterminism, ParallelRunsAgreeWithEachOther) {
-  // Transitivity check at odd worker counts (shard partition differs).
+  // Transitivity check at odd worker counts (range partition differs).
   cl::Topology topo(cl::ClusterSpec::delta_a100());
   an::PipelineConfig a_cfg;
   a_cfg.num_threads = 2;
   an::PipelineConfig b_cfg;
   b_cfg.num_threads = 5;
-  b_cfg.stage1_batch_days = 1;
   an::AnalysisPipeline a(topo, a_cfg);
   an::AnalysisPipeline b(topo, b_cfg);
   ingest_synthetic(a, topo, 9, 10);
   ingest_synthetic(b, topo, 9, 10);
   expect_identical(a, b);
+}
+
+TEST(ParallelDeterminism, ChunkedDaysMatchWholeDays) {
+  // Serve feeds each day in chunks cut at line boundaries; the chunking must
+  // not show in errors, lifecycle records or counters at any worker count.
+  cl::Topology topo(cl::ClusterSpec::delta_a100());
+  an::AnalysisPipeline whole(topo, an::PipelineConfig{});
+  ingest_synthetic(whole, topo, 5, 10);
+  ASSERT_GT(whole.errors().size(), 100u);
+  for (const std::uint32_t threads : {0u, 2u, 7u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    an::PipelineConfig cfg;
+    cfg.num_threads = threads;
+    an::AnalysisPipeline chunked(topo, cfg);
+    ingest_synthetic(chunked, topo, 5, 10, /*chunked=*/true);
+    if (threads > 0) {
+      EXPECT_GT(chunked.metrics().counter_value("pipe.worker.1.days_parsed"),
+                0u);
+    }
+    expect_identical(whole, chunked);
+    EXPECT_EQ(rendered_artifacts(whole), rendered_artifacts(chunked));
+  }
 }
 
 TEST(ParallelDeterminism, FullCampaignWithJobsMatchesSerialExactly) {

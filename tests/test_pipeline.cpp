@@ -56,11 +56,12 @@ TEST(Pipeline, ExtractsCoalescesAndResolves) {
   EXPECT_EQ(pipe.errors()[0].raw_lines, 3u);
   EXPECT_EQ(pipe.errors()[0].gpu, (gx::GpuId{4, 1}));  // gpua005, slot 1
 
-  const auto& c = pipe.counters();
-  EXPECT_EQ(c.log_lines, 6u);
-  EXPECT_EQ(c.xid_records, 4u);  // 3 MMU + 1 XID 13 (filtered later)
-  EXPECT_EQ(c.rejected_lines, 1u);
-  EXPECT_EQ(c.unknown_hosts, 1u);
+  const auto& m = pipe.metrics();
+  EXPECT_EQ(m.counter_value("pipe.log_lines"), 6u);
+  // 3 MMU + 1 XID 13 (filtered later)
+  EXPECT_EQ(m.counter_value("pipe.xid_records"), 4u);
+  EXPECT_EQ(m.counter_value("pipe.rejected_lines"), 1u);
+  EXPECT_EQ(m.counter_value("pipe.unknown_hosts"), 1u);
 }
 
 TEST(Pipeline, LifecycleRecordsCollected) {
@@ -100,7 +101,7 @@ TEST(Pipeline, AccountingIngestion) {
 
   EXPECT_EQ(pipe.jobs().jobs.size(), 1u);
   EXPECT_TRUE(pipe.jobs().jobs[0].is_ml);  // name-derived
-  EXPECT_EQ(pipe.counters().accounting_errors, 1u);
+  EXPECT_EQ(pipe.metrics().counter_value("pipe.accounting_errors"), 1u);
 }
 
 TEST(Pipeline, AccountingIngestEdgeCases) {
@@ -147,9 +148,9 @@ TEST(Pipeline, AccountingIngestEdgeCases) {
   pipe.finish();
 
   EXPECT_EQ(pipe.jobs().jobs.size(), 2u);  // ids 1 and 2 only
-  EXPECT_EQ(pipe.counters().accounting_errors, 2u);
+  EXPECT_EQ(pipe.metrics().counter_value("pipe.accounting_errors"), 2u);
   // accounting_lines counts everything non-blank, headers included.
-  EXPECT_EQ(pipe.counters().accounting_lines, 6u);
+  EXPECT_EQ(pipe.metrics().counter_value("pipe.accounting_lines"), 6u);
 
   // Table III over the surviving jobs is well-formed: both jobs completed
   // with identical 60-minute elapsed, and the corrupt rows left no trace.

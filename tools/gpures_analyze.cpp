@@ -261,14 +261,15 @@ int main(int argc, char** argv) {
   run.extra.emplace_back("ingest_clean", quality.clean() ? "true" : "false");
   run.extra.emplace_back("lines_quarantined",
                          std::to_string(quality.quarantined_lines()));
-  const auto c = pipe.counters();
   log.info("analyze", "ingest complete",
            {{"day_files", loaded.value()},
-            {"lines", c.log_lines},
-            {"xid_records", c.xid_records},
-            {"lifecycle_records", c.lifecycle_records},
+            {"lines", registry.counter_value("pipe.log_lines")},
+            {"xid_records", registry.counter_value("pipe.xid_records")},
+            {"lifecycle_records",
+             registry.counter_value("pipe.lifecycle_records")},
             {"jobs", pipe.jobs().jobs.size()},
-            {"accounting_errors", c.accounting_errors}});
+            {"accounting_errors",
+             registry.counter_value("pipe.accounting_errors")}});
 
   cli::EmitRequest emit;
   emit.report = report;
@@ -304,8 +305,7 @@ int main(int argc, char** argv) {
   if (!md_file.empty()) {
     analysis::MarkdownReportOptions mopts;
     mopts.quality = &quality;
-    const auto md =
-        analysis::render_markdown_report(results, pipe.counters(), mopts);
+    const auto md = analysis::render_markdown_report(results, mopts);
     if (!cli::write_artifact(kTool, md_file, md)) return 1;
     log.info("analyze", "wrote markdown report", {{"path", md_file}});
   }
