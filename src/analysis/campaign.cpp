@@ -176,24 +176,44 @@ void DeltaCampaign::run() {
     // simulate the day against it (in parallel when a pool is set), then
     // replay the merged event stream into the consumer engine so scheduler,
     // workload, and failure propagation advance in lockstep with the faults.
-    sim_->begin_day();
-    const auto events = sim_->advance_to(day_end);
-    for (const auto& e : events) {
-      // Raw records may be future-dated past day_end (duplicate-line and
-      // NVLink offsets); clamp so the consumer clock never leaves the epoch.
-      engine_.run_until(std::min(e.time, day_end));
-      apply_event(e);
+    std::vector<cluster::SimEvent> events;
+    {
+      OBS_SPAN("campaign.shard_advance");
+      sim_->begin_day();
+      events = sim_->advance_to(day_end);
     }
-    engine_.run_until(day_end);
-    emit_noise_for_day(t);
-    log_stream_->flush_through(engine_.now());
+    {
+      OBS_SPAN("campaign.replay");
+      for (const auto& e : events) {
+        // Raw records may be future-dated past day_end (duplicate-line and
+        // NVLink offsets); clamp so the consumer clock never leaves the
+        // epoch.
+        engine_.run_until(std::min(e.time, day_end));
+        apply_event(e);
+      }
+      engine_.run_until(day_end);
+    }
+    {
+      OBS_SPAN("campaign.noise");
+      emit_noise_for_day(t);
+    }
+    {
+      OBS_SPAN("campaign.log_flush");
+      log_stream_->flush_through(engine_.now());
+    }
     if (progress_ && (day % 64 == 0 || day + 1 == total_days)) {
       progress_(day + 1, total_days);
     }
   }
 
-  if (scheduler_) scheduler_->finalize(end);
-  log_stream_->finalize();
+  {
+    OBS_SPAN("campaign.replay");
+    if (scheduler_) scheduler_->finalize(end);
+  }
+  {
+    OBS_SPAN("campaign.log_flush");
+    log_stream_->finalize();
+  }
 
   if (scheduler_) {
     OBS_SPAN("campaign.ingest_accounting");
@@ -208,18 +228,25 @@ void DeltaCampaign::run() {
     chunk.reserve(kChunkBytes + 4096);
     chunk += slurm::kAccountingHeader;
     chunk += '\n';
-    const auto flush = [&] {
+    const auto& records = scheduler_->records();
+    std::size_t next = 0;
+    // A chunk that fills up is flushed and followed by another, possibly
+    // empty one; the chunk that ends short of full is the last.
+    bool full = false;
+    do {
+      {
+        OBS_SPAN("campaign.accounting_render");
+        while (next < records.size() && chunk.size() < kChunkBytes) {
+          slurm::append_accounting_line(chunk, records[next++], topo_);
+          chunk += '\n';
+        }
+      }
+      full = chunk.size() >= kChunkBytes;
       if (dataset_ != nullptr) dataset_->write_accounting_text(chunk);
       pipeline_->ingest_accounting(chunk, "slurm_accounting.txt", rules, cur)
           .throw_if_error();
       chunk.clear();
-    };
-    for (const auto& rec : scheduler_->records()) {
-      slurm::append_accounting_line(chunk, rec, topo_);
-      chunk += '\n';
-      if (chunk.size() >= kChunkBytes) flush();
-    }
-    flush();
+    } while (full);
   }
   pipeline_->finish();
   if (dataset_ != nullptr) dataset_->finalize().throw_if_error();

@@ -268,15 +268,6 @@ Status write_with_mode(const std::string& path, std::string_view text,
 }  // namespace
 
 Status write_text_file(const std::string& path, std::string_view text) {
-  const std::filesystem::path parent = std::filesystem::path(path).parent_path();
-  if (!parent.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(parent, ec);
-    if (ec) {
-      return Error::make("cannot create directory " + parent.string() +
-                         " for file: " + path);
-    }
-  }
   return write_with_mode(path, text, "wb");
 }
 

@@ -79,10 +79,13 @@ Result<std::string> read_file_range(const std::string& path,
                                     std::uint64_t offset,
                                     std::uint64_t max_bytes);
 
-/// Write `text` to `path` (truncating), creating parent directories as
-/// needed.  Every tool-facing artifact write goes through here so open,
-/// short-write, and close failures all surface as a checked Error naming
-/// the path — instead of the silent bad() streams the CLIs used to mix.
+/// Write `text` to `path` (truncating).  The parent directory must exist:
+/// a mistyped output path fails with an Error naming it instead of
+/// silently growing a directory tree; callers that own a directory (a
+/// checkpoint dir, a CSV export dir, a dataset) create it themselves.
+/// Every tool-facing artifact write goes through here so open, short-write,
+/// and close failures all surface as a checked Error naming the path —
+/// instead of the silent bad() streams the CLIs used to mix.
 Status write_text_file(const std::string& path, std::string_view text);
 
 /// Append `bytes` to `path`, creating the file when absent.  Checkpoint
@@ -92,9 +95,10 @@ Status append_file(const std::string& path, std::string_view bytes);
 
 /// Atomically replace `path` with `bytes`: write to `path + ".tmp"`, flush,
 /// then rename over the target, so a crash at any point leaves either the
-/// old file or the new one — never a torn mix.  Creates parent directories
-/// as needed; the leftover .tmp is removed on failure.  Checkpoints, the
-/// index, and report artifacts all go through here.
+/// old file or the new one — never a torn mix.  Like write_text_file, it
+/// needs the parent directory to exist; the leftover .tmp is removed on
+/// failure.  Checkpoints, the index, and report artifacts all go through
+/// here.
 Status write_file_atomic(const std::string& path, std::string_view bytes);
 
 }  // namespace gpures::common

@@ -26,8 +26,7 @@ void Engine::set_metrics(obs::MetricsRegistry* m,
 
 void Engine::reserve(std::size_t n) {
   heap_.reserve(n);
-  pending_.reserve(n);
-  cancelled_.reserve(n / 2 + 1);
+  state_.reserve(state_.size() + n);
 }
 
 EventId Engine::schedule_at(common::TimePoint t, Callback cb) {
@@ -37,10 +36,11 @@ EventId Engine::schedule_at(common::TimePoint t, Callback cb) {
   const EventId id = next_id_++;
   heap_.push_back(Entry{t, next_seq_++, id, std::move(cb)});
   std::push_heap(heap_.begin(), heap_.end(), entry_after);
-  pending_.insert(id);
+  state_.push_back(State::kPending);  // state_[id]: ids are dense
+  ++pending_;
   if (scheduled_metric_ != nullptr) {
     scheduled_metric_->inc();
-    depth_metric_->set(static_cast<std::int64_t>(pending_.size()));
+    depth_metric_->set(static_cast<std::int64_t>(pending_));
   }
   return id;
 }
@@ -53,11 +53,15 @@ EventId Engine::schedule_after(common::Duration delay, Callback cb) {
 }
 
 bool Engine::cancel(EventId id) {
-  if (pending_.erase(id) == 0) return false;  // already fired or cancelled
-  cancelled_.insert(id);                      // tombstone until popped
+  // Id 0 and ids schedule_at never returned fall outside state_ or hit its
+  // kDone slot 0.
+  if (id >= state_.size() || state_[id] != State::kPending) return false;
+  state_[id] = State::kTombstone;  // stays in the heap until popped
+  --pending_;
+  ++tombstones_;
   if (cancelled_metric_ != nullptr) {
     cancelled_metric_->inc();
-    depth_metric_->set(static_cast<std::int64_t>(pending_.size()));
+    depth_metric_->set(static_cast<std::int64_t>(pending_));
   }
   maybe_compact();
   return true;
@@ -68,38 +72,45 @@ void Engine::pop_top() {
   heap_.pop_back();
 }
 
+bool Engine::pop_tombstone() {
+  State& s = state_[heap_.front().id];
+  if (s != State::kTombstone) return false;
+  s = State::kDone;
+  --tombstones_;
+  pop_top();
+  return true;
+}
+
 void Engine::maybe_compact() {
-  if (cancelled_.size() < kCompactMin ||
-      cancelled_.size() * 2 <= pending_.size()) {
-    return;
-  }
+  if (tombstones_ < kCompactMin || tombstones_ * 2 <= pending_) return;
   // Drop tombstoned entries in place, then restore the heap invariant.  The
   // surviving entries keep their relative order before make_heap, so the
   // rebuilt layout — and therefore all subsequent pops — is a deterministic
   // function of the operation sequence alone.
   std::erase_if(heap_, [this](const Entry& e) {
-    return cancelled_.contains(e.id);
+    State& s = state_[e.id];
+    if (s != State::kTombstone) return false;
+    s = State::kDone;
+    return true;
   });
   std::make_heap(heap_.begin(), heap_.end(), entry_after);
-  cancelled_.clear();
+  tombstones_ = 0;
 }
 
 bool Engine::step() {
   while (!heap_.empty()) {
-    if (cancelled_.erase(heap_.front().id) > 0) {  // skip cancelled tombstone
-      pop_top();
-      continue;
-    }
+    if (pop_tombstone()) continue;
     // Move the entry out before dispatching: the callback may schedule or
     // cancel events, which mutates the heap.
     Entry e = std::move(heap_.front());
     pop_top();
     now_ = e.time;
-    pending_.erase(e.id);
+    state_[e.id] = State::kDone;
+    --pending_;
     ++dispatched_total_;
     if (dispatched_metric_ != nullptr) {
       dispatched_metric_->inc();
-      depth_metric_->set(static_cast<std::int64_t>(pending_.size()));
+      depth_metric_->set(static_cast<std::int64_t>(pending_));
     }
     e.cb();
     return true;
@@ -110,13 +121,8 @@ bool Engine::step() {
 std::uint64_t Engine::run_until(common::TimePoint until) {
   std::uint64_t dispatched = 0;
   while (!heap_.empty()) {
-    const Entry& top = heap_.front();
-    if (cancelled_.contains(top.id)) {
-      cancelled_.erase(top.id);
-      pop_top();
-      continue;
-    }
-    if (top.time > until) break;
+    if (pop_tombstone()) continue;
+    if (heap_.front().time > until) break;
     if (step()) ++dispatched;
   }
   // Even if nothing ran, advance the clock to `until` so successive windows

@@ -9,16 +9,20 @@
 //
 // Storage is a hand-rolled binary heap over a vector (not std::priority_queue)
 // so that campaigns can reserve() capacity up front and so that the
-// lazily-cancelled tombstone set can be compacted: cancel() is O(1) and
-// leaves the entry in the heap, but once tombstones outnumber half the
-// pending events the heap is rebuilt without them — long campaigns with many
+// lazily-cancelled tombstones can be compacted: cancel() is O(1) and leaves
+// the entry in the heap, but once tombstones outnumber half the pending
+// events the heap is rebuilt without them — long campaigns with many
 // cancelled job-end events would otherwise grow the heap without bound.
+//
+// Event ids are dense (1, 2, 3, ...), so the lifecycle of every id is one
+// byte in a flat vector indexed by id — pending, tombstone (cancelled but
+// still in the heap) or done — plus a count of each live state.  Scheduling,
+// cancelling and dispatching an event touch only that byte.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "common/time.h"
@@ -52,8 +56,8 @@ class Engine {
   /// report distinct series instead of racing on one shared gauge.
   void set_metrics(obs::MetricsRegistry* m, std::span<const obs::Label> labels);
 
-  /// Pre-size internal storage for `n` concurrently-pending events (heap and
-  /// id sets).  Purely an allocation hint; never changes results.
+  /// Pre-size internal storage for `n` events (heap and per-id states).
+  /// Purely an allocation hint; never changes results.
   void reserve(std::size_t n);
 
   /// Schedule `cb` at absolute time `t` (must be >= now()).
@@ -62,20 +66,21 @@ class Engine {
   /// Schedule `cb` after `delay` seconds.
   EventId schedule_after(common::Duration delay, Callback cb);
 
-  /// Cancel a pending event.  Returns false if it already fired or was
-  /// cancelled.  Cancellation is O(1); storage is reclaimed lazily, and the
-  /// heap is compacted once tombstones exceed half the pending count.
+  /// Cancel a pending event.  Returns false if it already fired, was
+  /// cancelled, or was never returned by schedule_at (including id 0).
+  /// Cancellation is O(1); storage is reclaimed lazily, and the heap is
+  /// compacted once tombstones exceed half the pending count.
   bool cancel(EventId id);
 
   /// True if no runnable events remain.
-  bool empty() const { return pending_.empty(); }
+  bool empty() const { return pending_ == 0; }
 
   /// Number of pending (non-cancelled) events.
-  std::size_t pending() const { return pending_.size(); }
+  std::size_t pending() const { return pending_; }
 
   /// Cancelled-but-not-yet-reclaimed entries still occupying heap slots
   /// (diagnostics; exercised by the compaction tests).
-  std::size_t cancelled_tombstones() const { return cancelled_.size(); }
+  std::size_t cancelled_tombstones() const { return tombstones_; }
 
   /// Run until the queue empties or the clock passes `until`.
   /// Events at exactly `until` are executed.  Returns the number of events
@@ -106,8 +111,14 @@ class Engine {
     return a.seq > b.seq;
   }
 
+  /// Lifecycle of one event id; `state_[id]`.
+  enum class State : std::uint8_t { kPending, kTombstone, kDone };
+
   /// Pop the heap top without dispatching (tombstone reclamation).
   void pop_top();
+
+  /// If the heap top is a tombstone, reclaim it and return true.
+  bool pop_tombstone();
 
   /// Rebuild the heap without cancelled entries once tombstones exceed half
   /// the pending count (with a floor so tiny queues never thrash).
@@ -123,9 +134,11 @@ class Engine {
   obs::Counter* dispatched_metric_ = nullptr;
   obs::Counter* cancelled_metric_ = nullptr;
   obs::Gauge* depth_metric_ = nullptr;
-  std::vector<Entry> heap_;                ///< binary min-heap on (time, seq)
-  std::unordered_set<EventId> pending_;    ///< scheduled, not yet fired/cancelled
-  std::unordered_set<EventId> cancelled_;  ///< cancelled, tombstone until popped
+  std::vector<Entry> heap_;   ///< binary min-heap on (time, seq)
+  /// Per-id state; index 0 is a placeholder so ids index directly.
+  std::vector<State> state_{State::kDone};
+  std::size_t pending_ = 0;     ///< ids in kPending
+  std::size_t tombstones_ = 0;  ///< ids in kTombstone (all still in heap_)
 };
 
 }  // namespace gpures::des

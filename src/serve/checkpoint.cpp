@@ -585,7 +585,13 @@ fs::path CheckpointStore::segment_path(Segment s) const {
 
 common::Status CheckpointStore::reset(std::uint64_t config_hash) {
   ready_ = false;
+  // The store owns its directory: file writes never create directories.
   std::error_code ec;
+  fs::create_directories(dir_, ec);
+  if (ec) {
+    return common::Error::make("cannot create checkpoint dir " +
+                               dir_.string() + ": " + ec.message());
+  }
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
     const std::string name = entry.path().filename().string();
     const bool segment = std::find(kSegmentNames.begin(), kSegmentNames.end(),

@@ -154,9 +154,10 @@ class CheckpointStore {
  public:
   explicit CheckpointStore(std::filesystem::path dir, std::uint32_t keep = 2);
 
-  /// Fresh start: delete every generation and segment, then create empty
-  /// segments stamped with `config_hash`.  Required before the first write
-  /// unless load_latest returned a generation.
+  /// Fresh start: create the directory if absent, delete every generation
+  /// and segment, then create empty segments stamped with `config_hash`.
+  /// Required before the first write unless load_latest returned a
+  /// generation.
   common::Status reset(std::uint64_t config_hash);
 
   /// Load the newest generation whose frontier file and every committed

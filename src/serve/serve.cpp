@@ -164,13 +164,6 @@ common::Status ServeSession::open(bool resume) {
                                cfg_.data_dir.string());
   }
   if (!cfg_.checkpoint_dir.empty()) {
-    std::error_code ec;
-    fs::create_directories(cfg_.checkpoint_dir, ec);
-    if (ec) {
-      return common::Error::make("serve: cannot create checkpoint dir " +
-                                 cfg_.checkpoint_dir.string() + ": " +
-                                 ec.message());
-    }
     store_ = std::make_unique<CheckpointStore>(cfg_.checkpoint_dir);
     m_->ckpt_interval_ticks->set(
         static_cast<std::int64_t>(cfg_.checkpoint_interval));

@@ -1,6 +1,7 @@
 #include "slurm/scheduler.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace gpures::slurm {
@@ -8,13 +9,58 @@ namespace gpures::slurm {
 Scheduler::Scheduler(des::Engine& engine, const cluster::Topology& topo,
                      SchedulerConfig cfg, common::Rng rng)
     : engine_(engine), topo_(topo), cfg_(cfg), rng_(rng.fork("scheduler")) {
-  nodes_.resize(static_cast<std::size_t>(topo_.node_count()));
+  const auto n_nodes = static_cast<std::size_t>(topo_.node_count());
+  nodes_.resize(n_nodes);
+  word_count_ = (n_nodes + 63) / 64;
+  index_.assign(word_count_ * kMaxGpusPerNode, 0);
   for (std::int32_t n = 0; n < topo_.node_count(); ++n) {
-    auto& res = nodes_[static_cast<std::size_t>(n)];
-    res.free = static_cast<std::uint8_t>(topo_.gpus_on_node(n));
-    res.slot.assign(static_cast<std::size_t>(topo_.gpus_on_node(n)), 0);
-    total_free_ += topo_.gpus_on_node(n);
+    // Topology caps nodes at kMaxGpusPerNode GPUs, so levels fit the rows.
+    nodes_[static_cast<std::size_t>(n)].slot.assign(
+        static_cast<std::size_t>(topo_.gpus_on_node(n)), 0);
+    add_free(n, topo_.gpus_on_node(n));
   }
+}
+
+void Scheduler::set_level(std::int32_t n, std::int32_t from, std::int32_t to) {
+  const auto word = static_cast<std::size_t>(n) / 64;
+  const std::uint64_t bit = std::uint64_t{1} << (n % 64);
+  for (std::int32_t k = to + 1; k <= from; ++k) {
+    index_[static_cast<std::size_t>(k - 1) * word_count_ + word] &= ~bit;
+  }
+  for (std::int32_t k = from + 1; k <= to; ++k) {
+    index_[static_cast<std::size_t>(k - 1) * word_count_ + word] |= bit;
+  }
+  schedulable_free_ += to - from;
+}
+
+void Scheduler::add_free(std::int32_t n, std::int32_t delta) {
+  auto& res = nodes_[static_cast<std::size_t>(n)];
+  const std::int32_t before = level(res);
+  res.free = static_cast<std::uint8_t>(res.free + delta);
+  total_free_ += delta;
+  set_level(n, before, level(res));
+}
+
+void Scheduler::set_schedulable(std::int32_t n, bool on) {
+  auto& res = nodes_.at(static_cast<std::size_t>(n));
+  const std::int32_t before = level(res);
+  res.schedulable = on;
+  set_level(n, before, level(res));
+}
+
+std::int32_t Scheduler::first_in_row(std::int32_t k, std::int32_t from,
+                                     std::int32_t to) const {
+  if (from >= to) return -1;
+  const std::uint64_t* bits = row(k);
+  auto w = static_cast<std::size_t>(from) / 64;
+  const auto last = static_cast<std::size_t>(to - 1) / 64;
+  std::uint64_t word = bits[w] & (~std::uint64_t{0} << (from % 64));
+  while (word == 0) {
+    if (++w > last) return -1;
+    word = bits[w];
+  }
+  const auto n = static_cast<std::int32_t>(w * 64) + std::countr_zero(word);
+  return n < to ? n : -1;
 }
 
 void Scheduler::set_metrics(obs::MetricsRegistry* m) {
@@ -50,13 +96,10 @@ JobId Scheduler::submit(const JobRequest& req) {
   return id;
 }
 
-void Scheduler::drain_node(std::int32_t node) {
-  nodes_.at(static_cast<std::size_t>(node)).schedulable = false;
-}
+void Scheduler::drain_node(std::int32_t node) { set_schedulable(node, false); }
 
 void Scheduler::node_down(std::int32_t node) {
-  auto& res = nodes_.at(static_cast<std::size_t>(node));
-  res.schedulable = false;
+  set_schedulable(node, false);
   // Kill every job still holding a GPU here; multi-node jobs die entirely.
   for (const JobId id : jobs_on_node(node)) {
     fail_job(id, JobState::kNodeFail, engine_.now());
@@ -64,7 +107,7 @@ void Scheduler::node_down(std::int32_t node) {
 }
 
 void Scheduler::node_up(std::int32_t node) {
-  nodes_.at(static_cast<std::size_t>(node)).schedulable = true;
+  set_schedulable(node, true);
   try_dispatch();
 }
 
@@ -120,7 +163,7 @@ void Scheduler::snapshot_busy_until(std::vector<common::TimePoint>& out) const {
   for (const auto& [id, r] : running_) {
     const auto natural_end =
         r.rec.start + static_cast<common::Duration>(r.duration_s);
-    for (const auto& g : r.gpus) {
+    for (const auto& g : r.rec.gpu_list) {
       out[static_cast<std::size_t>(topo_.flat_index(g))] = natural_end;
     }
   }
@@ -138,9 +181,9 @@ void Scheduler::try_dispatch() {
   auto it = queue_.begin();
   while (it != queue_.end() && examined <= depth) {
     ++examined;
-    if (it->req.gpus > total_free_) {
-      // Head-of-line job cannot run; backfill may still find smaller jobs,
-      // but nothing fits if even the smallest exceeds the free pool.
+    if (it->req.gpus > schedulable_free_) {
+      // This job cannot run (allocate() would refuse it); backfill may still
+      // find smaller jobs behind it.
       ++it;
       continue;
     }
@@ -157,24 +200,33 @@ void Scheduler::try_dispatch() {
 }
 
 std::vector<xid::GpuId> Scheduler::allocate(std::int32_t gpus_needed) {
+  // No placement can fill a request larger than the schedulable pool (and a
+  // request for no GPUs never starts).
+  if (gpus_needed < 1 || gpus_needed > schedulable_free_) return {};
   std::vector<xid::GpuId> picked;
   picked.reserve(static_cast<std::size_t>(gpus_needed));
-  const std::int32_t n_nodes = topo_.node_count();
+  // Take up to `want` free slots of node n in slot order; returns what is
+  // still wanted.
+  const auto take = [&](std::int32_t n, std::int32_t want) {
+    const auto& slot = nodes_[static_cast<std::size_t>(n)].slot;
+    for (std::int32_t s = 0;
+         s < static_cast<std::int32_t>(slot.size()) && want > 0; ++s) {
+      if (slot[static_cast<std::size_t>(s)] == 0) {
+        picked.push_back({n, s});
+        --want;
+      }
+    }
+    return want;
+  };
 
   // Prefer a single node when the request can fit on one (rotating
   // first-fit); fall through to multi-node placement otherwise.
-  if (gpus_needed <= 8) {
-    for (std::int32_t k = 0; k < n_nodes; ++k) {
-      const std::int32_t n = (alloc_cursor_ + k) % n_nodes;
-      auto& res = nodes_[static_cast<std::size_t>(n)];
-      if (!res.schedulable || res.free < gpus_needed) continue;
-      if (gpus_needed > topo_.gpus_on_node(n)) continue;
-      for (std::int32_t s = 0;
-           s < topo_.gpus_on_node(n) &&
-           static_cast<std::int32_t>(picked.size()) < gpus_needed;
-           ++s) {
-        if (res.slot[static_cast<std::size_t>(s)] == 0) picked.push_back({n, s});
-      }
+  if (gpus_needed <= kMaxGpusPerNode) {
+    const std::int32_t n_nodes = topo_.node_count();
+    std::int32_t n = first_in_row(gpus_needed, alloc_cursor_, n_nodes);
+    if (n < 0) n = first_in_row(gpus_needed, 0, alloc_cursor_);
+    if (n >= 0) {
+      take(n, gpus_needed);
       alloc_cursor_ = (n + 1) % n_nodes;
       return picked;
     }
@@ -182,27 +234,23 @@ std::vector<xid::GpuId> Scheduler::allocate(std::int32_t gpus_needed) {
     // type or fragmentation); spread it across nodes below.
   }
 
-  // Multi-node request: greedily take the freest schedulable nodes.
-  std::vector<std::pair<std::int32_t, std::int32_t>> by_free;  // (-free, node)
-  for (std::int32_t n = 0; n < n_nodes; ++n) {
-    const auto& res = nodes_[static_cast<std::size_t>(n)];
-    if (res.schedulable && res.free > 0) {
-      by_free.emplace_back(-static_cast<std::int32_t>(res.free), n);
-    }
-  }
-  std::sort(by_free.begin(), by_free.end());
+  // Multi-node request: greedily take the freest schedulable nodes, walking
+  // the exact-free buckets (row f minus row f+1) from the top, each in node
+  // order.  The pool check above guarantees the walk fills the request.
   std::int32_t remaining = gpus_needed;
-  for (const auto& [neg_free, n] : by_free) {
-    if (remaining <= 0) break;
-    const auto& res = nodes_[static_cast<std::size_t>(n)];
-    for (std::int32_t s = 0; s < topo_.gpus_on_node(n) && remaining > 0; ++s) {
-      if (res.slot[static_cast<std::size_t>(s)] == 0) {
-        picked.push_back({n, s});
-        --remaining;
+  for (std::int32_t f = kMaxGpusPerNode; f >= 1 && remaining > 0; --f) {
+    const std::uint64_t* at_least = row(f);
+    const std::uint64_t* above = f < kMaxGpusPerNode ? row(f + 1) : nullptr;
+    for (std::size_t w = 0; w < word_count_ && remaining > 0; ++w) {
+      std::uint64_t bucket = at_least[w] & ~(above ? above[w] : 0);
+      while (bucket != 0 && remaining > 0) {
+        const auto n =
+            static_cast<std::int32_t>(w * 64) + std::countr_zero(bucket);
+        bucket &= bucket - 1;
+        remaining = take(n, remaining);
       }
     }
   }
-  if (remaining > 0) return {};  // cannot satisfy now
   return picked;
 }
 
@@ -219,28 +267,22 @@ bool Scheduler::try_start(const Pending& p) {
   r.rec.is_ml = p.req.is_ml;
   r.duration_s = p.req.duration_s;
   r.hit_walltime = p.req.duration_s >= p.req.walltime_s - 0.5;
-  r.gpus = std::move(gpus);
+  r.rec.gpu_list = std::move(gpus);
 
-  // Mark ownership.
-  for (const auto& g : r.gpus) {
-    auto& res = nodes_[static_cast<std::size_t>(g.node)];
-    res.slot[static_cast<std::size_t>(g.slot)] = p.id;
-    --res.free;
-    --total_free_;
-  }
+  // Mark ownership.  allocate() lists each node's GPUs contiguously, so a
+  // node joins node_list once, when the node changes.
   std::vector<std::int32_t> node_list;
-  for (const auto& g : r.gpus) {
+  for (const auto& g : r.rec.gpu_list) {
+    nodes_[static_cast<std::size_t>(g.node)]
+        .slot[static_cast<std::size_t>(g.slot)] = p.id;
+    add_free(g.node, -1);
     if (node_list.empty() || node_list.back() != g.node) {
-      if (std::find(node_list.begin(), node_list.end(), g.node) ==
-          node_list.end()) {
-        node_list.push_back(g.node);
-      }
+      node_list.push_back(g.node);
     }
   }
   std::sort(node_list.begin(), node_list.end());
   r.rec.node_list = std::move(node_list);
   r.rec.nodes = static_cast<std::int32_t>(r.rec.node_list.size());
-  r.rec.gpu_list = r.gpus;
 
   const auto end_at =
       engine_.now() + std::max<common::Duration>(
@@ -254,12 +296,12 @@ bool Scheduler::try_start(const Pending& p) {
 }
 
 void Scheduler::release(const Running& r) {
-  for (const auto& g : r.gpus) {
-    auto& res = nodes_[static_cast<std::size_t>(g.node)];
-    if (res.slot[static_cast<std::size_t>(g.slot)] == r.rec.id) {
-      res.slot[static_cast<std::size_t>(g.slot)] = 0;
-      ++res.free;
-      ++total_free_;
+  for (const auto& g : r.rec.gpu_list) {
+    auto& slot = nodes_[static_cast<std::size_t>(g.node)]
+                     .slot[static_cast<std::size_t>(g.slot)];
+    if (slot == r.rec.id) {
+      slot = 0;
+      add_free(g.node, +1);
     }
   }
 }

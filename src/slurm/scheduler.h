@@ -107,13 +107,18 @@ class Scheduler {
     double duration_s;                  ///< natural runtime
     bool hit_walltime = false;
     des::EventId end_event = 0;
-    /// (node, slot) pairs held.
-    std::vector<xid::GpuId> gpus;
   };
 
   void try_dispatch();
   bool try_start(const Pending& p);
-  /// Pick GPUs for a job; empty result if it cannot start now.
+  /// Pick GPUs for a job; empty result if it cannot start now.  Placement,
+  /// in order:
+  ///   * a request larger than the schedulable free pool fails at once;
+  ///   * a request for <= 8 GPUs takes the first schedulable node at or after
+  ///     alloc_cursor_ (wrapping) with that many free GPUs, and the cursor
+  ///     moves past it (rotating first-fit);
+  ///   * otherwise it spreads over the freest schedulable nodes, ties to the
+  ///     lower node index, taking each node's free slots in slot order.
   std::vector<xid::GpuId> allocate(std::int32_t gpus_needed);
   void release(const Running& r);
   void complete_natural(JobId id);
@@ -133,6 +138,33 @@ class Scheduler {
   std::vector<NodeRes> nodes_;
   std::int32_t total_free_ = 0;
   std::int32_t alloc_cursor_ = 0;  ///< rotating first-fit start
+
+  // ---- placement index ----
+  // A node's level is its free GPU count if it is schedulable, else 0.
+  // Row k (1..kMaxGpusPerNode) is a node bitset: bit n set iff node n's level
+  // is >= k.  So row k answers "which nodes can host k GPUs" and row f minus
+  // row f+1 is the bucket of nodes with exactly f free; placement scans
+  // words, never nodes.
+  static constexpr std::int32_t kMaxGpusPerNode = 8;
+  static std::int32_t level(const NodeRes& r) {
+    return r.schedulable ? r.free : 0;
+  }
+  /// Move node `n` from level `from` to level `to` in the index.
+  void set_level(std::int32_t n, std::int32_t from, std::int32_t to);
+  /// Change node `n`'s free count by `delta`, keeping the index in step.
+  void add_free(std::int32_t n, std::int32_t delta);
+  /// Drain/down (false) or return (true) node `n`, keeping the index in step.
+  void set_schedulable(std::int32_t n, bool on);
+  /// Row k's words ([word_count_] of them).
+  const std::uint64_t* row(std::int32_t k) const {
+    return index_.data() + static_cast<std::size_t>(k - 1) * word_count_;
+  }
+  /// First node >= `from` and < `to` with its bit set in row k, else -1.
+  std::int32_t first_in_row(std::int32_t k, std::int32_t from,
+                            std::int32_t to) const;
+  std::size_t word_count_ = 0;
+  std::vector<std::uint64_t> index_;  ///< kMaxGpusPerNode rows of node bits
+  std::int32_t schedulable_free_ = 0;  ///< sum of levels
 
   std::deque<Pending> queue_;
   std::unordered_map<JobId, Running> running_;

@@ -2,6 +2,7 @@
 // tombstone compaction, and the sharding helpers (partitioning + k-way merge).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -288,6 +289,102 @@ TEST(Engine, ScheduleInCallbackKeepsFifoStability) {
   e.schedule_at(7, [&] { order.push_back(2); });
   e.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(Engine, CancelRejectsEveryIdThatIsNotPending) {
+  // Only a pending id cancels.  A fired id, a second cancel of the same id,
+  // the reserved id 0 and ids the engine never handed out all report false
+  // and leave the counts alone.
+  des::Engine e(0);
+  int fired = 0;
+  const auto early = e.schedule_at(1, [&] { ++fired; });
+  const auto late = e.schedule_at(2, [&] { ++fired; });
+  e.run_until(1);
+  EXPECT_FALSE(e.cancel(early));  // fired
+  EXPECT_TRUE(e.cancel(late));
+  EXPECT_FALSE(e.cancel(late));   // second cancel
+  EXPECT_FALSE(e.cancel(0));      // never a valid handle
+  EXPECT_FALSE(e.cancel(late + 1));
+  EXPECT_FALSE(e.cancel(~des::EventId{0}));
+  EXPECT_EQ(e.pending(), 0u);
+  EXPECT_EQ(e.cancelled_tombstones(), 1u);
+  e.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(e.cancelled_tombstones(), 0u);
+  EXPECT_FALSE(e.cancel(late));   // reclaimed tombstone
+}
+
+TEST(Engine, CountsHoldAcrossCompaction) {
+  // pending() and cancelled_tombstones() are exact before a compaction,
+  // after it, and as dispatch drains the rebuilt heap; ids dropped by the
+  // compaction stay uncancellable.
+  des::Engine e(0);
+  std::vector<des::EventId> ids;
+  for (int i = 0; i < 200; ++i) ids.push_back(e.schedule_at(10 + i, [] {}));
+  e.run_until(19);  // fires ids[0..9]
+  EXPECT_EQ(e.pending(), 190u);
+  EXPECT_EQ(e.cancelled_tombstones(), 0u);
+  // Cancel from the back: 63 tombstones is under the floor.
+  for (int i = 0; i < 63; ++i) EXPECT_TRUE(e.cancel(ids[199 - i]));
+  EXPECT_EQ(e.pending(), 127u);
+  EXPECT_EQ(e.cancelled_tombstones(), 63u);
+  // The 64th reaches the floor and outnumbers half the 126 pending.
+  EXPECT_TRUE(e.cancel(ids[199 - 63]));
+  EXPECT_EQ(e.pending(), 126u);
+  EXPECT_EQ(e.cancelled_tombstones(), 0u);
+  EXPECT_FALSE(e.cancel(ids[199]));
+  EXPECT_FALSE(e.cancel(ids[0]));
+  // A cancel after the rebuild starts a fresh tombstone count.
+  EXPECT_TRUE(e.cancel(ids[10]));
+  EXPECT_EQ(e.pending(), 125u);
+  EXPECT_EQ(e.cancelled_tombstones(), 1u);
+  EXPECT_EQ(e.run_until(70), 50u);  // ids[11..60]; ids[10] is skipped
+  EXPECT_EQ(e.pending(), 75u);
+  EXPECT_EQ(e.cancelled_tombstones(), 0u);
+  EXPECT_EQ(e.run(), 75u);  // ids[61..135]
+  EXPECT_TRUE(e.empty());
+  EXPECT_EQ(e.dispatched_total(), 135u);
+}
+
+TEST(Engine, MassCancellationKeepsSurvivorOrder) {
+  // Schedule many events with heavy timestamp ties, cancel most of them in
+  // random order (several compactions fire along the way), and the
+  // dispatch order is exactly the survivors' (time, scheduling order).
+  gpures::common::Rng rng(7);
+  des::Engine e(0);
+  struct Planned {
+    gpures::common::TimePoint time;
+    int index;
+    des::EventId id;
+  };
+  std::vector<Planned> planned;
+  std::vector<int> order;
+  for (int i = 0; i < 5000; ++i) {
+    const auto t = static_cast<gpures::common::TimePoint>(rng.uniform_u64(400));
+    planned.push_back({t, i, e.schedule_at(t, [&order, i] {
+                         order.push_back(i);
+                       })});
+  }
+  std::vector<bool> cancelled(planned.size(), false);
+  for (int k = 0; k < 4000; ++k) {
+    const auto pick = static_cast<std::size_t>(rng.uniform_u64(planned.size()));
+    EXPECT_EQ(e.cancel(planned[pick].id), !cancelled[pick]);
+    cancelled[pick] = true;
+  }
+  std::vector<Planned> survivors;
+  for (std::size_t i = 0; i < planned.size(); ++i) {
+    if (!cancelled[i]) survivors.push_back(planned[i]);
+  }
+  std::stable_sort(survivors.begin(), survivors.end(),
+                   [](const Planned& a, const Planned& b) {
+                     return a.time < b.time;
+                   });
+  std::vector<int> expected;
+  for (const auto& p : survivors) expected.push_back(p.index);
+  EXPECT_EQ(e.pending(), survivors.size());
+  e.run();
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(e.cancelled_tombstones(), 0u);
 }
 
 // ---- sharding helpers ----

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -143,6 +144,60 @@ TEST(ObsDifferential, CampaignWithMetricsAndTraceMatchesPlainRun) {
   EXPECT_GT(registry.counter_value("des.events_dispatched"), 0u);
   EXPECT_GT(registry.counter_value("slurm.jobs_submitted"), 0u);
   EXPECT_GT(registry.counter_value("sim.errors_emitted"), 0u);
+}
+
+TEST(ObsDifferential, CampaignSubSpansCoverTheRun) {
+  // A traced quick simulate splits campaign.run into its phases: per day the
+  // shard advance, the scheduler/DES replay, the noise lines and the log
+  // flush (day write + Stage I), then the accounting ingest with its row
+  // rendering.  Together they account for nearly all of campaign.run.
+  const auto dir = temp_dir("subspans");
+  auto cfg = small_campaign(5);
+  an::DatasetManifest manifest;
+  manifest.name = "obs-subspans";
+  manifest.spec = cfg.spec;
+  manifest.periods = an::StudyPeriods::make(
+      cfg.faults.study_begin, cfg.faults.op_begin, cfg.faults.study_end);
+  ob::Tracer tracer;
+  {
+    an::DatasetWriter writer(dir, manifest);
+    TracerGuard guard(&tracer);
+    an::DeltaCampaign campaign(cfg);
+    campaign.set_dataset_writer(&writer);
+    campaign.run();
+  }
+  fs::remove_all(dir);
+
+  const auto doc = gpures::common::parse_json(tracer.to_chrome_json());
+  ASSERT_TRUE(doc.ok()) << doc.error().message;
+  std::map<std::string, double> dur_us;
+  std::map<std::string, std::size_t> count;
+  for (const auto& e : doc.value().at("traceEvents").items()) {
+    const auto& name = e.at("name").as_string();
+    dur_us[name] += e.at("dur").as_number();
+    ++count[name];
+  }
+  const auto days = static_cast<std::size_t>(
+      gpures::common::day_index(cfg.faults.study_end) -
+      gpures::common::day_index(cfg.faults.study_begin));
+  ASSERT_EQ(count["campaign.run"], 1u);
+  EXPECT_EQ(count["campaign.shard_advance"], days);
+  EXPECT_EQ(count["campaign.noise"], days);
+  // One more replay (scheduler finalize) and log flush (stream finalize)
+  // after the last day.
+  EXPECT_EQ(count["campaign.replay"], days + 1);
+  EXPECT_EQ(count["campaign.log_flush"], days + 1);
+  EXPECT_EQ(count["campaign.ingest_accounting"], 1u);
+  EXPECT_GE(count["campaign.accounting_render"], 1u);
+  EXPECT_LE(dur_us["campaign.accounting_render"],
+            dur_us["campaign.ingest_accounting"]);
+
+  const double covered =
+      dur_us["campaign.shard_advance"] + dur_us["campaign.replay"] +
+      dur_us["campaign.noise"] + dur_us["campaign.log_flush"] +
+      dur_us["campaign.ingest_accounting"];
+  EXPECT_GE(covered, 0.9 * dur_us["campaign.run"])
+      << covered << " of " << dur_us["campaign.run"] << " us";
 }
 
 TEST(ObsDifferential, DatasetAnalysisIdenticalAcrossObsAndThreadModes) {

@@ -2,8 +2,13 @@
 // error-induced failure, finalization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/hash.h"
+#include "slurm/accounting.h"
 #include "slurm/scheduler.h"
 
 namespace sl = gpures::slurm;
@@ -249,4 +254,151 @@ TEST(Scheduler, RecordsCountJobsExactly) {
     EXPECT_GE(r.end, r.start);
   }
   EXPECT_EQ(ids.size(), 50u);
+}
+
+// ---- placement tie-breaks ----
+
+TEST(SchedulerPlacement, RotatingCursorWrapsAround) {
+  cl::Topology topo{cl::ClusterSpec::small(3, 0)};  // 3 nodes x 4 GPUs
+  des::Engine engine{0};
+  sl::Scheduler sched{engine, topo, sl::SchedulerConfig{}, ct::Rng(1)};
+  const auto a = sched.submit(make_req(0, 2, 10));    // node 0, cursor -> 1
+  const auto b = sched.submit(make_req(0, 4, 1000));  // node 1, cursor -> 2
+  const auto c = sched.submit(make_req(0, 4, 1000));  // node 2, cursor -> 0
+  const auto d = sched.submit(make_req(0, 2, 1000));  // node 0, cursor -> 1
+  EXPECT_EQ(sched.job_on_gpu({0, 0}), a);
+  EXPECT_EQ(sched.job_on_gpu({1, 0}), b);
+  EXPECT_EQ(sched.job_on_gpu({2, 0}), c);
+  EXPECT_EQ(sched.job_on_gpu({0, 2}), d);
+  EXPECT_EQ(sched.free_gpus(), 0);
+  engine.run_until(20);  // a ends: node 0 has slots 0 and 1 free
+  // The search starts at the cursor (node 1), finds nodes 1 and 2 full,
+  // and wraps to node 0.
+  const auto e = sched.submit(make_req(20, 2, 1000));
+  EXPECT_EQ(sched.job_on_gpu({0, 0}), e);
+  EXPECT_EQ(sched.job_on_gpu({0, 1}), e);
+  EXPECT_EQ(sched.free_gpus(), 0);
+}
+
+TEST(SchedulerPlacement, FragmentedSmallRequestSpreadsOverNodes) {
+  Fixture f;  // 2 nodes x 4 GPUs
+  f.sched.submit(make_req(0, 3, 1000));  // node 0
+  f.sched.submit(make_req(0, 3, 1000));  // node 1
+  // Two GPUs are free, one per node: no single node hosts a 2-GPU job, so
+  // it spreads, the tie on free count going to the lower node first.
+  const auto id = f.sched.submit(make_req(0, 2, 100));
+  EXPECT_EQ(f.sched.running(), 3u);
+  EXPECT_EQ(f.sched.free_gpus(), 0);
+  f.engine.run_until(100);
+  ASSERT_EQ(f.sched.records().size(), 1u);
+  const auto& rec = f.sched.records()[0];
+  EXPECT_EQ(rec.id, id);
+  EXPECT_EQ(rec.nodes, 2);
+  EXPECT_EQ(rec.gpu_list, (std::vector<gpures::xid::GpuId>{{0, 3}, {1, 3}}));
+}
+
+TEST(SchedulerPlacement, DrainedNodeWithFreeGpusIsSkipped) {
+  Fixture f;
+  f.sched.drain_node(0);  // all four of its GPUs stay free
+  const auto a = f.sched.submit(make_req(0, 2, 1000));
+  EXPECT_EQ(f.sched.jobs_on_node(0).size(), 0u);
+  EXPECT_EQ(f.sched.job_on_gpu({1, 0}), a);
+  // Six GPUs are free but only two are schedulable: a 4-GPU job waits,
+  // neither taking the drained node nor spreading onto it.
+  f.sched.submit(make_req(0, 4, 1000));
+  EXPECT_EQ(f.sched.free_gpus(), 6);
+  EXPECT_EQ(f.sched.running(), 1u);
+  EXPECT_EQ(f.sched.queued(), 1u);
+}
+
+TEST(SchedulerPlacement, NodeUpMakesNodeEligibleAgain) {
+  Fixture f;
+  f.sched.node_down(0);
+  f.sched.submit(make_req(0, 4, 1000));  // node 1
+  const auto waiting = f.sched.submit(make_req(0, 4, 1000));
+  EXPECT_EQ(f.sched.queued(), 1u);
+  f.sched.node_up(0);  // the queued job starts on the returning node
+  EXPECT_EQ(f.sched.queued(), 0u);
+  for (std::int32_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(f.sched.job_on_gpu({0, s}), waiting);
+  }
+  EXPECT_EQ(f.sched.free_gpus(), 0);
+}
+
+TEST(SchedulerPlacement, FreestNodesFirstTiesToLowerIndex) {
+  cl::Topology topo{cl::ClusterSpec::small(3, 0)};  // 3 nodes x 4 GPUs
+  des::Engine engine{0};
+  sl::Scheduler sched{engine, topo, sl::SchedulerConfig{}, ct::Rng(1)};
+  sched.submit(make_req(0, 3, 1000));  // node 0: 1 free
+  sched.submit(make_req(0, 1, 1000));  // node 1: 3 free
+  sched.submit(make_req(0, 1, 1000));  // node 2: 3 free
+  // Five GPUs fit on no node: take the freest nodes, node 1 before node 2
+  // on the tie, each in slot order, and stop part-way through node 2.
+  const auto id = sched.submit(make_req(0, 5, 10));
+  EXPECT_EQ(sched.free_gpus(), 2);
+  EXPECT_FALSE(sched.job_on_gpu({0, 3}).has_value());
+  EXPECT_FALSE(sched.job_on_gpu({2, 3}).has_value());
+  engine.run_until(10);
+  ASSERT_EQ(sched.records().size(), 1u);
+  const auto& rec = sched.records()[0];
+  EXPECT_EQ(rec.id, id);
+  EXPECT_EQ(rec.node_list, (std::vector<std::int32_t>{1, 2}));
+  EXPECT_EQ(rec.gpu_list, (std::vector<gpures::xid::GpuId>{
+                              {1, 1}, {1, 2}, {1, 3}, {2, 1}, {2, 2}}));
+}
+
+TEST(SchedulerPlacement, SeededFleetScenarioMatchesPinnedAccountingDump) {
+  // A 1,000-node mixed 4-/8-GPU fleet under a seeded mix of submissions of
+  // every size, time steps, error kills, drains, downs and returns.  The
+  // rendered accounting dump pins every placement decision the scheduler
+  // made, so any change to the tie-breaks shows up as a different hash.
+  cl::Topology topo{cl::ClusterSpec::scaled(940, 60)};
+  const ct::TimePoint t0 = 1'640'995'200;  // 2022-01-01T00:00:00Z
+  des::Engine engine{t0};
+  sl::Scheduler sched{engine, topo, sl::SchedulerConfig{}, ct::Rng(2025)};
+  ct::Rng rng(17);
+  constexpr std::int32_t kSizes[] = {1, 1, 1, 2, 2, 3,  4,  4,
+                                     6, 8, 8, 12, 16, 32, 64, 200};
+  std::vector<sl::JobId> ids;
+  const auto pick_node = [&] {
+    return static_cast<std::int32_t>(
+        rng.uniform_u64(static_cast<std::uint64_t>(topo.node_count())));
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const auto op = rng.uniform_u64(100);
+    if (op < 60) {
+      auto req = make_req(engine.now(), kSizes[rng.uniform_u64(16)],
+                          rng.uniform(60.0, 5.0 * 3600.0));
+      req.walltime_s = 4.0 * 3600.0;
+      req.duration_s = std::min(req.duration_s, req.walltime_s);
+      ids.push_back(sched.submit(req));
+    } else if (op < 85) {
+      engine.run_until(engine.now() +
+                       static_cast<ct::Duration>(rng.uniform_u64(600)));
+    } else if (op < 90) {
+      if (ids.empty()) continue;
+      sched.fail_job(ids[rng.uniform_u64(ids.size())], sl::JobState::kFailed,
+                     engine.now() +
+                         static_cast<ct::Duration>(rng.uniform_u64(20)));
+    } else if (op < 94) {
+      sched.drain_node(pick_node());
+    } else if (op < 96) {
+      sched.node_down(pick_node());
+    } else {
+      sched.node_up(pick_node());
+    }
+  }
+  sched.finalize(engine.now());
+
+  std::string dump(sl::kAccountingHeader);
+  dump += '\n';
+  std::size_t multi_node = 0;
+  for (const auto& rec : sched.records()) {
+    sl::append_accounting_line(dump, rec, topo);
+    dump += '\n';
+    multi_node += rec.nodes > 1;
+  }
+  EXPECT_EQ(sched.records().size(), 12131u);
+  EXPECT_GT(multi_node, 500u);
+  EXPECT_EQ(ct::xxhash64(dump), 0x3eed1dbdf5fb5c08ull) << std::hex << ct::xxhash64(dump);
 }

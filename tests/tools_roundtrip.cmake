@@ -56,6 +56,16 @@ if(NOT rc EQUAL 0 OR NOT out STREQUAL "")
   message(FATAL_ERROR "gpures-analyze --report none failed (${rc}): ${out} ${err}")
 endif()
 
+# An artifact path under a directory that does not exist is an error (exit
+# 1), not a directory tree silently created from a typo.
+execute_process(
+  COMMAND "${ANALYZE}" --data "${WORKDIR}/ds" --report none --quiet
+          --export-json "${WORKDIR}/missing/dir/x.json"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR EXISTS "${WORKDIR}/missing")
+  message(FATAL_ERROR "gpures-analyze --export-json into a missing directory: want exit 1 and nothing created, got ${rc}: ${err}")
+endif()
+
 # The scan backend is picked by CPUID alone: the removed selector flag is an
 # unknown argument, not silently ignored.
 execute_process(

@@ -157,6 +157,15 @@ int main(int argc, char** argv) {
 
   if (!csv_dir.empty()) {
     namespace fs = std::filesystem;
+    // The export directory is ours to create; artifact writes below never
+    // create directories.
+    std::error_code ec;
+    fs::create_directories(csv_dir, ec);
+    if (ec) {
+      log.error("analyze", "cannot create --export-csv directory",
+                {{"dir", csv_dir}, {"error", ec.message()}});
+      return 1;
+    }
     const auto write_csv = [&](const char* name, auto write, const auto& value) {
       std::ostringstream os;
       write(os, value);
