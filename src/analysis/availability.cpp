@@ -1,6 +1,7 @@
 #include "analysis/availability.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 
 namespace gpures::analysis {
@@ -50,8 +51,8 @@ void pair_host(const std::string& host, std::vector<LifecycleRecord>& recs,
 
 }  // namespace
 
-double AvailabilityStats::availability(double mttf_h) const {
-  if (mttf_h <= 0.0 || mttr_h < 0.0) return 1.0;
+double availability(double mttf_h, double mttr_h) {
+  if (!std::isfinite(mttf_h) || mttf_h <= 0.0 || mttr_h < 0.0) return 1.0;
   return mttf_h / (mttf_h + mttr_h);
 }
 

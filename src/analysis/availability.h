@@ -33,6 +33,11 @@ struct AvailabilityConfig {
   std::int32_t node_count = 106;
 };
 
+/// Steady-state availability MTTF / (MTTF + MTTR) (paper §V-C); 1.0 when
+/// the MTTF is not finite and positive (a window without errors never
+/// interrupts the node) or the MTTR is negative.
+double availability(double mttf_h, double mttr_h);
+
 struct AvailabilityStats {
   AvailabilityConfig cfg;
   std::vector<Unavailability> intervals;
@@ -43,8 +48,11 @@ struct AvailabilityStats {
   std::uint64_t unpaired_drains = 0;  ///< drains with no matching resume
   std::uint64_t unpaired_resumes = 0;
 
-  /// availability given an MTTF estimate (per-node MTBE in hours).
-  double availability(double mttf_h) const;
+  /// analysis::availability of an MTTF estimate (per-node MTBE in hours)
+  /// and this MTTR.
+  double availability(double mttf_h) const {
+    return analysis::availability(mttf_h, mttr_h);
+  }
   /// Downtime minutes per node per day implied by `availability`.
   static double downtime_minutes_per_day(double availability);
 };

@@ -2,21 +2,80 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <tuple>
 
+#include "analysis/job_stats.h"
 #include "common/stats.h"
 
 namespace gpures::analysis {
 
 namespace {
 
-void fill_period(PeriodStats& ps, std::uint64_t count, double hours,
-                 std::int32_t nodes) {
-  ps.count = count;
-  ps.mtbe_system_h = common::mtbe(hours, count);
-  ps.mtbe_per_node_h = ps.mtbe_system_h * static_cast<double>(nodes);
+bool by_gpu_then_code(const Outlier& a, const Outlier& b) {
+  return std::tie(a.gpu, a.code) < std::tie(b.gpu, b.code);
 }
 
 }  // namespace
+
+PeriodStats period_stats(std::uint64_t count, double hours,
+                         std::int32_t nodes) {
+  PeriodStats ps;
+  ps.count = count;
+  ps.mtbe_system_h = common::mtbe(hours, count);
+  ps.mtbe_per_node_h = ps.mtbe_system_h * static_cast<double>(nodes);
+  return ps;
+}
+
+ErrorTally tally_errors(std::span<const std::uint16_t> codes,
+                        std::span<const std::int32_t> gpus,
+                        std::optional<std::int32_t> node,
+                        const ErrorStatsConfig& cfg) {
+  const auto in_scope = [&](std::size_t i) {
+    return !node.has_value() || packed_node(gpus[i]) == *node;
+  };
+  ErrorTally t;
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    if (codes[i] < kTallySlots && in_scope(i)) ++t.count[codes[i]];
+  }
+  // The paper's aggregate counts the derived "uncorrectable ECC memory
+  // errors" row (RRE + RRF) as a row of its own on top of the RRE and RRF
+  // rows: its published totals (42,405 pre-op, 14,821 op) and the
+  // memory-category MTBE behind the 160x comparison only reconcile with that
+  // convention, so we follow it.
+  t.total_with_outliers = t.count[xid::to_number(xid::Code::kRowRemapEvent)] +
+                          t.count[xid::to_number(xid::Code::kRowRemapFailure)];
+  std::vector<std::int32_t> keys;
+  for (const auto& desc : xid::catalog()) {
+    const std::uint16_t c = xid::to_number(desc.code);
+    const std::uint64_t n = t.count[c];
+    if (n == 0) continue;
+    t.total_with_outliers += n;
+    if (n < cfg.outlier_min) continue;
+    keys.clear();
+    for (std::size_t i = 0; i < codes.size(); ++i) {
+      if (codes[i] == c && in_scope(i)) keys.push_back(gpus[i]);
+    }
+    std::sort(keys.begin(), keys.end());
+    for (std::size_t a = 0, b = 0; a < keys.size(); a = b) {
+      while (b < keys.size() && keys[b] == keys[a]) ++b;
+      Outlier o;
+      o.gpu = {packed_node(keys[a]), packed_slot(keys[a])};
+      o.code = desc.code;
+      o.count = b - a;
+      o.share = static_cast<double>(o.count) / static_cast<double>(n);
+      if (o.count >= cfg.outlier_min && o.share >= cfg.outlier_share) {
+        t.outliers.push_back(o);
+      }
+    }
+  }
+  std::sort(t.outliers.begin(), t.outliers.end(), by_gpu_then_code);
+  t.total = t.total_with_outliers;
+  if (cfg.exclude_outliers_from_totals) {
+    for (const auto& o : t.outliers) t.total -= o.count;
+  }
+  return t;
+}
 
 double ErrorStats::mtbe_degradation_fraction() const {
   const double pre = total.pre.mtbe_per_node_h;
@@ -59,132 +118,70 @@ ErrorStats compute_error_stats(const std::vector<CoalescedError>& errors,
   out.periods = periods;
   out.cfg = cfg;
 
-  const double pre_h = periods.pre.hours();
-  const double op_h = periods.op.hours();
-
-  struct Cell {
-    std::uint64_t pre = 0;
-    std::uint64_t op = 0;
-  };
-  std::map<xid::Code, Cell> per_code;
-  // (gpu, code) -> per-period counts, for outlier detection.
-  std::map<std::pair<std::uint64_t, xid::Code>, Cell> per_gpu_code;
-
+  // Each period's XID numbers and packed GPUs, in input order.
+  std::array<std::vector<std::uint16_t>, 2> codes;
+  std::array<std::vector<std::int32_t>, 2> gpus;
   for (const auto& e : errors) {
     const auto period = periods.which(e.time);
     if (!period) continue;
-    auto& cell = per_code[e.code];
-    auto& gcell = per_gpu_code[{xid::gpu_key(e.gpu), e.code}];
-    if (*period == PeriodId::kPreOp) {
-      ++cell.pre;
-      ++gcell.pre;
-      out.raw_lines_pre += e.raw_lines;
-    } else {
-      ++cell.op;
-      ++gcell.op;
-      out.raw_lines_op += e.raw_lines;
-    }
+    const bool op = *period == PeriodId::kOp;
+    codes[op].push_back(xid::to_number(e.code));
+    gpus[op].push_back(pack_gpu(e.gpu.node, e.gpu.slot));
+    (op ? out.raw_lines_op : out.raw_lines_pre) += e.raw_lines;
   }
+  ErrorTally pre = tally_errors(codes[0], gpus[0], std::nullopt, cfg);
+  ErrorTally op = tally_errors(codes[1], gpus[1], std::nullopt, cfg);
 
-  // ---- outlier detection ----
-  std::map<std::pair<xid::Code, int>, std::uint64_t> outlier_counts;
-  for (const auto& [key, gcell] : per_gpu_code) {
-    const auto& [gpu_key, code] = key;
-    const auto total_cell = per_code[code];
-    const auto check = [&](std::uint64_t gpu_count, std::uint64_t code_count,
-                           PeriodId period) {
-      if (code_count == 0 || gpu_count < cfg.outlier_min) return;
-      const double share = static_cast<double>(gpu_count) /
-                           static_cast<double>(code_count);
-      if (share < cfg.outlier_share) return;
-      Outlier o;
-      o.gpu = {static_cast<std::int32_t>(gpu_key >> 8),
-               static_cast<std::int32_t>(gpu_key & 0xff)};
-      o.code = code;
-      o.period = period;
-      o.count = gpu_count;
-      o.share = share;
-      out.outliers.push_back(o);
-      outlier_counts[{code, period == PeriodId::kPreOp ? 0 : 1}] += gpu_count;
-    };
-    check(gcell.pre, total_cell.pre, PeriodId::kPreOp);
-    check(gcell.op, total_cell.op, PeriodId::kOp);
-  }
+  const auto row = [&](xid::Code code, std::uint64_t pre_n,
+                       std::uint64_t op_n) {
+    CodeStats cs;
+    cs.code = code;
+    cs.pre = period_stats(pre_n, periods.pre.hours(), cfg.node_count);
+    cs.op = period_stats(op_n, periods.op.hours(), cfg.node_count);
+    return cs;
+  };
+  const auto n = [](const ErrorTally& t, xid::Code code) {
+    return t.count[xid::to_number(code)];
+  };
 
   // ---- per-code rows (paper Table I order) ----
   for (const xid::Code code : xid::report_order()) {
-    CodeStats cs;
-    cs.code = code;
-    const auto it = per_code.find(code);
-    const Cell cell = it == per_code.end() ? Cell{} : it->second;
-    fill_period(cs.pre, cell.pre, pre_h, cfg.node_count);
-    fill_period(cs.op, cell.op, op_h, cfg.node_count);
-    out.by_code.push_back(cs);
+    out.by_code.push_back(row(code, n(pre, code), n(op, code)));
   }
-
   // ---- derived "uncorrectable ECC" row: RRE + RRF ----
-  {
-    const auto rre = per_code.find(xid::Code::kRowRemapEvent);
-    const auto rrf = per_code.find(xid::Code::kRowRemapFailure);
-    const std::uint64_t pre = (rre != per_code.end() ? rre->second.pre : 0) +
-                              (rrf != per_code.end() ? rrf->second.pre : 0);
-    const std::uint64_t op = (rre != per_code.end() ? rre->second.op : 0) +
-                             (rrf != per_code.end() ? rrf->second.op : 0);
-    out.uncorrectable_ecc.code = xid::Code::kRowRemapEvent;
-    fill_period(out.uncorrectable_ecc.pre, pre, pre_h, cfg.node_count);
-    fill_period(out.uncorrectable_ecc.op, op, op_h, cfg.node_count);
-  }
+  constexpr auto kRre = xid::Code::kRowRemapEvent;
+  constexpr auto kRrf = xid::Code::kRowRemapFailure;
+  out.uncorrectable_ecc =
+      row(kRre, n(pre, kRre) + n(pre, kRrf), n(op, kRre) + n(op, kRrf));
 
-  // ---- rollups ----
-  // The paper's aggregate counts treat the derived "uncorrectable ECC
-  // memory errors" row (RRE + RRF) as a row of its own on top of the RRE and
-  // RRF rows — its published totals (42,405 pre-op, 14,821 op) and the
-  // memory-category MTBE behind the 160x comparison only reconcile with that
-  // convention, so we follow it.
-  std::map<xid::Category, Cell> cat_cells;
-  cat_cells[xid::Category::kMemory].pre += out.uncorrectable_ecc.pre.count;
-  cat_cells[xid::Category::kMemory].op += out.uncorrectable_ecc.op.count;
-  Cell non_mem;
-  Cell total{out.uncorrectable_ecc.pre.count, out.uncorrectable_ecc.op.count};
-  Cell total_excl = total;
-  for (const auto& [code, cell] : per_code) {
-    const auto desc = xid::describe(code);
-    if (!desc) continue;
-    auto& c = cat_cells[desc->category];
-    c.pre += cell.pre;
-    c.op += cell.op;
-    if (desc->category != xid::Category::kMemory) {
-      non_mem.pre += cell.pre;
-      non_mem.op += cell.op;
-    }
-    total.pre += cell.pre;
-    total.op += cell.op;
-
-    std::uint64_t excl_pre = cell.pre;
-    std::uint64_t excl_op = cell.op;
-    if (cfg.exclude_outliers_from_totals) {
-      const auto opre = outlier_counts.find({code, 0});
-      const auto oop = outlier_counts.find({code, 1});
-      if (opre != outlier_counts.end()) excl_pre -= std::min(excl_pre, opre->second);
-      if (oop != outlier_counts.end()) excl_op -= std::min(excl_op, oop->second);
-    }
-    total_excl.pre += excl_pre;
-    total_excl.op += excl_op;
+  // ---- rollups (their code is unused): a category appears once any of its
+  // codes has an error, and memory always carries the derived row ----
+  auto& mem = out.by_category[xid::Category::kMemory];
+  mem = out.uncorrectable_ecc;
+  for (const auto& desc : xid::catalog()) {
+    const std::uint16_t c = xid::to_number(desc.code);
+    if (pre.count[c] + op.count[c] == 0) continue;
+    auto& cat = out.by_category[desc.category];
+    cat.pre.count += pre.count[c];
+    cat.op.count += op.count[c];
   }
-  for (const auto& [cat, cell] : cat_cells) {
-    CodeStats cs;
-    cs.code = xid::Code::kMmuError;  // unused for rollups
-    fill_period(cs.pre, cell.pre, pre_h, cfg.node_count);
-    fill_period(cs.op, cell.op, op_h, cfg.node_count);
-    out.by_category[cat] = cs;
+  for (auto& [_, cs] : out.by_category) {
+    cs = row(xid::Code::kMmuError, cs.pre.count, cs.op.count);
   }
-  fill_period(out.non_memory.pre, non_mem.pre, pre_h, cfg.node_count);
-  fill_period(out.non_memory.op, non_mem.op, op_h, cfg.node_count);
-  fill_period(out.total.pre, total_excl.pre, pre_h, cfg.node_count);
-  fill_period(out.total.op, total_excl.op, op_h, cfg.node_count);
-  fill_period(out.total_with_outliers.pre, total.pre, pre_h, cfg.node_count);
-  fill_period(out.total_with_outliers.op, total.op, op_h, cfg.node_count);
+  // Every tracked row outside memory, the derived row being memory's.
+  out.non_memory = row(xid::Code::kMmuError,
+                       pre.total_with_outliers - mem.pre.count,
+                       op.total_with_outliers - mem.op.count);
+  out.total = row(xid::Code::kMmuError, pre.total, op.total);
+  out.total_with_outliers = row(xid::Code::kMmuError, pre.total_with_outliers,
+                                op.total_with_outliers);
 
+  // Outliers in (GPU, code) order, pre-op before op, then by count.
+  for (auto& o : pre.outliers) o.period = PeriodId::kPreOp;
+  for (auto& o : op.outliers) o.period = PeriodId::kOp;
+  std::merge(pre.outliers.begin(), pre.outliers.end(), op.outliers.begin(),
+             op.outliers.end(), std::back_inserter(out.outliers),
+             by_gpu_then_code);
   std::sort(out.outliers.begin(), out.outliers.end(),
             [](const Outlier& a, const Outlier& b) { return a.count > b.count; });
   return out;

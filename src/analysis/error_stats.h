@@ -1,12 +1,17 @@
 // Stage II statistics: error counts and mean time between errors (MTBE),
 // per XID family and per period, with category rollups and automatic
 // detection of single-GPU outliers (the paper excludes the one faulty GPU's
-// 38.9k uncontained errors from the aggregate pre-op MTBE).
+// 38.9k uncontained errors from the aggregate pre-op MTBE).  tally_errors
+// holds the outlier rule and the aggregate once, for batch and the index
+// query alike.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "analysis/coalesce.h"
@@ -21,6 +26,10 @@ struct PeriodStats {
   double mtbe_system_h = 0.0;   ///< observation hours / count (inf if 0)
   double mtbe_per_node_h = 0.0; ///< system MTBE x node count
 };
+
+/// The Table I cell for `count` errors over `hours` on `nodes` nodes.
+PeriodStats period_stats(std::uint64_t count, double hours,
+                         std::int32_t nodes);
 
 /// Table I row for one reported XID family.
 struct CodeStats {
@@ -50,6 +59,34 @@ struct ErrorStatsConfig {
   /// paper does for the pre-op faulty GPU.
   bool exclude_outliers_from_totals = true;
 };
+
+/// Slots of ErrorTally::count: every tracked XID number (xid::catalog())
+/// is below it.
+inline constexpr std::size_t kTallySlots = 128;
+static_assert(xid::to_number(xid::Code::kPmuCommunicationError) < kTallySlots,
+              "the largest tracked XID number must index the tally");
+
+/// One window's Stage II aggregate.  Untracked codes count nowhere.
+struct ErrorTally {
+  /// Errors per tracked XID number.
+  std::array<std::uint64_t, kTallySlots> count{};
+  /// GPUs with at least `outlier_min` errors of a code and at least
+  /// `outlier_share` of that code's count (both inclusive), in (GPU, code)
+  /// order.  `period` is left for the caller to set.
+  std::vector<Outlier> outliers;
+  /// Every tracked code's count, plus the derived RRE + RRF row once more.
+  std::uint64_t total_with_outliers = 0;
+  /// Less the outliers' errors when the config excludes them.
+  std::uint64_t total = 0;
+};
+
+/// Fold one window's errors, given as parallel columns of XID numbers and
+/// packed GPUs; with `node`, only that node's are in scope.  Only a code
+/// reaching `outlier_min` can hold an outlier, so only its GPUs are sorted.
+ErrorTally tally_errors(std::span<const std::uint16_t> codes,
+                        std::span<const std::int32_t> gpus,
+                        std::optional<std::int32_t> node,
+                        const ErrorStatsConfig& cfg);
 
 struct ErrorStats {
   StudyPeriods periods;

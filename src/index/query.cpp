@@ -1,10 +1,10 @@
 #include "index/query.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
-#include <cmath>
 
+#include "analysis/availability.h"
+#include "analysis/error_stats.h"
 #include "analysis/job_impact.h"
 #include "analysis/job_stats.h"
 #include "common/stats.h"
@@ -65,6 +65,11 @@ std::size_t owner_of(std::span<const std::uint64_t> offs, std::size_t from,
   return static_cast<std::size_t>(
       std::upper_bound(offs.begin() + from + 1, offs.begin() + top + 1, g) -
       offs.begin() - 1);
+}
+
+/// The nodes an MTBE is spread over: the predicate's one node, or all.
+std::int32_t nodes_in(const Predicate& p, const IndexMeta& meta) {
+  return p.node.has_value() ? 1 : static_cast<std::int32_t>(meta.node_count);
 }
 
 std::string key_of(std::string_view verb, const Predicate& p) {
@@ -224,11 +229,10 @@ CountResult QueryEngine::compute_count(const Predicate& p) const {
     if (want_code.has_value() && codes[i] != *want_code) continue;
     ++out.count;
   }
-  out.mtbe_system_h = common::mtbe(out.window_hours, out.count);
-  const double nodes =
-      p.node.has_value() ? 1.0
-                         : static_cast<double>(reader_.meta().node_count);
-  out.mtbe_per_node_h = out.mtbe_system_h * nodes;
+  const auto ps = analysis::period_stats(out.count, out.window_hours,
+                                        nodes_in(p, reader_.meta()));
+  out.mtbe_system_h = ps.mtbe_system_h;
+  out.mtbe_per_node_h = ps.mtbe_per_node_h;
   return out;
 }
 
@@ -322,59 +326,6 @@ analysis::JobImpact QueryEngine::compute_impact(const Predicate& p) const {
   return out;
 }
 
-double QueryEngine::aggregate_mtbe_per_node_h(const Predicate& p) const {
-  const auto times = reader_.err_time();
-  const auto gpus = reader_.err_gpu();
-  const auto codes = reader_.err_code();
-  const std::size_t lo = lower_idx(times, p.from);
-  const std::size_t hi = std::max(lo, lower_idx(times, p.to));
-  const auto in_scope = [&](std::size_t i) {
-    return !p.node.has_value() || analysis::packed_node(gpus[i]) == *p.node;
-  };
-
-  // compute_error_stats' aggregate with the window as the operational
-  // period, counted instead of rebuilt: every tracked code's window count,
-  // minus its outlier GPUs' errors, plus the derived RRE + RRF row once
-  // more.  Tracked codes are all below 128.
-  std::array<std::uint64_t, 128> count{};
-  for (std::size_t i = lo; i < hi; ++i) {
-    if (in_scope(i) && codes[i] < count.size()) ++count[codes[i]];
-  }
-  const auto& meta = reader_.meta();
-  std::uint64_t total =
-      count[xid::to_number(xid::Code::kRowRemapEvent)] +
-      count[xid::to_number(xid::Code::kRowRemapFailure)];
-  std::vector<std::int32_t> keys;
-  for (std::uint16_t c = 0; c < count.size(); ++c) {
-    if (count[c] == 0 || !xid::is_known(c)) continue;
-    std::uint64_t kept = count[c];
-    // A GPU needs outlier_min errors of the code to be its outlier, so only
-    // a code that reaches it needs per-GPU counts.
-    if (meta.exclude_outliers_from_totals && count[c] >= meta.outlier_min) {
-      keys.clear();
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (codes[i] == c && in_scope(i)) keys.push_back(gpus[i]);
-      }
-      std::sort(keys.begin(), keys.end());
-      std::uint64_t outliers = 0;
-      for (std::size_t a = 0, b = 0; a < keys.size(); a = b) {
-        while (b < keys.size() && keys[b] == keys[a]) ++b;
-        const std::uint64_t n = b - a;
-        if (n >= meta.outlier_min &&
-            static_cast<double>(n) / static_cast<double>(count[c]) >=
-                meta.outlier_share) {
-          outliers += n;
-        }
-      }
-      kept -= std::min(kept, outliers);
-    }
-    total += kept;
-  }
-  const double node_count =
-      p.node.has_value() ? 1.0 : static_cast<double>(meta.node_count);
-  return common::mtbe(common::to_hours(p.to - p.from), total) * node_count;
-}
-
 AvailabilityResult QueryEngine::compute_availability(const Predicate& p) const {
   AvailabilityResult out;
   const auto begins = reader_.unavail_begin();
@@ -397,15 +348,23 @@ AvailabilityResult QueryEngine::compute_availability(const Predicate& p) const {
 
   // MTTF: the aggregate per-node MTBE under the same node/time predicate
   // (the paper's conservative every-error-interrupts-the-node assumption; an
-  // XID filter deliberately does not narrow it).  "Aggregate" is the batch
-  // pipeline's total — outliers excluded, derived uncorrectable-ECC row
-  // double-counted — under the recorded outlier config.
-  out.mttf_h = aggregate_mtbe_per_node_h(p);
-  if (!std::isfinite(out.mttf_h) || out.mttf_h <= 0.0 || out.mttr_h < 0.0) {
-    out.availability = 1.0;
-  } else {
-    out.availability = out.mttf_h / (out.mttf_h + out.mttr_h);
-  }
+  // XID filter deliberately does not narrow it): Table I's total over the
+  // window's errors, under the recorded outlier config.
+  const auto& meta = reader_.meta();
+  const auto times = reader_.err_time();
+  const std::size_t err_lo = lower_idx(times, p.from);
+  const std::size_t err_n = std::max(err_lo, lower_idx(times, p.to)) - err_lo;
+  const auto tally = analysis::tally_errors(
+      reader_.err_code().subspan(err_lo, err_n),
+      reader_.err_gpu().subspan(err_lo, err_n), p.node,
+      {.outlier_share = meta.outlier_share,
+       .outlier_min = meta.outlier_min,
+       .exclude_outliers_from_totals = meta.exclude_outliers_from_totals});
+  out.mttf_h = analysis::period_stats(tally.total,
+                                      common::to_hours(p.to - p.from),
+                                      nodes_in(p, meta))
+                   .mtbe_per_node_h;
+  out.availability = analysis::availability(out.mttf_h, out.mttr_h);
   return out;
 }
 

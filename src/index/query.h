@@ -2,15 +2,16 @@
 // probability, and availability for arbitrary node / XID / time-window
 // predicates, without re-running the pipeline.
 //
-// Semantics are the batch pipeline's, re-executed over the mapped columns
-// with identical arithmetic — the differential suite
+// Semantics are the batch pipeline's: each answer folds the mapped columns
+// through the same analysis routine batch uses (analysis::period_stats,
+// ImpactTally, tally_errors, availability), and the differential suite
 // (tests/test_index_query_differential.cpp) holds every answer bit-equal to
 // the same statistic computed fresh from pipeline outputs:
 //
 //  * count/MTBE: coalesced errors with leader time in [from, to) matching
-//    the node/XID filters; MTBE = window_hours / count (+inf when clean),
-//    per-node MTBE = system MTBE x node count (x1 under a node predicate).
-//    An XID predicate is canonicalized through xid::merge_key, so --xid 120
+//    the node/XID filters; the MTBE pair is Table I's period_stats cell
+//    (+inf when clean) over all nodes, or one under a node predicate.  An
+//    XID predicate is canonicalized through xid::merge_key, so --xid 120
 //    counts the merged GSP family exactly like Table I does.
 //  * impact: compute_job_impact with period = [from, to), folded by
 //    analysis::ImpactTally.  At the recorded window and attribution the
@@ -23,13 +24,10 @@
 //    jobs allocated on that node participate.
 //  * availability: stored unavailability intervals with drain time in
 //    [from, to) (and on the node, if given); MTTR is their summarize() mean,
-//    MTTF is the aggregate per-node MTBE over the same node/time predicate —
-//    computed by compute_error_stats itself over errors rebuilt from the
-//    columns, with the recorded ErrorStatsConfig (outlier exclusion, derived
-//    uncorrectable-ECC row), so a [op.begin, op.end) query reproduces the
-//    batch mttf_estimate_h / Fig. 2 bitwise — and availability =
-//    MTTF / (MTTF + MTTR) with the pipeline's guards.  An XID filter
-//    deliberately does not narrow the MTTF.
+//    MTTF is Table I's aggregate per-node MTBE (tally_errors' total at the
+//    recorded outlier config) over the same node/time predicate, so a
+//    [op.begin, op.end) query reproduces the batch mttf_estimate_h and
+//    Fig. 2 bitwise.  An XID filter deliberately does not narrow the MTTF.
 //
 // Results are cached in a small LRU keyed by the full predicate; cached and
 // uncached answers are identical by construction (queries are pure functions
@@ -123,10 +121,6 @@ class QueryEngine {
   CountResult compute_count(const Predicate& p) const;
   analysis::JobImpact compute_impact(const Predicate& p) const;
   AvailabilityResult compute_availability(const Predicate& p) const;
-  /// Batch-total MTBE (compute_error_stats' aggregate, folded over the
-  /// window's columns) used as the availability MTTF; ignores any XID
-  /// filter on `p`.
-  double aggregate_mtbe_per_node_h(const Predicate& p) const;
 
   /// Look up `key`; on miss, compute() runs outside the lock (possibly
   /// concurrently with an identical miss — results are pure, so the race is

@@ -1,6 +1,9 @@
 // Stage III availability analysis (Fig. 2 + Section V-C machinery).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "analysis/availability.h"
 
 namespace an = gpures::analysis;
@@ -112,4 +115,20 @@ TEST(Availability, AvailabilityFormula) {
   EXPECT_NEAR(an::AvailabilityStats::downtime_minutes_per_day(0.9946), 7.8,
               0.2);
   EXPECT_DOUBLE_EQ(stats.availability(0.0), 1.0);  // degenerate guard
+}
+
+TEST(Availability, InfiniteMttfIsFullAvailability) {
+  // A period without tracked errors has MTBE +inf: inf / (inf + MTTR) would
+  // be NaN, but nothing interrupts the node.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  an::AvailabilityStats stats;
+  stats.mttr_h = 0.88;
+  EXPECT_EQ(stats.availability(kInf), 1.0);
+  EXPECT_EQ(an::availability(kInf, 0.88), 1.0);
+  EXPECT_EQ(an::availability(std::nan(""), 0.88), 1.0);
+  EXPECT_EQ(an::availability(162.0, -1.0), 1.0);
+  EXPECT_EQ(an::availability(162.0, 0.88), 162.0 / (162.0 + 0.88));
+  EXPECT_EQ(an::AvailabilityStats::downtime_minutes_per_day(
+                stats.availability(kInf)),
+            0.0);
 }

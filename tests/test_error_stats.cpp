@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "analysis/error_stats.h"
+#include "analysis/reports.h"
 
 namespace an = gpures::analysis;
 namespace ct = gpures::common;
@@ -136,6 +137,27 @@ TEST(ErrorStats, OutlierBelowThresholdNotFlagged) {
   EXPECT_EQ(stats.total.pre.count, 4u);
 }
 
+TEST(ErrorStats, OutlierThresholdsAreInclusive) {
+  // Two GPUs with exactly outlier_min (5) errors each and exactly
+  // outlier_share (0.5) of the family are both outliers; four errors are
+  // not.
+  std::vector<an::CoalescedError> errors;
+  for (int i = 0; i < 5; ++i) {
+    errors.push_back(err(1000 + i * 40, 7, 1, gx::Code::kUncontainedEccError));
+    errors.push_back(err(2000 + i * 40, 3, 0, gx::Code::kUncontainedEccError));
+  }
+  for (int i = 0; i < 4; ++i) {
+    errors.push_back(err(11 * ct::kDay + i * 40, 2, 2, gx::Code::kMmuError));
+  }
+  const auto stats = an::compute_error_stats(errors, periods(), config());
+  ASSERT_EQ(stats.outliers.size(), 2u);
+  EXPECT_EQ(stats.outliers[0].gpu, (gx::GpuId{3, 0}));
+  EXPECT_EQ(stats.outliers[1].gpu, (gx::GpuId{7, 1}));
+  EXPECT_EQ(stats.outliers[0].share, 0.5);
+  EXPECT_EQ(stats.total.pre.count, 0u);
+  EXPECT_EQ(stats.total.op.count, 4u);
+}
+
 TEST(ErrorStats, FindingsMath) {
   std::vector<an::CoalescedError> errors;
   // Pre: 2 GSP errors; op: 20 GSP errors -> per-node MTBE ratio:
@@ -174,4 +196,63 @@ TEST(ErrorStats, ReportOrderPreserved) {
   for (std::size_t i = 0; i < stats.by_code.size(); ++i) {
     EXPECT_EQ(stats.by_code[i].code, gx::report_order()[i]);
   }
+}
+
+TEST(ErrorStats, TiedOutliersListInGpuThenCodeOrder) {
+  // Three outliers: 12 GSP errors on GPU (4, 0) pre-op, then two tied at 8
+  // -- MMU on GPU (2, 1) in op and XID 95 on GPU (6, 2) pre-op.  Ties list
+  // in (GPU, code) order across both periods, so the op outlier on the
+  // lower GPU comes first.  The text is pinned as the map-based tally
+  // printed it.
+  std::vector<an::CoalescedError> errors;
+  for (int i = 0; i < 8; ++i) {
+    errors.push_back(
+        err(ct::kHour + i * 600, 6, 2, gx::Code::kUncontainedEccError));
+    errors.push_back(err(12 * ct::kDay + i * 600, 2, 1, gx::Code::kMmuError));
+  }
+  for (int i = 0; i < 12; ++i) {
+    errors.push_back(
+        err(2 * ct::kDay + i * 600, 4, 0, gx::Code::kGspRpcTimeout));
+  }
+  errors.push_back(err(3 * ct::kDay, 1, 0, gx::Code::kUncontainedEccError));
+  errors.push_back(err(4 * ct::kDay, 9, 3, gx::Code::kUncontainedEccError));
+  for (int i = 0; i < 3; ++i) {
+    errors.push_back(err((13 + i) * ct::kDay, 7, i, gx::Code::kMmuError));
+  }
+  const auto stats = an::compute_error_stats(errors, periods(), config());
+  ASSERT_EQ(stats.outliers.size(), 3u);
+  EXPECT_EQ(an::render_findings(stats),
+            R"(Per-node MTBE: pre-op 1200 h -> op 1600 h (-33% degradation; paper: 199 h -> 154 h, 23%)
+Memory vs GPU-hardware per-node MTBE ratio (op): 0x (paper: ~160x; inf h vs 436 h)
+GSP per-node MTBE degradation pre->op: 0.0x (paper: 5.6x)
+Coalescing: 44 raw pre-op lines -> 22 errors (x2.0); 22 raw op lines -> 11 errors (x2.0)
+Outlier: GPU (node 4, slot 0) produced 12 XID 119/120 GSP Err. errors (100% of the family) in the pre-operational period
+Outlier: GPU (node 2, slot 1) produced 8 XID 31 MMU Err. errors (73% of the family) in the operational period
+Outlier: GPU (node 6, slot 2) produced 8 XID 95 Uncontained errors (80% of the family) in the pre-operational period
+)");
+  EXPECT_EQ(an::render_table1(stats),
+            R"(+-----------------------------+--------------+--------------+----------+-----------------+------------------+----------------+-----------------+
+| Event                       | Category     | Pre-op count | Op count | Pre sys MTBE(h) | Pre node MTBE(h) | Op sys MTBE(h) | Op node MTBE(h) |
++-----------------------------+--------------+--------------+----------+-----------------+------------------+----------------+-----------------+
+| XID 31 MMU Err.             | Hardware     |            0 |       11 |               - |                - |             44 |             436 |
+| XID 48 DBE                  | Memory       |            0 |        0 |               - |                - |              - |               - |
+| XID 63 RRE                  | Memory       |            0 |        0 |               - |                - |              - |               - |
+| XID 64 RRF                  | Memory       |            0 |        0 |               - |                - |              - |               - |
+| XID 74 NVLink Err.          | Interconnect |            0 |        0 |               - |                - |              - |               - |
+| XID 79 Off-Bus              | Hardware     |            0 |        0 |               - |                - |              - |               - |
+| XID 94 Contained            | Memory       |            0 |        0 |               - |                - |              - |               - |
+| XID 95 Uncontained          | Memory       |           10 |        0 |              24 |              240 |              - |               - |
+| XID 119/120 GSP Err.        | Hardware     |           12 |        0 |              20 |              200 |              - |               - |
+| XID 122/123 PMU SPI Err.    | Hardware     |            0 |        0 |               - |                - |              - |               - |
++-----------------------------+--------------+--------------+----------+-----------------+------------------+----------------+-----------------+
+| Uncorrectable ECC (RRE+RRF) | Memory       |            0 |        0 |               - |                - |              - |               - |
++-----------------------------+--------------+--------------+----------+-----------------+------------------+----------------+-----------------+
+| All Hardware                | Hardware     |           12 |       11 |              20 |              200 |             44 |             436 |
+| All Memory                  | Memory       |           10 |        0 |              24 |              240 |              - |               - |
+| All non-memory (HW+NVLink)  | -            |           12 |       11 |              20 |              200 |             44 |             436 |
++-----------------------------+--------------+--------------+----------+-----------------+------------------+----------------+-----------------+
+| TOTAL (outliers excluded)   | -            |            2 |        3 |             120 |            1,200 |            160 |           1,600 |
+| TOTAL (incl. outliers)      | -            |           22 |       11 |              11 |              109 |             44 |             436 |
++-----------------------------+--------------+--------------+----------+-----------------+------------------+----------------+-----------------+
+)");
 }

@@ -711,3 +711,84 @@ TEST(QueryAvailability, OutlierThresholdsAreInclusiveLikeErrorStats) {
   EXPECT_GT(outlier_windows, 4u);
   fs::remove_all(path);
 }
+
+TEST(QueryAvailability, NodePredicateOnTheOutlierGpusNodeMatchesBatch) {
+  // A node predicate that selects the faulty GPU's node: the query's MTTF
+  // must still drop that GPU's errors exactly as compute_error_stats does
+  // over the node's errors, and its counts match Table I's rows.
+  const gpures::cluster::Topology topo(
+      gpures::cluster::ClusterSpec::small(4, 0));
+  const auto t0 = ct::make_date(2023, 3, 1);
+  std::vector<an::CoalescedError> errors;
+  const auto add = [&](std::int64_t minute, gx::GpuId gpu, gx::Code code) {
+    an::CoalescedError e;
+    e.time = t0 + minute * 60;
+    e.last = e.time;
+    e.gpu = gpu;
+    e.code = code;
+    e.raw_xid = gx::to_number(code);
+    errors.push_back(e);
+  };
+  for (int i = 0; i < 30; ++i) {
+    add(100 + 7 * i, {2, 1}, gx::Code::kUncontainedEccError);
+  }
+  for (int i = 0; i < 3; ++i) {
+    add(500 + 40 * i, {2, 0}, gx::Code::kUncontainedEccError);
+    add(900 + 40 * i, {0, 3}, gx::Code::kUncontainedEccError);
+    add(1300 + 40 * i, {2, 3}, gx::Code::kMmuError);
+  }
+  add(2000, {2, 2}, gx::Code::kRowRemapEvent);
+  std::sort(errors.begin(), errors.end(),
+            [](const auto& a, const auto& b) { return a.time < b.time; });
+
+  const an::JobTable jobs;
+  const std::vector<an::Unavailability> unavail;
+  ix::IndexBuildInput in;
+  in.periods = an::StudyPeriods::make(t0, t0 + ct::kHour, t0 + 10 * ct::kDay);
+  in.outlier_share = 0.5;
+  in.outlier_min = 10;
+  in.topo = &topo;
+  in.errors = &errors;
+  in.jobs = &jobs;
+  in.unavailability = &unavail;
+  const auto path = fs::temp_directory_path() /
+                    ("gpures_avail_outlier_node." + std::to_string(::getpid()));
+  ASSERT_TRUE(ix::write_index(in, path.string()).ok());
+  auto reader = ix::IndexReader::open(path.string());
+  ASSERT_TRUE(reader.ok()) << reader.error().message;
+  ix::QueryEngine engine(reader.value());
+
+  for (const std::optional<std::int32_t> node :
+       {std::optional<std::int32_t>(2), std::optional<std::int32_t>()}) {
+    ix::Predicate p = engine.whole_period();
+    p.node = node;
+    std::vector<an::CoalescedError> window;
+    for (const auto& e : errors) {
+      if (!node.has_value() || e.gpu.node == *node) window.push_back(e);
+    }
+    an::StudyPeriods periods;
+    periods.pre = {p.from, p.from};
+    periods.op = {p.from, p.to};
+    an::ErrorStatsConfig cfg;
+    cfg.node_count = node.has_value() ? 1 : topo.node_count();
+    cfg.outlier_share = in.outlier_share;
+    cfg.outlier_min = in.outlier_min;
+    const auto stats = an::compute_error_stats(window, periods, cfg);
+    ASSERT_EQ(stats.outliers.size(), 1u);
+    EXPECT_EQ(stats.outliers[0].gpu, (gx::GpuId{2, 1}));
+    EXPECT_LT(stats.total.op.count, stats.total_with_outliers.op.count);
+
+    const auto got = engine.availability(p);
+    EXPECT_EQ(got.mttf_h, stats.total.op.mtbe_per_node_h)
+        << "node " << (node ? std::to_string(*node) : "-");
+    EXPECT_EQ(got.availability, 1.0);  // no unavailability intervals
+    for (const gx::Code code :
+         {gx::Code::kUncontainedEccError, gx::Code::kMmuError}) {
+      p.xid = gx::to_number(code);
+      const auto count = engine.count(p);
+      EXPECT_EQ(count.count, stats.find(code)->op.count);
+      EXPECT_EQ(count.mtbe_per_node_h, stats.find(code)->op.mtbe_per_node_h);
+    }
+  }
+  fs::remove_all(path);
+}

@@ -1,6 +1,8 @@
 // Report renderers: structure and content of the printed tables.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "analysis/reports.h"
 
 namespace an = gpures::analysis;
@@ -133,4 +135,25 @@ TEST(Reports, Fig2RendersHistogramAndAvailability) {
   EXPECT_NE(out.find("#"), std::string::npos);  // histogram bars
   EXPECT_NE(out.find("ECDF"), std::string::npos);
   EXPECT_NE(out.find("availability 99."), std::string::npos);
+}
+
+TEST(Reports, Fig2WithInfiniteMttfPrintsFullAvailability) {
+  // An op period without tracked errors has an infinite MTBE: nothing
+  // interrupts the node, so availability is 100% and downtime 0, not NaN.
+  an::AvailabilityStats stats;
+  an::Unavailability u;
+  u.host = "n0";
+  u.begin = 0;
+  u.end = 3168;  // 0.88 h
+  stats.intervals.push_back(u);
+  const std::vector<double> hours = {u.hours()};
+  stats.duration_hours = ct::summarize(hours);
+  stats.mttr_h = stats.duration_hours.mean;
+  stats.ecdf = ct::make_ecdf(hours, 20);
+
+  const auto out =
+      an::render_fig2(stats, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(out.find("nan"), std::string::npos) << out;
+  EXPECT_NE(out.find("availability 100.0000%"), std::string::npos) << out;
+  EXPECT_NE(out.find("downtime 0.0 min/node/day"), std::string::npos) << out;
 }

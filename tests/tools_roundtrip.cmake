@@ -56,14 +56,27 @@ if(NOT rc EQUAL 0 OR NOT out STREQUAL "")
   message(FATAL_ERROR "gpures-analyze --report none failed (${rc}): ${out} ${err}")
 endif()
 
-# An artifact path under a directory that does not exist is an error (exit
-# 1), not a directory tree silently created from a typo.
+# An artifact path under a directory that does not exist is a usage error
+# (exit 2, naming the path) caught before any work starts, not a directory
+# tree silently created from a typo, nor a full run lost at its last write.
 execute_process(
-  COMMAND "${ANALYZE}" --data "${WORKDIR}/ds" --report none --quiet
+  COMMAND "${ANALYZE}" --data "${WORKDIR}/ds" --quiet
+          --export-csv "${WORKDIR}/csv_unwritten"
           --export-json "${WORKDIR}/missing/dir/x.json"
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL 1 OR EXISTS "${WORKDIR}/missing")
-  message(FATAL_ERROR "gpures-analyze --export-json into a missing directory: want exit 1 and nothing created, got ${rc}: ${err}")
+string(FIND "${err}" "${WORKDIR}/missing/dir/x.json" pos)
+if(NOT rc EQUAL 2 OR pos EQUAL -1 OR NOT out STREQUAL ""
+   OR EXISTS "${WORKDIR}/missing" OR EXISTS "${WORKDIR}/csv_unwritten")
+  message(FATAL_ERROR "gpures-analyze --export-json into a missing directory: want exit 2 naming the path and nothing written, got ${rc}: ${err}")
+endif()
+execute_process(
+  COMMAND "${SIMULATE}" --out "${WORKDIR}/ds_unwritten" --quick --seed 3
+          --scale 0.2 --quiet --metrics "${WORKDIR}/missing/dir/m.json"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+string(FIND "${err}" "${WORKDIR}/missing/dir/m.json" pos)
+if(NOT rc EQUAL 2 OR pos EQUAL -1 OR EXISTS "${WORKDIR}/ds_unwritten"
+   OR EXISTS "${WORKDIR}/missing")
+  message(FATAL_ERROR "gpures-simulate --metrics into a missing directory: want exit 2 naming the path and no dataset written, got ${rc}: ${err}")
 endif()
 
 # The scan backend is picked by CPUID alone: the removed selector flag is an

@@ -151,6 +151,20 @@ Flag required(std::string name, std::string meta, std::string& target,
   return flag;
 }
 
+Flag output(std::string name, std::string meta, std::string& target,
+            std::string help) {
+  return {std::move(name), std::move(meta), std::move(help),
+          [&target](Args& a) {
+            target = a.value();
+            const auto dir = std::filesystem::path(target).parent_path();
+            std::error_code ec;
+            if (!dir.empty() && !std::filesystem::is_directory(dir, ec)) {
+              a.fail(a.flag() + " " + target + ": no directory " +
+                     dir.string());
+            }
+          }};
+}
+
 Flag number(std::string name, std::string meta, double& target,
             std::string help) {
   return {std::move(name), std::move(meta), std::move(help),
@@ -198,14 +212,14 @@ Flag report(EmitRequest& e) {
 }
 
 Flag write_index(EmitRequest& e) {
-  return text("--write-index", "FILE", e.index_file,
-              "write the binary error index (gpures.idx) for gpures-query; "
-              "deterministic across --threads");
+  return output("--write-index", "FILE", e.index_file,
+                "write the binary error index (gpures.idx) for gpures-query; "
+                "deterministic across --threads");
 }
 
 Flag export_json(EmitRequest& e) {
-  return text("--export-json", "FILE", e.json_file,
-              "write everything as one JSON document");
+  return output("--export-json", "FILE", e.json_file,
+                "write everything as one JSON document");
 }
 
 Flag ingest_policy(analysis::IngestPolicy& p) {
@@ -228,8 +242,8 @@ Flag error_budget(std::uint64_t& n) {
 }
 
 Flag quality_report(std::string& file) {
-  return text("--quality-report", "FILE", file,
-              "write the data-quality accounting as JSON");
+  return output("--quality-report", "FILE", file,
+                "write the data-quality accounting as JSON");
 }
 
 Flag chaos_io_fault(std::optional<common::IoFaultPlan>& plan) {
@@ -247,19 +261,19 @@ Flag chaos_io_fault(std::optional<common::IoFaultPlan>& plan) {
 }
 
 Flag metrics(std::string& file) {
-  return text("--metrics", "FILE", file,
-              "write the metrics registry snapshot; a .prom suffix selects "
-              "Prometheus text exposition instead of JSON");
+  return output("--metrics", "FILE", file,
+                "write the metrics registry snapshot; a .prom suffix selects "
+                "Prometheus text exposition instead of JSON");
 }
 
 Flag trace(std::string& file) {
-  return text("--trace", "FILE", file,
-              "write a Chrome Trace Event JSON timeline");
+  return output("--trace", "FILE", file,
+                "write a Chrome Trace Event JSON timeline");
 }
 
 Flag log_json(LogFlags& log) {
-  return text("--log-json", "FILE", log.json_file,
-              "mirror log records to FILE as JSONL");
+  return output("--log-json", "FILE", log.json_file,
+                "mirror log records to FILE as JSONL");
 }
 
 Flag log_level(LogFlags& log) {

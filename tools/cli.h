@@ -87,6 +87,10 @@ Flag text(std::string name, std::string meta, std::string& target,
 /// A string value the tool cannot run without.
 Flag required(std::string name, std::string meta, std::string& target,
               std::string help);
+/// A file the tool writes.  Artifact writes never create directories, so
+/// a missing one exits 2 while parsing, before the tool does any work.
+Flag output(std::string name, std::string meta, std::string& target,
+            std::string help);
 /// A finite non-negative number.
 Flag number(std::string name, std::string meta, double& target,
             std::string help);

@@ -63,8 +63,8 @@ int main(int argc, char** argv) {
                 "write table1..3 + fig2 CSV files (plus a run_manifest.json "
                 "provenance record)"),
       cli::shared::export_json(emit),
-      cli::text("--report-md", "FILE", md_file,
-                "write a self-contained markdown report"),
+      cli::output("--report-md", "FILE", md_file,
+                  "write a self-contained markdown report"),
       cli::shared::coalesce_window(pcfg),
       cli::shared::window(pcfg),
       cli::shared::node_level(pcfg),
@@ -72,9 +72,9 @@ int main(int argc, char** argv) {
       cli::shared::write_index(emit),
       cli::shared::metrics(run.metrics_file),
       cli::shared::trace(run.trace_file),
-      cli::text("--telemetry", "FILE", run.telemetry_file,
-                "sample metrics + process stats to JSONL while the run is in "
-                "flight"),
+      cli::output("--telemetry", "FILE", run.telemetry_file,
+                  "sample metrics + process stats to JSONL while the run is "
+                  "in flight"),
       cli::count("--telemetry-interval-ms", "N", run.telemetry_interval_ms,
                  "sampling interval (default 1000)", 1),
       cli::shared::log_json(run.log),

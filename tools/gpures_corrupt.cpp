@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
       cli::count("--seed", "N", seed, "corruption seed (default 1)"),
       cli::text("--faults", "SPEC", faults,
                 "comma-separated fault[:count] list, or 'all' (default all)"),
-      cli::text("--ledger", "FILE", ledger_file,
-                "also write the corruption ledger JSON here"),
+      cli::output("--ledger", "FILE", ledger_file,
+                  "also write the corruption ledger JSON here"),
       // Recorded as the ledger's I/O fault plan.  Transient kinds are
       // absorbed by a retrying reader (gpures-serve) but fail a single-shot
       // batch read.

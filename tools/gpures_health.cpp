@@ -813,8 +813,8 @@ int main(int argc, char** argv) {
            a.fail("--format wants md or json");
          }
        }},
-      cli::text("--out", "FILE", out_file,
-                "write the report here instead of stdout"),
+      cli::output("--out", "FILE", out_file,
+                  "write the report here instead of stdout"),
   });
 
   Report report;

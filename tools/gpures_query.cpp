@@ -56,12 +56,16 @@ const char* family_abbrev(xid::Code code) {
   return d.has_value() ? d->abbrev.data() : "?";
 }
 
+/// The verbs --report asked for, answered.
+struct Answers {
+  std::optional<index::CountResult> count;
+  std::optional<analysis::JobImpact> impact;
+  std::optional<index::AvailabilityResult> avail;
+};
+
 void render_md(const index::QueryEngine& eng, const index::Predicate& p,
-               const index::IndexReader& reader, bool want_count,
-               bool want_impact, bool want_avail,
-               const index::CountResult* count,
-               const analysis::JobImpact* impact,
-               const index::AvailabilityResult* avail) {
+               const index::IndexReader& reader, const Answers& a) {
+  const auto& [count, impact, avail] = a;
   std::printf("# gpures-query\n\n");
   std::printf("- index: %s\n", reader.path().c_str());
   std::printf("- window: %s .. %s (%.2f h)\n",
@@ -69,16 +73,14 @@ void render_md(const index::QueryEngine& eng, const index::Predicate& p,
               common::format_iso(p.to).c_str(),
               common::to_hours(p.to - p.from));
   if (p.node.has_value()) {
-    std::printf("- node: %s\n",
-                std::string(reader.node_name(
-                                static_cast<std::uint32_t>(*p.node)))
-                    .c_str());
+    const auto name = reader.node_name(static_cast<std::uint32_t>(*p.node));
+    std::printf("- node: %.*s\n", static_cast<int>(name.size()), name.data());
   }
   if (p.xid.has_value()) std::printf("- xid: %u\n", unsigned{*p.xid});
   std::printf("- attribution: %s, window %llds\n",
               eng.node_level() ? "node" : "device",
               static_cast<long long>(eng.effective_window()));
-  if (want_count && count != nullptr) {
+  if (count) {
     std::printf("\n## Errors\n\n");
     std::printf("| errors | MTBE system (h) | MTBE per node (h) |\n");
     std::printf("|---|---|---|\n");
@@ -87,7 +89,7 @@ void render_md(const index::QueryEngine& eng, const index::Predicate& p,
                 fmt_or_dash(count->mtbe_system_h).c_str(),
                 fmt_or_dash(count->mtbe_per_node_h).c_str());
   }
-  if (want_impact && impact != nullptr) {
+  if (impact) {
     std::printf("\n## Job impact\n\n");
     std::printf("jobs analyzed: %llu, failed (any cause): %llu, "
                 "GPU-failed: %llu\n\n",
@@ -105,7 +107,7 @@ void render_md(const index::QueryEngine& eng, const index::Predicate& p,
                   fmt_or_dash(r.ci.lo).c_str(), fmt_or_dash(r.ci.hi).c_str());
     }
   }
-  if (want_avail && avail != nullptr) {
+  if (avail) {
     std::printf("\n## Availability\n\n");
     std::printf(
         "| intervals | node-hours lost | MTTR (h) | MTTF (h) | availability "
@@ -119,17 +121,15 @@ void render_md(const index::QueryEngine& eng, const index::Predicate& p,
   }
 }
 
-void render_csv(bool want_count, bool want_impact, bool want_avail,
-                const index::CountResult* count,
-                const analysis::JobImpact* impact,
-                const index::AvailabilityResult* avail) {
+void render_csv(const Answers& a) {
+  const auto& [count, impact, avail] = a;
   const auto num = [](double v) {
     if (!std::isfinite(v)) return std::string();
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.10g", v);
     return std::string(buf);
   };
-  if (want_count && count != nullptr) {
+  if (count) {
     std::printf("report,count,window_hours,mtbe_system_h,mtbe_per_node_h\n");
     std::printf("count,%llu,%s,%s,%s\n",
                 static_cast<unsigned long long>(count->count),
@@ -137,7 +137,7 @@ void render_csv(bool want_count, bool want_impact, bool want_avail,
                 num(count->mtbe_system_h).c_str(),
                 num(count->mtbe_per_node_h).c_str());
   }
-  if (want_impact && impact != nullptr) {
+  if (impact) {
     std::printf(
         "report,xid,encountering_jobs,failed_jobs,failure_probability,ci_lo,"
         "ci_hi\n");
@@ -150,7 +150,7 @@ void render_csv(bool want_count, bool want_impact, bool want_avail,
                   num(r.ci.hi).c_str());
     }
   }
-  if (want_avail && avail != nullptr) {
+  if (avail) {
     std::printf(
         "report,intervals,hours_lost,mttr_h,mttf_h,availability\n");
     std::printf("availability,%llu,%s,%s,%s,%s\n",
@@ -161,13 +161,12 @@ void render_csv(bool want_count, bool want_impact, bool want_avail,
 }
 
 void render_json(const index::QueryEngine& eng, const index::Predicate& p,
-                 const index::IndexReader& reader, bool want_count,
-                 bool want_impact, bool want_avail,
-                 const index::CountResult* count,
-                 const analysis::JobImpact* impact,
-                 const index::AvailabilityResult* avail) {
+                 const index::IndexReader& reader, const Answers& a) {
+  const auto& [count, impact, avail] = a;
   common::JsonWriter w;
-  const auto fin = [&w](double v) {
+  // A non-finite value (a clean window's MTBE) is null.
+  const auto fin = [&w](std::string_view key, double v) {
+    w.key(key);
     std::isfinite(v) ? w.value(v) : w.null();
   };
   w.begin_object();
@@ -177,34 +176,24 @@ void render_json(const index::QueryEngine& eng, const index::Predicate& p,
   w.kv("from", common::format_iso(p.from));
   w.kv("to", common::format_iso(p.to));
   w.key("node");
-  if (p.node.has_value()) {
-    w.value(std::string_view(
-        reader.node_name(static_cast<std::uint32_t>(*p.node))));
-  } else {
-    w.null();
-  }
+  p.node ? w.value(reader.node_name(static_cast<std::uint32_t>(*p.node)))
+         : w.null();
   w.key("xid");
-  if (p.xid.has_value()) {
-    w.value(std::uint64_t{*p.xid});
-  } else {
-    w.null();
-  }
+  p.xid ? w.value(std::uint64_t{*p.xid}) : w.null();
   w.kv("attribution", eng.node_level() ? "node" : "device");
   w.kv("attribution_window_s",
        static_cast<std::int64_t>(eng.effective_window()));
   w.end_object();
-  if (want_count && count != nullptr) {
+  if (count) {
     w.key("count");
     w.begin_object();
     w.kv("errors", count->count);
     w.kv("window_hours", count->window_hours);
-    w.key("mtbe_system_h");
-    fin(count->mtbe_system_h);
-    w.key("mtbe_per_node_h");
-    fin(count->mtbe_per_node_h);
+    fin("mtbe_system_h", count->mtbe_system_h);
+    fin("mtbe_per_node_h", count->mtbe_per_node_h);
     w.end_object();
   }
-  if (want_impact && impact != nullptr) {
+  if (impact) {
     w.key("impact");
     w.begin_object();
     w.kv("jobs_analyzed", impact->jobs_analyzed);
@@ -225,17 +214,14 @@ void render_json(const index::QueryEngine& eng, const index::Predicate& p,
     w.end_array();
     w.end_object();
   }
-  if (want_avail && avail != nullptr) {
+  if (avail) {
     w.key("availability");
     w.begin_object();
     w.kv("intervals", avail->intervals);
     w.kv("hours_lost", avail->hours_lost);
-    w.key("mttr_h");
-    fin(avail->mttr_h);
-    w.key("mttf_h");
-    fin(avail->mttf_h);
-    w.key("availability");
-    fin(avail->availability);
+    fin("mttr_h", avail->mttr_h);
+    fin("mttf_h", avail->mttf_h);
+    fin("availability", avail->availability);
     w.end_object();
   }
   w.end_object();
@@ -296,10 +282,6 @@ int main(int argc, char** argv) {
       cli::shared::log_level(run.log),
       cli::toggle("--info", info, true, "print artifact metadata and exit"),
   });
-  const bool want_count = report == "all" || report == "count";
-  const bool want_impact = report == "all" || report == "impact";
-  const bool want_avail = report == "all" || report == "availability";
-
   if (!run.start()) return 1;
 
   auto opened = index::IndexReader::open(index_file);
@@ -353,21 +335,20 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  index::CountResult count;
-  analysis::JobImpact impact;
-  index::AvailabilityResult avail;
-  if (want_count) count = engine.count(pred);
-  if (want_impact) impact = engine.impact(pred);
-  if (want_avail) avail = engine.availability(pred);
+  const auto wants = [&](std::string_view verb) {
+    return report == "all" || report == verb;
+  };
+  Answers answers;
+  if (wants("count")) answers.count = engine.count(pred);
+  if (wants("impact")) answers.impact = engine.impact(pred);
+  if (wants("availability")) answers.avail = engine.availability(pred);
 
   if (format == "md") {
-    render_md(engine, pred, reader, want_count, want_impact, want_avail,
-              &count, &impact, &avail);
+    render_md(engine, pred, reader, answers);
   } else if (format == "csv") {
-    render_csv(want_count, want_impact, want_avail, &count, &impact, &avail);
+    render_csv(answers);
   } else {
-    render_json(engine, pred, reader, want_count, want_impact, want_avail,
-                &count, &impact, &avail);
+    render_json(engine, pred, reader, answers);
   }
 
   return run.finish() ? 0 : 1;
