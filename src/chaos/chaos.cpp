@@ -1,7 +1,6 @@
 #include "chaos/chaos.h"
 
 #include <algorithm>
-#include <fstream>
 
 #include "analysis/dataset.h"
 #include "common/io.h"
@@ -175,32 +174,10 @@ std::string CorruptionLedger::to_json() const {
 }
 
 common::Status CorruptionLedger::write(const fs::path& path) const {
-  std::ofstream os(path, std::ios::trunc | std::ios::binary);
-  if (!os) {
-    return common::Error::make("chaos: cannot write ledger " + path.string());
-  }
-  os << to_json() << '\n';
-  os.flush();
-  if (!os) {
-    return common::Error::make("chaos: ledger write failed: " + path.string());
-  }
-  return {};
+  return common::write_text_file(path.string(), to_json() + '\n');
 }
 
 namespace {
-
-common::Status write_file(const fs::path& path, std::string_view text) {
-  std::ofstream os(path, std::ios::trunc | std::ios::binary);
-  if (!os) {
-    return common::Error::make("chaos: cannot write " + path.string());
-  }
-  os.write(text.data(), static_cast<std::streamsize>(text.size()));
-  os.flush();
-  if (!os) {
-    return common::Error::make("chaos: write failed on " + path.string());
-  }
-  return {};
-}
 
 /// Split into lines without terminators, dropping trailing empties (day
 /// files never legitimately end in blank lines).
@@ -385,7 +362,7 @@ common::Result<CorruptionLedger> corrupt_dataset(const fs::path& src,
     const auto dst_path = dst / "syslog" / name;
     const DayAction& act = actions[i];
     if (!act.active) {
-      auto st = write_file(dst_path, text.value());
+      auto st = common::write_text_file(dst_path.string(), text.value());
       if (!st.ok()) return st.error();
       continue;
     }
@@ -396,14 +373,14 @@ common::Result<CorruptionLedger> corrupt_dataset(const fs::path& src,
         note(act.fault, name, 1);
         continue;  // nothing written
       case Fault::kZeroByte: {
-        auto st = write_file(dst_path, "");
+        auto st = common::write_text_file(dst_path.string(), "");
         if (!st.ok()) return st.error();
         ledger.expect_zero_byte_days += 1;
         note(act.fault, name, 1);
         continue;
       }
       case Fault::kIoFault: {
-        auto st = write_file(dst_path, text.value());
+        auto st = common::write_text_file(dst_path.string(), text.value());
         if (!st.ok()) return st.error();
         ledger.io_fault_path = name;
         ledger.io_fault_after_bytes =
@@ -474,7 +451,8 @@ common::Result<CorruptionLedger> corrupt_dataset(const fs::path& src,
         break;
     }
     if (applied > 0) note(act.fault, name, applied);
-    auto st = write_file(dst_path, join_lines(lines, final_newline));
+    auto st = common::write_text_file(dst_path.string(),
+                                      join_lines(lines, final_newline));
     if (!st.ok()) return st.error();
   }
 
@@ -483,7 +461,8 @@ common::Result<CorruptionLedger> corrupt_dataset(const fs::path& src,
     if (!text.ok()) {
       return common::Error::make("chaos: " + text.error().message);
     }
-    auto st = write_file(dst / "syslog" / stray.filename(), text.value());
+    auto st = common::write_text_file(
+        (dst / "syslog" / stray.filename()).string(), text.value());
     if (!st.ok()) return st.error();
   }
 
@@ -491,7 +470,8 @@ common::Result<CorruptionLedger> corrupt_dataset(const fs::path& src,
   // own negative tests; the corrupter's matrix targets the bulk data).
   if (auto manifest = common::read_file((src / "manifest.txt").string());
       manifest.ok()) {
-    auto st = write_file(dst / "manifest.txt", manifest.value());
+    auto st = common::write_text_file((dst / "manifest.txt").string(),
+                                      manifest.value());
     if (!st.ok()) return st.error();
   }
 
@@ -502,7 +482,8 @@ common::Result<CorruptionLedger> corrupt_dataset(const fs::path& src,
   } else {
     auto acc = common::read_file((src / "slurm_accounting.txt").string());
     if (acc.ok() && bad_accounting_rows == 0) {
-      auto st = write_file(dst / "slurm_accounting.txt", acc.value());
+      auto st = common::write_text_file(
+          (dst / "slurm_accounting.txt").string(), acc.value());
       if (!st.ok()) return st.error();
     } else if (acc.ok()) {
       auto lines = split_lines(acc.value());
@@ -526,8 +507,9 @@ common::Result<CorruptionLedger> corrupt_dataset(const fs::path& src,
         }
         if (n > 0) note(Fault::kBadAccounting, "slurm_accounting.txt", n);
       }
-      auto st = write_file(dst / "slurm_accounting.txt",
-                           join_lines(lines, /*final_newline=*/true));
+      auto st = common::write_text_file(
+          (dst / "slurm_accounting.txt").string(),
+          join_lines(lines, /*final_newline=*/true));
       if (!st.ok()) return st.error();
     }
   }

@@ -1,7 +1,5 @@
 #include "chaos/index_chaos.h"
 
-#include <fstream>
-
 #include "common/hash.h"
 #include "common/io.h"
 #include "common/rng.h"
@@ -146,12 +144,8 @@ common::Result<IndexCorruption> corrupt_index_file(
   std::string data = std::move(bytes).take();
   auto done = corrupt_index_bytes(data, seed, fault);
   if (!done.ok()) return done.error();
-  std::ofstream os(dst, std::ios::trunc | std::ios::binary);
-  if (!os ||
-      !os.write(data.data(), static_cast<std::streamsize>(data.size()))) {
-    return common::Error::at("cannot write corrupted index", dst.string(),
-                             std::nullopt);
-  }
+  const auto st = common::write_text_file(dst.string(), data);
+  if (!st.ok()) return st.error();
   return done;
 }
 

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <ranges>
+#include <type_traits>
 
 #include "common/hash.h"
 #include "common/io.h"
 #include "index/format.h"
-#include "xid/xid.h"
 
 namespace gpures::serve {
 
@@ -32,156 +33,174 @@ constexpr std::array<const char*, kSegmentCount> kSegmentNames = {
 constexpr std::size_t kBlockPrefix = 16;
 constexpr std::size_t kBlockOverhead = kBlockPrefix + 8;
 
-void append_le16(std::string& s, std::uint16_t v) {
-  unsigned char b[2];
-  store_le16(b, v);
-  s.append(reinterpret_cast<const char*>(b), 2);
-}
-void append_le32(std::string& s, std::uint32_t v) {
-  unsigned char b[4];
-  store_le32(b, v);
-  s.append(reinterpret_cast<const char*>(b), 4);
-}
-void append_le64(std::string& s, std::uint64_t v) {
-  unsigned char b[8];
-  store_le64(b, v);
-  s.append(reinterpret_cast<const char*>(b), 8);
-}
-void append_i64(std::string& s, std::int64_t v) {
-  append_le64(s, static_cast<std::uint64_t>(v));
-}
-void append_i32(std::string& s, std::int32_t v) {
-  append_le32(s, static_cast<std::uint32_t>(v));
-}
-void append_u8(std::string& s, std::uint8_t v) {
-  s.push_back(static_cast<char>(v));
-}
-void append_str(std::string& s, std::string_view v) {
-  append_le32(s, static_cast<std::uint32_t>(v.size()));
-  s.append(v);
-}
-
-// ---- one encoder per result stream -------------------------------------
-
-void encode(std::string& s, const analysis::CoalescedError& e) {
-  append_i64(s, e.time);
-  append_i64(s, e.last);
-  append_i32(s, e.gpu.node);
-  append_i32(s, e.gpu.slot);
-  append_le16(s, xid::to_number(e.code));
-  append_le16(s, e.raw_xid);
-  append_le32(s, e.raw_lines);
-}
-void encode(std::string& s, const analysis::LifecycleRecord& l) {
-  append_i64(s, l.time);
-  append_u8(s, static_cast<std::uint8_t>(l.kind));
-  append_str(s, l.host);
-}
-void encode(std::string& s, const analysis::JobView& j) {
-  append_le64(s, j.id);
-  append_i64(s, j.start);
-  append_i64(s, j.end);
-  append_i32(s, j.gpus);
-  append_u8(s, static_cast<std::uint8_t>(j.state));
-  append_u8(s, j.is_ml ? 1 : 0);
-  append_u8(s, j.inline_count);
-  for (const auto g : j.gpus_inline) append_i32(s, g);
-  append_i32(s, j.spill_index);
-}
-void encode(std::string& s, const std::vector<analysis::PackedGpu>& spill) {
-  append_le32(s, static_cast<std::uint32_t>(spill.size()));
-  for (const auto g : spill) append_i32(s, g);
-}
-
-/// first_category is one of three static strings (or null); a small enum
+/// first_category is one of three static strings (or null); its index here
 /// survives serialization where the pointer cannot.
-std::uint8_t category_code(const char* category) {
-  if (category == nullptr) return 0;
-  if (std::strcmp(category, "torn") == 0) return 1;
-  if (std::strcmp(category, "overlong") == 0) return 2;
-  return 3;  // "binary"
-}
-const char* category_from_code(std::uint8_t code) {
-  switch (code) {
-    case 1:
-      return "torn";
-    case 2:
-      return "overlong";
-    case 3:
-      return "binary";
-    default:
-      return nullptr;
+constexpr const char* kCategories[] = {nullptr, "torn", "overlong", "binary"};
+
+// ---- field codecs -------------------------------------------------------
+//
+// Writer encodes and Cursor decodes by walking the same fields() lists
+// below.  A field's wire form follows from its C++ type (see Walk); the two
+// that do not — packed flag bits and the first-offense category code — are
+// named ops.  Everything resolves at compile time: encoding a record is the
+// same run of appends a hand-written encoder makes.
+
+/// The unsigned integer of `v`'s width that carries it on disk: a bool as
+/// 0/1, an enum as its underlying type.
+template <typename T>
+auto wire(T v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return static_cast<std::uint8_t>(v);
+  } else if constexpr (std::is_enum_v<T>) {
+    return static_cast<std::make_unsigned_t<std::underlying_type_t<T>>>(v);
+  } else {
+    return static_cast<std::make_unsigned_t<T>>(v);
   }
 }
 
-/// Bounds-checked little-endian reader.
-class Cursor {
+template <typename T>
+constexpr bool kIsVector = false;
+template <typename T>
+constexpr bool kIsVector<std::vector<T>> = true;
+
+/// The walk Writer and Cursor share: io(a, b, ...) codes each argument by
+/// its type — an integer, bool or enum as wire(); a string as u32 length +
+/// bytes; a vector as u32 count + elements; a fixed array as its elements;
+/// anything else as a record, through its fields().
+template <typename IO>
+class Walk {
  public:
+  template <typename... T>
+  void operator()(T&&... v) {
+    (field(v), ...);
+  }
+
+ private:
+  template <typename T>
+  void field(T& v) {
+    auto& io = static_cast<IO&>(*this);
+    using U = std::remove_cv_t<T>;
+    if constexpr (std::is_integral_v<U> || std::is_enum_v<U>) {
+      io.num(v);
+    } else if constexpr (std::is_same_v<U, std::string>) {
+      io.str(v);
+    } else if constexpr (kIsVector<U>) {
+      io.list(v);
+    } else if constexpr (std::ranges::range<U>) {
+      for (auto& e : v) field(e);
+    } else {
+      fields(io, v);
+    }
+  }
+};
+
+/// A record as fields() sees it: read-only when `IO` encodes.
+template <typename IO, typename T>
+using Rec = std::conditional_t<IO::kEncodes, const T, T>;
+
+/// Little-endian encoder appending to a string.
+class Writer : public Walk<Writer> {
+ public:
+  static constexpr bool kEncodes = true;
+  explicit Writer(std::string& out) : out_(out) {}
+
+  template <typename T>
+  void num(T v) {
+    const auto w = wire(v);
+    if constexpr (sizeof(w) == 1) {
+      out_.push_back(static_cast<char>(w));
+    } else {
+      unsigned char b[sizeof(w)];
+      if constexpr (sizeof(w) == 2) {
+        store_le16(b, w);
+      } else if constexpr (sizeof(w) == 4) {
+        store_le32(b, w);
+      } else {
+        store_le64(b, w);
+      }
+      out_.append(reinterpret_cast<const char*>(b), sizeof(w));
+    }
+  }
+  void str(std::string_view s) {
+    num(static_cast<std::uint32_t>(s.size()));
+    out_.append(s);
+  }
+  /// One byte; bit i holds the i-th argument.
+  template <typename... B>
+  void flags(B... bits) {
+    unsigned f = 0;
+    unsigned i = 0;
+    ((f |= static_cast<unsigned>(bits) << i++), ...);
+    num(static_cast<std::uint8_t>(f));
+  }
+  void category(const char* c) {
+    std::uint8_t code = c == nullptr ? 0 : 3;  // any other string: "binary"
+    for (std::uint8_t i = 1; c != nullptr && i < 3; ++i) {
+      if (std::strcmp(c, kCategories[i]) == 0) code = i;
+    }
+    num(code);
+  }
+  template <typename T>
+  void list(const std::vector<T>& v) {
+    num(static_cast<std::uint32_t>(v.size()));
+    for (const auto& e : v) (*this)(e);
+  }
+
+ private:
+  std::string& out_;
+};
+
+/// Bounds-checked little-endian decoder.  The first read past the end
+/// latches failed(), and every later read yields zero.
+class Cursor : public Walk<Cursor> {
+ public:
+  static constexpr bool kEncodes = false;
   explicit Cursor(std::string_view data) : data_(data) {}
 
   bool failed() const { return failed_; }
-
-  std::uint64_t u64() {
-    if (!take(8)) return 0;
-    return load_le64(at(pos_ - 8));
-  }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  std::uint32_t u32() {
-    if (!take(4)) return 0;
-    return load_le32(at(pos_ - 4));
-  }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::uint16_t u16() {
-    if (!take(2)) return 0;
-    return load_le16(at(pos_ - 2));
-  }
-  std::uint8_t u8() {
-    if (!take(1)) return 0;
-    return static_cast<std::uint8_t>(data_[pos_ - 1]);
-  }
-  std::string str() {
-    const std::uint32_t len = u32();
-    if (!take(len)) return {};
-    return std::string(data_.substr(pos_ - len, len));
-  }
-  analysis::CoalescedError error() {
-    analysis::CoalescedError e;
-    e.time = i64();
-    e.last = i64();
-    e.gpu.node = i32();
-    e.gpu.slot = i32();
-    e.code = static_cast<xid::Code>(u16());
-    e.raw_xid = u16();
-    e.raw_lines = u32();
-    return e;
-  }
-  analysis::LifecycleRecord lifecycle() {
-    analysis::LifecycleRecord l;
-    l.time = i64();
-    l.kind = static_cast<analysis::LifecycleRecord::Kind>(u8());
-    l.host = str();
-    return l;
-  }
-  analysis::JobView job() {
-    analysis::JobView j;
-    j.id = u64();
-    j.start = i64();
-    j.end = i64();
-    j.gpus = i32();
-    j.state = static_cast<slurm::JobState>(u8());
-    j.is_ml = u8() != 0;
-    j.inline_count = u8();
-    for (auto& g : j.gpus_inline) g = i32();
-    j.spill_index = i32();
-    return j;
-  }
-  std::vector<analysis::PackedGpu> spill() {
-    const std::uint32_t n = u32();
-    std::vector<analysis::PackedGpu> gpus;
-    for (std::uint32_t g = 0; g < n && !failed_; ++g) gpus.push_back(i32());
-    return gpus;
-  }
   bool done() const { return pos_ == data_.size(); }
+
+  template <typename T>
+  void num(T& v) {
+    decltype(wire(v)) w = 0;
+    if (take(sizeof(w))) {
+      const auto* p = reinterpret_cast<const unsigned char*>(data_.data()) +
+                      pos_ - sizeof(w);
+      if constexpr (sizeof(w) == 1) {
+        w = *p;
+      } else if constexpr (sizeof(w) == 2) {
+        w = load_le16(p);
+      } else if constexpr (sizeof(w) == 4) {
+        w = load_le32(p);
+      } else {
+        w = load_le64(p);
+      }
+    }
+    v = static_cast<T>(w);
+  }
+  void str(std::string& s) {
+    std::uint32_t len = 0;
+    num(len);
+    if (take(len)) s.assign(data_.substr(pos_ - len, len));
+  }
+  template <typename... B>
+  void flags(B&... bits) {
+    std::uint8_t f = 0;
+    num(f);
+    unsigned i = 0;
+    ((bits = ((f >> i++) & 1u) != 0), ...);
+  }
+  void category(const char*& c) {
+    std::uint8_t code = 0;
+    num(code);
+    c = code < std::size(kCategories) ? kCategories[code] : nullptr;
+  }
+  template <typename T>
+  void list(std::vector<T>& v) {
+    std::uint32_t n = 0;
+    num(n);
+    for (std::uint32_t i = 0; i < n && !failed_; ++i) (*this)(v.emplace_back());
+  }
 
  private:
   bool take(std::size_t n) {
@@ -192,23 +211,67 @@ class Cursor {
     pos_ += n;
     return true;
   }
-  const unsigned char* at(std::size_t p) const {
-    return reinterpret_cast<const unsigned char*>(data_.data()) + p;
-  }
 
   std::string_view data_;
   std::size_t pos_ = 0;
   bool failed_ = false;
 };
 
+// ---- the schema: every persisted record's fields, in on-disk order ------
+
+template <typename IO>
+void fields(IO& io, Rec<IO, analysis::CoalescedError>& e) {
+  io(e.time, e.last, e.gpu.node, e.gpu.slot, e.code, e.raw_xid, e.raw_lines);
+}
+template <typename IO>
+void fields(IO& io, Rec<IO, analysis::LifecycleRecord>& l) {
+  io(l.time, l.kind, l.host);
+}
+template <typename IO>
+void fields(IO& io, Rec<IO, analysis::JobView>& j) {
+  io(j.id, j.start, j.end, j.gpus, j.state, j.is_ml, j.inline_count,
+     j.gpus_inline, j.spill_index);
+}
+template <typename IO>
+void fields(IO& io, Rec<IO, logsys::ScreenCounts>& c) {
+  io(c.kept_lines, c.kept_bytes, c.binary_lines, c.binary_bytes,
+     c.overlong_lines, c.overlong_bytes, c.torn_lines, c.torn_bytes,
+     c.crlf_bytes, c.first_line, c.first_offset);
+  io.category(c.first_category);
+}
+template <typename IO>
+void fields(IO& io, Rec<IO, SourceSnapshot>& s) {
+  io(s.name, s.date, s.offset, s.lines_seen);
+  io.flags(s.existed, s.sealed, s.degraded, s.recovered);
+  io(s.degrade_reason, s.last_progress_tick, s.last_event, s.counts);
+}
+template <typename IO>
+void fields(IO& io, Rec<IO, AccountingSnapshot>& a) {
+  io.flags(a.seen, a.degraded);
+  io(a.degrade_reason, a.offset, a.line_no, a.rows_kept, a.rows_rejected,
+     a.bytes_rejected);
+}
+template <typename IO>
+void fields(IO& io, Rec<IO, analysis::CoalescerState>& c) {
+  io(c.records_in, c.errors_out, c.out_of_order, c.open);
+}
+template <typename IO>
+void fields(IO& io, Rec<IO, SegmentExtent>& e) {
+  io(e.bytes, e.records, e.chain);
+}
+template <typename IO>
+void fields(IO& io, Rec<IO, CheckpointFrontier>& f) {
+  io(f.config_hash, f.seq, f.tick, f.watermark, f.sources, f.accounting,
+     f.stray_files, f.coalescer);
+}
+
 // ---- segment framing ----------------------------------------------------
 
 std::string segment_header(Segment s, std::uint64_t config_hash) {
   std::string h(kSegmentMagic, sizeof(kSegmentMagic));
-  append_le32(h, kCheckpointVersion);
-  append_le32(h, static_cast<std::uint32_t>(s));
-  append_le64(h, config_hash);
-  append_le64(h, common::xxhash64(h));
+  Writer w(h);
+  w(kCheckpointVersion, static_cast<std::uint32_t>(s), config_hash);
+  w(common::xxhash64(h));
   return h;
 }
 
@@ -218,66 +281,49 @@ std::uint64_t fold_chain(std::uint64_t chain, const char* block_hash) {
   return common::xxhash64(block_hash, 8, chain);
 }
 
+/// The one binding of each Segment to its result stream: calls
+/// `f(span_of, vector_of)` with accessors for the stream's span in a
+/// ResultStreams (what a write appends) and its vector in a CheckpointData
+/// (what a load fills).
+template <typename F>
+auto on_stream(Segment s, F&& f) {
+  switch (s) {
+    case Segment::kErrors:
+      return f([](const ResultStreams& r) { return r.errors; },
+               [](CheckpointData& d) -> auto& { return d.errors; });
+    case Segment::kLifecycle:
+      return f([](const ResultStreams& r) { return r.lifecycle; },
+               [](CheckpointData& d) -> auto& { return d.lifecycle; });
+    case Segment::kJobs:
+      return f([](const ResultStreams& r) { return r.jobs; },
+               [](CheckpointData& d) -> auto& { return d.jobs.jobs; });
+    case Segment::kSpill:
+    default:
+      return f([](const ResultStreams& r) { return r.spill; },
+               [](CheckpointData& d) -> auto& { return d.jobs.spill; });
+  }
+}
+
 template <typename T>
 std::string make_block(std::span<const T> records) {
   std::string b;
-  append_le64(b, 0);  // payload length, patched below
-  append_le64(b, records.size());
-  for (const auto& r : records) encode(b, r);
+  Writer w(b);
+  w(std::uint64_t{0}, static_cast<std::uint64_t>(records.size()));
+  for (const auto& r : records) w(r);
+  // Patch the payload length, then seal the block with its hash.
   store_le64(reinterpret_cast<unsigned char*>(b.data()),
              b.size() - kBlockPrefix);
-  append_le64(b, common::xxhash64(b));
+  w(common::xxhash64(b));
   return b;
 }
 
-/// The block holding records [from, size()) of stream `s`.
-std::string make_block(Segment s, const ResultStreams& r, std::uint64_t from) {
-  switch (s) {
-    case Segment::kErrors:
-      return make_block(r.errors.subspan(from));
-    case Segment::kLifecycle:
-      return make_block(r.lifecycle.subspan(from));
-    case Segment::kJobs:
-      return make_block(r.jobs.subspan(from));
-    case Segment::kSpill:
-      return make_block(r.spill.subspan(from));
-  }
-  return {};
-}
-
-std::uint64_t stream_size(Segment s, const ResultStreams& r) {
-  switch (s) {
-    case Segment::kErrors:
-      return r.errors.size();
-    case Segment::kLifecycle:
-      return r.lifecycle.size();
-    case Segment::kJobs:
-      return r.jobs.size();
-    case Segment::kSpill:
-      return r.spill.size();
-  }
-  return 0;
-}
-
-/// Decode `count` records of stream `s` from a verified block payload.
-bool decode_block(Segment s, std::string_view payload, std::uint64_t count,
-                  CheckpointData& out) {
+/// Decode `count` records from a verified block payload into `out`.
+template <typename T>
+bool decode_block(std::string_view payload, std::uint64_t count,
+                  std::vector<T>& out) {
   Cursor c(payload);
   for (std::uint64_t i = 0; i < count && !c.failed(); ++i) {
-    switch (s) {
-      case Segment::kErrors:
-        out.errors.push_back(c.error());
-        break;
-      case Segment::kLifecycle:
-        out.lifecycle.push_back(c.lifecycle());
-        break;
-      case Segment::kJobs:
-        out.jobs.jobs.push_back(c.job());
-        break;
-      case Segment::kSpill:
-        out.jobs.spill.push_back(c.spill());
-        break;
-    }
+    c(out.emplace_back());
   }
   return !c.failed() && c.done();
 }
@@ -323,7 +369,11 @@ common::Status read_segment(Segment s, std::string_view file,
         load_le64(bytes + hash_at)) {
       return fail("block checksum mismatch at byte " + std::to_string(pos));
     }
-    if (!decode_block(s, file.substr(pos + kBlockPrefix, len), count, out)) {
+    const bool decoded = on_stream(s, [&](auto, auto vector_of) {
+      return decode_block(file.substr(pos + kBlockPrefix, len), count,
+                          vector_of(out));
+    });
+    if (!decoded) {
       return fail("block at byte " + std::to_string(pos) +
                   " does not hold its record count");
     }
@@ -380,78 +430,16 @@ std::optional<std::uint64_t> checkpoint_seq(std::string_view name) {
 std::string serialize_generation(const CheckpointFrontier& frontier,
                                  const SegmentExtents& segments) {
   std::string p;
-  append_le64(p, frontier.config_hash);
-  append_le64(p, frontier.seq);
-  append_le64(p, frontier.tick);
-  append_i64(p, frontier.watermark);
-
-  append_le32(p, static_cast<std::uint32_t>(frontier.sources.size()));
-  for (const auto& src : frontier.sources) {
-    append_str(p, src.name);
-    append_i64(p, src.date);
-    append_le64(p, src.offset);
-    append_le64(p, src.lines_seen);
-    std::uint8_t flags = 0;
-    if (src.existed) flags |= 1;
-    if (src.sealed) flags |= 2;
-    if (src.degraded) flags |= 4;
-    if (src.recovered) flags |= 8;
-    append_u8(p, flags);
-    append_str(p, src.degrade_reason);
-    append_le64(p, src.last_progress_tick);
-    append_i64(p, src.last_event);
-    const auto& c = src.counts;
-    append_le64(p, c.kept_lines);
-    append_le64(p, c.kept_bytes);
-    append_le64(p, c.binary_lines);
-    append_le64(p, c.binary_bytes);
-    append_le64(p, c.overlong_lines);
-    append_le64(p, c.overlong_bytes);
-    append_le64(p, c.torn_lines);
-    append_le64(p, c.torn_bytes);
-    append_le64(p, c.crlf_bytes);
-    append_le64(p, c.first_line);
-    append_le64(p, c.first_offset);
-    append_u8(p, category_code(c.first_category));
-  }
-
-  {
-    const auto& a = frontier.accounting;
-    std::uint8_t flags = 0;
-    if (a.seen) flags |= 1;
-    if (a.degraded) flags |= 2;
-    append_u8(p, flags);
-    append_str(p, a.degrade_reason);
-    append_le64(p, a.offset);
-    append_le64(p, a.line_no);
-    append_le64(p, a.rows_kept);
-    append_le64(p, a.rows_rejected);
-    append_le64(p, a.bytes_rejected);
-  }
-
-  append_le32(p, static_cast<std::uint32_t>(frontier.stray_files.size()));
-  for (const auto& f : frontier.stray_files) append_str(p, f);
-
-  append_le64(p, frontier.coalescer.records_in);
-  append_le64(p, frontier.coalescer.errors_out);
-  append_le64(p, frontier.coalescer.out_of_order);
-  append_le32(p, static_cast<std::uint32_t>(frontier.coalescer.open.size()));
-  for (const auto& e : frontier.coalescer.open) encode(p, e);
-
-  for (const auto& seg : segments) {
-    append_le64(p, seg.bytes);
-    append_le64(p, seg.records);
-    append_le64(p, seg.chain);
-  }
+  Writer payload(p);
+  payload(frontier, segments);
 
   std::string out;
   out.reserve(kCheckpointHeaderSize + p.size());
   out.append(kCheckpointMagic, sizeof(kCheckpointMagic));
-  append_le32(out, kCheckpointVersion);
-  append_le32(out, kCheckpointEndianTag);
-  append_le64(out, p.size());
-  append_le64(out, common::xxhash64(p));
-  append_le64(out, common::xxhash64(std::string_view(out)));
+  Writer header(out);
+  header(kCheckpointVersion, kCheckpointEndianTag,
+         static_cast<std::uint64_t>(p.size()), common::xxhash64(p));
+  header(common::xxhash64(out));
   out += p;
   return out;
 }
@@ -493,75 +481,7 @@ common::Result<Generation> parse_generation(std::string_view bytes) {
 
   Cursor c(payload);
   Generation gen;
-  CheckpointFrontier& data = gen.frontier;
-  data.config_hash = c.u64();
-  data.seq = c.u64();
-  data.tick = c.u64();
-  data.watermark = c.i64();
-
-  const std::uint32_t nsources = c.u32();
-  for (std::uint32_t i = 0; i < nsources && !c.failed(); ++i) {
-    SourceSnapshot src;
-    src.name = c.str();
-    src.date = c.i64();
-    src.offset = c.u64();
-    src.lines_seen = c.u64();
-    const std::uint8_t flags = c.u8();
-    src.existed = (flags & 1) != 0;
-    src.sealed = (flags & 2) != 0;
-    src.degraded = (flags & 4) != 0;
-    src.recovered = (flags & 8) != 0;
-    src.degrade_reason = c.str();
-    src.last_progress_tick = c.u64();
-    src.last_event = c.i64();
-    auto& sc = src.counts;
-    sc.kept_lines = c.u64();
-    sc.kept_bytes = c.u64();
-    sc.binary_lines = c.u64();
-    sc.binary_bytes = c.u64();
-    sc.overlong_lines = c.u64();
-    sc.overlong_bytes = c.u64();
-    sc.torn_lines = c.u64();
-    sc.torn_bytes = c.u64();
-    sc.crlf_bytes = c.u64();
-    sc.first_line = c.u64();
-    sc.first_offset = c.u64();
-    sc.first_category = category_from_code(c.u8());
-    data.sources.push_back(std::move(src));
-  }
-
-  {
-    auto& a = data.accounting;
-    const std::uint8_t flags = c.u8();
-    a.seen = (flags & 1) != 0;
-    a.degraded = (flags & 2) != 0;
-    a.degrade_reason = c.str();
-    a.offset = c.u64();
-    a.line_no = c.u64();
-    a.rows_kept = c.u64();
-    a.rows_rejected = c.u64();
-    a.bytes_rejected = c.u64();
-  }
-
-  const std::uint32_t nstray = c.u32();
-  for (std::uint32_t i = 0; i < nstray && !c.failed(); ++i) {
-    data.stray_files.push_back(c.str());
-  }
-
-  data.coalescer.records_in = c.u64();
-  data.coalescer.errors_out = c.u64();
-  data.coalescer.out_of_order = c.u64();
-  const std::uint32_t nopen = c.u32();
-  for (std::uint32_t i = 0; i < nopen && !c.failed(); ++i) {
-    data.coalescer.open.push_back(c.error());
-  }
-
-  for (auto& seg : gen.segments) {
-    seg.bytes = c.u64();
-    seg.records = c.u64();
-    seg.chain = c.u64();
-  }
-
+  c(gen.frontier, gen.segments);
   if (c.failed() || !c.done()) {
     return common::Error::make(
         "checkpoint: payload truncated or trailing garbage");
@@ -633,12 +553,17 @@ common::Result<std::uint64_t> CheckpointStore::write(
   for (std::size_t s = 0; s < kSegmentCount; ++s) {
     const auto seg = static_cast<Segment>(s);
     auto& ext = next[s];
-    const std::uint64_t size = stream_size(seg, results);
+    std::uint64_t size = 0;
+    const std::string block = on_stream(seg, [&](auto span_of, auto) {
+      const auto stream = span_of(results);
+      size = stream.size();
+      return size > ext.records ? make_block(stream.subspan(ext.records))
+                                : std::string();
+    });
     common::check(size >= ext.records,
                   "CheckpointStore: a result stream shrank between "
                   "generations");
     if (size == ext.records) continue;
-    const std::string block = make_block(seg, results, ext.records);
     const auto path = segment_path(seg);
     // A torn append or an uncommitted earlier attempt may have left bytes
     // past the committed length; the new block replaces them.

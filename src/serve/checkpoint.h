@@ -21,7 +21,9 @@
 // [u64 payload length][u64 record count][payload][u64 XXH64 of the three
 // preceding fields].  A segment's hash chain folds each block hash into the
 // previous chain value (XXH64 seeded with it), which binds a generation to
-// the exact blocks it committed.
+// the exact blocks it committed.  The payload layouts are the fields()
+// lists in checkpoint.cpp: one per persisted record type, in on-disk order,
+// walked by the same code to encode and to decode.
 //
 // CheckpointStore::write appends one block per grown stream, then renames
 // the frontier into place (common::write_file_atomic).  A crash between the

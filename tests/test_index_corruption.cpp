@@ -437,3 +437,12 @@ TEST_F(IndexCorruption, CorruptFileHelperRoundTrips) {
   EXPECT_TRUE(ix::IndexReader::open(src).ok());
   EXPECT_FALSE(ix::IndexReader::open(dst).ok());
 }
+
+// A destination that cannot hold the bytes is an error, not a silent
+// success: /dev/full accepts the open and fails the flush at close.
+TEST_F(IndexCorruption, CorruptFileHelperReportsAFailedWrite) {
+  const auto src = write("src_full.idx", pristine_);
+  const auto done = ch::corrupt_index_file(src, "/dev/full", 3,
+                                           ch::IndexFault::kPayloadBitFlip);
+  EXPECT_FALSE(done.ok());
+}

@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include "chaos/checkpoint_chaos.h"
+#include "common/hash.h"
 #include "common/io.h"
 #include "serve/checkpoint.h"
 #include "slurm/job.h"
@@ -80,6 +81,39 @@ sv::CheckpointData representative() {
   s1.last_progress_tick = 99;
   s1.last_event = kDay0 + ct::kDay + 3600;
   d.sources.push_back(s1);
+
+  // Every combination of the four packed source flags, every first-offense
+  // category (null, torn, overlong, binary), every ScreenCounts field
+  // nonzero.
+  const char* const categories[] = {nullptr, "torn", "overlong", "binary"};
+  for (std::uint64_t f = 0; f < 16; ++f) {
+    sv::SourceSnapshot s;
+    s.name = "syslog-2023-06-" + std::to_string(10 + f) + ".log";
+    s.date = kDay0 + static_cast<ct::TimePoint>(9 + f) * ct::kDay;
+    s.offset = 5000 + f;
+    s.lines_seen = 60 + f;
+    s.existed = (f & 1) != 0;
+    s.sealed = (f & 2) != 0;
+    s.degraded = (f & 4) != 0;
+    s.recovered = (f & 8) != 0;
+    if (s.degraded) s.degrade_reason = "retries exhausted " + std::to_string(f);
+    s.last_progress_tick = 200 + f;
+    s.last_event = s.date + 600 + static_cast<ct::TimePoint>(f);
+    auto& c = s.counts;
+    c.kept_lines = 50 + f;
+    c.kept_bytes = 6000 + f;
+    c.binary_lines = 1 + f;
+    c.binary_bytes = 70 + f;
+    c.overlong_lines = 2 + f;
+    c.overlong_bytes = 9000 + f;
+    c.torn_lines = 1;
+    c.torn_bytes = 30 + f;
+    c.crlf_bytes = 40 + f;
+    c.first_line = 3 + f;
+    c.first_offset = 250 + f;
+    c.first_category = categories[f % 4];
+    d.sources.push_back(s);
+  }
 
   d.accounting.seen = true;
   d.accounting.offset = 777;
@@ -261,12 +295,20 @@ TEST(ServeCheckpoint, RoundTripPreservesEveryField) {
     EXPECT_EQ(r.sources[i].last_progress_tick, d.sources[i].last_progress_tick)
         << i;
     EXPECT_EQ(r.sources[i].last_event, d.sources[i].last_event) << i;
-    EXPECT_EQ(r.sources[i].counts.binary_lines, d.sources[i].counts.binary_lines)
-        << i;
-    EXPECT_EQ(r.sources[i].counts.kept_bytes, d.sources[i].counts.kept_bytes)
-        << i;
-    EXPECT_EQ(r.sources[i].counts.crlf_bytes, d.sources[i].counts.crlf_bytes)
-        << i;
+    const auto& a = r.sources[i].counts;
+    const auto& b = d.sources[i].counts;
+    EXPECT_EQ(a.kept_lines, b.kept_lines) << i;
+    EXPECT_EQ(a.kept_bytes, b.kept_bytes) << i;
+    EXPECT_EQ(a.binary_lines, b.binary_lines) << i;
+    EXPECT_EQ(a.binary_bytes, b.binary_bytes) << i;
+    EXPECT_EQ(a.overlong_lines, b.overlong_lines) << i;
+    EXPECT_EQ(a.overlong_bytes, b.overlong_bytes) << i;
+    EXPECT_EQ(a.torn_lines, b.torn_lines) << i;
+    EXPECT_EQ(a.torn_bytes, b.torn_bytes) << i;
+    EXPECT_EQ(a.crlf_bytes, b.crlf_bytes) << i;
+    EXPECT_EQ(a.first_line, b.first_line) << i;
+    EXPECT_EQ(a.first_offset, b.first_offset) << i;
+    EXPECT_STREQ(a.first_category, b.first_category) << i;
   }
   EXPECT_EQ(r.accounting.seen, d.accounting.seen);
   EXPECT_EQ(r.accounting.offset, d.accounting.offset);
@@ -290,6 +332,40 @@ TEST(ServeCheckpoint, RoundTripPreservesEveryField) {
   // Serializing the parsed copy reproduces the original bytes exactly —
   // nothing is lost or reordered in either direction.
   EXPECT_EQ(serialize_generation(r, parsed.value().segments), bytes);
+}
+
+// The on-disk format, pinned: a frontier file and the four segments of
+// representative() must hash to these values.  A schema edit that moves,
+// widens or drops a field fails here even when encoder and decoder agree;
+// a deliberate format change bumps kCheckpointVersion and these constants.
+TEST(ServeCheckpoint, FormatBytesArePinned) {
+  const sv::CheckpointData d = representative();
+  sv::SegmentExtents ext;
+  for (std::size_t s = 0; s < ext.size(); ++s) {
+    ext[s] = {1000 + s, 10 + s, 0xabcdef00ull + s};
+  }
+  EXPECT_EQ(ct::xxhash64(serialize_generation(d, ext)),
+            0x3a497b6a38d0f381ull);
+
+  const auto dir = temp_dir("pinned");
+  sv::CheckpointStore store(dir, 2);
+  ASSERT_TRUE(store.reset(d.config_hash).ok());
+  const auto w = store.write(d, streams(d, 2));
+  ASSERT_TRUE(w.ok()) << w.error().message;
+  const auto file_hash = [](const fs::path& path) {
+    auto bytes = ct::read_file(path.string());
+    EXPECT_TRUE(bytes.ok()) << path;
+    return ct::xxhash64(bytes.ok() ? bytes.value() : std::string());
+  };
+  EXPECT_EQ(file_hash(store.path_for(d.seq)), 0x06efbea9ca8fcbcaull);
+  const std::uint64_t segment_hashes[] = {
+      0xa53b4188e672da96ull, 0x109bfb225142abe8ull, 0xb69cc19cdbe62ba9ull,
+      0xea35a97b9ff79fb2ull};
+  for (const auto seg : kSegments) {
+    const auto s = static_cast<std::size_t>(seg);
+    EXPECT_EQ(file_hash(store.segment_path(seg)), segment_hashes[s]) << s;
+  }
+  fs::remove_all(dir);
 }
 
 TEST(ServeCheckpoint, EmptyCheckpointRoundTrips) {

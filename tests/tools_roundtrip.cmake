@@ -231,4 +231,39 @@ foreach(tool simulate analyze serve)
   endforeach()
 endforeach()
 
+# gpures-health lists a histogram only when its bounds are ascending
+# numbers and every bucket count is a whole number in [0, 2^64): a
+# negative, huge or fractional count, or a non-numeric or descending bound,
+# makes the entry malformed, and it is skipped rather than cast into a
+# wrong count or misplaced buckets.
+file(WRITE "${WORKDIR}/hist_metrics.json" [=[
+{"counters": {}, "gauges": {}, "histograms": {
+  "hist.good_us": {"bounds": [10, 100], "counts": [1, 2, 0], "sum": 60},
+  "hist.negative_us": {"bounds": [10, 100], "counts": [-1, 2, 0], "sum": 60},
+  "hist.huge_us": {"bounds": [10, 100], "counts": [1e30, 2, 0], "sum": 60},
+  "hist.fraction_us": {"bounds": [10, 100], "counts": [0.5, 2.7, 0], "sum": 60},
+  "hist.textbound_us": {"bounds": [10, "x", 100], "counts": [1, 2, 0], "sum": 60},
+  "hist.descending_us": {"bounds": [100, 10], "counts": [1, 2, 0], "sum": 60}
+}}
+]=])
+foreach(format md json)
+  execute_process(
+    COMMAND "${HEALTH}" --metrics "${WORKDIR}/hist_metrics.json"
+            --format ${format}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "gpures-health --format ${format} failed (${rc}): ${err}")
+  endif()
+  string(FIND "${out}" "hist.good_us" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "gpures-health ${format} omits a well-formed histogram: ${out}")
+  endif()
+  foreach(bad negative huge fraction textbound descending)
+    string(FIND "${out}" "hist.${bad}_us" pos)
+    if(NOT pos EQUAL -1)
+      message(FATAL_ERROR "gpures-health ${format} lists malformed hist.${bad}_us: ${out}")
+    endif()
+  endforeach()
+endforeach()
+
 file(REMOVE_RECURSE "${WORKDIR}")

@@ -120,24 +120,38 @@ common::Result<Metrics> load_metrics(const std::string& path) {
       auto parsed = obs::parse_labeled_name(name);
       h.family = std::move(parsed.family);
       h.labels = std::move(parsed.labels);
+      // A skipped or out-of-order bound would misplace the buckets, and a
+      // count cast from a negative, huge or fractional number is wrong or
+      // undefined, so either makes the whole entry malformed.
+      bool well_formed = true;
       if (const auto* bounds = v.find("bounds");
           bounds != nullptr && bounds->is_array()) {
         for (const auto& b : bounds->items()) {
-          if (b.is_number()) h.bounds.push_back(b.as_number());
+          if (!b.is_number() ||
+              (!h.bounds.empty() && !(b.as_number() > h.bounds.back()))) {
+            well_formed = false;
+            break;
+          }
+          h.bounds.push_back(b.as_number());
         }
       }
       if (const auto* counts = v.find("counts");
           counts != nullptr && counts->is_array()) {
         for (const auto& c : counts->items()) {
-          if (c.is_number()) {
-            h.counts.push_back(static_cast<std::uint64_t>(c.as_number()));
+          // A bucket count is a whole number in [0, 2^64); NaN fails too.
+          const double n = c.is_number() ? c.as_number() : -1.0;
+          if (!(n >= 0.0 && n < 0x1p64 && n == std::floor(n))) {
+            well_formed = false;
+            break;
           }
+          h.counts.push_back(static_cast<std::uint64_t>(n));
         }
       }
       if (const auto* sum = v.find("sum"); sum && sum->is_number()) {
         h.sum = sum->as_number();
       }
-      if (h.counts.size() != h.bounds.size() + 1) continue;  // malformed entry
+      // Malformed entry: a bad bound or count, or not one count per bucket.
+      if (!well_formed || h.counts.size() != h.bounds.size() + 1) continue;
       m.histograms.push_back(std::move(h));
     }
   }
