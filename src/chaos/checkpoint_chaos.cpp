@@ -1,26 +1,13 @@
 #include "chaos/checkpoint_chaos.h"
 
-#include "common/hash.h"
+#include "common/codec.h"
 #include "common/io.h"
 #include "common/rng.h"
-#include "index/format.h"
 #include "serve/checkpoint.h"
 
 namespace gpures::chaos {
 
 namespace {
-
-// Frontier header field offsets (see serve/checkpoint.h): magic[8],
-// version u32, endian u32, payload_size u64, payload_hash u64,
-// header_hash u64.
-constexpr std::uint64_t kOffVersion = 8;
-constexpr std::uint64_t kOffHeaderHash = 32;
-constexpr std::uint64_t kHeaderHashedBytes = 32;
-
-// Segment header field offsets: magic[8], version u32, stream u32,
-// config_hash u64, header_hash u64.
-constexpr std::uint64_t kSegOffConfigHash = 16;
-constexpr std::uint64_t kSegOffHeaderHash = 24;
 
 unsigned char* bytes_at(std::string& s, std::uint64_t off) {
   return reinterpret_cast<unsigned char*>(s.data()) + off;
@@ -126,17 +113,16 @@ common::Result<CheckpointCorruption> corrupt_checkpoint_bytes(
     case CheckpointFault::kTruncate:
       return truncate(bytes, rng, name);
     case CheckpointFault::kVersionBump: {
+      auto h = common::load_record<serve::CheckpointHeader>(bytes.data());
       CheckpointCorruption c;
       c.fault = name;
       c.original_size = size;
       c.corrupted_size = size;
-      c.byte_offset = kOffVersion;
-      index::store_le32(bytes_at(bytes, kOffVersion),
-                        serve::kCheckpointVersion + 1);
+      c.byte_offset = common::offset_of(h, h.version);
+      h.version = serve::kCheckpointVersion + 1;
       // Keep the header self-consistent so the reader's rejection is the
       // version check, not the header checksum.
-      index::store_le64(bytes_at(bytes, kOffHeaderHash),
-                        common::xxhash64(bytes.data(), kHeaderHashedBytes));
+      common::store_sealed(bytes.data(), h);
       c.detail = "bumped version to " +
                  std::to_string(serve::kCheckpointVersion + 1) +
                  ", header hash fixed up";
@@ -185,17 +171,14 @@ common::Result<CheckpointCorruption> corrupt_segment_bytes(
       return c;
     }
     case SegmentFault::kForeignConfig: {
+      auto h = common::load_record<serve::SegmentHeader>(bytes.data());
       CheckpointCorruption c;
       c.fault = name;
       c.original_size = size;
       c.corrupted_size = size;
-      c.byte_offset = kSegOffConfigHash;
-      const std::uint64_t foreign =
-          index::load_le64(bytes_at(bytes, kSegOffConfigHash)) ^
-          (rng.uniform_u64(~0ull) | 1);
-      index::store_le64(bytes_at(bytes, kSegOffConfigHash), foreign);
-      index::store_le64(bytes_at(bytes, kSegOffHeaderHash),
-                        common::xxhash64(bytes.data(), kSegOffHeaderHash));
+      c.byte_offset = common::offset_of(h, h.config_hash);
+      h.config_hash ^= rng.uniform_u64(~0ull) | 1;
+      common::store_sealed(bytes.data(), h);
       c.detail = "stamped a foreign config_hash, header hash fixed up";
       return c;
     }

@@ -1,6 +1,6 @@
 #include "chaos/index_chaos.h"
 
-#include "common/hash.h"
+#include "common/codec.h"
 #include "common/io.h"
 #include "common/rng.h"
 #include "index/format.h"
@@ -15,18 +15,14 @@ unsigned char* bytes_at(std::string& s, std::uint64_t off) {
   return reinterpret_cast<unsigned char*>(s.data()) + off;
 }
 
-/// Re-derive the header hash after editing header fields, keeping the file
-/// self-consistent up to (but not including) the fault under test.
-void fix_header_hash(std::string& s) {
-  ix::store_le64(bytes_at(s, ix::kOffHeaderHash),
-                 common::xxhash64(s.data(), ix::kHeaderHashedBytes));
-}
-
+/// Re-derive the table hash, then the header hash, after editing the
+/// table, keeping the file self-consistent up to (but not including) the
+/// fault under test.
 void fix_table_hash(std::string& s) {
-  ix::store_le64(bytes_at(s, ix::kOffTableHash),
-                 common::xxhash64(s.data() + ix::kSectionTableOffset,
-                                  ix::kSectionCount * ix::kSectionEntrySize));
-  fix_header_hash(s);
+  auto h = common::load_record<ix::IndexHeader>(s.data());
+  h.table_hash = common::xxhash64(s.data() + ix::kSectionTableOffset,
+                                  ix::kSectionCount * ix::kSectionEntrySize);
+  common::store_sealed(s.data(), h);
 }
 
 IndexCorruption flip_bit(std::string& s, common::Rng& rng, std::uint64_t lo,
@@ -101,25 +97,26 @@ common::Result<IndexCorruption> corrupt_index_bytes(std::string& bytes,
       return c;
     }
     case IndexFault::kVersionBump: {
+      auto h = common::load_record<ix::IndexHeader>(bytes.data());
       IndexCorruption c;
       c.fault = fault;
       c.original_size = size;
       c.corrupted_size = size;
-      c.byte_offset = ix::kOffVersion;
-      const std::uint32_t v =
-          ix::kFormatVersion + 1 +
-          static_cast<std::uint32_t>(rng.uniform_u64(1000));
-      ix::store_le32(bytes_at(bytes, ix::kOffVersion), v);
+      c.byte_offset = common::offset_of(h, h.version);
+      h.version = ix::kFormatVersion + 1 +
+                  static_cast<std::uint32_t>(rng.uniform_u64(1000));
       // All checksums stay valid: the only thing wrong with this file is
       // that it comes from the future.
-      fix_header_hash(bytes);
-      c.detail = "bumped format version to " + std::to_string(v);
+      common::store_sealed(bytes.data(), h);
+      c.detail = "bumped format version to " + std::to_string(h.version);
       return c;
     }
     case IndexFault::kBadSectionHash: {
       const std::uint64_t section = rng.uniform_u64(ix::kSectionCount);
+      const ix::SectionEntry e;
       const std::uint64_t hash_off = ix::kSectionTableOffset +
-                                     section * ix::kSectionEntrySize + 24;
+                                     section * ix::kSectionEntrySize +
+                                     common::offset_of(e, e.hash);
       IndexCorruption c =
           flip_bit(bytes, rng, hash_off, hash_off + 8, fault, "section hash");
       c.fault = fault;

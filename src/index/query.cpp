@@ -91,10 +91,13 @@ QueryEngine::QueryEngine(const IndexReader& reader, QueryOptions opts)
     : reader_(reader),
       window_(opts.attribution_window >= 0 ? opts.attribution_window
                                            : reader.meta().attribution_window),
-      node_level_(opts.attribution >= 0 ? opts.attribution == 1
-                                        : reader.meta().attribution == 1),
+      node_level_(opts.attribution >= 0
+                      ? opts.attribution == 1
+                      : reader.meta().attribution ==
+                            analysis::Attribution::kNodeLevel),
       recorded_(window_ == reader.meta().attribution_window &&
-                node_level_ == (reader.meta().attribution == 1)),
+                node_level_ == (reader.meta().attribution ==
+                                analysis::Attribution::kNodeLevel)),
       capacity_(opts.cache_capacity),
       slow_query_us_(opts.slow_query_us) {
   if (opts.metrics != nullptr) {

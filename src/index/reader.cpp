@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cstring>
 #include <optional>
 
 #include "common/hash.h"
-#include "index/format.h"
 #include "xid/xid.h"
 
 namespace gpures::index {
@@ -18,11 +16,6 @@ common::Error at(std::string msg, const std::string& path,
                  std::uint64_t offset) {
   return common::Error::at(std::move(msg), path, std::nullopt, offset);
 }
-
-struct Section {
-  std::uint64_t offset = 0;
-  std::uint64_t size = 0;  ///< padded
-};
 
 }  // namespace
 
@@ -46,35 +39,37 @@ common::Result<IndexReader> IndexReader::open(const std::string& path) {
                   " bytes)",
               path, 0);
   }
-  if (std::memcmp(base + kOffMagic, kMagic, sizeof(kMagic)) != 0) {
-    return at("not a gpures index (bad magic)", path, kOffMagic);
+  const auto h = common::load_record<IndexHeader>(base);
+  const auto header_at = [&h](const auto& field) {
+    return common::offset_of(h, field);
+  };
+  if (h.magic != kMagic) {
+    return at("not a gpures index (bad magic)", path, header_at(h.magic));
   }
-  if (load_le32(base + kOffEndianTag) != kEndianTag) {
+  if (h.endian_tag != kEndianTag) {
     return at("index endian tag mismatch (file written with incompatible "
               "byte order?)",
-              path, kOffEndianTag);
+              path, header_at(h.endian_tag));
   }
-  const std::uint32_t version = load_le32(base + kOffVersion);
-  if (version != kFormatVersion) {
-    return at("unsupported index format version " + std::to_string(version) +
+  if (h.version != kFormatVersion) {
+    return at("unsupported index format version " + std::to_string(h.version) +
                   " (this reader understands version " +
                   std::to_string(kFormatVersion) + ")",
-              path, kOffVersion);
+              path, header_at(h.version));
   }
-  if (common::xxhash64(base, kHeaderHashedBytes) !=
-      load_le64(base + kOffHeaderHash)) {
-    return at("index header checksum mismatch", path, kOffHeaderHash);
+  if (common::header_hash_at<IndexHeader>(base) != h.header_hash) {
+    return at("index header checksum mismatch", path,
+              header_at(h.header_hash));
   }
-  if (load_le64(base + kOffFileSize) != size) {
+  if (h.file_size != size) {
     return at("index file size mismatch: header says " +
-                  std::to_string(load_le64(base + kOffFileSize)) +
-                  ", file has " + std::to_string(size),
-              path, kOffFileSize);
+                  std::to_string(h.file_size) + ", file has " +
+                  std::to_string(size),
+              path, header_at(h.file_size));
   }
-  const std::uint32_t section_count = load_le32(base + kOffSectionCount);
-  if (section_count != kSectionCount) {
-    return at("unexpected section count " + std::to_string(section_count),
-              path, kOffSectionCount);
+  if (h.section_count != kSectionCount) {
+    return at("unexpected section count " + std::to_string(h.section_count),
+              path, header_at(h.section_count));
   }
 
   // ---- section table --------------------------------------------------------
@@ -83,40 +78,36 @@ common::Result<IndexReader> IndexReader::open(const std::string& path) {
               kSectionTableOffset);
   }
   if (common::xxhash64(base + kSectionTableOffset,
-                       kSectionCount * kSectionEntrySize) !=
-      load_le64(base + kOffTableHash)) {
-    return at("index section-table checksum mismatch", path, kOffTableHash);
+                       kSectionCount * kSectionEntrySize) != h.table_hash) {
+    return at("index section-table checksum mismatch", path,
+              header_at(h.table_hash));
   }
-  std::array<Section, kSectionCount> secs;
+  std::array<SectionEntry, kSectionCount> secs;
   std::uint64_t expect_offset = kSectionBase;
   for (std::uint32_t i = 0; i < kSectionCount; ++i) {
-    const unsigned char* e =
-        base + kSectionTableOffset + i * kSectionEntrySize;
     const std::uint64_t entry_off =
         kSectionTableOffset + i * kSectionEntrySize;
-    if (load_le32(e) != i + 1) {
-      return at("index section entry " + std::to_string(i) +
-                    " carries id " + std::to_string(load_le32(e)) +
-                    ", expected " + std::to_string(i + 1),
+    const auto& e = secs[i] =
+        common::load_record<SectionEntry>(base + entry_off);
+    const std::string_view name = kSections[i].name;
+    if (e.id != i + 1) {
+      return at("index section entry " + std::to_string(i) + " carries id " +
+                    std::to_string(e.id) + ", expected " +
+                    std::to_string(i + 1),
                 path, entry_off);
     }
-    secs[i].offset = load_le64(e + 8);
-    secs[i].size = load_le64(e + 16);
-    if (secs[i].offset != expect_offset) {
-      return at("index section '" +
-                    std::string(section_name(static_cast<SectionId>(i + 1))) +
-                    "' is not gapless: offset " +
-                    std::to_string(secs[i].offset) + ", expected " +
-                    std::to_string(expect_offset),
+    if (e.offset != expect_offset) {
+      return at("index section '" + std::string(name) +
+                    "' is not gapless: offset " + std::to_string(e.offset) +
+                    ", expected " + std::to_string(expect_offset),
                 path, entry_off);
     }
-    if (secs[i].size % 8 != 0 || secs[i].size > size - secs[i].offset) {
-      return at("index section '" +
-                    std::string(section_name(static_cast<SectionId>(i + 1))) +
+    if (e.size % 8 != 0 || e.size > size - e.offset) {
+      return at("index section '" + std::string(name) +
                     "' extends past the end of the file",
                 path, entry_off);
     }
-    expect_offset += secs[i].size;
+    expect_offset += e.size;
   }
   if (expect_offset != size) {
     return at("index has " + std::to_string(size - expect_offset) +
@@ -124,122 +115,73 @@ common::Result<IndexReader> IndexReader::open(const std::string& path) {
               path, expect_offset);
   }
   for (std::uint32_t i = 0; i < kSectionCount; ++i) {
-    const unsigned char* e =
-        base + kSectionTableOffset + i * kSectionEntrySize;
     if (common::xxhash64(base + secs[i].offset, secs[i].size) !=
-        load_le64(e + 24)) {
-      return at("index section '" +
-                    std::string(section_name(static_cast<SectionId>(i + 1))) +
+        secs[i].hash) {
+      return at("index section '" + std::string(kSections[i].name) +
                     "' checksum mismatch",
                 path, secs[i].offset);
     }
   }
-  const auto sec = [&](SectionId id) -> const Section& {
+  const auto sec = [&](SectionId id) -> const SectionEntry& {
     return secs[static_cast<std::size_t>(id) - 1];
   };
 
   // ---- meta -----------------------------------------------------------------
-  const Section& ms = sec(SectionId::kMeta);
-  if (ms.size != pad8(kMetaSize)) {
+  const SectionEntry& ms = sec(kMeta);
+  if (ms.size != section_spec(kMeta).size({})) {
     return at("index meta section has unexpected size " +
                   std::to_string(ms.size),
               path, ms.offset);
   }
-  const unsigned char* m = base + ms.offset;
-  IndexMeta& meta = r.meta_;
-  meta.periods.pre.begin =
-      static_cast<std::int64_t>(load_le64(m + kMetaPreBegin));
-  meta.periods.pre.end = static_cast<std::int64_t>(load_le64(m + kMetaPreEnd));
-  meta.periods.op.begin =
-      static_cast<std::int64_t>(load_le64(m + kMetaOpBegin));
-  meta.periods.op.end = static_cast<std::int64_t>(load_le64(m + kMetaOpEnd));
-  meta.attribution_window =
-      static_cast<std::int64_t>(load_le64(m + kMetaWindow));
-  meta.max_interval_h = load_f64(m + kMetaMaxIntervalH);
-  meta.node_count = load_le32(m + kMetaNodeCount);
-  meta.attribution = load_le32(m + kMetaAttribution);
-  meta.error_count = load_le64(m + kMetaErrorCount);
-  meta.loc_entry_count = load_le64(m + kMetaLocEntryCount);
-  meta.job_count = load_le64(m + kMetaJobCount);
-  meta.job_gpu_count = load_le64(m + kMetaJobGpuCount);
-  meta.unavail_count = load_le64(m + kMetaUnavailCount);
-  meta.outlier_share = load_f64(m + kMetaOutlierShare);
-  meta.outlier_min = load_le64(m + kMetaOutlierMin);
-  meta.exclude_outliers_from_totals = load_le32(m + kMetaExcludeOutliers) != 0;
-  meta.exposed_count = load_le64(m + kMetaExposedCount);
-  meta.failed_count = load_le64(m + kMetaFailedCount);
-  if (meta.attribution > 1) {
+  const IndexMeta& meta = r.meta_ =
+      common::load_record<IndexMeta>(base + ms.offset);
+  const auto meta_at = [&](const auto& field) {
+    return ms.offset + common::offset_of(meta, field);
+  };
+  if (meta.attribution != analysis::Attribution::kGpuLevel &&
+      meta.attribution != analysis::Attribution::kNodeLevel) {
     return at("index meta: attribution must be 0 (device) or 1 (node), got " +
-                  std::to_string(meta.attribution),
-              path, ms.offset + kMetaAttribution);
+                  std::to_string(common::wire(meta.attribution)),
+              path, meta_at(meta.attribution));
   }
   if (meta.exposed_count > meta.job_count) {
     return at("index meta: exposed job count exceeds the job count", path,
-              ms.offset + kMetaExposedCount);
+              meta_at(meta.exposed_count));
   }
   if (meta.failed_count > meta.job_count) {
     return at("index meta: failed job count exceeds the job count", path,
-              ms.offset + kMetaFailedCount);
+              meta_at(meta.failed_count));
   }
 
   // ---- typed columns --------------------------------------------------------
-  // Each bind verifies a section's padded size matches its element count
-  // exactly, then casts (T is one of the little-endian fixed-width types the
-  // format defines, alignment <= 8 like the section offsets).  The first
-  // failure is kept and every later bind is skipped.
-  std::optional<common::Error> bind_error;
-  const auto bind = [&](auto& span_member, SectionId id, std::uint64_t count) {
-    using T = typename std::remove_reference_t<
-        decltype(span_member)>::element_type;
-    if (bind_error) return;
-    const Section& s = sec(id);
-    if (count > s.size / sizeof(T) || pad8(count * sizeof(T)) != s.size) {
-      bind_error = at("index section '" + std::string(section_name(id)) +
+  // Each section's padded size must match the element count kSections gives
+  // it exactly; the accessors then view its elements in place (each a
+  // little-endian fixed-width type the format defines, alignment <= 8 like
+  // the section offsets).  The key count is implied by the key section's own
+  // size (i64 elements pack the 8-byte granule exactly, so size / 8 is the
+  // element count), and the name-blob length by the name offsets.
+  SectionCounts counts{meta, 0, sec(kLocKeys).size / 8};
+  for (std::size_t i = 1; i < kSectionCount; ++i) {
+    const SectionSpec& spec = kSections[i];
+    const SectionEntry& s = secs[i];
+    if (spec.id == kNodeNameBlob) {
+      counts.name_bytes = r.column<kNodeNameOffsets, std::uint32_t>().back();
+    }
+    const std::uint64_t count = spec.count(counts);
+    if (count > s.size / spec.width || pad8(count * spec.width) != s.size) {
+      return at(spec.id == kNodeNameBlob
+                    ? "index node-name blob size does not match the offset "
+                      "table"
+                    : "index section '" + std::string(spec.name) +
                           "' size does not match its element count",
-                      path, s.offset);
-      return;
+                path, s.offset);
     }
-    span_member = {reinterpret_cast<T*>(base + s.offset), count};
-  };
-  // Key count is implied by the key section's own size (i64 elements pack
-  // the 8-byte granule exactly, so size / 8 is the element count).
-  const std::uint64_t key_count = sec(SectionId::kLocKeys).size / 8;
-  bind(r.name_offsets_, SectionId::kNodeNameOffsets,
-       std::uint64_t{meta.node_count} + 1);
-  if (bind_error) return *bind_error;
-  {
-    const Section& bs = sec(SectionId::kNodeNameBlob);
-    const std::uint32_t blob_len = r.name_offsets_.back();
-    if (pad8(blob_len) != bs.size) {
-      return at("index node-name blob size does not match the offset table",
-                path, bs.offset);
-    }
-    r.name_blob_ = std::string_view(
-        reinterpret_cast<const char*>(base + bs.offset), blob_len);
+    r.columns_[i] = {base + s.offset, count * spec.width};
   }
-  bind(r.err_time_, SectionId::kErrTime, meta.error_count);
-  bind(r.err_last_, SectionId::kErrLast, meta.error_count);
-  bind(r.err_gpu_, SectionId::kErrGpu, meta.error_count);
-  bind(r.err_code_, SectionId::kErrCode, meta.error_count);
-  bind(r.err_raw_xid_, SectionId::kErrRawXid, meta.error_count);
-  bind(r.err_raw_lines_, SectionId::kErrRawLines, meta.error_count);
-  bind(r.loc_.keys, SectionId::kLocKeys, key_count);
-  bind(r.loc_.offsets, SectionId::kLocOffsets, key_count + 1);
-  bind(r.loc_.time, SectionId::kLocTime, meta.loc_entry_count);
-  bind(r.loc_.bit, SectionId::kLocBit, meta.loc_entry_count);
-  bind(r.job_id_, SectionId::kJobId, meta.job_count);
-  bind(r.job_start_, SectionId::kJobStart, meta.job_count);
-  bind(r.job_end_, SectionId::kJobEnd, meta.job_count);
-  bind(r.job_state_, SectionId::kJobState, meta.job_count);
-  bind(r.job_gpu_offsets_, SectionId::kJobGpuOffsets, meta.job_count + 1);
-  bind(r.job_gpu_list_, SectionId::kJobGpuList, meta.job_gpu_count);
-  bind(r.unavail_node_, SectionId::kUnavailNode, meta.unavail_count);
-  bind(r.unavail_begin_, SectionId::kUnavailBegin, meta.unavail_count);
-  bind(r.unavail_end_, SectionId::kUnavailEnd, meta.unavail_count);
-  bind(r.job_exposed_pos_, SectionId::kJobExposedPos, meta.exposed_count);
-  bind(r.job_exposed_masks_, SectionId::kJobExposedMasks, meta.exposed_count);
-  bind(r.job_failed_pos_, SectionId::kJobFailedPos, meta.failed_count);
-  if (bind_error) return *bind_error;
+  r.loc_ = {r.column<kLocKeys, std::int64_t>(),
+            r.column<kLocOffsets, std::uint64_t>(),
+            r.column<kLocTime, std::int64_t>(),
+            r.column<kLocBit, std::uint32_t>()};
 
   // ---- column invariants ----------------------------------------------------
   // Everything binary search or CSR indexing relies on is proven here, once,
@@ -251,31 +193,34 @@ common::Result<IndexReader> IndexReader::open(const std::string& path) {
   };
   const std::int64_t max_key =
       (static_cast<std::int64_t>(meta.node_count) << 8) - 1;
+  const auto off_topology = [max_key](std::int64_t key) {
+    return key < 0 || key > max_key;
+  };
   const auto& loc = r.loc_;
-  for (std::size_t i = 0; i + 1 < r.name_offsets_.size(); ++i) {
-    if (r.name_offsets_[i] > r.name_offsets_[i + 1]) {
-      return violated("node-name offsets must be nondecreasing",
-                      SectionId::kNodeNameOffsets);
-    }
+  const auto err_time = r.err_time();
+  const auto err_gpu = r.err_gpu();
+  const auto job_gpu_offsets = r.job_gpu_offsets();
+  const auto unavail_node = r.unavail_node();
+  const auto unavail_begin = r.unavail_begin();
+  if (!std::ranges::is_sorted(r.column<kNodeNameOffsets, std::uint32_t>())) {
+    return violated("node-name offsets must be nondecreasing",
+                    kNodeNameOffsets);
   }
-  for (std::size_t i = 0; i < r.err_time_.size(); ++i) {
-    if (i > 0 && r.err_time_[i - 1] > r.err_time_[i]) {
-      return violated("error times must be nondecreasing",
-                      SectionId::kErrTime);
+  for (std::size_t i = 0; i < err_time.size(); ++i) {
+    if (i > 0 && err_time[i - 1] > err_time[i]) {
+      return violated("error times must be nondecreasing", kErrTime);
     }
-    if (r.err_gpu_[i] < 0 || r.err_gpu_[i] > max_key) {
-      return violated("error GPU key out of topology range",
-                      SectionId::kErrGpu);
+    if (off_topology(err_gpu[i])) {
+      return violated("error GPU key out of topology range", kErrGpu);
     }
   }
   for (std::size_t i = 0; i < loc.keys.size(); ++i) {
     if (i > 0 && loc.keys[i - 1] >= loc.keys[i]) {
       return violated("location keys must be strictly increasing",
-                      SectionId::kLocKeys);
+                      kLocKeys);
     }
-    if (loc.keys[i] < 0 || loc.keys[i] > max_key) {
-      return violated("location key out of topology range",
-                      SectionId::kLocKeys);
+    if (off_topology(loc.keys[i])) {
+      return violated("location key out of topology range", kLocKeys);
     }
   }
   for (std::size_t i = 0; i < loc.offsets.size(); ++i) {
@@ -283,61 +228,53 @@ common::Result<IndexReader> IndexReader::open(const std::string& path) {
                              : loc.offsets[i - 1] <= loc.offsets[i];
     if (!mono || loc.offsets[i] > meta.loc_entry_count) {
       return violated("location offsets must be nondecreasing and in range",
-                      SectionId::kLocOffsets);
+                      kLocOffsets);
     }
   }
   if (loc.offsets.back() != meta.loc_entry_count) {
-    return violated("location offsets must cover every entry",
-                    SectionId::kLocOffsets);
+    return violated("location offsets must cover every entry", kLocOffsets);
   }
   for (std::size_t k = 0; k + 1 < loc.offsets.size(); ++k) {
     for (std::uint64_t i = loc.offsets[k] + 1; i < loc.offsets[k + 1]; ++i) {
       if (loc.time[i - 1] > loc.time[i]) {
         return violated("location entries must be time-sorted per key",
-                        SectionId::kLocTime);
+                        kLocTime);
       }
     }
   }
-  for (const std::uint32_t b : loc.bit) {
-    if (b >= xid::report_order().size()) {
-      return violated("location bit out of family range", SectionId::kLocBit);
-    }
+  if (std::ranges::any_of(loc.bit, [](std::uint32_t b) {
+        return b >= xid::report_order().size();
+      })) {
+    return violated("location bit out of family range", kLocBit);
   }
-  for (std::size_t i = 1; i < r.job_end_.size(); ++i) {
-    if (r.job_end_[i - 1] > r.job_end_[i]) {
-      return violated("job end times must be nondecreasing",
-                      SectionId::kJobEnd);
-    }
+  if (!std::ranges::is_sorted(r.job_end())) {
+    return violated("job end times must be nondecreasing", kJobEnd);
   }
-  for (std::size_t i = 0; i < r.job_gpu_offsets_.size(); ++i) {
-    const bool mono = i == 0 ? r.job_gpu_offsets_[0] == 0
-                             : r.job_gpu_offsets_[i - 1] <=
-                                   r.job_gpu_offsets_[i];
-    if (!mono || r.job_gpu_offsets_[i] > meta.job_gpu_count) {
+  for (std::size_t i = 0; i < job_gpu_offsets.size(); ++i) {
+    const bool mono = i == 0 ? job_gpu_offsets[0] == 0
+                             : job_gpu_offsets[i - 1] <= job_gpu_offsets[i];
+    if (!mono || job_gpu_offsets[i] > meta.job_gpu_count) {
       return violated("job GPU offsets must be nondecreasing and in range",
-                      SectionId::kJobGpuOffsets);
+                      kJobGpuOffsets);
     }
   }
-  if (!r.job_gpu_offsets_.empty() &&
-      r.job_gpu_offsets_.back() != meta.job_gpu_count) {
+  if (!job_gpu_offsets.empty() &&
+      job_gpu_offsets.back() != meta.job_gpu_count) {
     return violated("job GPU offsets must cover every allocation",
-                    SectionId::kJobGpuOffsets);
+                    kJobGpuOffsets);
   }
-  for (const std::int32_t g : r.job_gpu_list_) {
-    if (g < 0 || g > max_key) {
-      return violated("job GPU key out of topology range",
-                      SectionId::kJobGpuList);
-    }
+  if (std::ranges::any_of(r.job_gpu_list(), off_topology)) {
+    return violated("job GPU key out of topology range", kJobGpuList);
   }
-  for (std::size_t i = 0; i < r.unavail_node_.size(); ++i) {
-    if (r.unavail_node_[i] < 0 ||
-        static_cast<std::uint32_t>(r.unavail_node_[i]) >= meta.node_count) {
+  for (std::size_t i = 0; i < unavail_node.size(); ++i) {
+    if (unavail_node[i] < 0 ||
+        static_cast<std::uint32_t>(unavail_node[i]) >= meta.node_count) {
       return violated("unavailability node out of topology range",
-                      SectionId::kUnavailNode);
+                      kUnavailNode);
     }
-    if (i > 0 && r.unavail_begin_[i - 1] > r.unavail_begin_[i]) {
+    if (i > 0 && unavail_begin[i - 1] > unavail_begin[i]) {
       return violated("unavailability intervals must be begin-sorted",
-                      SectionId::kUnavailBegin);
+                      kUnavailBegin);
     }
   }
   // The attribution sections: the query fold trusts positions as job
@@ -350,42 +287,43 @@ common::Result<IndexReader> IndexReader::open(const std::string& path) {
     }
     return true;
   };
-  if (!ascending_below_jobs(r.job_exposed_pos_)) {
+  if (!ascending_below_jobs(r.job_exposed_pos())) {
     return violated(
         "exposed job positions must be strictly increasing and below the "
         "job count",
-        SectionId::kJobExposedPos);
+        kJobExposedPos);
   }
   const std::uint32_t families = (1u << xid::report_order().size()) - 1;
-  for (const std::uint32_t packed : r.job_exposed_masks_) {
+  for (const std::uint32_t packed : r.job_exposed_masks()) {
     const std::uint32_t run = run_mask_of(packed);
     const std::uint32_t window = window_mask_of(packed);
     if ((run & ~families) != 0 || (window & ~families) != 0) {
       return violated("exposure masks must stay within the family range",
-                      SectionId::kJobExposedMasks);
+                      kJobExposedMasks);
     }
     if (run == 0) {
       return violated("exposed job run masks must be nonzero",
-                      SectionId::kJobExposedMasks);
+                      kJobExposedMasks);
     }
     if ((window & ~run) != 0) {
       return violated("exposure window mask must be a subset of the run mask",
-                      SectionId::kJobExposedMasks);
+                      kJobExposedMasks);
     }
   }
-  if (!ascending_below_jobs(r.job_failed_pos_)) {
+  if (!ascending_below_jobs(r.job_failed_pos())) {
     return violated(
         "failed job positions must be strictly increasing and below the job "
         "count",
-        SectionId::kJobFailedPos);
+        kJobFailedPos);
   }
   return r;
 }
 
 std::string_view IndexReader::node_name(std::uint32_t idx) const {
-  if (idx + 1 >= name_offsets_.size()) return {};
-  return name_blob_.substr(name_offsets_[idx],
-                           name_offsets_[idx + 1] - name_offsets_[idx]);
+  const auto offs = column<kNodeNameOffsets, std::uint32_t>();
+  const auto blob = column<kNodeNameBlob, char>();
+  if (idx + 1 >= offs.size()) return {};
+  return {blob.data() + offs[idx], offs[idx + 1] - offs[idx]};
 }
 
 std::optional<std::int32_t> IndexReader::node_index(
@@ -397,10 +335,9 @@ std::optional<std::int32_t> IndexReader::node_index(
 }
 
 std::span<const std::int32_t> IndexReader::job_gpus(std::size_t j) const {
-  if (j + 1 >= job_gpu_offsets_.size()) return {};
-  const std::uint64_t lo = job_gpu_offsets_[j];
-  const std::uint64_t hi = job_gpu_offsets_[j + 1];
-  return job_gpu_list_.subspan(lo, hi - lo);
+  const auto offs = job_gpu_offsets();
+  if (j + 1 >= offs.size()) return {};
+  return job_gpu_list().subspan(offs[j], offs[j + 1] - offs[j]);
 }
 
 }  // namespace gpures::index

@@ -18,6 +18,7 @@
 // byte-swapped garbage.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -25,35 +26,11 @@
 #include <string_view>
 
 #include "analysis/job_impact.h"
-#include "analysis/periods.h"
 #include "common/error.h"
 #include "common/mmap.h"
-#include "common/time.h"
+#include "index/format.h"
 
 namespace gpures::index {
-
-/// Decoded meta block (section 1).
-struct IndexMeta {
-  analysis::StudyPeriods periods;
-  common::Duration attribution_window = 20;
-  double max_interval_h = 24.0 * 30;
-  /// ErrorStatsConfig the aggregate MTBE was computed with (see query.h).
-  double outlier_share = 0.5;
-  std::uint64_t outlier_min = 1000;
-  bool exclude_outliers_from_totals = true;
-  std::uint32_t node_count = 0;
-  /// 0 = device-level attribution, 1 = node-level (the pipeline's setting).
-  std::uint32_t attribution = 0;
-  std::uint64_t error_count = 0;
-  std::uint64_t loc_entry_count = 0;
-  std::uint64_t job_count = 0;
-  std::uint64_t job_gpu_count = 0;
-  std::uint64_t unavail_count = 0;
-  /// Jobs with a nonzero run mask at the recorded attribution.
-  std::uint64_t exposed_count = 0;
-  /// Jobs in a failure state.
-  std::uint64_t failed_count = 0;
-};
 
 class IndexReader {
  public:
@@ -75,28 +52,26 @@ class IndexReader {
   std::optional<std::int32_t> node_index(std::string_view name) const;
 
   // Coalesced-error columns, sorted by (time, gpu, code, raw_xid).
-  std::span<const std::int64_t> err_time() const { return err_time_; }
-  std::span<const std::int64_t> err_last() const { return err_last_; }
-  std::span<const std::int32_t> err_gpu() const { return err_gpu_; }
-  std::span<const std::uint16_t> err_code() const { return err_code_; }
-  std::span<const std::uint16_t> err_raw_xid() const { return err_raw_xid_; }
-  std::span<const std::uint32_t> err_raw_lines() const {
-    return err_raw_lines_;
-  }
+  auto err_time() const { return column<kErrTime, std::int64_t>(); }
+  auto err_last() const { return column<kErrLast, std::int64_t>(); }
+  auto err_gpu() const { return column<kErrGpu, std::int32_t>(); }
+  auto err_code() const { return column<kErrCode, std::uint16_t>(); }
+  auto err_raw_xid() const { return column<kErrRawXid, std::uint16_t>(); }
+  auto err_raw_lines() const { return column<kErrRawLines, std::uint32_t>(); }
 
   /// The exposure-join location index (reported families only, grouped by
   /// packed GPU): the same layout analysis::build_error_index produces.
   const analysis::ErrorIndexView& error_index() const { return loc_; }
 
   // Job columns, sorted by (end, start, id).
-  std::span<const std::uint64_t> job_id() const { return job_id_; }
-  std::span<const std::int64_t> job_start() const { return job_start_; }
-  std::span<const std::int64_t> job_end() const { return job_end_; }
-  std::span<const std::uint8_t> job_state() const { return job_state_; }
-  std::span<const std::uint64_t> job_gpu_offsets() const {
-    return job_gpu_offsets_;
+  auto job_id() const { return column<kJobId, std::uint64_t>(); }
+  auto job_start() const { return column<kJobStart, std::int64_t>(); }
+  auto job_end() const { return column<kJobEnd, std::int64_t>(); }
+  auto job_state() const { return column<kJobState, std::uint8_t>(); }
+  auto job_gpu_offsets() const {
+    return column<kJobGpuOffsets, std::uint64_t>();
   }
-  std::span<const std::int32_t> job_gpu_list() const { return job_gpu_list_; }
+  auto job_gpu_list() const { return column<kJobGpuList, std::int32_t>(); }
   /// Packed GPUs allocated to job `j` (index into the job columns).
   std::span<const std::int32_t> job_gpus(std::size_t j) const;
 
@@ -104,50 +79,40 @@ class IndexReader {
   // unbounded period: positions (into the job columns) of the jobs with a
   // nonzero run mask, their packed masks (format.h pack_masks), and the
   // positions of the jobs in a failure state.  Positions ascend.
-  std::span<const std::uint32_t> job_exposed_pos() const {
-    return job_exposed_pos_;
+  auto job_exposed_pos() const {
+    return column<kJobExposedPos, std::uint32_t>();
   }
-  std::span<const std::uint32_t> job_exposed_masks() const {
-    return job_exposed_masks_;
+  auto job_exposed_masks() const {
+    return column<kJobExposedMasks, std::uint32_t>();
   }
-  std::span<const std::uint32_t> job_failed_pos() const {
-    return job_failed_pos_;
+  auto job_failed_pos() const {
+    return column<kJobFailedPos, std::uint32_t>();
   }
 
   // Unavailability columns, sorted by (begin, node, end).
-  std::span<const std::int32_t> unavail_node() const { return unavail_node_; }
-  std::span<const std::int64_t> unavail_begin() const {
-    return unavail_begin_;
-  }
-  std::span<const std::int64_t> unavail_end() const { return unavail_end_; }
+  auto unavail_node() const { return column<kUnavailNode, std::int32_t>(); }
+  auto unavail_begin() const { return column<kUnavailBegin, std::int64_t>(); }
+  auto unavail_end() const { return column<kUnavailEnd, std::int64_t>(); }
 
  private:
+  using enum SectionId;
+
   IndexReader() = default;
+
+  /// Section `id`'s elements, in place in the mapping.
+  template <SectionId id, typename T>
+  std::span<const T> column() const {
+    static_assert(sizeof(T) == section_spec(id).width);
+    const auto bytes = columns_[static_cast<std::size_t>(id) - 1];
+    return {reinterpret_cast<const T*>(bytes.data()),
+            bytes.size() / sizeof(T)};
+  }
 
   common::MappedFile file_;
   IndexMeta meta_;
-
-  std::span<const std::uint32_t> name_offsets_;
-  std::string_view name_blob_;
-  std::span<const std::int64_t> err_time_;
-  std::span<const std::int64_t> err_last_;
-  std::span<const std::int32_t> err_gpu_;
-  std::span<const std::uint16_t> err_code_;
-  std::span<const std::uint16_t> err_raw_xid_;
-  std::span<const std::uint32_t> err_raw_lines_;
+  /// Each section's element bytes (padding excluded), verified by open().
+  std::array<std::span<const unsigned char>, kSectionCount> columns_{};
   analysis::ErrorIndexView loc_;
-  std::span<const std::uint64_t> job_id_;
-  std::span<const std::int64_t> job_start_;
-  std::span<const std::int64_t> job_end_;
-  std::span<const std::uint8_t> job_state_;
-  std::span<const std::uint64_t> job_gpu_offsets_;
-  std::span<const std::int32_t> job_gpu_list_;
-  std::span<const std::uint32_t> job_exposed_pos_;
-  std::span<const std::uint32_t> job_exposed_masks_;
-  std::span<const std::uint32_t> job_failed_pos_;
-  std::span<const std::int32_t> unavail_node_;
-  std::span<const std::int64_t> unavail_begin_;
-  std::span<const std::int64_t> unavail_end_;
 };
 
 }  // namespace gpures::index

@@ -2,54 +2,17 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
-#include <cstring>
 #include <limits>
 #include <numeric>
-#include <string_view>
 
 #include "common/hash.h"
 #include "common/io.h"
-#include "index/format.h"
 #include "slurm/job.h"
 #include "xid/event.h"
 
 namespace gpures::index {
 
-namespace {
-
 namespace an = gpures::analysis;
-
-/// Sequential little-endian writes into a section of the output buffer.
-struct Cursor {
-  unsigned char* p;
-
-  void u8(std::uint8_t v) { *p++ = v; }
-  void le16(std::uint16_t v) {
-    store_le16(p, v);
-    p += 2;
-  }
-  void le32(std::uint32_t v) {
-    store_le32(p, v);
-    p += 4;
-  }
-  void le64(std::uint64_t v) {
-    store_le64(p, v);
-    p += 8;
-  }
-  void i32(std::int32_t v) { le32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { le64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) {
-    store_f64(p, v);
-    p += 8;
-  }
-  void bytes(std::string_view v) {
-    std::memcpy(p, v.data(), v.size());
-    p += v.size();
-  }
-};
-
-}  // namespace
 
 common::Result<std::string> serialize_index(const IndexBuildInput& in) {
   if (in.topo == nullptr || in.errors == nullptr || in.jobs == nullptr ||
@@ -207,164 +170,117 @@ common::Result<std::string> serialize_index(const IndexBuildInput& in) {
               return a.end < b.end;
             });
 
+  IndexMeta meta;
+  static_cast<IndexSettings&>(meta) = in;
+  meta.node_count = static_cast<std::uint32_t>(topo.node_count());
+  meta.error_count = errors.size();
+  meta.loc_entry_count = loc.time.size();
+  meta.job_count = jobs.jobs.size();
+  meta.job_gpu_count = job_gpus;
+  meta.unavail_count = unavail.size();
+  meta.exposed_count = exposed_pos.size();
+  meta.failed_count = failed_pos.size();
+
   // ---- layout: every section's exact size, padded, gapless ---------------
-  std::array<std::uint64_t, kSectionCount> offset{};
-  std::array<std::uint64_t, kSectionCount> padded{};
+  SectionCounts counts{meta, 0, loc.keys.size()};
+  for (std::int32_t n = 0; n < topo.node_count(); ++n) {
+    counts.name_bytes += topo.node(n).name.size();
+  }
+  std::array<SectionEntry, kSectionCount> table;
   std::uint64_t file_size = kSectionBase;
-  {
-    const std::uint64_t e = errors.size();
-    const std::uint64_t k = loc.keys.size();
-    const std::uint64_t l = loc.time.size();
-    const std::uint64_t j = job_order.size();
-    const std::uint64_t u = unavail.size();
-    const std::uint64_t x = exposed_pos.size();
-    std::uint64_t blob = 0;
-    for (std::int32_t n = 0; n < topo.node_count(); ++n) {
-      blob += topo.node(n).name.size();
-    }
-    const std::uint64_t bytes[kSectionCount] = {
-        kMetaSize,                                                // meta
-        4 * (static_cast<std::uint64_t>(topo.node_count()) + 1),  // names
-        blob,
-        8 * e, 8 * e, 4 * e, 2 * e, 2 * e, 4 * e,  // errors
-        8 * k, 8 * (k + 1), 8 * l, 4 * l,          // location index
-        8 * j, 8 * j, 8 * j, j, 8 * (j + 1), 4 * job_gpus,  // jobs
-        4 * u, 8 * u, 8 * u,                                // unavailability
-        4 * x, 4 * x, 4 * failed_pos.size(),                // attribution
-    };
-    for (std::size_t i = 0; i < kSectionCount; ++i) {
-      offset[i] = file_size;
-      padded[i] = pad8(bytes[i]);
-      file_size += padded[i];
-    }
+  for (std::size_t i = 0; i < kSectionCount; ++i) {
+    table[i].id = static_cast<std::uint32_t>(i + 1);
+    table[i].offset = file_size;
+    table[i].size = kSections[i].size(counts);
+    file_size += table[i].size;
   }
   // Zero-filled, so the padding is zero; columns are written in place.
   std::string out(file_size, '\0');
   auto* const base = reinterpret_cast<unsigned char*>(out.data());
+  using Column = common::Writer<>;
   const auto sec = [&](SectionId id) {
-    return Cursor{base + offset[static_cast<std::size_t>(id) - 1]};
+    return Column(base + table[static_cast<std::size_t>(id) - 1].offset);
   };
 
   // ---- section payloads ----------------------------------------------------
+  sec(SectionId::kMeta)(meta);
   {
-    Cursor m = sec(SectionId::kMeta);
-    m.i64(in.periods.pre.begin);
-    m.i64(in.periods.pre.end);
-    m.i64(in.periods.op.begin);
-    m.i64(in.periods.op.end);
-    m.i64(in.attribution_window);
-    m.f64(in.max_interval_h);
-    m.le32(static_cast<std::uint32_t>(topo.node_count()));
-    m.le32(in.attribution == an::Attribution::kGpuLevel ? 0u : 1u);
-    m.le64(errors.size());
-    m.le64(loc.time.size());
-    m.le64(jobs.jobs.size());
-    m.le64(job_gpus);
-    m.le64(unavail.size());
-    m.f64(in.outlier_share);
-    m.le64(in.outlier_min);
-    m.le32(in.exclude_outliers_from_totals ? 1u : 0u);
-    m.le32(0);
-    m.le64(exposed_pos.size());
-    m.le64(failed_pos.size());
-  }
-  {
-    Cursor offs = sec(SectionId::kNodeNameOffsets);
-    Cursor blob = sec(SectionId::kNodeNameBlob);
+    Column offs = sec(SectionId::kNodeNameOffsets);
+    Column blob = sec(SectionId::kNodeNameBlob);
     std::uint32_t len = 0;
-    offs.le32(0);
+    offs(len);
     for (std::int32_t n = 0; n < topo.node_count(); ++n) {
       blob.bytes(topo.node(n).name);
       len += static_cast<std::uint32_t>(topo.node(n).name.size());
-      offs.le32(len);
+      offs(len);
     }
   }
   {
-    Cursor time = sec(SectionId::kErrTime);
-    Cursor last = sec(SectionId::kErrLast);
-    Cursor gpu = sec(SectionId::kErrGpu);
-    Cursor code = sec(SectionId::kErrCode);
-    Cursor raw_xid = sec(SectionId::kErrRawXid);
-    Cursor raw_lines = sec(SectionId::kErrRawLines);
+    Column time = sec(SectionId::kErrTime);
+    Column last = sec(SectionId::kErrLast);
+    Column gpu = sec(SectionId::kErrGpu);
+    Column code = sec(SectionId::kErrCode);
+    Column raw_xid = sec(SectionId::kErrRawXid);
+    Column raw_lines = sec(SectionId::kErrRawLines);
     for (const std::size_t i : err_order) {
       const auto& e = errors[i];
-      time.i64(e.time);
-      last.i64(e.last);
-      gpu.i32(an::pack_gpu(e.gpu.node, e.gpu.slot));
-      code.le16(xid::to_number(e.code));
-      raw_xid.le16(e.raw_xid);
-      raw_lines.le32(e.raw_lines);
+      time(e.time);
+      last(e.last);
+      gpu(an::pack_gpu(e.gpu.node, e.gpu.slot));
+      code(xid::to_number(e.code));
+      raw_xid(e.raw_xid);
+      raw_lines(e.raw_lines);
     }
   }
+  sec(SectionId::kLocKeys).items(loc.keys);
+  sec(SectionId::kLocOffsets).items(loc.offsets);
+  sec(SectionId::kLocTime).items(loc.time);
+  sec(SectionId::kLocBit).items(loc.bit);
   {
-    Cursor keys = sec(SectionId::kLocKeys);
-    Cursor offs = sec(SectionId::kLocOffsets);
-    Cursor time = sec(SectionId::kLocTime);
-    Cursor bit = sec(SectionId::kLocBit);
-    for (const std::int64_t key : loc.keys) keys.i64(key);
-    for (const std::uint64_t off : loc.offsets) offs.le64(off);
-    for (const std::int64_t t : loc.time) time.i64(t);
-    for (const std::uint32_t b : loc.bit) bit.le32(b);
-  }
-  {
-    Cursor id = sec(SectionId::kJobId);
-    Cursor start = sec(SectionId::kJobStart);
-    Cursor end = sec(SectionId::kJobEnd);
-    Cursor state = sec(SectionId::kJobState);
-    Cursor goffs = sec(SectionId::kJobGpuOffsets);
-    Cursor glist = sec(SectionId::kJobGpuList);
+    Column id = sec(SectionId::kJobId);
+    Column start = sec(SectionId::kJobStart);
+    Column end = sec(SectionId::kJobEnd);
+    Column state = sec(SectionId::kJobState);
+    Column goffs = sec(SectionId::kJobGpuOffsets);
+    Column glist = sec(SectionId::kJobGpuList);
     std::uint64_t gcount = 0;
-    goffs.le64(0);
+    goffs(gcount);
     for (const JobKey& key : job_order) {
       const auto& j = jobs.jobs[key.idx];
-      id.le64(j.id);
-      start.i64(j.start);
-      end.i64(j.end);
-      state.u8(static_cast<std::uint8_t>(j.state));
+      id(j.id);
+      start(j.start);
+      end(j.end);
+      state(j.state);
       const auto gpus = jobs.gpus_of(j);
-      for (const an::PackedGpu g : gpus) glist.i32(g);
+      for (const an::PackedGpu g : gpus) glist(g);
       gcount += gpus.size();
-      goffs.le64(gcount);
+      goffs(gcount);
     }
   }
   {
-    Cursor node = sec(SectionId::kUnavailNode);
-    Cursor begin = sec(SectionId::kUnavailBegin);
-    Cursor end = sec(SectionId::kUnavailEnd);
+    Column node = sec(SectionId::kUnavailNode);
+    Column begin = sec(SectionId::kUnavailBegin);
+    Column end = sec(SectionId::kUnavailEnd);
     for (const auto& u : unavail) {
-      node.i32(u.node);
-      begin.i64(u.begin);
-      end.i64(u.end);
+      node(u.node);
+      begin(u.begin);
+      end(u.end);
     }
   }
-  {
-    Cursor xpos = sec(SectionId::kJobExposedPos);
-    Cursor xmask = sec(SectionId::kJobExposedMasks);
-    Cursor fpos = sec(SectionId::kJobFailedPos);
-    for (const std::uint32_t pos : exposed_pos) xpos.le32(pos);
-    for (const std::uint32_t m : exposed_masks) xmask.le32(m);
-    for (const std::uint32_t pos : failed_pos) fpos.le32(pos);
-  }
+  sec(SectionId::kJobExposedPos).items(exposed_pos);
+  sec(SectionId::kJobExposedMasks).items(exposed_masks);
+  sec(SectionId::kJobFailedPos).items(failed_pos);
 
   // ---- section table, then the header that hashes it -----------------------
-  Cursor table{base + kSectionTableOffset};
-  for (std::size_t i = 0; i < kSectionCount; ++i) {
-    table.le32(static_cast<std::uint32_t>(i + 1));
-    table.le32(0);
-    table.le64(offset[i]);
-    table.le64(padded[i]);
-    table.le64(common::xxhash64(base + offset[i], padded[i]));
+  for (auto& entry : table) {
+    entry.hash = common::xxhash64(base + entry.offset, entry.size);
   }
-  Cursor header{base};
-  header.bytes(std::string_view(kMagic, sizeof(kMagic)));
-  header.le32(kFormatVersion);
-  header.le32(kEndianTag);
-  header.le64(file_size);
-  header.le32(kSectionCount);
-  header.le32(0);
-  header.le64(common::xxhash64(base + kSectionTableOffset,
-                               kSectionCount * kSectionEntrySize));
-  header.le64(common::xxhash64(base, kHeaderHashedBytes));
+  Column(base + kSectionTableOffset).items(table);
+  IndexHeader header;
+  header.file_size = file_size;
+  header.table_hash = common::xxhash64(base + kSectionTableOffset,
+                                       kSectionCount * kSectionEntrySize);
+  common::store_sealed(base, header);
   return out;
 }
 
@@ -381,16 +297,11 @@ common::Result<IndexWriteStats> write_index(const IndexBuildInput& in,
 
   IndexWriteStats stats;
   stats.bytes = bytes.value().size();
-  const auto* meta = reinterpret_cast<const unsigned char*>(
-                         bytes.value().data()) + kSectionBase;
-  stats.errors = load_le64(meta + kMetaErrorCount);
-  stats.loc_entries = load_le64(meta + kMetaLocEntryCount);
-  stats.jobs = load_le64(meta + kMetaJobCount);
-  stats.job_gpus = load_le64(meta + kMetaJobGpuCount);
-  stats.unavailability = load_le64(meta + kMetaUnavailCount);
+  stats.meta =
+      common::load_record<IndexMeta>(bytes.value().data() + kSectionBase);
   // Every interval the writer did not store named an unknown host.
   stats.dropped_unknown_hosts =
-      in.unavailability->size() - stats.unavailability;
+      in.unavailability->size() - stats.meta.unavail_count;
   return stats;
 }
 

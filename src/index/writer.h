@@ -16,28 +16,16 @@
 
 #include "analysis/availability.h"
 #include "analysis/coalesce.h"
-#include "analysis/job_impact.h"
 #include "analysis/job_stats.h"
-#include "analysis/periods.h"
 #include "cluster/topology.h"
 #include "common/error.h"
+#include "index/format.h"
 
 namespace gpures::index {
 
-/// Everything the artifact captures.  Pointers are borrowed for the call.
-struct IndexBuildInput {
-  analysis::StudyPeriods periods;
-  /// Job-failure attribution window the pipeline ran with (queries may
-  /// override it per call; this is the recorded default).
-  common::Duration attribution_window = 20;
-  analysis::Attribution attribution = analysis::Attribution::kGpuLevel;
-  /// AvailabilityConfig::max_interval_h the intervals were computed with.
-  double max_interval_h = 24.0 * 30;
-  /// Aggregate-MTBE outlier handling (ErrorStatsConfig) the pipeline ran
-  /// with; recorded so query-time MTTF replays the exact batch semantics.
-  double outlier_share = 0.5;
-  std::uint64_t outlier_min = 1000;
-  bool exclude_outliers_from_totals = true;
+/// Everything the artifact captures: the settings it records, and the
+/// results, borrowed for the call.
+struct IndexBuildInput : IndexSettings {
   const cluster::Topology* topo = nullptr;
   const std::vector<analysis::CoalescedError>* errors = nullptr;
   const analysis::JobTable* jobs = nullptr;
@@ -46,11 +34,7 @@ struct IndexBuildInput {
 
 struct IndexWriteStats {
   std::uint64_t bytes = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t loc_entries = 0;
-  std::uint64_t jobs = 0;
-  std::uint64_t job_gpus = 0;
-  std::uint64_t unavailability = 0;
+  IndexMeta meta;  ///< the meta block written, every element count included
   /// Unavailability intervals dropped because their host is not in the
   /// topology (the artifact stores node indices, not names).
   std::uint64_t dropped_unknown_hosts = 0;

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <ranges>
-#include <type_traits>
 
 #include "common/hash.h"
 #include "common/io.h"
-#include "index/format.h"
 
 namespace gpures::serve {
 
@@ -15,252 +12,102 @@ namespace fs = std::filesystem;
 
 namespace {
 
-using index::load_le16;
-using index::load_le32;
-using index::load_le64;
-using index::store_le16;
-using index::store_le32;
-using index::store_le64;
-
-constexpr char kSegmentMagic[8] = {'G', 'P', 'U', 'R', 'E', 'S', 'S', 'G'};
-
 /// Segment file names, indexed by Segment.
 constexpr std::array<const char*, kSegmentCount> kSegmentNames = {
     "seg-errors.bin", "seg-lifecycle.bin", "seg-jobs.bin", "seg-spill.bin"};
 
-/// Block framing: u64 payload length + u64 record count before the payload,
-/// u64 XXH64 of all of it after.
-constexpr std::size_t kBlockPrefix = 16;
+/// Block framing: the prefix before the payload, its XXH64 after.
+constexpr std::size_t kBlockPrefix = common::encoded_size<BlockPrefix>();
 constexpr std::size_t kBlockOverhead = kBlockPrefix + 8;
 
 /// first_category is one of three static strings (or null); its index here
 /// survives serialization where the pointer cannot.
 constexpr const char* kCategories[] = {nullptr, "torn", "overlong", "binary"};
 
-// ---- field codecs -------------------------------------------------------
+// ---- field codec --------------------------------------------------------
 //
-// Writer encodes and Cursor decodes by walking the same fields() lists
-// below.  A field's wire form follows from its C++ type (see Walk); the two
-// that do not — packed flag bits and the first-offense category code — are
-// named ops.  Everything resolves at compile time: encoding a record is the
-// same run of appends a hand-written encoder makes.
+// The payload records are other modules' types, so their fields() live
+// here, found through this tag (see common/codec.h).  Two fields' wire
+// forms do not follow from their C++ types — packed flag bits and the
+// first-offense category code — and are named ops.
 
-/// The unsigned integer of `v`'s width that carries it on disk: a bool as
-/// 0/1, an enum as its underlying type.
-template <typename T>
-auto wire(T v) {
-  if constexpr (std::is_same_v<T, bool>) {
-    return static_cast<std::uint8_t>(v);
-  } else if constexpr (std::is_enum_v<T>) {
-    return static_cast<std::make_unsigned_t<std::underlying_type_t<T>>>(v);
-  } else {
-    return static_cast<std::make_unsigned_t<T>>(v);
-  }
+struct Schema {};
+using Writer = common::Writer<Schema>;
+using Cursor = common::Cursor<Schema>;
+
+/// One byte; bit i holds the i-th argument.
+template <typename... B>
+void flags(Writer& w, B... bits) {
+  unsigned f = 0;
+  unsigned i = 0;
+  ((f |= static_cast<unsigned>(bits) << i++), ...);
+  w(static_cast<std::uint8_t>(f));
+}
+template <typename... B>
+void flags(Cursor& c, B&... bits) {
+  std::uint8_t f = 0;
+  c(f);
+  unsigned i = 0;
+  ((bits = ((f >> i++) & 1u) != 0), ...);
 }
 
-template <typename T>
-constexpr bool kIsVector = false;
-template <typename T>
-constexpr bool kIsVector<std::vector<T>> = true;
-
-/// The walk Writer and Cursor share: io(a, b, ...) codes each argument by
-/// its type — an integer, bool or enum as wire(); a string as u32 length +
-/// bytes; a vector as u32 count + elements; a fixed array as its elements;
-/// anything else as a record, through its fields().
-template <typename IO>
-class Walk {
- public:
-  template <typename... T>
-  void operator()(T&&... v) {
-    (field(v), ...);
+void category(Writer& w, const char* c) {
+  std::uint8_t code = c == nullptr ? 0 : 3;  // any other string: "binary"
+  for (std::uint8_t i = 1; c != nullptr && i < 3; ++i) {
+    if (std::strcmp(c, kCategories[i]) == 0) code = i;
   }
-
- private:
-  template <typename T>
-  void field(T& v) {
-    auto& io = static_cast<IO&>(*this);
-    using U = std::remove_cv_t<T>;
-    if constexpr (std::is_integral_v<U> || std::is_enum_v<U>) {
-      io.num(v);
-    } else if constexpr (std::is_same_v<U, std::string>) {
-      io.str(v);
-    } else if constexpr (kIsVector<U>) {
-      io.list(v);
-    } else if constexpr (std::ranges::range<U>) {
-      for (auto& e : v) field(e);
-    } else {
-      fields(io, v);
-    }
-  }
-};
-
-/// A record as fields() sees it: read-only when `IO` encodes.
-template <typename IO, typename T>
-using Rec = std::conditional_t<IO::kEncodes, const T, T>;
-
-/// Little-endian encoder appending to a string.
-class Writer : public Walk<Writer> {
- public:
-  static constexpr bool kEncodes = true;
-  explicit Writer(std::string& out) : out_(out) {}
-
-  template <typename T>
-  void num(T v) {
-    const auto w = wire(v);
-    if constexpr (sizeof(w) == 1) {
-      out_.push_back(static_cast<char>(w));
-    } else {
-      unsigned char b[sizeof(w)];
-      if constexpr (sizeof(w) == 2) {
-        store_le16(b, w);
-      } else if constexpr (sizeof(w) == 4) {
-        store_le32(b, w);
-      } else {
-        store_le64(b, w);
-      }
-      out_.append(reinterpret_cast<const char*>(b), sizeof(w));
-    }
-  }
-  void str(std::string_view s) {
-    num(static_cast<std::uint32_t>(s.size()));
-    out_.append(s);
-  }
-  /// One byte; bit i holds the i-th argument.
-  template <typename... B>
-  void flags(B... bits) {
-    unsigned f = 0;
-    unsigned i = 0;
-    ((f |= static_cast<unsigned>(bits) << i++), ...);
-    num(static_cast<std::uint8_t>(f));
-  }
-  void category(const char* c) {
-    std::uint8_t code = c == nullptr ? 0 : 3;  // any other string: "binary"
-    for (std::uint8_t i = 1; c != nullptr && i < 3; ++i) {
-      if (std::strcmp(c, kCategories[i]) == 0) code = i;
-    }
-    num(code);
-  }
-  template <typename T>
-  void list(const std::vector<T>& v) {
-    num(static_cast<std::uint32_t>(v.size()));
-    for (const auto& e : v) (*this)(e);
-  }
-
- private:
-  std::string& out_;
-};
-
-/// Bounds-checked little-endian decoder.  The first read past the end
-/// latches failed(), and every later read yields zero.
-class Cursor : public Walk<Cursor> {
- public:
-  static constexpr bool kEncodes = false;
-  explicit Cursor(std::string_view data) : data_(data) {}
-
-  bool failed() const { return failed_; }
-  bool done() const { return pos_ == data_.size(); }
-
-  template <typename T>
-  void num(T& v) {
-    decltype(wire(v)) w = 0;
-    if (take(sizeof(w))) {
-      const auto* p = reinterpret_cast<const unsigned char*>(data_.data()) +
-                      pos_ - sizeof(w);
-      if constexpr (sizeof(w) == 1) {
-        w = *p;
-      } else if constexpr (sizeof(w) == 2) {
-        w = load_le16(p);
-      } else if constexpr (sizeof(w) == 4) {
-        w = load_le32(p);
-      } else {
-        w = load_le64(p);
-      }
-    }
-    v = static_cast<T>(w);
-  }
-  void str(std::string& s) {
-    std::uint32_t len = 0;
-    num(len);
-    if (take(len)) s.assign(data_.substr(pos_ - len, len));
-  }
-  template <typename... B>
-  void flags(B&... bits) {
-    std::uint8_t f = 0;
-    num(f);
-    unsigned i = 0;
-    ((bits = ((f >> i++) & 1u) != 0), ...);
-  }
-  void category(const char*& c) {
-    std::uint8_t code = 0;
-    num(code);
-    c = code < std::size(kCategories) ? kCategories[code] : nullptr;
-  }
-  template <typename T>
-  void list(std::vector<T>& v) {
-    std::uint32_t n = 0;
-    num(n);
-    for (std::uint32_t i = 0; i < n && !failed_; ++i) (*this)(v.emplace_back());
-  }
-
- private:
-  bool take(std::size_t n) {
-    if (failed_ || data_.size() - pos_ < n) {
-      failed_ = true;
-      return false;
-    }
-    pos_ += n;
-    return true;
-  }
-
-  std::string_view data_;
-  std::size_t pos_ = 0;
-  bool failed_ = false;
-};
+  w(code);
+}
+void category(Cursor& c, const char*& out) {
+  std::uint8_t code = 0;
+  c(code);
+  out = code < std::size(kCategories) ? kCategories[code] : nullptr;
+}
 
 // ---- the schema: every persisted record's fields, in on-disk order ------
 
 template <typename IO>
-void fields(IO& io, Rec<IO, analysis::CoalescedError>& e) {
+void fields(IO& io, common::Rec<IO, analysis::CoalescedError>& e) {
   io(e.time, e.last, e.gpu.node, e.gpu.slot, e.code, e.raw_xid, e.raw_lines);
 }
 template <typename IO>
-void fields(IO& io, Rec<IO, analysis::LifecycleRecord>& l) {
+void fields(IO& io, common::Rec<IO, analysis::LifecycleRecord>& l) {
   io(l.time, l.kind, l.host);
 }
 template <typename IO>
-void fields(IO& io, Rec<IO, analysis::JobView>& j) {
+void fields(IO& io, common::Rec<IO, analysis::JobView>& j) {
   io(j.id, j.start, j.end, j.gpus, j.state, j.is_ml, j.inline_count,
      j.gpus_inline, j.spill_index);
 }
 template <typename IO>
-void fields(IO& io, Rec<IO, logsys::ScreenCounts>& c) {
+void fields(IO& io, common::Rec<IO, logsys::ScreenCounts>& c) {
   io(c.kept_lines, c.kept_bytes, c.binary_lines, c.binary_bytes,
      c.overlong_lines, c.overlong_bytes, c.torn_lines, c.torn_bytes,
      c.crlf_bytes, c.first_line, c.first_offset);
-  io.category(c.first_category);
+  category(io, c.first_category);
 }
 template <typename IO>
-void fields(IO& io, Rec<IO, SourceSnapshot>& s) {
+void fields(IO& io, common::Rec<IO, SourceSnapshot>& s) {
   io(s.name, s.date, s.offset, s.lines_seen);
-  io.flags(s.existed, s.sealed, s.degraded, s.recovered);
+  flags(io, s.existed, s.sealed, s.degraded, s.recovered);
   io(s.degrade_reason, s.last_progress_tick, s.last_event, s.counts);
 }
 template <typename IO>
-void fields(IO& io, Rec<IO, AccountingSnapshot>& a) {
-  io.flags(a.seen, a.degraded);
+void fields(IO& io, common::Rec<IO, AccountingSnapshot>& a) {
+  flags(io, a.seen, a.degraded);
   io(a.degrade_reason, a.offset, a.line_no, a.rows_kept, a.rows_rejected,
      a.bytes_rejected);
 }
 template <typename IO>
-void fields(IO& io, Rec<IO, analysis::CoalescerState>& c) {
+void fields(IO& io, common::Rec<IO, analysis::CoalescerState>& c) {
   io(c.records_in, c.errors_out, c.out_of_order, c.open);
 }
 template <typename IO>
-void fields(IO& io, Rec<IO, SegmentExtent>& e) {
+void fields(IO& io, common::Rec<IO, SegmentExtent>& e) {
   io(e.bytes, e.records, e.chain);
 }
 template <typename IO>
-void fields(IO& io, Rec<IO, CheckpointFrontier>& f) {
+void fields(IO& io, common::Rec<IO, CheckpointFrontier>& f) {
   io(f.config_hash, f.seq, f.tick, f.watermark, f.sources, f.accounting,
      f.stray_files, f.coalescer);
 }
@@ -268,11 +115,12 @@ void fields(IO& io, Rec<IO, CheckpointFrontier>& f) {
 // ---- segment framing ----------------------------------------------------
 
 std::string segment_header(Segment s, std::uint64_t config_hash) {
-  std::string h(kSegmentMagic, sizeof(kSegmentMagic));
-  Writer w(h);
-  w(kCheckpointVersion, static_cast<std::uint32_t>(s), config_hash);
-  w(common::xxhash64(h));
-  return h;
+  SegmentHeader h;
+  h.stream = static_cast<std::uint32_t>(s);
+  h.config_hash = config_hash;
+  std::string out(kSegmentHeaderSize, '\0');
+  common::store_sealed(out.data(), h);
+  return out;
 }
 
 /// Next value of a segment's hash chain after a block whose stored XXH64
@@ -306,13 +154,14 @@ auto on_stream(Segment s, F&& f) {
 
 template <typename T>
 std::string make_block(std::span<const T> records) {
+  BlockPrefix prefix{0, records.size()};
   std::string b;
   Writer w(b);
-  w(std::uint64_t{0}, static_cast<std::uint64_t>(records.size()));
+  w(prefix);
   for (const auto& r : records) w(r);
   // Patch the payload length, then seal the block with its hash.
-  store_le64(reinterpret_cast<unsigned char*>(b.data()),
-             b.size() - kBlockPrefix);
+  prefix.payload_bytes = b.size() - kBlockPrefix;
+  common::store_record(b.data(), prefix);
   w(common::xxhash64(b));
   return b;
 }
@@ -343,14 +192,13 @@ common::Status read_segment(Segment s, std::string_view file,
                 std::to_string(file.size()) + " < " +
                 std::to_string(extent.bytes) + " bytes)");
   }
-  const auto* bytes = reinterpret_cast<const unsigned char*>(file.data());
-  if (std::memcmp(bytes, kSegmentMagic, sizeof(kSegmentMagic)) != 0 ||
-      load_le32(bytes + 8) != kCheckpointVersion ||
-      load_le32(bytes + 12) != static_cast<std::uint32_t>(s) ||
-      common::xxhash64(bytes, 24) != load_le64(bytes + 24)) {
+  const auto h = common::load_record<SegmentHeader>(file.data());
+  if (h.magic != kSegmentMagic || h.version != kCheckpointVersion ||
+      h.stream != static_cast<std::uint32_t>(s) ||
+      common::header_hash_at<SegmentHeader>(file.data()) != h.header_hash) {
     return fail("bad header");
   }
-  if (load_le64(bytes + 16) != config_hash) {
+  if (h.config_hash != config_hash) {
     return fail("config_hash mismatch (written by another run)");
   }
   std::uint64_t pos = kSegmentHeaderSize;
@@ -358,15 +206,15 @@ common::Status read_segment(Segment s, std::string_view file,
   std::uint64_t chain = 0;
   while (pos < extent.bytes) {
     if (extent.bytes - pos < kBlockOverhead) return fail("torn block header");
-    const std::uint64_t len = load_le64(bytes + pos);
-    const std::uint64_t count = load_le64(bytes + pos + 8);
+    const auto [len, count] =
+        common::load_record<BlockPrefix>(file.data() + pos);
     if (len > extent.bytes - pos - kBlockOverhead) {
       return fail("block at byte " + std::to_string(pos) +
                   " overruns the committed length");
     }
     const std::uint64_t hash_at = pos + kBlockPrefix + len;
     if (common::xxhash64(file.data() + pos, kBlockPrefix + len) !=
-        load_le64(bytes + hash_at)) {
+        common::load_record<std::uint64_t>(file.data() + hash_at)) {
       return fail("block checksum mismatch at byte " + std::to_string(pos));
     }
     const bool decoded = on_stream(s, [&](auto, auto vector_of) {
@@ -433,13 +281,11 @@ std::string serialize_generation(const CheckpointFrontier& frontier,
   Writer payload(p);
   payload(frontier, segments);
 
-  std::string out;
-  out.reserve(kCheckpointHeaderSize + p.size());
-  out.append(kCheckpointMagic, sizeof(kCheckpointMagic));
-  Writer header(out);
-  header(kCheckpointVersion, kCheckpointEndianTag,
-         static_cast<std::uint64_t>(p.size()), common::xxhash64(p));
-  header(common::xxhash64(out));
+  CheckpointHeader h;
+  h.payload_size = p.size();
+  h.payload_hash = common::xxhash64(p);
+  std::string out(kCheckpointHeaderSize, '\0');
+  common::store_sealed(out.data(), h);
   out += p;
   return out;
 }
@@ -449,33 +295,29 @@ common::Result<Generation> parse_generation(std::string_view bytes) {
     return common::Error::make("checkpoint: file shorter than header (" +
                                std::to_string(bytes.size()) + " bytes)");
   }
-  if (std::memcmp(bytes.data(), kCheckpointMagic, sizeof(kCheckpointMagic)) !=
-      0) {
+  const auto h = common::load_record<CheckpointHeader>(bytes.data());
+  if (h.magic != kCheckpointMagic) {
     return common::Error::make("checkpoint: bad magic");
   }
-  const auto* h = reinterpret_cast<const unsigned char*>(bytes.data());
-  const std::uint32_t version = load_le32(h + 8);
-  if (version != kCheckpointVersion) {
+  if (h.version != kCheckpointVersion) {
     return common::Error::make("checkpoint: unsupported version " +
-                               std::to_string(version));
+                               std::to_string(h.version));
   }
-  if (load_le32(h + 12) != kCheckpointEndianTag) {
+  if (h.endian_tag != kCheckpointEndianTag) {
     return common::Error::make("checkpoint: endian tag mismatch");
   }
-  const std::uint64_t payload_size = load_le64(h + 16);
-  const std::uint64_t payload_hash = load_le64(h + 24);
-  const std::uint64_t header_hash = load_le64(h + 32);
-  if (common::xxhash64(bytes.substr(0, 32)) != header_hash) {
+  if (common::header_hash_at<CheckpointHeader>(bytes.data()) !=
+      h.header_hash) {
     return common::Error::make("checkpoint: header checksum mismatch");
   }
-  if (bytes.size() - kCheckpointHeaderSize != payload_size) {
+  if (bytes.size() - kCheckpointHeaderSize != h.payload_size) {
     return common::Error::make(
         "checkpoint: payload size mismatch (header says " +
-        std::to_string(payload_size) + ", file carries " +
+        std::to_string(h.payload_size) + ", file carries " +
         std::to_string(bytes.size() - kCheckpointHeaderSize) + ")");
   }
   const std::string_view payload = bytes.substr(kCheckpointHeaderSize);
-  if (common::xxhash64(payload) != payload_hash) {
+  if (common::xxhash64(payload) != h.payload_hash) {
     return common::Error::make("checkpoint: payload checksum mismatch");
   }
 

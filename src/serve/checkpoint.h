@@ -14,16 +14,18 @@
 //    open groups and counters, tick and watermark — plus each segment's
 //    committed length, record count and hash chain.
 //
-// Both use the gpures.idx little-endian helpers and XXH64.  Frontier file:
-// fixed 40-byte header (magic, version, endian tag, payload size, payload
-// XXH64, header XXH64), then the payload.  Segment file: 32-byte header
-// (magic, version, stream id, config_hash, header XXH64), then blocks of
-// [u64 payload length][u64 record count][payload][u64 XXH64 of the three
-// preceding fields].  A segment's hash chain folds each block hash into the
+// Both are little-endian and checksummed with XXH64, and every record in
+// them is one fields() list walked by the field codec (common/codec.h) to
+// encode and to decode.  Frontier file: fixed 40-byte header (magic,
+// version, endian tag, payload size, payload XXH64, header XXH64), then the
+// payload.  Segment file: 32-byte header (magic, version, stream id,
+// config_hash, header XXH64), then blocks of [u64 payload length][u64
+// record count][payload][u64 XXH64 of the three preceding fields].  The
+// headers and the block prefix are declared below; the payload records'
+// fields() lists are in checkpoint.cpp, one per persisted record type, in
+// on-disk order.  A segment's hash chain folds each block hash into the
 // previous chain value (XXH64 seeded with it), which binds a generation to
-// the exact blocks it committed.  The payload layouts are the fields()
-// lists in checkpoint.cpp: one per persisted record type, in on-disk order,
-// walked by the same code to encode and to decode.
+// the exact blocks it committed.
 //
 // CheckpointStore::write appends one block per grown stream, then renames
 // the frontier into place (common::write_file_atomic).  A crash between the
@@ -52,23 +54,62 @@
 #include "analysis/extraction.h"
 #include "analysis/ingest.h"
 #include "analysis/job_stats.h"
+#include "common/codec.h"
 #include "common/error.h"
 #include "common/time.h"
 #include "logsys/day_buffer.h"
 
 namespace gpures::serve {
 
-inline constexpr char kCheckpointMagic[8] = {'G', 'P', 'U', 'R',
-                                             'E', 'S', 'C', 'K'};
+inline constexpr std::array<char, 8> kCheckpointMagic = {'G', 'P', 'U', 'R',
+                                                         'E', 'S', 'C', 'K'};
+inline constexpr std::array<char, 8> kSegmentMagic = {'G', 'P', 'U', 'R',
+                                                      'E', 'S', 'S', 'G'};
 inline constexpr std::uint32_t kCheckpointVersion = 2;
 inline constexpr std::uint32_t kCheckpointEndianTag = 0x01020304u;
-/// magic(8) + version(4) + endian(4) + payload_size(8) + payload_hash(8) +
-/// header_hash(8).
-inline constexpr std::size_t kCheckpointHeaderSize = 40;
 
-/// magic "GPURESSG"(8) + version(4) + stream(4) + config_hash(8) +
-/// header_hash(8).
-inline constexpr std::size_t kSegmentHeaderSize = 32;
+/// A frontier file's header.
+struct CheckpointHeader {
+  std::array<char, 8> magic = kCheckpointMagic;
+  std::uint32_t version = kCheckpointVersion;
+  std::uint32_t endian_tag = kCheckpointEndianTag;
+  std::uint64_t payload_size = 0;
+  std::uint64_t payload_hash = 0;  ///< XXH64 of the payload
+  std::uint64_t header_hash = 0;   ///< XXH64 of the header bytes before it
+};
+template <typename IO>
+constexpr void fields(IO& io, common::Rec<IO, CheckpointHeader>& h) {
+  io(h.magic, h.version, h.endian_tag, h.payload_size, h.payload_hash,
+     h.header_hash);
+}
+
+/// A segment file's header.
+struct SegmentHeader {
+  std::array<char, 8> magic = kSegmentMagic;
+  std::uint32_t version = kCheckpointVersion;
+  std::uint32_t stream = 0;  ///< the Segment
+  std::uint64_t config_hash = 0;
+  std::uint64_t header_hash = 0;  ///< XXH64 of the header bytes before it
+};
+template <typename IO>
+constexpr void fields(IO& io, common::Rec<IO, SegmentHeader>& h) {
+  io(h.magic, h.version, h.stream, h.config_hash, h.header_hash);
+}
+
+/// What precedes each block's payload; the block's XXH64 follows it.
+struct BlockPrefix {
+  std::uint64_t payload_bytes = 0;
+  std::uint64_t records = 0;
+};
+template <typename IO>
+constexpr void fields(IO& io, common::Rec<IO, BlockPrefix>& b) {
+  io(b.payload_bytes, b.records);
+}
+
+inline constexpr std::size_t kCheckpointHeaderSize =
+    common::encoded_size<CheckpointHeader>();
+inline constexpr std::size_t kSegmentHeaderSize =
+    common::encoded_size<SegmentHeader>();
 
 /// The emitted-result streams, one segment file each.
 enum class Segment : std::uint8_t { kErrors, kLifecycle, kJobs, kSpill };

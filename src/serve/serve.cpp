@@ -220,6 +220,7 @@ void ServeSession::discover_sources() {
 }
 
 void ServeSession::scan_sources() {
+  OBS_SPAN("serve.scan.walk");
   m_->dir_scans->inc();
   // The stamp is read before the walk: an entry created during the walk
   // changes the mtime after this read, so the next tick walks again.

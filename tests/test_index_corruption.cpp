@@ -19,7 +19,7 @@
 #include "analysis/job_stats.h"
 #include "chaos/index_chaos.h"
 #include "cluster/topology.h"
-#include "common/hash.h"
+#include "common/codec.h"
 #include "common/io.h"
 #include "common/rng.h"
 #include "index/format.h"
@@ -139,29 +139,31 @@ struct Span {
   std::uint64_t size = 0;
 };
 
+/// Where entry i of the section table starts.
+std::size_t entry_offset(std::size_t i) {
+  return ix::kSectionTableOffset + i * ix::kSectionEntrySize;
+}
+
 /// Where section `id` sits, read from the table of a well-formed file.
 Span section(const std::string& bytes, ix::SectionId id) {
-  const auto* e = reinterpret_cast<const unsigned char*>(bytes.data()) +
-                  ix::kSectionTableOffset +
-                  (static_cast<std::size_t>(id) - 1) * ix::kSectionEntrySize;
-  return {ix::load_le64(e + 8), ix::load_le64(e + 16)};
+  const auto e = ct::load_record<ix::SectionEntry>(
+      bytes.data() + entry_offset(static_cast<std::size_t>(id) - 1));
+  return {e.offset, e.size};
 }
 
 /// Recompute every section hash, then the table and header hashes, so an
 /// edited file passes the integrity chain and reaches the invariants.
 void reseal(std::string& bytes) {
-  auto* base = reinterpret_cast<unsigned char*>(bytes.data());
-  for (std::uint32_t i = 0; i < ix::kSectionCount; ++i) {
-    unsigned char* e =
-        base + ix::kSectionTableOffset + i * ix::kSectionEntrySize;
-    ix::store_le64(e + 24, ct::xxhash64(base + ix::load_le64(e + 8),
-                                        ix::load_le64(e + 16)));
+  for (std::size_t i = 0; i < ix::kSectionCount; ++i) {
+    char* at = bytes.data() + entry_offset(i);
+    auto e = ct::load_record<ix::SectionEntry>(at);
+    e.hash = ct::xxhash64(bytes.data() + e.offset, e.size);
+    ct::store_record(at, e);
   }
-  ix::store_le64(base + ix::kOffTableHash,
-                 ct::xxhash64(base + ix::kSectionTableOffset,
-                              ix::kSectionCount * ix::kSectionEntrySize));
-  ix::store_le64(base + ix::kOffHeaderHash,
-                 ct::xxhash64(base, ix::kHeaderHashedBytes));
+  auto h = ct::load_record<ix::IndexHeader>(bytes.data());
+  h.table_hash = ct::xxhash64(bytes.data() + ix::kSectionTableOffset,
+                              ix::kSectionCount * ix::kSectionEntrySize);
+  ct::store_sealed(bytes.data(), h);
 }
 
 /// Open must fail with an error that is *located*: non-empty message naming
@@ -219,6 +221,11 @@ TEST_F(IndexCorruption, AttributionSectionInvariantsAreLocated) {
   // recomputed), so the reader reaches the invariant itself and must name
   // it, located at its section (or at its meta field).
   const Span meta = section(pristine_, ix::SectionId::kMeta);
+  const ix::IndexMeta m;
+  const std::uint64_t exposed_at =
+      meta.offset + ct::offset_of(m, m.exposed_count);
+  const std::uint64_t failed_at =
+      meta.offset + ct::offset_of(m, m.failed_count);
   const auto job_count = static_cast<std::uint32_t>(jobs_->jobs.size());
   const auto at = [](std::string& b, std::uint64_t off) {
     return reinterpret_cast<unsigned char*>(b.data()) + off;
@@ -234,48 +241,46 @@ TEST_F(IndexCorruption, AttributionSectionInvariantsAreLocated) {
   const Span fpos = section(pristine_, ix::SectionId::kJobFailedPos);
   const std::vector<Forge> forges = {
       {"exposed job count exceeds the job count", ix::SectionId::kMeta,
-       meta.offset + ix::kMetaExposedCount,
+       exposed_at,
        [&](std::string& b) {
-         ix::store_le64(at(b, meta.offset + ix::kMetaExposedCount),
-                        job_count + 1);
+         ct::store_record(at(b, exposed_at), std::uint64_t{job_count} + 1);
        }},
       {"failed job count exceeds the job count", ix::SectionId::kMeta,
-       meta.offset + ix::kMetaFailedCount,
+       failed_at,
        [&](std::string& b) {
-         ix::store_le64(at(b, meta.offset + ix::kMetaFailedCount),
-                        job_count + 1);
+         ct::store_record(at(b, failed_at), std::uint64_t{job_count} + 1);
        }},
       {"exposed job positions must be strictly increasing",
        ix::SectionId::kJobExposedPos, xpos.offset,
        [&](std::string& b) {
-         ix::store_le32(at(b, xpos.offset + 4),
-                        ix::load_le32(at(b, xpos.offset)));
+         ct::store_record(at(b, xpos.offset + 4),
+                        ct::load_record<std::uint32_t>(at(b, xpos.offset)));
        }},
       {"exposed job positions must be strictly increasing",
        ix::SectionId::kJobExposedPos, xpos.offset,
-       [&](std::string& b) { ix::store_le32(at(b, xpos.offset), job_count); }},
+       [&](std::string& b) { ct::store_record(at(b, xpos.offset), job_count); }},
       {"exposure masks must stay within the family range",
        ix::SectionId::kJobExposedMasks, xmask.offset,
        [&](std::string& b) {
-         ix::store_le32(at(b, xmask.offset), ix::pack_masks(1u << 12, 0));
+         ct::store_record(at(b, xmask.offset), ix::pack_masks(1u << 12, 0));
        }},
       {"exposed job run masks must be nonzero",
        ix::SectionId::kJobExposedMasks, xmask.offset,
-       [&](std::string& b) { ix::store_le32(at(b, xmask.offset), 0); }},
+       [&](std::string& b) { ct::store_record(at(b, xmask.offset), std::uint32_t{0}); }},
       {"exposure window mask must be a subset of the run mask",
        ix::SectionId::kJobExposedMasks, xmask.offset,
        [&](std::string& b) {
-         ix::store_le32(at(b, xmask.offset), ix::pack_masks(1, 2));
+         ct::store_record(at(b, xmask.offset), ix::pack_masks(1, 2));
        }},
       {"failed job positions must be strictly increasing",
        ix::SectionId::kJobFailedPos, fpos.offset,
        [&](std::string& b) {
-         ix::store_le32(at(b, fpos.offset + 4),
-                        ix::load_le32(at(b, fpos.offset)));
+         ct::store_record(at(b, fpos.offset + 4),
+                        ct::load_record<std::uint32_t>(at(b, fpos.offset)));
        }},
       {"failed job positions must be strictly increasing",
        ix::SectionId::kJobFailedPos, fpos.offset,
-       [&](std::string& b) { ix::store_le32(at(b, fpos.offset), job_count); }},
+       [&](std::string& b) { ct::store_record(at(b, fpos.offset), job_count); }},
   };
   for (const auto& f : forges) {
     std::string bytes = pristine_;
@@ -293,9 +298,9 @@ TEST_F(IndexCorruption, VersionOneFileIsRefusedAsUnsupported) {
   // A v1 artifact (no attribution sections) must be refused before any
   // payload is trusted, as version skew rather than corruption.
   std::string bytes = pristine_;
-  ix::store_le32(reinterpret_cast<unsigned char*>(bytes.data()) +
-                     ix::kOffVersion,
-                 1);
+  auto h = ct::load_record<ix::IndexHeader>(bytes.data());
+  h.version = 1;
+  ct::store_record(bytes.data(), h);
   reseal(bytes);
   auto opened = ix::IndexReader::open(write("v1.idx", bytes));
   ASSERT_FALSE(opened.ok());

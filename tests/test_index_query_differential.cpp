@@ -91,7 +91,7 @@ class QueryDifferential : public ::testing::Test {
     auto opened_node = ix::IndexReader::open(node_path);
     ASSERT_TRUE(opened_node.ok()) << opened_node.error().message;
     node_reader_ = new ix::IndexReader(std::move(opened_node).take());
-    ASSERT_EQ(node_reader_->meta().attribution, 1u);
+    ASSERT_EQ(node_reader_->meta().attribution, an::Attribution::kNodeLevel);
   }
 
   static void TearDownTestSuite() {

@@ -15,6 +15,7 @@
 #include "analysis/job_impact.h"
 #include "analysis/pipeline.h"
 #include "cluster/topology.h"
+#include "common/hash.h"
 #include "common/io.h"
 #include "common/rng.h"
 #include "index/format.h"
@@ -128,7 +129,7 @@ TEST(IndexRoundTrip, ErrorColumnsSurviveWriteAndMmapRead) {
   const auto path = temp_file("errors");
   const auto stats = ix::write_index(c.input(), path.string());
   ASSERT_TRUE(stats.ok()) << stats.error().message;
-  EXPECT_EQ(stats.value().errors, c.errors.size());
+  EXPECT_EQ(stats.value().meta.error_count, c.errors.size());
   EXPECT_EQ(stats.value().bytes, fs::file_size(path));
 
   auto opened = ix::IndexReader::open(path.string());
@@ -174,9 +175,9 @@ TEST(IndexRoundTrip, JobAndUnavailabilityColumnsSurvive) {
   const auto path = temp_file("jobs");
   const auto stats = ix::write_index(c.input(), path.string());
   ASSERT_TRUE(stats.ok()) << stats.error().message;
-  EXPECT_EQ(stats.value().jobs, 2u);
-  EXPECT_EQ(stats.value().job_gpus, 8u);
-  EXPECT_EQ(stats.value().unavailability, 2u);
+  EXPECT_EQ(stats.value().meta.job_count, 2u);
+  EXPECT_EQ(stats.value().meta.job_gpu_count, 8u);
+  EXPECT_EQ(stats.value().meta.unavail_count, 2u);
   EXPECT_EQ(stats.value().dropped_unknown_hosts, 1u);
 
   auto opened = ix::IndexReader::open(path.string());
@@ -338,7 +339,7 @@ TEST(IndexRoundTrip, MetaBlockSurvives) {
   EXPECT_EQ(m.periods.op.begin, c.pds.op.begin);
   EXPECT_EQ(m.periods.op.end, c.pds.op.end);
   EXPECT_EQ(m.attribution_window, 45);
-  EXPECT_EQ(m.attribution, 1u);
+  EXPECT_EQ(m.attribution, an::Attribution::kNodeLevel);
   EXPECT_EQ(m.max_interval_h, 12.5);
   EXPECT_EQ(m.outlier_share, 0.25);
   EXPECT_EQ(m.outlier_min, 7u);
@@ -363,7 +364,7 @@ TEST(IndexRoundTrip, EmptyDatasetRoundTrips) {
   const auto path = temp_file("empty");
   const auto stats = ix::write_index(in, path.string());
   ASSERT_TRUE(stats.ok()) << stats.error().message;
-  EXPECT_EQ(stats.value().errors, 0u);
+  EXPECT_EQ(stats.value().meta.error_count, 0u);
 
   auto opened = ix::IndexReader::open(path.string());
   ASSERT_TRUE(opened.ok()) << opened.error().message;
@@ -519,6 +520,41 @@ TEST(IndexRoundTrip, QueryImpactMatchesBatchAtWindowBoundaries) {
     EXPECT_EQ(failed(want, 63), 1u);
     EXPECT_EQ(failed(want, 79), 1u);
   }
+}
+
+// The artifact's bytes, pinned: the round-trip corpus at device level, the
+// same corpus at node level with every recorded setting off its default,
+// and an empty input.  A refactor of the writer or of the field codec must
+// leave every byte in place; a deliberate format change bumps
+// kFormatVersion and these constants together.
+TEST(IndexRoundTrip, FormatBytesArePinned) {
+  Corpus c;
+  const auto hash_of = [](const ix::IndexBuildInput& in) {
+    const auto bytes = ix::serialize_index(in);
+    EXPECT_TRUE(bytes.ok()) << bytes.error().message;
+    return ct::xxhash64(bytes.ok() ? bytes.value() : std::string());
+  };
+  EXPECT_EQ(hash_of(c.input()), 0xef4d4fe4785915fcull);
+
+  auto node = c.input();
+  node.attribution = an::Attribution::kNodeLevel;
+  node.attribution_window = 45;
+  node.max_interval_h = 12.5;
+  node.outlier_share = 0.25;
+  node.outlier_min = 7;
+  node.exclude_outliers_from_totals = false;
+  EXPECT_EQ(hash_of(node), 0x8f885f3edfa31e98ull);
+
+  const std::vector<an::CoalescedError> no_errors;
+  const an::JobTable no_jobs;
+  const std::vector<an::Unavailability> no_unavail;
+  ix::IndexBuildInput empty;
+  empty.periods = periods();
+  empty.topo = &c.topo;
+  empty.errors = &no_errors;
+  empty.jobs = &no_jobs;
+  empty.unavailability = &no_unavail;
+  EXPECT_EQ(hash_of(empty), 0x04fd5c05c4aa6414ull);
 }
 
 TEST(IndexRoundTrip, SerializationIsDeterministic) {

@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "common/time.h"
 #include "logsys/syslog.h"
+#include "obs/trace.h"
 #include "serve/serve.h"
 #include "slurm/accounting.h"
 
@@ -749,6 +750,40 @@ TEST(Serve, DirectoryWalksStayRareOverALongDrain) {
     ASSERT_TRUE(s.finalize().ok());
     expect_matches_batch(outcome_of(s), batch);
   }
+  fs::remove_all(dir);
+}
+
+// --trace separates the full directory walk from the rest of serve.scan
+// (the per-tick stat, the successor probe and reprobe_degraded): over a
+// 400-day drain, every walk counted in serve.dir_scans is one
+// serve.scan.walk span, the walk at open() included.
+TEST(Serve, EveryDirectoryWalkIsOneTracedSpan) {
+  const auto dir = make_long_dataset("walkspans", 400);
+  age_syslog_dir(dir);
+  struct Installed {
+    explicit Installed(gpures::obs::Tracer* t) {
+      gpures::obs::Tracer::install(t);
+    }
+    ~Installed() { gpures::obs::Tracer::install(nullptr); }
+  };
+  gpures::obs::Tracer tracer;
+  sv::ServeSession s(base_config(dir, 0));
+  {
+    Installed installed(&tracer);
+    ASSERT_TRUE(s.open(false).ok());
+    for (int i = 0; i < 8192 && !s.idle(); ++i) ASSERT_TRUE(s.tick().ok());
+  }
+  ASSERT_TRUE(s.idle());
+  const std::string json = tracer.to_chrome_json();
+  const std::string name = "\"serve.scan.walk\"";
+  std::uint64_t spans = 0;
+  for (auto at = json.find(name); at != std::string::npos;
+       at = json.find(name, at + 1)) {
+    ++spans;
+  }
+  const std::uint64_t walks = s.metrics().counter_value("serve.dir_scans");
+  EXPECT_GE(walks, 2u);  // open() and the reprobe cadence
+  EXPECT_EQ(spans, walks);
   fs::remove_all(dir);
 }
 

@@ -115,6 +115,20 @@ if(pos EQUAL -1)
   message(FATAL_ERROR "gpures-query --info output unexpected: ${out}")
 endif()
 
+# --info still finishes the run: its --metrics snapshot is written.
+execute_process(
+  COMMAND "${QUERY}" --index "${WORKDIR}/gpures.idx" --info
+          --metrics "${WORKDIR}/info_metrics.json"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT EXISTS "${WORKDIR}/info_metrics.json")
+  message(FATAL_ERROR "gpures-query --info --metrics: want exit 0 and the metrics file, got ${rc}: ${err}")
+endif()
+file(READ "${WORKDIR}/info_metrics.json" json)
+string(JSON type ERROR_VARIABLE jerr TYPE "${json}")
+if(NOT jerr STREQUAL "NOTFOUND" OR NOT type STREQUAL "OBJECT")
+  message(FATAL_ERROR "gpures-query --info --metrics is not a JSON object: ${jerr}")
+endif()
+
 execute_process(
   COMMAND "${QUERY}" --index "${WORKDIR}/gpures.idx" --xid 63 --format json
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)

@@ -413,9 +413,9 @@ bool emit_results(std::string_view tool, analysis::Stage3Results& results,
     log.info(comp, "wrote index",
              {{"path", req.index_file},
               {"bytes", ws.bytes},
-              {"errors", ws.errors},
-              {"jobs", ws.jobs},
-              {"unavailability", ws.unavailability}});
+              {"errors", ws.meta.error_count},
+              {"jobs", ws.meta.job_count},
+              {"unavailability", ws.meta.unavail_count}});
     if (index_bytes != nullptr) *index_bytes = ws.bytes;
   }
 

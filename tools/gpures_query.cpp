@@ -19,7 +19,6 @@
 #include "common/json.h"
 #include "common/strings.h"
 #include "common/time.h"
-#include "index/format.h"
 #include "index/query.h"
 #include "index/reader.h"
 #include "obs/log.h"
@@ -301,8 +300,10 @@ int main(int argc, char** argv) {
                 common::format_iso(meta.periods.pre.begin).c_str(),
                 common::format_iso(meta.periods.op.end).c_str(),
                 common::format_iso(meta.periods.op.begin).c_str());
+    const bool node_level =
+        meta.attribution == analysis::Attribution::kNodeLevel;
     std::printf("  nodes: %u, attribution: %s, window: %llds\n",
-                meta.node_count, meta.attribution == 0 ? "device" : "node",
+                meta.node_count, node_level ? "node" : "device",
                 static_cast<long long>(meta.attribution_window));
     std::printf("  errors: %llu (%llu exposure entries), jobs: %llu, "
                 "unavailability intervals: %llu\n",
@@ -313,7 +314,7 @@ int main(int argc, char** argv) {
     std::printf("  exposed jobs: %llu, failed jobs: %llu\n",
                 static_cast<unsigned long long>(meta.exposed_count),
                 static_cast<unsigned long long>(meta.failed_count));
-    return 0;
+    return run.finish() ? 0 : 1;
   }
 
   if (!node_name.empty()) {
