@@ -1,12 +1,12 @@
-// Stage III micro-benchmarks: the exposure join and its surroundings.
+// Stage III micro-benchmarks: the exposure pass and its surroundings.
 //
-//  * error-index construction cost (built once per join, shared by shards);
-//  * the exposure join over a synthetic ~200k-job population, serial vs
-//    2/4/8 worker threads (the deterministic job-range-sharded mode; wall
-//    clock speedup requires a multi-core host, output never changes);
-//  * the full Table II computation (join + ordered counter merge) at both
+//  * error-index construction cost (built once per run);
+//  * the exposure pass (mask_jobs) over a synthetic ~200k-job population at
+//    both attribution granularities;
+//  * the fold of that pass into Table II over the operational period;
+//  * the full Table II computation (index + pass + fold) at both
 //    attribution granularities;
-//  * availability pairing, host-sharded on the same pool.
+//  * availability pairing, host-sharded on a pool.
 //
 // The synthetic dataset is sized like the quick campaign (a 60-day
 // operational slice) so CI can run this to completion in seconds.
@@ -111,10 +111,9 @@ analysis::JobImpactConfig impact_config(analysis::Attribution attr) {
 }
 
 void BM_BuildErrorIndex(benchmark::State& state) {
-  const auto cfg = impact_config(analysis::Attribution::kGpuLevel);
   const auto& errs = errors();
   for (auto _ : state) {
-    auto index = analysis::build_error_index(errs, cfg.period);
+    auto index = analysis::build_error_index(errs);
     benchmark::DoNotOptimize(index.time.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -122,46 +121,61 @@ void BM_BuildErrorIndex(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildErrorIndex)->Unit(benchmark::kMillisecond);
 
-// The Stage-III hot loop: join every job against the read-only index.
-// Arg 0 is the serial reference; 2/4/8 shard the job table over that many
-// workers.  The pool lives outside the timing loop (the pipeline reuses one
-// pool across all stages) so this measures join + ordered merge only.
-void BM_ExposureJoin(benchmark::State& state) {
-  const auto cfg = impact_config(analysis::Attribution::kGpuLevel);
+analysis::Attribution attribution_arg(const benchmark::State& state) {
+  return state.range(0) == 0 ? analysis::Attribution::kGpuLevel
+                             : analysis::Attribution::kNodeLevel;
+}
+
+// The Stage-III hot loop: the run's one exposure pass, every job sorted by
+// end and swept against the read-only index.  Arg 0 is device-level
+// attribution, 1 node-level.
+void BM_MaskJobs(benchmark::State& state) {
+  const auto cfg = impact_config(attribution_arg(state));
   const auto& table = job_table();
-  const auto index = analysis::build_error_index(errors(), cfg.period);
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  std::unique_ptr<common::ThreadPool> pool;
-  if (threads > 0) pool = std::make_unique<common::ThreadPool>(threads);
+  const auto index = analysis::build_error_index(errors());
   std::size_t exposed = 0;
   for (auto _ : state) {
-    auto exp = analysis::compute_exposures(table, index.view(), cfg, pool.get());
-    exposed = exp.size();
-    benchmark::DoNotOptimize(exp.data());
+    auto pass = analysis::mask_jobs(table, index.view(), cfg.window,
+                                    cfg.attribution);
+    exposed = pass.exposed_pos.size();
+    benchmark::DoNotOptimize(pass.exposed_pos.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(table.jobs.size()));
   state.counters["exposed"] = benchmark::Counter(static_cast<double>(exposed));
 }
-BENCHMARK(BM_ExposureJoin)
-    ->Arg(0)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MaskJobs)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// Full Table II: index build + sharded join + fixed-order counter merge +
-// Wilson intervals, i.e. exactly what AnalysisPipeline::job_impact() runs.
-void BM_JobImpact(benchmark::State& state) {
+// Table II and the mitigation exposure list folded from a finished pass:
+// what a run adds for the operational period once the pass exists.
+void BM_FoldJobImpact(benchmark::State& state) {
   const auto cfg = impact_config(analysis::Attribution::kGpuLevel);
   const auto& table = job_table();
+  const auto index = analysis::build_error_index(errors());
+  const auto pass =
+      analysis::mask_jobs(table, index.view(), cfg.window, cfg.attribution);
+  std::vector<analysis::JobExposure> exposures;
+  for (auto _ : state) {
+    auto impact =
+        analysis::fold_job_impact(table, index.view(), pass, cfg, &exposures);
+    benchmark::DoNotOptimize(impact.rows.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(table.jobs.size()));
+}
+BENCHMARK(BM_FoldJobImpact)->Unit(benchmark::kMillisecond);
+
+// Full Table II: index build + pass + fold + Wilson intervals, i.e. exactly
+// what ResultSet::job_impact() runs.  Arg 0 is device-level attribution, 1
+// node-level, where every job on the node counts, so groups are larger and
+// the per-job scan does more mask work.
+void BM_JobImpact(benchmark::State& state) {
+  const auto cfg = impact_config(attribution_arg(state));
+  const auto& table = job_table();
   const auto& errs = errors();
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  std::unique_ptr<common::ThreadPool> pool;
-  if (threads > 0) pool = std::make_unique<common::ThreadPool>(threads);
   std::uint64_t failed = 0;
   for (auto _ : state) {
-    auto impact = analysis::compute_job_impact(table, errs, cfg, pool.get());
+    auto impact = analysis::compute_job_impact(table, errs, cfg);
     failed = impact.gpu_failed_jobs;
     benchmark::DoNotOptimize(impact.rows.data());
   }
@@ -169,33 +183,7 @@ void BM_JobImpact(benchmark::State& state) {
                           static_cast<std::int64_t>(table.jobs.size()));
   state.counters["gpu_failed"] = benchmark::Counter(static_cast<double>(failed));
 }
-BENCHMARK(BM_JobImpact)
-    ->Arg(0)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-// Node-level attribution ablation: every job on the node counts, so groups
-// are larger and the per-job scan does more mask work.
-void BM_JobImpactNodeLevel(benchmark::State& state) {
-  const auto cfg = impact_config(analysis::Attribution::kNodeLevel);
-  const auto& table = job_table();
-  const auto& errs = errors();
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  std::unique_ptr<common::ThreadPool> pool;
-  if (threads > 0) pool = std::make_unique<common::ThreadPool>(threads);
-  for (auto _ : state) {
-    auto impact = analysis::compute_job_impact(table, errs, cfg, pool.get());
-    benchmark::DoNotOptimize(impact.gpu_failed_jobs);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(table.jobs.size()));
-}
-BENCHMARK(BM_JobImpactNodeLevel)
-    ->Arg(0)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_JobImpact)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Availability pairing over a synthetic drain/resume stream, host-sharded.
 void BM_Availability(benchmark::State& state) {

@@ -2,74 +2,16 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
+
+#include "obs/trace.h"
 
 namespace gpures::analysis {
 
 namespace {
 
-/// Run fn(shard, lo, hi) over contiguous job ranges partitioning
-/// [0, total): pool->size() shards on the pool, or one inline shard.  The
-/// job -> shard assignment is purely a function of (total, shards), never of
-/// thread timing.
-template <typename Fn>
-void for_each_shard(common::ThreadPool* pool, std::size_t total, Fn&& fn) {
-  const std::size_t shards = pool != nullptr ? pool->size() : 1;
-  const auto run = [&](std::size_t s) {
-    fn(s, total * s / shards, total * (s + 1) / shards);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(shards, [&](std::size_t s, std::size_t) { run(s); });
-  } else {
-    run(0);
-  }
-}
-
 bool gpu_failed(slurm::JobState state, const ExposureMasks& m) {
   return slurm::is_failure(state) && m.window_mask != 0;
-}
-
-/// The one batch job loop: every job of the table ending in cfg.period is
-/// exposed once and folded into its shard's tally; with `exposures`, jobs
-/// that saw an error are also listed.  Per-shard lists concatenate in shard
-/// order — shards cover contiguous job ranges, so that is the serial
-/// job-index order — and per-shard tallies merge by integer summation.
-JobImpact join(const JobTable& table, const ErrorIndexView& index,
-               const JobImpactConfig& cfg, common::ThreadPool* pool,
-               ExposureJoinStats* stats, std::vector<JobExposure>* exposures) {
-  const std::size_t shards = pool != nullptr ? pool->size() : 1;
-  std::vector<ImpactTally> tallies(shards);
-  std::vector<std::vector<JobExposure>> shard_out(shards);
-  for_each_shard(pool, table.jobs.size(),
-                 [&](std::size_t s, std::size_t lo, std::size_t hi) {
-                   std::vector<std::int32_t> node_scratch;
-                   for (std::size_t idx = lo; idx < hi; ++idx) {
-                     const auto& j = table.jobs[idx];
-                     if (!cfg.period.contains(j.end)) continue;
-                     const auto m = expose(index, j.start, j.end,
-                                           table.gpus_of(j), cfg, node_scratch);
-                     tallies[s].add(j.state, m);
-                     if (exposures == nullptr || m.run_mask == 0) continue;
-                     shard_out[s].push_back({idx, m.run_mask, m.window_mask,
-                                             gpu_failed(j.state, m)});
-                   }
-                 });
-
-  ImpactTally total;
-  for (const auto& t : tallies) total.merge(t);
-  if (stats != nullptr) {
-    stats->shards.clear();
-    for (const auto& t : tallies) {
-      stats->shards.push_back({t.jobs_analyzed, t.jobs_exposed});
-    }
-  }
-  if (exposures != nullptr) {
-    exposures->clear();
-    exposures->reserve(total.jobs_exposed);
-    for (const auto& v : shard_out) {
-      exposures->insert(exposures->end(), v.begin(), v.end());
-    }
-  }
-  return total.finish(cfg);
 }
 
 }  // namespace
@@ -89,12 +31,6 @@ int exposure_bit(xid::Code code) {
   return -1;
 }
 
-std::uint64_t ExposureJoinStats::total_exposed() const {
-  std::uint64_t sum = 0;
-  for (const auto& s : shards) sum += s.jobs_exposed;
-  return sum;
-}
-
 std::pair<std::size_t, std::size_t> ErrorIndexView::key_range(
     std::int64_t key_lo, std::int64_t key_hi) const {
   // A range holds at most one node's GPUs, so walk rather than search the
@@ -105,8 +41,8 @@ std::pair<std::size_t, std::size_t> ErrorIndexView::key_range(
   return {lo, static_cast<std::size_t>(it - keys.begin())};
 }
 
-ErrorIndex build_error_index(const std::vector<CoalescedError>& errors,
-                             const Period& period) {
+ErrorIndex build_error_index(const std::vector<CoalescedError>& errors) {
+  OBS_SPAN("stage3.error_index");
   struct Keyed {
     std::int64_t key;
     common::TimePoint time;
@@ -115,7 +51,6 @@ ErrorIndex build_error_index(const std::vector<CoalescedError>& errors,
   std::vector<Keyed> keyed;
   keyed.reserve(errors.size());
   for (const auto& e : errors) {
-    if (!period.contains(e.time)) continue;
     const int bit = exposure_bit(e.code);
     if (bit < 0) continue;
     keyed.push_back({pack_gpu(e.gpu.node, e.gpu.slot), e.time,
@@ -202,23 +137,13 @@ void ImpactTally::add(slurm::JobState state, const ExposureMasks& masks) {
   }
 }
 
-void ImpactTally::merge(const ImpactTally& other) {
-  jobs_analyzed += other.jobs_analyzed;
-  failed_jobs_total += other.failed_jobs_total;
-  gpu_failed_jobs += other.gpu_failed_jobs;
-  jobs_exposed += other.jobs_exposed;
-  for (std::size_t b = 0; b < kBits; ++b) {
-    encountering[b] += other.encountering[b];
-    failed[b] += other.failed[b];
-  }
-}
-
 JobImpact ImpactTally::finish(const JobImpactConfig& cfg) const {
   JobImpact out;
   out.cfg = cfg;
   out.jobs_analyzed = jobs_analyzed;
   out.failed_jobs_total = failed_jobs_total;
   out.gpu_failed_jobs = gpu_failed_jobs;
+  out.jobs_exposed = jobs_exposed;
   const auto order = xid::report_order();
   for (std::size_t b = 0; b < order.size(); ++b) {
     ImpactRow row;
@@ -235,29 +160,156 @@ JobImpact ImpactTally::finish(const JobImpactConfig& cfg) const {
   return out;
 }
 
-std::vector<JobExposure> compute_exposures(
-    const JobTable& table, const ErrorIndexView& index,
-    const JobImpactConfig& cfg, common::ThreadPool* pool,
-    ExposureJoinStats* stats) {
-  std::vector<JobExposure> out;
-  join(table, index, cfg, pool, stats, &out);
-  return out;
+ExposurePass mask_jobs(const JobTable& table, const ErrorIndexView& index,
+                       common::Duration window, Attribution attribution) {
+  OBS_SPAN("stage3.mask_jobs");
+  // Jobs in (end, start, id) order, sorted as a compact key array; the
+  // table index breaks any remaining tie, so the order is total.
+  struct JobKey {
+    common::TimePoint end;
+    common::TimePoint start;
+    std::uint64_t id;
+    std::uint32_t idx;
+  };
+  ExposurePass pass;
+  {
+    std::vector<JobKey> keys;
+    keys.reserve(table.jobs.size());
+    for (std::size_t i = 0; i < table.jobs.size(); ++i) {
+      const auto& j = table.jobs[i];
+      keys.push_back({j.end, j.start, j.id, static_cast<std::uint32_t>(i)});
+    }
+    std::sort(keys.begin(), keys.end(), [](const JobKey& a, const JobKey& b) {
+      if (a.end != b.end) return a.end < b.end;
+      if (a.start != b.start) return a.start < b.start;
+      if (a.id != b.id) return a.id < b.id;
+      return a.idx < b.idx;
+    });
+    pass.order.reserve(keys.size());
+    for (const JobKey& k : keys) pass.order.push_back(k.idx);
+  }
+
+  // Over all time: a period [from, to) selects jobs ending inside it, so its
+  // upper clamp never bites, and masks_in_period redoes the lower one.
+  const JobImpactConfig cfg{window,
+                            {std::numeric_limits<common::TimePoint>::min(),
+                             std::numeric_limits<common::TimePoint>::max()},
+                            attribution};
+
+  // Each location's indexed error times, ascending: a loc group at device
+  // level; at node level a node's groups are adjacent, and their entries,
+  // sorted, are the node's.  Jobs come in end order, so a cursor per
+  // location sweeps forward to the first error after the current job's
+  // end; the job saw an error there iff the one before it is after its
+  // start.
+  const bool by_node = attribution == Attribution::kNodeLevel;
+  const auto location = [by_node](std::int64_t key) {
+    return by_node ? key >> 8 : key;
+  };
+  std::vector<std::int64_t> times(index.time.begin(), index.time.end());
+  struct Sweep {
+    std::uint64_t begin = 0;
+    std::uint64_t next = 0;  ///< first entry after the current job's end
+    std::uint64_t end = 0;
+  };
+  std::vector<Sweep> sweep(
+      index.keys.empty() || index.keys.back() < 0
+          ? 0
+          : static_cast<std::size_t>(location(index.keys.back())) + 1);
+  for (std::size_t k = 0; k < index.keys.size(); ++k) {
+    if (index.keys[k] < 0) continue;
+    Sweep& w = sweep[static_cast<std::size_t>(location(index.keys[k]))];
+    if (w.begin == w.end) w.begin = w.next = index.offsets[k];
+    w.end = index.offsets[k + 1];
+  }
+  if (by_node) {
+    for (const Sweep& w : sweep) {
+      std::sort(times.begin() + static_cast<std::ptrdiff_t>(w.begin),
+                times.begin() + static_cast<std::ptrdiff_t>(w.end));
+    }
+  }
+  const auto sees_errors = [&](const JobView& j,
+                               std::span<const PackedGpu> gpus) {
+    bool seen = false;
+    for (const PackedGpu g : gpus) {
+      const std::int64_t l = location(g);
+      if (l < 0 || static_cast<std::uint64_t>(l) >= sweep.size()) continue;
+      Sweep& w = sweep[static_cast<std::size_t>(l)];
+      while (w.next < w.end && times[w.next] <= j.end) ++w.next;
+      seen |= w.next > w.begin && times[w.next - 1] > j.start;
+    }
+    return seen;
+  };
+  std::vector<std::int32_t> node_scratch;
+  for (std::size_t pos = 0; pos < pass.order.size(); ++pos) {
+    const auto& j = table.jobs[pass.order[pos]];
+    const auto gpus = table.gpus_of(j);
+    const auto m = sees_errors(j, gpus)
+                       ? expose(index, j.start, j.end, gpus, cfg, node_scratch)
+                       : ExposureMasks{};
+    if (m.run_mask != 0) {
+      pass.exposed_pos.push_back(static_cast<std::uint32_t>(pos));
+      pass.exposed_masks.push_back(pack_masks(m.run_mask, m.window_mask));
+    }
+    if (slurm::is_failure(j.state)) {
+      pass.failed_pos.push_back(static_cast<std::uint32_t>(pos));
+    }
+  }
+  return pass;
 }
 
-std::vector<JobExposure> compute_exposures(
-    const JobTable& table, const std::vector<CoalescedError>& errors,
-    const JobImpactConfig& cfg) {
-  return compute_exposures(table, build_error_index(errors, cfg.period).view(),
-                           cfg);
+ExposureMasks masks_in_period(const ErrorIndexView& index, std::uint32_t packed,
+                              const PassJob& job, const JobImpactConfig& cfg,
+                              std::vector<std::int32_t>& node_scratch,
+                              std::uint64_t& boundary_jobs) {
+  if (job.start + 1 < cfg.period.begin) {
+    ++boundary_jobs;
+    return expose(index, job.start, job.end, job.gpus, cfg, node_scratch);
+  }
+  return {run_mask_of(packed), window_mask_of(packed)};
+}
+
+JobImpact fold_job_impact(const JobTable& table, const ErrorIndexView& index,
+                          const ExposurePass& pass, const JobImpactConfig& cfg,
+                          std::vector<JobExposure>* exposures) {
+  const auto ending_before = [&](common::TimePoint t) -> std::size_t {
+    return std::ranges::partition_point(pass.order, [&](std::uint32_t i) {
+             return table.jobs[i].end < t;
+           }) - pass.order.begin();
+  };
+  const std::size_t lo = ending_before(cfg.period.begin);
+  std::vector<JobExposure> listed;
+  std::uint64_t boundary_jobs = 0;
+  const auto tally = fold_pass(
+      index, pass.columns(), cfg, lo,
+      std::max(lo, ending_before(cfg.period.end)),
+      [&](std::size_t pos) {
+        const auto& j = table.jobs[pass.order[pos]];
+        return PassJob{j.start, j.end, j.state, table.gpus_of(j)};
+      },
+      [&](std::size_t pos, const PassJob& job, const ExposureMasks& m) {
+        listed.push_back({pass.order[pos], m.run_mask, m.window_mask,
+                          gpu_failed(job.state, m)});
+      },
+      boundary_jobs);
+  if (exposures != nullptr) {
+    // Job-table order, so the mitigation sums add in the same sequence
+    // whatever the pass order.
+    std::ranges::sort(listed, {}, &JobExposure::job_index);
+    *exposures = std::move(listed);
+  }
+  return tally.finish(cfg);
 }
 
 JobImpact compute_job_impact(const JobTable& table,
                              const std::vector<CoalescedError>& errors,
                              const JobImpactConfig& cfg,
-                             common::ThreadPool* pool, ExposureJoinStats* stats,
                              std::vector<JobExposure>* exposures) {
-  return join(table, build_error_index(errors, cfg.period).view(), cfg, pool,
-              stats, exposures);
+  const auto index = build_error_index(errors);
+  return fold_job_impact(
+      table, index.view(),
+      mask_jobs(table, index.view(), cfg.window, cfg.attribution), cfg,
+      exposures);
 }
 
 }  // namespace gpures::analysis

@@ -162,13 +162,10 @@ std::string render_mitigation(const JobTable& table,
 
 std::string render_mitigation(const JobTable& table,
                               const std::vector<CoalescedError>& errors,
-                              const JobImpactConfig& cfg,
-                              common::ThreadPool* pool) {
-  return render_mitigation(
-      table,
-      compute_exposures(table, build_error_index(errors, cfg.period).view(),
-                        cfg, pool),
-      cfg);
+                              const JobImpactConfig& cfg, common::ThreadPool*) {
+  std::vector<JobExposure> exposures;
+  compute_job_impact(table, errors, cfg, &exposures);
+  return render_mitigation(table, exposures, cfg);
 }
 
 }  // namespace gpures::analysis

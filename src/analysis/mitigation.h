@@ -22,6 +22,7 @@
 #include "analysis/coalesce.h"
 #include "analysis/job_impact.h"
 #include "analysis/job_stats.h"
+#include "common/thread_pool.h"
 
 namespace gpures::analysis {
 
@@ -33,9 +34,9 @@ struct LostWork {
   double lost_fraction = 0.0;         ///< lost / total
 };
 
-/// Sum the GPU-hours of the GPU-failed jobs in an exposure join
-/// (compute_exposures output for the same table/cfg) and of every job
-/// ending in cfg.period.
+/// Sum the GPU-hours of the GPU-failed jobs in an exposure list
+/// (compute_job_impact's for the same table/cfg) and of every job ending in
+/// cfg.period.
 LostWork compute_lost_work(const JobTable& table,
                            std::span<const JobExposure> exposures,
                            const JobImpactConfig& cfg);
@@ -80,13 +81,13 @@ MaskingWhatIf compute_masking_whatif(
     const JobImpactConfig& cfg,
     const std::vector<xid::Code>& maskable = {xid::Code::kMmuError});
 
-/// Render the mitigation report: all three what-ifs over one exposure join
-/// (compute_exposures or compute_job_impact output for the same table/cfg).
+/// Render the mitigation report: all three what-ifs over one exposure list
+/// (compute_job_impact's or fold_job_impact's for the same table/cfg).
 std::string render_mitigation(const JobTable& table,
                               std::span<const JobExposure> exposures,
                               const JobImpactConfig& cfg);
-/// Same, running its own join (sharded over `pool` when given — the same
-/// deterministic merge as compute_exposures).
+/// Same, running its own compute_job_impact.  The exposure pass is serial,
+/// so `pool` is unused; it stays for existing callers.
 std::string render_mitigation(const JobTable& table,
                               const std::vector<CoalescedError>& errors,
                               const JobImpactConfig& cfg,

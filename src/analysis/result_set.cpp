@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <string>
 
 #include "obs/trace.h"
 #include "xid/xid.h"
@@ -35,12 +34,6 @@ ResultSet::ResultSet(const cluster::Topology* topo,
   join_exposures_ = &metrics_->counter("pipe.stage3.exposures");
   join_us_ = &metrics_->histogram("pipe.stage3.exposure_join_us",
                                   obs::latency_buckets_us());
-  join_shards_.resize(std::max<std::size_t>(1, threads));
-  for (std::size_t s = 0; s < join_shards_.size(); ++s) {
-    const std::string prefix = "pipe.stage3.shard." + std::to_string(s) + ".";
-    join_shards_[s].jobs = &metrics_->counter(prefix + "jobs");
-    join_shards_[s].exposed = &metrics_->counter(prefix + "exposed");
-  }
 }
 
 void ResultSet::sort_results() {
@@ -77,22 +70,24 @@ JobImpactConfig ResultSet::impact_config() const {
   return cfg;
 }
 
-JobImpact ResultSet::job_impact(std::vector<JobExposure>* exposures) const {
+JobImpact ResultSet::job_impact(const ErrorIndexView& index,
+                                const ExposurePass& pass,
+                                std::vector<JobExposure>* exposures) const {
   OBS_SPAN("stage3.job_impact");
   const auto t0 = std::chrono::steady_clock::now();
-  ExposureJoinStats join;
-  auto out = compute_job_impact(jobs_, errors_, impact_config(), pool_.get(),
-                                &join, exposures);
+  auto out = fold_job_impact(jobs_, index, pass, impact_config(), exposures);
   join_us_->observe(std::chrono::duration<double, std::micro>(
                         std::chrono::steady_clock::now() - t0)
                         .count());
-  join_exposures_->add(join.total_exposed());
-  for (std::size_t s = 0; s < join.shards.size(); ++s) {
-    const auto& sm = join_shards_[s % join_shards_.size()];
-    sm.jobs->add(join.shards[s].jobs_scanned);
-    sm.exposed->add(join.shards[s].jobs_exposed);
-  }
+  join_exposures_->add(out.jobs_exposed);
   return out;
+}
+
+JobImpact ResultSet::job_impact() const {
+  const auto index = build_error_index(errors_);
+  return job_impact(index.view(),
+                    mask_jobs(jobs_, index.view(), knobs_.attribution_window,
+                              knobs_.attribution));
 }
 
 AvailabilityStats ResultSet::availability() const {

@@ -50,10 +50,14 @@ class ResultSet {
   ErrorStats error_stats() const;
   JobStats job_stats() const;                 ///< full characterization window
   JobStats job_stats(const Period& w) const;  ///< custom window
-  /// Table II over the operational period: the exposure join counted in
-  /// pipe.stage3.*.  `exposures`, when non-null, receives the same pass's
-  /// per-job exposure list (see compute_job_impact).
-  JobImpact job_impact(std::vector<JobExposure>* exposures = nullptr) const;
+  /// Table II over the operational period: `pass` (mask_jobs over jobs()
+  /// and `index`, the run's build_error_index, at impact_config()'s window
+  /// and attribution) folded by fold_job_impact, counted in pipe.stage3.*.
+  /// `exposures`, when non-null, receives the fold's exposure list.
+  JobImpact job_impact(const ErrorIndexView& index, const ExposurePass& pass,
+                       std::vector<JobExposure>* exposures = nullptr) const;
+  /// Same, building the index and running the pass first.
+  JobImpact job_impact() const;
   AvailabilityStats availability() const;     ///< operational period
   /// Conservative MTTF estimate: the all-error per-node MTBE in op (the
   /// paper assumes every GPU error interrupts the node).
@@ -96,18 +100,11 @@ class ResultSet {
   JobTable jobs_;
 
  private:
-  /// Per-shard exposure-join totals (shard 0 in serial mode).
-  struct JoinShardMetrics {
-    obs::Counter* jobs = nullptr;     ///< jobs scanned by this shard
-    obs::Counter* exposed = nullptr;  ///< of those, jobs with >= 1 error
-  };
-
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_ = nullptr;  ///< effective registry
   std::unique_ptr<common::ThreadPool> pool_;
-  obs::Counter* join_exposures_ = nullptr;  ///< exposed jobs, all joins
-  obs::Histogram* join_us_ = nullptr;       ///< exposure-join latency
-  std::vector<JoinShardMetrics> join_shards_;
+  obs::Counter* join_exposures_ = nullptr;  ///< exposed jobs, all folds
+  obs::Histogram* join_us_ = nullptr;       ///< Table II fold latency
 };
 
 }  // namespace gpures::analysis

@@ -54,17 +54,30 @@ const ErrorStats& Stage3Results::error_stats() {
   return *error_stats_;
 }
 
-void Stage3Results::join() {
-  if (!job_impact_) job_impact_ = res_.job_impact(&exposures_);
+const ErrorIndex& Stage3Results::error_index() {
+  if (!error_index_) error_index_ = build_error_index(res_.errors());
+  return *error_index_;
+}
+
+const ExposurePass& Stage3Results::exposure_pass() {
+  if (!exposure_pass_) {
+    const auto& knobs = res_.knobs();
+    exposure_pass_ = mask_jobs(res_.jobs(), error_index().view(),
+                               knobs.attribution_window, knobs.attribution);
+  }
+  return *exposure_pass_;
 }
 
 const JobImpact& Stage3Results::job_impact() {
-  join();
+  if (!job_impact_) {
+    job_impact_ =
+        res_.job_impact(error_index().view(), exposure_pass(), &exposures_);
+  }
   return *job_impact_;
 }
 
 const std::vector<JobExposure>& Stage3Results::exposures() {
-  join();
+  job_impact();
   return exposures_;
 }
 

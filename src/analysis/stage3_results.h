@@ -1,9 +1,9 @@
 // One run's Stage-III results (paper Fig. 1) and the catalog of reports that
 // render them.  Every artifact of a run — the --report blocks on stdout, the
-// CSV and JSON exports, the .idx unavailability section and the markdown
-// document — reads one Stage3Results, so each derivation runs at most once
-// per run, and the exposure join behind Table II also feeds the mitigation
-// what-ifs.
+// CSV and JSON exports, the .idx attribution and unavailability sections and
+// the markdown document — reads one Stage3Results, so each derivation runs
+// at most once per run: one error index and one exposure pass feed Table
+// II, the mitigation what-ifs and the .idx alike.
 //
 // The getters memoise and are therefore non-const: the object belongs to the
 // caller and is used from one thread.  ResultSet's own accessors stay const
@@ -29,9 +29,14 @@ class Stage3Results {
   const ResultSet& results() const { return res_; }
 
   const ErrorStats& error_stats();
-  /// Table II, from the run's one exposure join.
+  /// The run's one error index, over every error.
+  const ErrorIndex& error_index();
+  /// The run's one exposure pass over that index, at the run's window and
+  /// attribution; the .idx stores it.
+  const ExposurePass& exposure_pass();
+  /// Table II: the pass folded over the operational period.
   const JobImpact& job_impact();
-  /// The per-job exposure list of the same join.
+  /// The per-job exposure list of the same fold.
   const std::vector<JobExposure>& exposures();
   const JobStats& job_stats();  ///< full characterization window
   const AvailabilityStats& availability();
@@ -43,10 +48,10 @@ class Stage3Results {
   const std::string* report(std::size_t i);
 
  private:
-  void join();
-
   const ResultSet& res_;
   std::optional<ErrorStats> error_stats_;
+  std::optional<ErrorIndex> error_index_;
+  std::optional<ExposurePass> exposure_pass_;
   std::optional<JobImpact> job_impact_;
   std::vector<JobExposure> exposures_;
   std::optional<JobStats> job_stats_;

@@ -159,8 +159,7 @@ enum class SectionId : std::uint32_t {
   // Exposure-join location index: reported-family errors grouped by
   // packed-GPU key (groups sorted by key, entries by (time, bit)).  These
   // are the four columns of analysis::ErrorIndex, as build_error_index
-  // returns them over an unbounded period; the reader exposes them as an
-  // analysis::ErrorIndexView.
+  // returns them; the reader exposes them as an analysis::ErrorIndexView.
   kLocKeys = 10,         ///< distinct location keys, ascending
   kLocOffsets = 11,      ///< group bounds into the entry columns
   kLocTime = 12,         ///< entry timestamps
@@ -177,9 +176,9 @@ enum class SectionId : std::uint32_t {
   kUnavailNode = 20,     ///< topology node index
   kUnavailBegin = 21,    ///< drain time
   kUnavailEnd = 22,      ///< resume time
-  // Write-time exposure attribution (v2): analysis::expose over the loc
-  // index above for every job, at the recorded window and attribution and
-  // an unbounded period.  Positions index the job columns.
+  // Write-time exposure attribution (v2): the columns of analysis::mask_jobs
+  // over the loc index above, at the recorded window and attribution.
+  // Positions index the job columns.
   kJobExposedPos = 23,   ///< jobs with a nonzero run mask, ascending
   kJobExposedMasks = 24, ///< pack_masks(run, window) per exposed job
   kJobFailedPos = 25,    ///< jobs in a failure state, ascending
@@ -269,19 +268,6 @@ constexpr const SectionSpec& section_spec(SectionId id) {
 constexpr std::string_view section_name(SectionId id) {
   const auto i = static_cast<std::size_t>(id) - 1;
   return i < kSections.size() ? kSections[i].name : "unknown";
-}
-
-/// An exposed job's run and window masks (xid::report_order() bits, ten
-/// families) share one u32: run mask low, window mask high.
-inline constexpr std::uint32_t kMaskBits = 16;
-constexpr std::uint32_t pack_masks(std::uint32_t run, std::uint32_t window) {
-  return run | (window << kMaskBits);
-}
-constexpr std::uint32_t run_mask_of(std::uint32_t packed) {
-  return packed & ((1u << kMaskBits) - 1);
-}
-constexpr std::uint32_t window_mask_of(std::uint32_t packed) {
-  return packed >> kMaskBits;
 }
 
 }  // namespace gpures::index

@@ -8,7 +8,6 @@
 #include "analysis/job_impact.h"
 #include "analysis/job_stats.h"
 #include "common/stats.h"
-#include "index/format.h"
 #include "obs/log.h"
 #include "slurm/job.h"
 
@@ -27,11 +26,6 @@ std::uint16_t canonical_xid(std::uint16_t xid) {
 std::size_t lower_idx(std::span<const std::int64_t> v, std::int64_t t) {
   return static_cast<std::size_t>(
       std::lower_bound(v.begin(), v.end(), t) - v.begin());
-}
-
-std::size_t lower_pos(std::span<const std::uint32_t> v, std::size_t pos) {
-  return static_cast<std::size_t>(
-      std::lower_bound(v.begin(), v.end(), pos) - v.begin());
 }
 
 /// First position in [g, end) of `list` holding a GPU of the node whose
@@ -240,45 +234,40 @@ CountResult QueryEngine::compute_count(const Predicate& p) const {
 }
 
 analysis::JobImpact QueryEngine::compute_impact(const Predicate& p) const {
-  analysis::JobImpactConfig cfg;
-  cfg.window = window_;
-  cfg.period = {p.from, p.to};
-  cfg.attribution = node_level_ ? analysis::Attribution::kNodeLevel
-                                : analysis::Attribution::kGpuLevel;
+  const analysis::JobImpactConfig cfg{
+      window_, {p.from, p.to},
+      node_level_ ? analysis::Attribution::kNodeLevel
+                  : analysis::Attribution::kGpuLevel};
 
   const auto job_end = reader_.job_end();
   const auto job_start = reader_.job_start();
   const auto job_state = reader_.job_state();
   const std::size_t lo = lower_idx(job_end, p.from);
   const std::size_t hi = std::max(lo, lower_idx(job_end, p.to));
-  const auto state_of = [&](std::size_t idx) {
-    return static_cast<slurm::JobState>(job_state[idx]);
+  const auto job_at = [&](std::size_t idx) {
+    return analysis::PassJob{job_start[idx], job_end[idx],
+                             static_cast<slurm::JobState>(job_state[idx]),
+                             reader_.job_gpus(idx)};
   };
+  const auto& index = reader_.error_index();
   std::vector<std::int32_t> node_scratch;
-  const auto replay = [&](std::size_t idx) {
-    return analysis::expose(reader_.error_index(), job_start[idx],
-                            job_end[idx], reader_.job_gpus(idx), cfg,
-                            node_scratch);
-  };
-  // Job `idx`'s masks in this window, for ascending `idx`.  At the recorded
-  // settings a job ending in [from, to) is clamped only below, and only when
-  // start + 1 < from: such a boundary job re-runs expose with the window
-  // clamp; any other job's masks are the stored ones, or zero when the
-  // writer found it unexposed.  Otherwise the stored masks do not apply and
+  // Job `idx`'s masks in this window, for ascending `idx`: at the recorded
+  // settings, the stored ones through masks_in_period (zero when the writer
+  // found the job unexposed); otherwise the stored masks do not apply and
   // every job replays the join.
   const auto xpos = reader_.job_exposed_pos();
   const auto xmask = reader_.job_exposed_masks();
-  std::size_t k = lower_pos(xpos, lo);
+  std::size_t k = analysis::positions_below(xpos, lo);
   std::uint64_t boundary = 0;
   const auto masks_at = [&](std::size_t idx) -> analysis::ExposureMasks {
-    if (!recorded_) return replay(idx);
+    if (!recorded_) {
+      return analysis::expose(index, job_start[idx], job_end[idx],
+                              reader_.job_gpus(idx), cfg, node_scratch);
+    }
     while (k < xpos.size() && xpos[k] < idx) ++k;
     if (k == xpos.size() || xpos[k] != idx) return {};
-    if (job_start[idx] + 1 < p.from) {
-      ++boundary;
-      return replay(idx);
-    }
-    return {run_mask_of(xmask[k]), window_mask_of(xmask[k])};
+    return analysis::masks_in_period(index, xmask[k], job_at(idx), cfg,
+                                     node_scratch, boundary);
   };
 
   analysis::ImpactTally tally;
@@ -297,21 +286,19 @@ analysis::JobImpact QueryEngine::compute_impact(const Predicate& p) const {
     for (std::uint64_t g = next_on_node(list, offs[lo], g_hi, key_lo);
          g < g_hi; g = next_on_node(list, offs[idx], g_hi, key_lo)) {
       idx = owner_of(offs, idx, scan_hi, g);
-      tally.add(state_of(idx), masks_at(idx));
+      tally.add(job_at(idx).state, masks_at(idx));
       ++idx;
     }
   } else if (!recorded_) {
     for (std::size_t idx = lo; idx < hi; ++idx) {
-      tally.add(state_of(idx), masks_at(idx));
+      tally.add(job_at(idx).state, masks_at(idx));
     }
   } else {
-    // Only exposed jobs can touch a row; the totals count every job.
-    for (std::size_t x = k, x_hi = lower_pos(xpos, hi); x < x_hi; ++x) {
-      tally.add(state_of(xpos[x]), masks_at(xpos[x]));
-    }
-    const auto fpos = reader_.job_failed_pos();
-    tally.jobs_analyzed = hi - lo;
-    tally.failed_jobs_total = lower_pos(fpos, hi) - lower_pos(fpos, lo);
+    tally = analysis::fold_pass(
+        index, {xpos, xmask, reader_.job_failed_pos()}, cfg, lo, hi, job_at,
+        [](std::size_t, const analysis::PassJob&,
+           const analysis::ExposureMasks&) {},
+        boundary);
   }
   if (!recorded_ && m_impact_replays_ != nullptr) m_impact_replays_->inc();
   if (m_impact_boundary_jobs_ != nullptr) {

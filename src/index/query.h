@@ -13,12 +13,11 @@
 //    (+inf when clean) over all nodes, or one under a node predicate.  An
 //    XID predicate is canonicalized through xid::merge_key, so --xid 120
 //    counts the merged GSP family exactly like Table I does.
-//  * impact: compute_job_impact with period = [from, to), folded by
-//    analysis::ImpactTally.  At the recorded window and attribution the
-//    fold reads the masks the writer stored (analysis::expose over an
-//    unbounded period): a job ending in [from, to) is clamped only below,
-//    and only when start + 1 < from, so only those boundary jobs re-run
-//    expose with the window clamp, and an unexposed job stays unexposed in
+//  * impact: Table II over the jobs ending in [from, to).  At the recorded
+//    window and attribution it is analysis::fold_pass over the stored
+//    exposure-pass columns, the fold batch runs over the operational
+//    period: boundary jobs re-expose with the window clamp
+//    (analysis::masks_in_period), and an unexposed job stays unexposed in
 //    every window.  An engine whose window or attribution differs replays
 //    the join over every job in the window.  Under a node predicate only
 //    jobs allocated on that node participate.

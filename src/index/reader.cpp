@@ -295,8 +295,8 @@ common::Result<IndexReader> IndexReader::open(const std::string& path) {
   }
   const std::uint32_t families = (1u << xid::report_order().size()) - 1;
   for (const std::uint32_t packed : r.job_exposed_masks()) {
-    const std::uint32_t run = run_mask_of(packed);
-    const std::uint32_t window = window_mask_of(packed);
+    const std::uint32_t run = analysis::run_mask_of(packed);
+    const std::uint32_t window = analysis::window_mask_of(packed);
     if ((run & ~families) != 0 || (window & ~families) != 0) {
       return violated("exposure masks must stay within the family range",
                       kJobExposedMasks);

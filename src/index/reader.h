@@ -77,7 +77,7 @@ class IndexReader {
 
   // Write-time attribution at the recorded window and attribution, over an
   // unbounded period: positions (into the job columns) of the jobs with a
-  // nonzero run mask, their packed masks (format.h pack_masks), and the
+  // nonzero run mask, their packed masks (analysis::pack_masks), and the
   // positions of the jobs in a failure state.  Positions ascend.
   auto job_exposed_pos() const {
     return column<kJobExposedPos, std::uint32_t>();

@@ -4,10 +4,10 @@
 #include <array>
 #include <limits>
 #include <numeric>
+#include <optional>
 
 #include "common/hash.h"
 #include "common/io.h"
-#include "slurm/job.h"
 #include "xid/event.h"
 
 namespace gpures::index {
@@ -40,117 +40,21 @@ common::Result<std::string> serialize_index(const IndexBuildInput& in) {
               return x.raw_lines < y.raw_lines;
             });
 
-  // The exposure-join location index, serialized verbatim.  No period
-  // filter: queries clamp to their own window, so one artifact serves any.
-  const auto loc = an::build_error_index(
-      errors, {std::numeric_limits<common::TimePoint>::min(),
-               std::numeric_limits<common::TimePoint>::max()});
-
-  // Jobs in (end, start, id) order, sorted as a compact key array; the
-  // table index breaks any remaining tie, so the order is total.
-  struct JobKey {
-    common::TimePoint end;
-    common::TimePoint start;
-    std::uint64_t id;
-    std::size_t idx;
-  };
-  std::vector<JobKey> job_order;
-  job_order.reserve(jobs.jobs.size());
-  for (std::size_t i = 0; i < jobs.jobs.size(); ++i) {
-    const auto& j = jobs.jobs[i];
-    job_order.push_back({j.end, j.start, j.id, i});
-  }
-  std::sort(job_order.begin(), job_order.end(),
-            [](const JobKey& a, const JobKey& b) {
-              if (a.end != b.end) return a.end < b.end;
-              if (a.start != b.start) return a.start < b.start;
-              if (a.id != b.id) return a.id < b.id;
-              return a.idx < b.idx;
-            });
-  if (job_order.size() > std::numeric_limits<std::uint32_t>::max()) {
+  if (jobs.jobs.size() > std::numeric_limits<std::uint32_t>::max()) {
     return common::Error::make(
         "index writer: job positions are u32; too many jobs (" +
-        std::to_string(job_order.size()) + ")");
+        std::to_string(jobs.jobs.size()) + ")");
   }
-
-  // Write-time attribution: the one expose, in job-end order, at the
-  // recorded window and attribution over an unbounded period.  A query
-  // window [from, to) selects jobs ending inside it, so its upper clamp
-  // never bites, and its lower clamp only for jobs with start + 1 < from;
-  // every other job's masks are these.
-  an::JobImpactConfig attribution;
-  attribution.window = in.attribution_window;
-  attribution.period = {std::numeric_limits<common::TimePoint>::min(),
-                        std::numeric_limits<common::TimePoint>::max()};
-  attribution.attribution = in.attribution;
-  std::vector<std::uint32_t> exposed_pos;
-  std::vector<std::uint32_t> exposed_masks;
-  std::vector<std::uint32_t> failed_pos;
-  std::uint64_t job_gpus = 0;
-  {
-    // Each location's indexed error times, ascending: a loc group at device
-    // level; at node level a node's groups are adjacent, and their entries,
-    // sorted, are the node's.  Jobs come in end order, so a cursor per
-    // location sweeps forward to the first error after the current job's
-    // end; the job saw an error there iff the one before it is after its
-    // start.  A job that saw none has run mask 0 and skips expose, and that
-    // is most jobs.
-    const bool by_node = in.attribution == an::Attribution::kNodeLevel;
-    const auto location = [by_node](std::int64_t key) {
-      return by_node ? key >> 8 : key;
-    };
-    std::vector<std::int64_t> times(loc.time.begin(), loc.time.end());
-    struct Sweep {
-      std::uint64_t begin = 0;
-      std::uint64_t next = 0;  ///< first entry after the current job's end
-      std::uint64_t end = 0;
-    };
-    std::vector<Sweep> sweep(
-        loc.keys.empty() || loc.keys.back() < 0
-            ? 0
-            : static_cast<std::size_t>(location(loc.keys.back())) + 1);
-    for (std::size_t k = 0; k < loc.keys.size(); ++k) {
-      if (loc.keys[k] < 0) continue;
-      Sweep& w = sweep[static_cast<std::size_t>(location(loc.keys[k]))];
-      if (w.begin == w.end) w.begin = w.next = loc.offsets[k];
-      w.end = loc.offsets[k + 1];
-    }
-    if (by_node) {
-      for (const Sweep& w : sweep) {
-        std::sort(times.begin() + static_cast<std::ptrdiff_t>(w.begin),
-                  times.begin() + static_cast<std::ptrdiff_t>(w.end));
-      }
-    }
-    const auto sees_errors = [&](const an::JobView& j,
-                                 std::span<const an::PackedGpu> gpus) {
-      bool seen = false;
-      for (const an::PackedGpu g : gpus) {
-        const std::int64_t l = location(g);
-        if (l < 0 || static_cast<std::uint64_t>(l) >= sweep.size()) continue;
-        Sweep& w = sweep[static_cast<std::size_t>(l)];
-        while (w.next < w.end && times[w.next] <= j.end) ++w.next;
-        seen |= w.next > w.begin && times[w.next - 1] > j.start;
-      }
-      return seen;
-    };
-    std::vector<std::int32_t> node_scratch;
-    for (std::size_t pos = 0; pos < job_order.size(); ++pos) {
-      const auto& j = jobs.jobs[job_order[pos].idx];
-      const auto gpus = jobs.gpus_of(j);
-      job_gpus += gpus.size();
-      const auto m = sees_errors(j, gpus)
-                         ? an::expose(loc.view(), j.start, j.end, gpus,
-                                      attribution, node_scratch)
-                         : an::ExposureMasks{};
-      if (m.run_mask != 0) {
-        exposed_pos.push_back(static_cast<std::uint32_t>(pos));
-        exposed_masks.push_back(pack_masks(m.run_mask, m.window_mask));
-      }
-      if (slurm::is_failure(j.state)) {
-        failed_pos.push_back(static_cast<std::uint32_t>(pos));
-      }
-    }
-  }
+  // The run's error index and exposure pass, or the writer's own.
+  std::optional<an::ErrorIndex> own_loc;
+  std::optional<an::ExposurePass> own_pass;
+  const auto& loc =
+      in.loc != nullptr ? *in.loc : own_loc.emplace(an::build_error_index(errors));
+  const auto& pass = in.pass != nullptr
+                         ? *in.pass
+                         : own_pass.emplace(an::mask_jobs(
+                               jobs, loc.view(), in.attribution_window,
+                               in.attribution));
 
   struct Interval {
     std::int32_t node;
@@ -176,10 +80,10 @@ common::Result<std::string> serialize_index(const IndexBuildInput& in) {
   meta.error_count = errors.size();
   meta.loc_entry_count = loc.time.size();
   meta.job_count = jobs.jobs.size();
-  meta.job_gpu_count = job_gpus;
+  for (const auto& j : jobs.jobs) meta.job_gpu_count += jobs.gpus_of(j).size();
   meta.unavail_count = unavail.size();
-  meta.exposed_count = exposed_pos.size();
-  meta.failed_count = failed_pos.size();
+  meta.exposed_count = pass.exposed_pos.size();
+  meta.failed_count = pass.failed_pos.size();
 
   // ---- layout: every section's exact size, padded, gapless ---------------
   SectionCounts counts{meta, 0, loc.keys.size()};
@@ -245,8 +149,8 @@ common::Result<std::string> serialize_index(const IndexBuildInput& in) {
     Column glist = sec(SectionId::kJobGpuList);
     std::uint64_t gcount = 0;
     goffs(gcount);
-    for (const JobKey& key : job_order) {
-      const auto& j = jobs.jobs[key.idx];
+    for (const std::uint32_t idx : pass.order) {
+      const auto& j = jobs.jobs[idx];
       id(j.id);
       start(j.start);
       end(j.end);
@@ -267,9 +171,9 @@ common::Result<std::string> serialize_index(const IndexBuildInput& in) {
       end(u.end);
     }
   }
-  sec(SectionId::kJobExposedPos).items(exposed_pos);
-  sec(SectionId::kJobExposedMasks).items(exposed_masks);
-  sec(SectionId::kJobFailedPos).items(failed_pos);
+  sec(SectionId::kJobExposedPos).items(pass.exposed_pos);
+  sec(SectionId::kJobExposedMasks).items(pass.exposed_masks);
+  sec(SectionId::kJobFailedPos).items(pass.failed_pos);
 
   // ---- section table, then the header that hashes it -----------------------
   for (auto& entry : table) {

@@ -2,8 +2,8 @@
 //
 // Serializes the pipeline's Stage II/III outputs — coalesced errors, job
 // exposure intervals, unavailability intervals — into the columnar format
-// defined in format.h, together with each job's exposure masks at the
-// recorded attribution (the exposure join, run once at write time).  The
+// defined in format.h, together with the run's error index and exposure
+// pass (analysis::mask_jobs) at the recorded attribution.  The
 // writer is a pure function of its input: columns are sorted with
 // total-order keys, padding is zeroed, and nothing time-of-day- or
 // thread-dependent is emitted, so a pipeline run that is byte-identical
@@ -16,6 +16,7 @@
 
 #include "analysis/availability.h"
 #include "analysis/coalesce.h"
+#include "analysis/job_impact.h"
 #include "analysis/job_stats.h"
 #include "cluster/topology.h"
 #include "common/error.h"
@@ -30,6 +31,10 @@ struct IndexBuildInput : IndexSettings {
   const std::vector<analysis::CoalescedError>* errors = nullptr;
   const analysis::JobTable* jobs = nullptr;
   const std::vector<analysis::Unavailability>* unavailability = nullptr;
+  /// The run's build_error_index(*errors) and its mask_jobs pass at the
+  /// recorded window and attribution; the writer builds its own when null.
+  const analysis::ErrorIndex* loc = nullptr;
+  const analysis::ExposurePass* pass = nullptr;
 };
 
 struct IndexWriteStats {

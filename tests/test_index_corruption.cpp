@@ -262,7 +262,7 @@ TEST_F(IndexCorruption, AttributionSectionInvariantsAreLocated) {
       {"exposure masks must stay within the family range",
        ix::SectionId::kJobExposedMasks, xmask.offset,
        [&](std::string& b) {
-         ct::store_record(at(b, xmask.offset), ix::pack_masks(1u << 12, 0));
+         ct::store_record(at(b, xmask.offset), an::pack_masks(1u << 12, 0));
        }},
       {"exposed job run masks must be nonzero",
        ix::SectionId::kJobExposedMasks, xmask.offset,
@@ -270,7 +270,7 @@ TEST_F(IndexCorruption, AttributionSectionInvariantsAreLocated) {
       {"exposure window mask must be a subset of the run mask",
        ix::SectionId::kJobExposedMasks, xmask.offset,
        [&](std::string& b) {
-         ct::store_record(at(b, xmask.offset), ix::pack_masks(1, 2));
+         ct::store_record(at(b, xmask.offset), an::pack_masks(1, 2));
        }},
       {"failed job positions must be strictly increasing",
        ix::SectionId::kJobFailedPos, fpos.offset,

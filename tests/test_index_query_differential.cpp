@@ -2,7 +2,8 @@
 // random node / XID / time-window predicates, every one answered twice —
 // once by the IndexReader + QueryEngine over the mapped artifact, once
 // computed fresh from the pipeline's in-memory outputs with the batch
-// machinery — and held exactly equal (integer counts ==, doubles bitwise
+// machinery (for impact, the naive per-job oracle of impact_oracle.h, since
+// batch and query share one fold) — and held exactly equal (integer counts ==, doubles bitwise
 // via the same arithmetic).  Impact is checked at the recorded settings (a
 // fold of the masks stored at write time, boundary jobs re-exposed), on an
 // index written at node-level attribution, and under window and
@@ -27,6 +28,7 @@
 #include "analysis/pipeline.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "impact_oracle.h"
 #include "index/query.h"
 #include "index/reader.h"
 #include "index/writer.h"
@@ -213,8 +215,8 @@ ix::CountResult ref_count(const an::DeltaCampaign& campaign,
   return out;
 }
 
-/// Reference impact: the batch compute_job_impact over a node-filtered copy
-/// of the job table with the predicate window as the analysis period.
+/// Reference impact: the naive per-job oracle over a node-filtered copy of
+/// the job table with the predicate window as the analysis period.
 an::JobImpact ref_impact(const an::DeltaCampaign& campaign,
                          const ix::Predicate& p, ct::Duration window,
                          an::Attribution attribution) {
@@ -235,7 +237,8 @@ an::JobImpact ref_impact(const an::DeltaCampaign& campaign,
   cfg.window = window;
   cfg.period = {p.from, p.to};
   cfg.attribution = attribution;
-  return an::compute_job_impact(table, campaign.pipeline().errors(), cfg);
+  return gpures::testing::oracle_impact(table, campaign.pipeline().errors(),
+                                        cfg);
 }
 
 /// Reference availability: filter + sort the pipeline's intervals exactly as
@@ -372,7 +375,8 @@ TEST_F(QueryDifferential, CountsMatchNaiveScanOnSeededCorpus) {
 
 TEST_F(QueryDifferential, ImpactMatchesBatchJoinOnSeededCorpus) {
   // At the recorded settings every answer is a fold of the stored masks;
-  // the batch join is the oracle.
+  // the naive per-job oracle is the reference.  Batch Table II, the same
+  // fold over the operational period, must match it too.
   obs::MetricsRegistry registry;
   ix::QueryOptions opts;
   opts.metrics = &registry;
@@ -386,6 +390,15 @@ TEST_F(QueryDifferential, ImpactMatchesBatchJoinOnSeededCorpus) {
         p);
   }
   EXPECT_EQ(registry.counter("query.impact.replays").value(), 0u);
+
+  ix::Predicate op;
+  op.from = campaign_->periods().op.begin;
+  op.to = campaign_->periods().op.end;
+  const auto want = ref_impact(*campaign_, op, engine.effective_window(),
+                               an::Attribution::kGpuLevel);
+  ASSERT_GT(want.gpu_failed_jobs, 0u);
+  expect_impact_eq(campaign_->pipeline().job_impact(), want, op);
+  expect_impact_eq(engine.impact(op), want, op);
 }
 
 TEST_F(QueryDifferential, WindowsOpeningInsideExposedJobsReExposeThem) {

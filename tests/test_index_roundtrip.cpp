@@ -18,6 +18,7 @@
 #include "common/hash.h"
 #include "common/io.h"
 #include "common/rng.h"
+#include "impact_oracle.h"
 #include "index/format.h"
 #include "index/query.h"
 #include "index/reader.h"
@@ -159,9 +160,8 @@ TEST(IndexRoundTrip, ErrorColumnsSurviveWriteAndMmapRead) {
     EXPECT_EQ(reader.err_raw_lines()[i], want[i].raw_lines) << i;
   }
 
-  // The loc sections are the batch join's index over the whole study
-  // window, column for column.
-  const auto batch = an::build_error_index(c.errors, c.pds.whole());
+  // The loc sections are the batch error index, column for column.
+  const auto batch = an::build_error_index(c.errors);
   const auto& loc = reader.error_index();
   EXPECT_TRUE(std::ranges::equal(loc.keys, batch.keys));
   EXPECT_TRUE(std::ranges::equal(loc.offsets, batch.offsets));
@@ -253,7 +253,7 @@ TEST(IndexRoundTrip, AttributionSectionsHoldTheWriteTimeJoin) {
                               scratch);
     EXPECT_NE(m.run_mask, 0u);
     EXPECT_EQ(reader.job_exposed_masks()[k],
-              ix::pack_masks(m.run_mask, m.window_mask))
+              an::pack_masks(m.run_mask, m.window_mask))
         << k;
   }
 }
@@ -309,7 +309,7 @@ TEST(IndexRoundTrip, AttributionHonoursTheRunEdges) {
       ASSERT_LT(k, reader.job_exposed_pos().size()) << j;
       EXPECT_EQ(reader.job_exposed_pos()[k], j);
       EXPECT_EQ(reader.job_exposed_masks()[k],
-                ix::pack_masks(m.run_mask, m.window_mask))
+                an::pack_masks(m.run_mask, m.window_mask))
           << j;
       ++k;
     }
@@ -457,7 +457,9 @@ std::uint64_t failed(const an::JobImpact& impact, std::uint16_t xid) {
 TEST(IndexRoundTrip, QueryImpactMatchesBatchAtWindowBoundaries) {
   // The query window [from, to) clamps both jobs (by end) and errors (by
   // time); the attribution excludes an error at a job's exact start second.
-  // Errors sit at from - 1, from, to - 1, to and at a job's start second.
+  // Errors sit at from - 1, from, to - 1, to and at a job's start second,
+  // and job A straddles `from` with the error at from - 1 on its GPU.  The
+  // query and the batch fold each equal the naive per-job oracle.
   using gpures::slurm::JobState;
   Corpus c;
   const auto from = c.pds.op.begin + 1000;
@@ -483,6 +485,9 @@ TEST(IndexRoundTrip, QueryImpactMatchesBatchAtWindowBoundaries) {
   c.jobs.jobs.push_back(job(4, from - 10, from + 150, JobState::kCompleted, g11));
   // Ends before the window.
   c.jobs.jobs.push_back(job(5, from - 2000, from - 1, JobState::kFailed, g10));
+  // Fails inside the window without seeing an error.
+  c.jobs.jobs.push_back(
+      job(6, from + 400, from + 900, JobState::kFailed, an::pack_gpu(3, 0)));
 
   const auto path = temp_file("boundaries");
   ASSERT_TRUE(ix::write_index(c.input(), path.string()).ok());
@@ -503,11 +508,12 @@ TEST(IndexRoundTrip, QueryImpactMatchesBatchAtWindowBoundaries) {
     ix::QueryOptions opts;
     opts.attribution = attribution;
     ix::QueryEngine engine(reader, opts);
-    const auto want = an::compute_job_impact(c.jobs, c.errors, cfg);
+    const auto want = gpures::testing::oracle_impact(c.jobs, c.errors, cfg);
     expect_same_impact(engine.impact(p), want);
+    expect_same_impact(an::compute_job_impact(c.jobs, c.errors, cfg), want);
 
-    EXPECT_EQ(want.jobs_analyzed, 3u);
-    EXPECT_EQ(want.failed_jobs_total, 2u);
+    EXPECT_EQ(want.jobs_analyzed, 4u);
+    EXPECT_EQ(want.failed_jobs_total, 3u);
     EXPECT_EQ(want.gpu_failed_jobs, 2u);
     for (const std::uint16_t outside : {31, 74, 94}) {
       EXPECT_EQ(encountering(want, outside), 0u) << "xid " << outside;
@@ -519,6 +525,71 @@ TEST(IndexRoundTrip, QueryImpactMatchesBatchAtWindowBoundaries) {
     EXPECT_EQ(failed(want, 48), 0u);
     EXPECT_EQ(failed(want, 63), 1u);
     EXPECT_EQ(failed(want, 79), 1u);
+  }
+}
+
+TEST(IndexRoundTrip, StoredPassEqualsTheInMemoryPass) {
+  // Random jobs and errors around op.begin on the small topology.  The
+  // artifact written from the run's own index and pass, as the tools write
+  // it, equals the one the writer builds alone, and its attribution
+  // sections read back as that pass, column for column.
+  Corpus c;
+  const auto t0 = c.pds.op.begin;
+  ct::Rng rng(29);
+  const auto nodes = static_cast<std::uint64_t>(c.topo.node_count());
+  const auto any_gpu = [&] {
+    const auto node = static_cast<std::int32_t>(rng.uniform_u64(nodes));
+    return an::pack_gpu(node, static_cast<std::int32_t>(rng.uniform_u64(
+                                  static_cast<std::uint64_t>(
+                                      c.topo.gpus_on_node(node)))));
+  };
+  constexpr std::uint16_t kCodes[] = {31, 48, 63, 74, 79, 94, 119, 13};
+  c.errors.clear();
+  for (int i = 0; i < 400; ++i) {
+    const auto g = any_gpu();
+    const auto code = kCodes[rng.uniform_u64(std::size(kCodes))];
+    c.errors.push_back(
+        err(t0 - 3600 + static_cast<ct::Duration>(rng.uniform_u64(5 * 3600)),
+            an::packed_node(g), an::packed_slot(g), code, code, 1));
+  }
+  c.jobs = {};
+  for (std::uint64_t id = 1; id <= 600; ++id) {
+    const auto start =
+        t0 - 3600 + static_cast<ct::Duration>(rng.uniform_u64(4 * 3600));
+    c.jobs.jobs.push_back(
+        job(id, start, start + static_cast<ct::Duration>(rng.uniform_u64(3600)),
+            rng.bernoulli(0.3) ? gpures::slurm::JobState::kFailed
+                               : gpures::slurm::JobState::kCompleted,
+            any_gpu()));
+  }
+  for (const auto level :
+       {an::Attribution::kGpuLevel, an::Attribution::kNodeLevel}) {
+    SCOPED_TRACE(level == an::Attribution::kGpuLevel ? "device level"
+                                                     : "node level");
+    const auto index = an::build_error_index(c.errors);
+    const auto pass = an::mask_jobs(c.jobs, index.view(), 20, level);
+    ASSERT_GT(pass.exposed_pos.size(), 50u);
+    ASSERT_GT(pass.failed_pos.size(), 50u);
+    auto in = c.input();
+    in.attribution = level;
+    const auto alone = ix::serialize_index(in);
+    in.loc = &index;
+    in.pass = &pass;
+    const auto path = temp_file("pass");
+    ASSERT_TRUE(ix::write_index(in, path.string()).ok());
+    ASSERT_TRUE(alone.ok());
+    EXPECT_EQ(ct::read_file(path.string()).value(), alone.value());
+
+    auto opened = ix::IndexReader::open(path.string());
+    ASSERT_TRUE(opened.ok()) << opened.error().message;
+    const auto reader = std::move(opened).take();
+    EXPECT_TRUE(std::ranges::equal(reader.job_exposed_pos(), pass.exposed_pos));
+    EXPECT_TRUE(
+        std::ranges::equal(reader.job_exposed_masks(), pass.exposed_masks));
+    EXPECT_TRUE(std::ranges::equal(reader.job_failed_pos(), pass.failed_pos));
+    for (std::size_t pos = 0; pos < pass.order.size(); ++pos) {
+      EXPECT_EQ(reader.job_id()[pos], c.jobs.jobs[pass.order[pos]].id) << pos;
+    }
   }
 }
 

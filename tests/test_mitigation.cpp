@@ -42,6 +42,15 @@ an::JobImpactConfig config() {
   return cfg;
 }
 
+/// The exposure list of Table II's fold.
+std::vector<an::JobExposure> exposures_of(
+    const an::JobTable& table, const std::vector<an::CoalescedError>& errors,
+    const an::JobImpactConfig& cfg) {
+  std::vector<an::JobExposure> out;
+  an::compute_job_impact(table, errors, cfg, &out);
+  return out;
+}
+
 }  // namespace
 
 TEST(Exposures, SharedHelperMatchesImpact) {
@@ -52,7 +61,7 @@ TEST(Exposures, SharedHelperMatchesImpact) {
       error_at(1990, 0, gx::Code::kGspRpcTimeout),
       error_at(1500, 1, gx::Code::kMmuError),
   };
-  const auto exposures = an::compute_exposures(table, errors, config());
+  const auto exposures = exposures_of(table, errors, config());
   ASSERT_EQ(exposures.size(), 2u);
   EXPECT_TRUE(exposures[0].gpu_failed);
   EXPECT_FALSE(exposures[1].gpu_failed);
@@ -71,7 +80,7 @@ TEST(LostWork, SumsFailedJobHours) {
   const std::vector<an::CoalescedError> errors = {
       error_at(7190, 0, gx::Code::kGspRpcTimeout)};
   const auto lost = an::compute_lost_work(
-      table, an::compute_exposures(table, errors, config()), config());
+      table, exposures_of(table, errors, config()), config());
   EXPECT_EQ(lost.gpu_failed_jobs, 1u);
   EXPECT_DOUBLE_EQ(lost.lost_gpu_hours, 4.0);
   EXPECT_DOUBLE_EQ(lost.total_gpu_hours, 5.0);
@@ -84,7 +93,7 @@ TEST(LostWork, FailedWithoutWindowErrorNotCounted) {
   const std::vector<an::CoalescedError> errors = {
       error_at(3600, 0, gx::Code::kMmuError)};  // mid-run, survived; user bug
   const auto lost = an::compute_lost_work(
-      table, an::compute_exposures(table, errors, config()), config());
+      table, exposures_of(table, errors, config()), config());
   EXPECT_EQ(lost.gpu_failed_jobs, 0u);
   EXPECT_DOUBLE_EQ(lost.lost_gpu_hours, 0.0);
 }
@@ -97,7 +106,7 @@ TEST(Checkpoint, SweepMathExact) {
   const std::vector<an::CoalescedError> errors = {
       error_at(35990, 0, gx::Code::kGspRpcTimeout)};
   const auto sweep = an::sweep_checkpoint_interval(
-      table, an::compute_exposures(table, errors, config()), config(), {2.0},
+      table, exposures_of(table, errors, config()), config(), {2.0},
       /*checkpoint_cost_h=*/0.1, /*restore_cost_h=*/0.5);
   EXPECT_DOUBLE_EQ(sweep.no_checkpoint_waste, 10.0);
   ASSERT_EQ(sweep.points.size(), 1u);
@@ -129,7 +138,7 @@ TEST(Checkpoint, TradeoffHasInteriorOptimum) {
   cfg.period = {0, 200 * 50000 + 100000};
   const std::vector<double> intervals = {0.01, 0.1, 1.0, 4.0, 100.0};
   const auto sweep = an::sweep_checkpoint_interval(
-      table, an::compute_exposures(table, errors, cfg), cfg, intervals, 0.05,
+      table, exposures_of(table, errors, cfg), cfg, intervals, 0.05,
       0.1);
   EXPECT_GT(sweep.points.front().wasted_gpu_hours, sweep.best_waste);
   EXPECT_GT(sweep.points.back().wasted_gpu_hours, sweep.best_waste);
@@ -150,7 +159,7 @@ TEST(Masking, OnlyPureMmuFailuresAreMaskable) {
       error_at(1990, 2, gx::Code::kGspRpcTimeout),
   };
   const auto mask = an::compute_masking_whatif(
-      table, an::compute_exposures(table, errors, config()), config());
+      table, exposures_of(table, errors, config()), config());
   EXPECT_EQ(mask.gpu_failed_jobs, 3u);
   EXPECT_EQ(mask.maskable_jobs, 1u);
   EXPECT_NEAR(mask.maskable_fraction, 1.0 / 3.0, 1e-9);

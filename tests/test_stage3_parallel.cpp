@@ -1,13 +1,16 @@
-// Differential tests for parallel Stage III: the job-range-sharded exposure
-// join, the host-sharded availability pairing, and the task-parallel
-// survival/trends/mitigation renders must all produce results *identical*
-// to their serial counterparts — every exposure field, every counter, every
-// floating-point aggregate, every rendered byte — for any worker count.
-// Together with test_parallel_determinism (Stages I+II) this closes the
-// determinism story end to end: `--threads N` never changes output.
+// Differential tests for Stage III under threads: the exposure pass and its
+// Table II fold against the naive per-job oracle (tests/impact_oracle.h),
+// run by several callers at once over one shared index; the host-sharded
+// availability pairing; and the task-parallel survival/trends/mitigation
+// renders.  Each must produce results *identical* to the serial reference —
+// every exposure field, every counter, every floating-point aggregate,
+// every rendered byte — for any worker count.  Together with
+// test_parallel_determinism (Stages I+II) this closes the determinism story
+// end to end: `--threads N` never changes output.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -23,6 +26,7 @@
 #include "analysis/trends.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "impact_oracle.h"
 
 namespace an = gpures::analysis;
 namespace ct = gpures::common;
@@ -69,13 +73,35 @@ const an::JobTable& job_table() {
       rec.name = rng.bernoulli(0.3) ? "train_job" : "mhd_solver";
       t->add(rec);
     }
+    // The boundary: jobs straddling op.begin, and jobs ending before it.
+    for (std::uint64_t i = 0; i < 2000; ++i) {
+      sl::JobRecord rec;
+      rec.id = 40001 + i;
+      rec.start = p.begin - 300 -
+                  static_cast<ct::Duration>(rng.uniform_u64(8 * ct::kHour));
+      rec.end = i % 4 == 3 ? p.begin - 1 - static_cast<ct::Duration>(
+                                               rng.uniform_u64(200))
+                           : p.begin + static_cast<ct::Duration>(
+                                           rng.uniform_u64(8 * ct::kHour));
+      rec.state = i % 3 == 0 ? sl::JobState::kFailed
+                             : sl::JobState::kCompleted;
+      rec.gpus = 1;
+      rec.nodes = 1;
+      rec.gpu_list.push_back(
+          {static_cast<std::int32_t>(rng.uniform_u64(kNodes)),
+           static_cast<std::int32_t>(rng.uniform_u64(kGpusPerNode))});
+      rec.name = "mhd_solver";
+      t->add(rec);
+    }
     return t;
   }();
   return *table;
 }
 
 // Random fleet errors plus errors planted inside the attribution window of
-// every ~25th job, so the GPU-failed classification path is exercised hard.
+// every ~25th job, so the GPU-failed classification path is exercised hard,
+// and errors before op.begin: random ones in the 8 hours before it, and one
+// inside the pre-op part of every other straddling job's run.
 const std::vector<an::CoalescedError>& errors() {
   static const auto* errs = [] {
     auto* v = new std::vector<an::CoalescedError>;
@@ -104,6 +130,27 @@ const std::vector<an::CoalescedError>& errors() {
       e.time = j.end - 5;
       e.last = e.time;
       e.gpu = {an::packed_node(gpus[0]), an::packed_slot(gpus[0])};
+      e.code = kCodes[rng.uniform_u64(std::size(kCodes))];
+      v->push_back(e);
+    }
+    for (int i = 0; i < 1000; ++i) {
+      an::CoalescedError e;
+      e.time = p.begin - 1 -
+               static_cast<ct::Duration>(rng.uniform_u64(8 * ct::kHour));
+      e.last = e.time;
+      e.gpu = {static_cast<std::int32_t>(rng.uniform_u64(kNodes)),
+               static_cast<std::int32_t>(rng.uniform_u64(kGpusPerNode))};
+      e.code = kCodes[rng.uniform_u64(std::size(kCodes))];
+      v->push_back(e);
+    }
+    for (std::size_t i = 0; i < table.jobs.size(); ++i) {
+      const auto& j = table.jobs[i];
+      if (j.start >= p.begin || j.end < p.begin || i % 2 != 0) continue;
+      const auto g = table.gpus_of(j)[0];
+      an::CoalescedError e;
+      e.time = j.start + 1 + (p.begin - j.start) / 2;
+      e.last = e.time;
+      e.gpu = {an::packed_node(g), an::packed_slot(g)};
       e.code = kCodes[rng.uniform_u64(std::size(kCodes))];
       v->push_back(e);
     }
@@ -153,6 +200,29 @@ void expect_impact_equal(const an::JobImpact& a, const an::JobImpact& b) {
   EXPECT_EQ(ca.str(), cb.str());
 }
 
+/// Jobs ending in op that started before it and saw an error there: the
+/// ones whose pass masks the fold must not keep.
+std::size_t boundary_jobs_with_early_errors(const an::JobImpactConfig& cfg) {
+  const auto index = an::build_error_index(errors());
+  auto all_time = cfg;
+  all_time.period = {std::numeric_limits<ct::TimePoint>::min(),
+                     std::numeric_limits<ct::TimePoint>::max()};
+  std::vector<std::int32_t> scratch;
+  std::size_t n = 0;
+  for (const auto& j : job_table().jobs) {
+    if (!cfg.period.contains(j.end) || j.start + 1 >= cfg.period.begin) {
+      continue;
+    }
+    const auto gpus = job_table().gpus_of(j);
+    const auto in_op = an::expose(index.view(), j.start, j.end, gpus, cfg,
+                                  scratch);
+    const auto ever = an::expose(index.view(), j.start, j.end, gpus, all_time,
+                                 scratch);
+    n += in_op.run_mask != ever.run_mask;
+  }
+  return n;
+}
+
 struct Case {
   std::uint32_t threads;
   an::Attribution attribution;
@@ -162,50 +232,43 @@ class Stage3Parallel : public ::testing::TestWithParam<Case> {};
 
 }  // namespace
 
-// The tentpole contract: the sharded exposure join concatenated in shard
-// order equals the serial join, exposure for exposure, at every worker
-// count and both attribution granularities.
+// The exposure list of the batch fold equals the serial per-job oracle's,
+// exposure for exposure, at both attribution granularities, on a fixture
+// whose jobs straddle op.begin with errors before it.  `threads` callers
+// run the pass and the fold at once over one shared index, as query
+// readers share one mapping.
 TEST_P(Stage3Parallel, ExposureJoinMatchesSerial) {
   const auto param = GetParam();
   const auto cfg = impact_config(param.attribution);
-  const auto owned = an::build_error_index(errors(), cfg.period);
-  const auto index = owned.view();
+  ASSERT_GT(boundary_jobs_with_early_errors(cfg), 100u);
+  std::vector<an::JobExposure> want;
+  gpures::testing::oracle_impact(job_table(), errors(), cfg, &want);
+  ASSERT_GT(want.size(), 1000u);
 
-  an::ExposureJoinStats serial_stats;
-  const auto serial = an::compute_exposures(job_table(), index, cfg, nullptr,
-                                            &serial_stats);
-  ASSERT_GT(serial.size(), 1000u);
-  ASSERT_EQ(serial_stats.shards.size(), 1u);
-
+  const auto index = an::build_error_index(errors());
   ct::ThreadPool pool(param.threads);
-  an::ExposureJoinStats par_stats;
-  const auto parallel =
-      an::compute_exposures(job_table(), index, cfg, &pool, &par_stats);
-  expect_exposures_equal(serial, parallel);
-
-  // Shard tallies partition the totals exactly.
-  ASSERT_EQ(par_stats.shards.size(), static_cast<std::size_t>(param.threads));
-  std::uint64_t scanned = 0;
-  for (const auto& s : par_stats.shards) scanned += s.jobs_scanned;
-  EXPECT_EQ(scanned, serial_stats.shards[0].jobs_scanned);
-  EXPECT_EQ(par_stats.total_exposed(), serial_stats.total_exposed());
-  EXPECT_EQ(par_stats.total_exposed(), parallel.size());
+  std::vector<std::vector<an::JobExposure>> got(param.threads);
+  pool.parallel_for(param.threads, [&](std::size_t caller, std::size_t) {
+    const auto pass = an::mask_jobs(job_table(), index.view(), cfg.window,
+                                    cfg.attribution);
+    an::fold_job_impact(job_table(), index.view(), pass, cfg, &got[caller]);
+  });
+  for (const auto& exposures : got) expect_exposures_equal(want, exposures);
 }
 
+// Table II from the batch fold, totals included, equals the oracle's.
 TEST_P(Stage3Parallel, JobImpactMatchesSerial) {
   const auto param = GetParam();
   const auto cfg = impact_config(param.attribution);
-  const auto serial = an::compute_job_impact(job_table(), errors(), cfg);
-  ASSERT_GT(serial.gpu_failed_jobs, 100u);
+  const auto want = gpures::testing::oracle_impact(job_table(), errors(), cfg);
+  ASSERT_GT(want.gpu_failed_jobs, 100u);
 
-  // The same pass lists the exposures, as compute_exposures would.
   ct::ThreadPool pool(param.threads);
-  std::vector<an::JobExposure> exposures;
-  const auto parallel = an::compute_job_impact(job_table(), errors(), cfg,
-                                               &pool, nullptr, &exposures);
-  expect_impact_equal(serial, parallel);
-  expect_exposures_equal(an::compute_exposures(job_table(), errors(), cfg),
-                         exposures);
+  std::vector<an::JobImpact> got(param.threads);
+  pool.parallel_for(param.threads, [&](std::size_t caller, std::size_t) {
+    got[caller] = an::compute_job_impact(job_table(), errors(), cfg);
+  });
+  for (const auto& impact : got) expect_impact_equal(want, impact);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -224,16 +287,16 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Stage3Parallel, PoolsOfDifferentSizesAgree) {
-  // Transitivity at odd worker counts: the shard partition differs but the
-  // concatenated output cannot.
+  // The mitigation render that runs its own pass ignores its pool, and its
+  // floating-point sums match the oracle's exposure list to the byte.
   const auto cfg = impact_config(an::Attribution::kGpuLevel);
-  const auto owned = an::build_error_index(errors(), cfg.period);
-  const auto index = owned.view();
+  std::vector<an::JobExposure> want;
+  gpures::testing::oracle_impact(job_table(), errors(), cfg, &want);
+  const auto bytes = an::render_mitigation(job_table(), want, cfg);
   ct::ThreadPool three(3);
   ct::ThreadPool seven(7);
-  expect_exposures_equal(
-      an::compute_exposures(job_table(), index, cfg, &three),
-      an::compute_exposures(job_table(), index, cfg, &seven));
+  EXPECT_EQ(an::render_mitigation(job_table(), errors(), cfg, &three), bytes);
+  EXPECT_EQ(an::render_mitigation(job_table(), errors(), cfg, &seven), bytes);
 }
 
 namespace {
@@ -248,8 +311,7 @@ std::size_t entries_in(const an::ErrorIndexView& index, std::int64_t key_lo,
 }  // namespace
 
 TEST(Stage3Parallel, ErrorIndexMatchesNaiveScan) {
-  const auto cfg = impact_config(an::Attribution::kGpuLevel);
-  const auto owned = an::build_error_index(errors(), cfg.period);
+  const auto owned = an::build_error_index(errors());
   const auto index = owned.view();
   ASSERT_GT(index.keys.size(), 0u);
   ASSERT_EQ(index.offsets.size(), index.keys.size() + 1);
@@ -264,7 +326,7 @@ TEST(Stage3Parallel, ErrorIndexMatchesNaiveScan) {
       std::size_t expected = 0;
       for (const auto& e : errors()) {
         if (e.gpu.node == node && e.gpu.slot == slot &&
-            cfg.period.contains(e.time) && an::exposure_bit(e.code) >= 0) {
+            an::exposure_bit(e.code) >= 0) {
           ++expected;
         }
       }
@@ -285,15 +347,13 @@ TEST(Stage3Parallel, ErrorIndexMatchesNaiveScan) {
 TEST(Stage3Parallel, NodeLevelIndexGroupsByNode) {
   // Node-level attribution reads the same GPU-keyed index: a node's errors
   // are exactly the groups in [pack_gpu(node, 0), pack_gpu(node, 0xff)].
-  const auto cfg = impact_config(an::Attribution::kNodeLevel);
-  const auto owned = an::build_error_index(errors(), cfg.period);
+  const auto owned = an::build_error_index(errors());
   const auto index = owned.view();
   std::size_t total = 0;
   for (std::int32_t node = 0; node < kNodes; ++node) {
     std::size_t expected = 0;
     for (const auto& e : errors()) {
-      if (e.gpu.node == node && cfg.period.contains(e.time) &&
-          an::exposure_bit(e.code) >= 0) {
+      if (e.gpu.node == node && an::exposure_bit(e.code) >= 0) {
         ++expected;
       }
     }
@@ -397,14 +457,14 @@ TEST(Stage3Parallel, SurvivalTrendsMitigationRenderIdenticalBytes) {
 }
 
 TEST(Stage3Parallel, MitigationSpanOverloadsMatchLegacyPath) {
-  // Mitigation reads the exposure list of Table II's join; the what-ifs and
-  // the render over it must agree with a separate compute_exposures join
-  // and with the render entry point that joins for itself.
+  // Mitigation reads the exposure list of Table II's fold; the what-ifs
+  // and the render over it must agree with the oracle's list and with the
+  // render entry point that runs its own pass.
   const auto cfg = impact_config(an::Attribution::kGpuLevel);
   std::vector<an::JobExposure> shared;
-  an::compute_job_impact(job_table(), errors(), cfg, nullptr, nullptr,
-                         &shared);
-  const auto own = an::compute_exposures(job_table(), errors(), cfg);
+  an::compute_job_impact(job_table(), errors(), cfg, &shared);
+  std::vector<an::JobExposure> own;
+  gpures::testing::oracle_impact(job_table(), errors(), cfg, &own);
 
   const auto a = an::compute_lost_work(job_table(), shared, cfg);
   const auto b = an::compute_lost_work(job_table(), own, cfg);

@@ -34,25 +34,46 @@ function(read_join metrics count_var exposures_var)
   set(${exposures_var} "${exposures}" PARENT_SCOPE)
 endfunction()
 
+# Fail unless the trace file holds exactly one span of each of ARGN.
+function(expect_one_span what trace_file)
+  file(READ "${trace_file}" trace)
+  foreach(span ${ARGN})
+    string(REPLACE "." "\\." span_re "${span}")
+    string(REGEX MATCHALL "\"name\":\"${span_re}\"" hits "${trace}")
+    list(LENGTH hits n)
+    if(NOT n EQUAL 1)
+      message(FATAL_ERROR "${what}: ${n} ${span} spans, want 1")
+    endif()
+  endforeach()
+endfunction()
+
 # Every artifact at once still derives each Stage-III result once: one
-# counted exposure join and one span per derivation.
+# counted exposure join and one span per derivation.  The .idx is written
+# from the same error index and exposure pass as Table II.
 analyze(all_out --report all --export-csv "${WORKDIR}/csv"
         --export-json "${WORKDIR}/out.json" --report-md "${WORKDIR}/all.md"
+        --write-index "${WORKDIR}/all.idx"
         --metrics "${WORKDIR}/all.json" --trace "${WORKDIR}/all_trace.json")
 read_join("${WORKDIR}/all.json" joins exposures)
 if(NOT joins EQUAL 1)
   message(FATAL_ERROR "every artifact: ${joins} exposure joins, want 1")
 endif()
-file(READ "${WORKDIR}/all_trace.json" trace)
-foreach(span stage3.error_stats stage3.job_stats stage3.availability
-        stage3.job_impact)
-  string(REPLACE "." "\\." span_re "${span}")
-  string(REGEX MATCHALL "\"name\":\"${span_re}\"" hits "${trace}")
-  list(LENGTH hits n)
-  if(NOT n EQUAL 1)
-    message(FATAL_ERROR "every artifact: ${n} ${span} spans, want 1")
-  endif()
-endforeach()
+expect_one_span("every artifact" "${WORKDIR}/all_trace.json"
+                stage3.error_stats stage3.job_stats stage3.availability
+                stage3.job_impact stage3.error_index stage3.mask_jobs)
+
+# Serve writes its index through the same emit path: one build, one pass.
+execute_process(
+  COMMAND "${SERVE}" --data "${WORKDIR}/ds" --once --quiet
+          --write-index "${WORKDIR}/serve.idx"
+          --trace "${WORKDIR}/serve_trace.json"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "gpures-serve --once --write-index failed (${rc}): "
+                      "${err}")
+endif()
+expect_one_span("serve --once --write-index" "${WORKDIR}/serve_trace.json"
+                stage3.error_index stage3.mask_jobs)
 
 analyze(unused --report table2 --metrics "${WORKDIR}/table2.json")
 read_join("${WORKDIR}/table2.json" joins table2_exposures)

@@ -404,6 +404,8 @@ bool emit_results(std::string_view tool, analysis::Stage3Results& results,
     in.errors = &res.errors();
     in.jobs = &res.jobs();
     in.unavailability = &results.availability().intervals;
+    in.loc = &results.error_index();
+    in.pass = &results.exposure_pass();
     const auto wrote = index::write_index(in, req.index_file);
     if (!wrote.ok()) {
       log.error(comp, wrote.error().message);
